@@ -2,7 +2,7 @@
 //! wall-clock side) and of the full distributed driver.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mpc_runtime::{primitives, Dist, MpcConfig, MpcSystem};
+use mpc_runtime::{comm, primitives, Dist, MpcConfig, MpcSystem};
 use spanner_core::mpc_driver::mpc_general_spanner_with_config;
 use spanner_core::TradeoffParams;
 use spanner_graph::generators::{Family, WeightModel};
@@ -68,6 +68,39 @@ fn bench_sort_thread_scaling(c: &mut Criterion) {
     group.finish();
 }
 
+/// One routing round in the strongly sublinear shape of the benchmark's
+/// `mpc-sublinear` workload: 512 machines of 512 words (slack 8) moving
+/// 120k 8-word records, at 1 and 2 threads. The groups above stop at 26
+/// machines, where a delivery cost that grows with machines² instead of
+/// records does not show.
+fn bench_route_many_machines(c: &mut Criterion) {
+    let mut group = c.benchmark_group("mpc_route_many_machines");
+    let machines = 512usize;
+    let cfg = MpcConfig::explicit(512, machines, 8);
+    let data: Vec<[u64; 8]> = (0..120_000u64)
+        .map(|i| [primitives::splitmix64(i); 8])
+        .collect();
+    for threads in [1usize, 2] {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap();
+        group.bench_with_input(BenchmarkId::new("threads", threads), &threads, |b, _| {
+            b.iter(|| {
+                pool.install(|| {
+                    let mut sys = MpcSystem::new(cfg);
+                    let d = Dist::distribute(&mut sys, data.clone()).unwrap();
+                    comm::route(&mut sys, d, "route", |r, _| {
+                        (r[0] % machines as u64) as usize
+                    })
+                    .unwrap()
+                })
+            })
+        });
+    }
+    group.finish();
+}
+
 fn bench_driver(c: &mut Criterion) {
     let g = Family::ErdosRenyi {
         n: 1024,
@@ -84,6 +117,6 @@ fn bench_driver(c: &mut Criterion) {
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_sort, bench_aggregate, bench_sort_thread_scaling, bench_driver
+    targets = bench_sort, bench_aggregate, bench_sort_thread_scaling, bench_route_many_machines, bench_driver
 );
 criterion_main!(benches);

@@ -7,15 +7,23 @@
 //! machine keeps for itself are free (no self-traffic), matching the
 //! model.
 //!
-//! Parallel-safety: per-machine work (outbox assembly, local folds) runs
-//! on the rayon pool. Correctness relies on the shim's order-preserving
-//! `collect` — e.g. [`route`] delivers records in (source machine, source
-//! position) order, which [`crate::primitives::sort_by_key`]'s rebalance
-//! step depends on — so results are identical at every thread count.
+//! Delivery: [`route_with`] is the one routing path ([`route`] computes
+//! destinations and calls it). Its validation pass tallies traffic and
+//! counts the records bound for each machine; the loop executor then
+//! moves every record, in (source machine, source position) order, into
+//! a destination shard allocated once at its exact size — one counting
+//! scatter, `O(records + machines)` per round.
+//! [`crate::primitives::sort_by_key`]'s rebalance step depends on that
+//! order.
+//!
+//! Parallel-safety: per-machine stages (destination computation, outbox
+//! assembly, local folds) stay on the rayon pool. They rely on the shim's
+//! order-preserving `collect`, so results are identical at every thread
+//! count.
 //!
 //! Executors: every primitive charges rounds/traffic through shared code
-//! and only then moves the data, either in-process (`deliver`, the loop
-//! executor) or through the `spanner-net` thread-per-machine router
+//! and only then moves the data, either in-process (the loop executor) or
+//! through the `spanner-net` thread-per-machine router
 //! ([`fn@spanner_net::exchange`], the threaded executor). The physical
 //! exchange delivers in the same (source machine, source position) order,
 //! so both executors are bit-identical; wire traffic observed by the
@@ -43,97 +51,13 @@ pub fn route<T: Record>(
     op: &'static str,
     dest: impl Fn(&T, usize) -> usize + Send + Sync,
 ) -> Result<Dist<T>> {
-    let p = sys.machines();
-    let shards = d.into_shards();
-
-    // Each source machine assembles its outboxes in parallel.
-    let outboxes: Vec<Vec<(usize, T)>> = shards
-        .into_par_iter()
+    let dests: Vec<Vec<usize>> = d
+        .shards()
+        .par_iter()
         .enumerate()
-        .map(|(src, shard)| {
-            shard
-                .into_iter()
-                .map(|rec| {
-                    let dst = dest(&rec, src);
-                    (dst, rec)
-                })
-                .collect()
-        })
+        .map(|(src, shard)| shard.iter().map(|rec| dest(rec, src)).collect())
         .collect();
-
-    // Validate destinations and tally traffic.
-    let mut sent = vec![0usize; p];
-    let mut received = vec![0usize; p];
-    for (src, outbox) in outboxes.iter().enumerate() {
-        for (dst, _) in outbox {
-            if *dst >= p {
-                return Err(MpcError::BadDestination {
-                    dest: *dst,
-                    num_machines: p,
-                });
-            }
-            if *dst != src {
-                sent[src] += T::WORDS;
-                received[*dst] += T::WORDS;
-            }
-        }
-    }
-    let max_sent = sent.iter().copied().max().unwrap_or(0);
-    let max_recv = received.iter().copied().max().unwrap_or(0);
-    let total: u64 = sent.iter().map(|&x| x as u64).sum();
-    sys.charge_round(op, max_sent, max_recv, total)?;
-
-    // Deliver deterministically: destination shards ordered by source
-    // machine, then by position within the source shard.
-    let new_shards = match sys.pool_handle() {
-        Some(pool) => {
-            let (shards, sent_w, recv_w) = exchange(&pool, T::WORDS, outboxes);
-            sys.note_exchange_traffic(&sent_w, &recv_w);
-            shards
-        }
-        None => deliver(p, outboxes),
-    };
-    sys.check_all_storage(&new_shards, op)?;
-    Ok(Dist::from_shards(new_shards))
-}
-
-/// The delivery step shared by [`route`] / [`route_with`]: moves every
-/// `(destination, record)` pair into its destination shard, preserving
-/// (source machine, source position) order within each shard.
-///
-/// Runs in two parallel passes — per-source bucketing, then
-/// per-destination concatenation over the (sequentially) transposed
-/// buckets — so the actual record movement parallelises while the
-/// output stays bit-identical at every thread count (both passes use
-/// the shim's order-preserving collect; the transpose only moves `Vec`
-/// headers).
-fn deliver<T: Record>(p: usize, outboxes: Vec<Vec<(usize, T)>>) -> Vec<Vec<T>> {
-    let buckets: Vec<Vec<Vec<T>>> = outboxes
-        .into_par_iter()
-        .map(|outbox| {
-            let mut per_dst: Vec<Vec<T>> = vec![Vec::new(); p];
-            for (dst, rec) in outbox {
-                per_dst[dst].push(rec);
-            }
-            per_dst
-        })
-        .collect();
-    let mut transposed: Vec<Vec<Vec<T>>> = (0..p).map(|_| Vec::with_capacity(p)).collect();
-    for per_dst in buckets {
-        for (dst, bucket) in per_dst.into_iter().enumerate() {
-            transposed[dst].push(bucket);
-        }
-    }
-    transposed
-        .into_par_iter()
-        .map(|parts| {
-            let mut shard = Vec::with_capacity(parts.iter().map(Vec::len).sum());
-            for part in parts {
-                shard.extend(part);
-            }
-            shard
-        })
-        .collect()
+    route_with(sys, d, op, &dests)
 }
 
 /// One-round all-to-all with *precomputed* destinations: `dests[m][i]` is
@@ -157,8 +81,11 @@ pub fn route_with<T: Record>(
         });
     }
 
+    // Validate destinations, tally traffic, and count the records each
+    // machine will hold.
     let mut sent = vec![0usize; p];
     let mut received = vec![0usize; p];
+    let mut arriving = vec![0usize; p];
     for (src, ds) in dests.iter().enumerate() {
         if ds.len() != shards[src].len() {
             return Err(MpcError::ShapeMismatch {
@@ -175,38 +102,51 @@ pub fn route_with<T: Record>(
                     num_machines: p,
                 });
             }
+            arriving[dst] += 1;
             if dst != src {
                 sent[src] += T::WORDS;
                 received[dst] += T::WORDS;
             }
         }
     }
-    let max_sent = sent.iter().copied().max().unwrap_or(0);
-    let max_recv = received.iter().copied().max().unwrap_or(0);
     let total: u64 = sent.iter().map(|&x| x as u64).sum();
-    sys.charge_round(op, max_sent, max_recv, total)?;
+    sys.charge_round(op, busiest(&sent), busiest(&received), total)?;
 
-    let outboxes: Vec<Vec<(usize, T)>> = shards
-        .into_par_iter()
-        .enumerate()
-        .map(|(src, shard)| {
-            shard
-                .into_iter()
-                .enumerate()
-                .map(|(i, rec)| (dests[src][i], rec))
-                .collect()
-        })
-        .collect();
+    // Deliver in (source machine, source position) order.
     let new_shards = match sys.pool_handle() {
         Some(pool) => {
+            let outboxes: Vec<Vec<(usize, T)>> = shards
+                .into_par_iter()
+                .zip(dests.par_iter())
+                .map(|(shard, ds)| ds.iter().copied().zip(shard).collect())
+                .collect();
             let (shards, sent_w, recv_w) = exchange(&pool, T::WORDS, outboxes);
             sys.note_exchange_traffic(&sent_w, &recv_w);
             shards
         }
-        None => deliver(p, outboxes),
+        None => {
+            let mut delivered: Vec<Vec<T>> =
+                arriving.iter().map(|&n| Vec::with_capacity(n)).collect();
+            for (shard, ds) in shards.into_iter().zip(dests) {
+                for (rec, &dst) in shard.into_iter().zip(ds) {
+                    delivered[dst].push(rec);
+                }
+            }
+            delivered
+        }
     };
     sys.check_all_storage(&new_shards, op)?;
     Ok(Dist::from_shards(new_shards))
+}
+
+/// The busiest machine of a per-machine traffic tally as
+/// `(machine, words)`: the lowest index among the maxima, machine 0 when
+/// nothing moves.
+fn busiest(words: &[usize]) -> (usize, usize) {
+    words.iter().enumerate().fold(
+        (0, 0),
+        |best, (m, &w)| if w > best.1 { (m, w) } else { best },
+    )
 }
 
 /// Direct gather: every machine sends its shard to `root` in one round.
@@ -260,7 +200,7 @@ pub fn reduce_tree<T: Record>(
             max_recv = max_recv.max(incoming);
             total += incoming as u64;
         }
-        sys.charge_round(op, T::WORDS, max_recv, total)?;
+        sys.charge_round(op, (0, T::WORDS), (0, max_recv), total)?;
 
         // Group members, delivered to each leader: physically through
         // the router (threaded) or by slicing the level (loop). The
@@ -355,8 +295,8 @@ pub fn broadcast_all<T: Record>(
         };
         sys.charge_round(
             op,
-            (f * chunk_words).min(cap),
-            chunk_words,
+            (0, (f * chunk_words).min(cap)),
+            (0, chunk_words),
             per_round_total + leftover,
         )?;
     }
@@ -431,7 +371,7 @@ pub fn machine_scan<T: Record>(
             max_recv = max_recv.max(incoming);
             total += incoming as u64;
         }
-        sys.charge_round(op, T::WORDS, max_recv, total)?;
+        sys.charge_round(op, (0, T::WORDS), (0, max_recv), total)?;
 
         let cur_map = maps.last().expect("non-empty").clone();
         let grouped: Vec<Vec<T>> = match sys.pool_handle() {
@@ -496,7 +436,7 @@ pub fn machine_scan<T: Record>(
                 acc = combine(&acc, item);
             }
         }
-        sys.charge_round(op, max_sent, T::WORDS, total)?;
+        sys.charge_round(op, (0, max_sent), (0, T::WORDS), total)?;
         // Threaded executor: each parent physically sends every child
         // its prefix (the leader child is the parent's own machine, so
         // that hop is free on the wire; the charge above keeps the

@@ -19,7 +19,10 @@ pub enum MpcError {
     /// A machine would send or receive more than `slack · S` words in one
     /// round.
     BandwidthExceeded {
-        /// Machine index.
+        /// The busiest machine in `direction` (the lowest index on ties).
+        /// Synthetic rounds priced by formula rather than tallied per
+        /// machine — aggregation-tree, broadcast and sample-sort splitter
+        /// rounds — report machine 0, the first group's leader.
         machine: usize,
         /// Words the machine would transfer this round.
         words: usize,

@@ -142,8 +142,8 @@ pub fn sort_by_key<T: Record, K: Record + Ord>(
         for _ in 0..tree_depth {
             sys.charge_round(
                 op,
-                b * kwords,
-                (f - 1) * b * kwords,
+                (0, b * kwords),
+                (0, (f - 1) * b * kwords),
                 (p * b * kwords) as u64,
             )?;
         }
@@ -188,8 +188,8 @@ pub fn sort_by_key<T: Record, K: Record + Ord>(
         for _ in 0..tree_depth.max(1) {
             sys.charge_round(
                 op,
-                f * (f - 1) * kwords,
-                (f - 1) * kwords,
+                (0, f * (f - 1) * kwords),
+                (0, (f - 1) * kwords),
                 (p * kwords) as u64,
             )?;
         }
@@ -335,11 +335,8 @@ pub fn aggregate_by_key<T: Record, V: Record>(
             map.into_iter().collect()
         })
         .collect();
-    let out = Dist::from_shards(folded);
-    let mut sys2 = sys.clone();
-    sys2.check_all_storage(out.shards(), op)?;
-    *sys = sys2;
-    Ok(out)
+    sys.check_all_storage(&folded, op)?;
+    Ok(Dist::from_shards(folded))
 }
 
 /// Global record count via the aggregation tree.

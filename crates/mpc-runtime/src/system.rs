@@ -131,13 +131,15 @@ impl MpcSystem {
         }
     }
 
-    /// Records one executed communication round attributed to `op`, with
-    /// the observed per-machine traffic extremes.
+    /// Records one executed communication round attributed to `op`. The
+    /// two pairs are `(machine, words)` of the round's busiest sender and
+    /// receiver; rounds priced by formula name machine 0 (see
+    /// [`MpcError::BandwidthExceeded`]).
     pub(crate) fn charge_round(
         &mut self,
         op: &'static str,
-        max_sent: usize,
-        max_received: usize,
+        (sender, max_sent): (usize, usize),
+        (receiver, max_received): (usize, usize),
         total: u64,
     ) -> Result<()> {
         self.metrics.add_round(op);
@@ -153,7 +155,7 @@ impl MpcSystem {
         let cap = self.cfg.capacity();
         if max_sent > cap {
             return Err(MpcError::BandwidthExceeded {
-                machine: usize::MAX,
+                machine: sender,
                 words: max_sent,
                 capacity: cap,
                 direction: "send",
@@ -162,7 +164,7 @@ impl MpcSystem {
         }
         if max_received > cap {
             return Err(MpcError::BandwidthExceeded {
-                machine: usize::MAX,
+                machine: receiver,
                 words: max_received,
                 capacity: cap,
                 direction: "recv",
@@ -213,10 +215,17 @@ mod tests {
     #[test]
     fn charge_round_counts_and_checks() {
         let mut sys = MpcSystem::new(MpcConfig::explicit(8, 4, 1));
-        sys.charge_round("test", 8, 8, 16).unwrap();
+        sys.charge_round("test", (0, 8), (1, 8), 16).unwrap();
         assert_eq!(sys.rounds(), 1);
-        let err = sys.charge_round("test", 9, 0, 9).unwrap_err();
-        assert!(matches!(err, MpcError::BandwidthExceeded { .. }));
+        let err = sys.charge_round("test", (2, 9), (0, 0), 9).unwrap_err();
+        assert!(matches!(
+            err,
+            MpcError::BandwidthExceeded {
+                machine: 2,
+                direction: "send",
+                ..
+            }
+        ));
         // The round is still counted (the violation happened *in* a round).
         assert_eq!(sys.rounds(), 2);
     }
@@ -233,7 +242,7 @@ mod tests {
     #[test]
     fn reset_clears_metrics() {
         let mut sys = MpcSystem::new(MpcConfig::explicit(8, 2, 2));
-        sys.charge_round("a", 1, 1, 2).unwrap();
+        sys.charge_round("a", (0, 1), (1, 1), 2).unwrap();
         sys.reset_metrics();
         assert_eq!(sys.rounds(), 0);
     }
@@ -255,8 +264,8 @@ mod tests {
         let mut sys =
             MpcSystem::with_executor(MpcConfig::explicit(64, 4, 1), ExecutorKind::Threaded(model));
         assert_eq!(sys.executor(), ExecutorKind::Threaded(model));
-        sys.charge_round("a", 10, 4, 20).unwrap();
-        sys.charge_round("b", 2, 8, 12).unwrap();
+        sys.charge_round("a", (0, 10), (1, 4), 20).unwrap();
+        sys.charge_round("b", (0, 2), (1, 8), 12).unwrap();
         let report = sys.net_report().expect("threaded runs carry a report");
         assert_eq!(report.rounds, 2);
         // Each round: latency + busier-direction bytes / bandwidth.

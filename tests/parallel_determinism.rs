@@ -9,9 +9,9 @@ use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
-use mpc_spanners::mpc::comm::route;
+use mpc_spanners::mpc::comm::{route, route_with};
 use mpc_spanners::mpc::primitives::{aggregate_by_key, forward_fill, sort_by_key};
-use mpc_spanners::mpc::{Dist, MpcConfig, MpcSystem};
+use mpc_spanners::mpc::{Dist, Metrics, MpcConfig, MpcSystem};
 
 /// Runs `f` with the shim's parallel splitting capped at `threads`.
 fn at_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
@@ -29,8 +29,92 @@ fn sys_for(len: usize, machines: usize) -> MpcSystem {
     MpcSystem::new(MpcConfig::explicit(words, machines, 8))
 }
 
+/// Naive reference delivery of one routing round of 1-word records: for
+/// each source machine in order, append each of its records in order to
+/// its destination. Returns the delivered shards and `before` plus the
+/// accounting of that one round.
+fn reference_route(
+    shards: &[Vec<u64>],
+    dests: &[Vec<usize>],
+    op: &'static str,
+    before: &Metrics,
+) -> (Vec<Vec<u64>>, Metrics) {
+    let machines = shards.len();
+    let mut out = vec![Vec::new(); machines];
+    let mut sent = vec![0usize; machines];
+    let mut received = vec![0usize; machines];
+    for src in 0..machines {
+        for (i, &rec) in shards[src].iter().enumerate() {
+            let dst = dests[src][i];
+            out[dst].push(rec);
+            if dst != src {
+                sent[src] += 1;
+                received[dst] += 1;
+            }
+        }
+    }
+    let mut metrics = before.clone();
+    metrics.add_round(op);
+    metrics.observe_traffic(
+        sent.iter().copied().max().unwrap_or(0),
+        received.iter().copied().max().unwrap_or(0),
+        sent.iter().sum::<usize>() as u64,
+    );
+    for shard in &out {
+        metrics.observe_storage(shard.len());
+    }
+    (out, metrics)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn route_matches_naive_delivery_at_many_machines(
+        data in proptest::collection::vec(0u64..1_000_000, 0..3000),
+        machines in 1usize..=640,
+        kind in 0usize..4,
+        hot in 0usize..640,
+    ) {
+        let hot = hot % machines;
+        // 0: uniform; 1: sparse (three target machines, the rest receive
+        // nothing); 2: skewed (three quarters to one hot machine);
+        // 3: self-only (no traffic at all).
+        let dest = move |&x: &u64, src: usize| match kind {
+            0 => (x % machines as u64) as usize,
+            1 => [0, hot, machines - 1][(x % 3) as usize],
+            2 if x % 4 != 0 => hot,
+            2 => (x % machines as u64) as usize,
+            _ => src,
+        };
+        // Room for every record on one machine, in storage and per round.
+        let fresh = || MpcSystem::new(MpcConfig::explicit(data.len() + 64, machines, 1));
+        let mut s = fresh();
+        let input = Dist::distribute(&mut s, data.clone()).unwrap();
+        let dests: Vec<Vec<usize>> = input
+            .shards()
+            .iter()
+            .enumerate()
+            .map(|(src, shard)| shard.iter().map(|x| dest(x, src)).collect())
+            .collect();
+        let expect = reference_route(input.shards(), &dests, "route", s.metrics());
+        for threads in [1, 2] {
+            let via_route = at_threads(threads, || {
+                let mut s = fresh();
+                let d = Dist::distribute(&mut s, data.clone()).unwrap();
+                let out = route(&mut s, d, "route", dest).unwrap();
+                (out.shards().to_vec(), s.metrics().clone())
+            });
+            let via_route_with = at_threads(threads, || {
+                let mut s = fresh();
+                let d = Dist::distribute(&mut s, data.clone()).unwrap();
+                let out = route_with(&mut s, d, "route", &dests).unwrap();
+                (out.shards().to_vec(), s.metrics().clone())
+            });
+            prop_assert_eq!(&via_route, &expect, "route at {} threads, map {}", threads, kind);
+            prop_assert_eq!(&via_route_with, &expect, "route_with at {} threads, map {}", threads, kind);
+        }
+    }
 
     #[test]
     fn sort_by_key_is_thread_count_invariant(
@@ -57,10 +141,10 @@ proptest! {
         data in proptest::collection::vec(0u64..1000, 0..400),
         machines in 2usize..12,
     ) {
-        // `route`'s delivery loop is now a two-pass parallel scatter;
-        // its contract — destination shards ordered by (source machine,
-        // source position), identical round/traffic accounting — must
-        // hold at every thread count.
+        // `route` computes destinations per machine in parallel, then
+        // delivers in one counting scatter; its contract — destination
+        // shards ordered by (source machine, source position), identical
+        // round/traffic accounting — must hold at every thread count.
         let run = || {
             let mut s = sys_for(data.len(), machines);
             let d = Dist::distribute(&mut s, data.clone()).unwrap();
