@@ -14,8 +14,7 @@
 //!   paths no test runs.
 //! * **blocking-while-locked** — a call that can block (a condvar wait,
 //!   or any fn that transitively reaches one: `JobQueue::wait*`/
-//!   `drain`, barrier waits, the admission-gated spanner/oracle builds)
-//!   made while a tracked guard is live. A condvar wait is exempt from
+//!   `drain`, barrier waits) made while a tracked guard is live. A condvar wait is exempt from
 //!   the guard passed to the wait itself — parking *releases* that
 //!   mutex — which is exactly the rule the runtime audit enforces.
 //!

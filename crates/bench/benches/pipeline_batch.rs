@@ -1,6 +1,6 @@
-//! Criterion timing of the pipeline's `Batch` API — the serving-shaped
+//! Criterion timing of a pipeline fan-out — the serving-shaped
 //! workload: many independent `SpannerRequest`s executed concurrently
-//! through the rayon pool.
+//! through the rayon pool with `par_iter().map(SpannerRequest::run)`.
 //!
 //! Two axes:
 //!
@@ -12,7 +12,8 @@
 //!   (several algorithms × backends: the cross-model comparison shape).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use spanner_core::pipeline::{Algorithm, Backend, Batch, SpannerRequest};
+use rayon::prelude::*;
+use spanner_core::pipeline::{Algorithm, Backend, SpannerRequest};
 use spanner_core::TradeoffParams;
 use spanner_graph::generators::{Family, WeightModel};
 use spanner_graph::Graph;
@@ -25,40 +26,34 @@ fn workload() -> Graph {
     .generate(WeightModel::Uniform(1, 32), 0xBA7C)
 }
 
-fn homogeneous(g: &Graph, requests: usize) -> Batch<'_> {
+fn homogeneous(g: &Graph, requests: usize) -> Vec<SpannerRequest<'_>> {
     (0..requests as u64)
         .map(|seed| SpannerRequest::new(g, Algorithm::General(TradeoffParams::log_k(8))).seed(seed))
         .collect()
 }
 
-fn mixed(g: &Graph) -> Batch<'_> {
+fn mixed(g: &Graph) -> Vec<SpannerRequest<'_>> {
     let params = TradeoffParams::new(8, 2);
-    Batch::new()
-        .with(SpannerRequest::new(g, Algorithm::General(params)).seed(1))
-        .with(SpannerRequest::new(g, Algorithm::ClusterMerging { k: 8 }).seed(1))
-        .with(
-            SpannerRequest::new(g, Algorithm::General(params))
-                .on(Backend::Streaming)
-                .seed(1),
-        )
-        .with(
-            SpannerRequest::new(g, Algorithm::General(params))
-                .on(Backend::Pram)
-                .seed(1),
-        )
-        .with(
-            SpannerRequest::new(g, Algorithm::General(params))
-                .on(Backend::congested_clique())
-                .seed(1),
-        )
-        .with(SpannerRequest::new(g, Algorithm::BaswanaSen { k: 8 }).seed(1))
+    vec![
+        SpannerRequest::new(g, Algorithm::General(params)).seed(1),
+        SpannerRequest::new(g, Algorithm::ClusterMerging { k: 8 }).seed(1),
+        SpannerRequest::new(g, Algorithm::General(params))
+            .on(Backend::Streaming)
+            .seed(1),
+        SpannerRequest::new(g, Algorithm::General(params))
+            .on(Backend::Pram)
+            .seed(1),
+        SpannerRequest::new(g, Algorithm::General(params))
+            .on(Backend::congested_clique())
+            .seed(1),
+        SpannerRequest::new(g, Algorithm::BaswanaSen { k: 8 }).seed(1),
+    ]
 }
 
-fn run_batch(batch: &Batch<'_>) -> usize {
-    batch
-        .run()
-        .into_iter()
-        .map(|r| r.expect("valid request").size())
+fn run_batch(requests: &[SpannerRequest<'_>]) -> usize {
+    requests
+        .par_iter()
+        .map(|request| request.run().expect("valid request").size())
         .sum()
 }
 

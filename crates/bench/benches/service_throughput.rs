@@ -16,9 +16,7 @@
 //!   service overhead itself.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use spanner_core::pipeline::{
-    Algorithm, DistanceRequest, QueryEngine, ServiceConfig, SpannerService,
-};
+use spanner_core::pipeline::{Algorithm, DistanceRequest, QueryEngine, SpannerService};
 use spanner_core::TradeoffParams;
 use spanner_graph::generators::{Family, WeightModel};
 use spanner_graph::Graph;
@@ -46,7 +44,7 @@ fn bench_service_throughput(c: &mut Criterion) {
     let q = queries(g.n() as u32);
     let engine = QueryEngine::Sketches { levels: 2 };
 
-    let service = SpannerService::with_config(ServiceConfig::default());
+    let service = SpannerService::new();
     let handle = service.register(g.clone());
     // Warm the store so the cached path measures steady state.
     service

@@ -12,11 +12,12 @@
 //! * `t·l` iterations, i.e. `O((1/γ)·t·log k/log(t+1))` MPC rounds
 //!   (Theorem 1.1).
 
+use rayon::prelude::*;
 use spanner_graph::Graph;
 
 use crate::engine::Engine;
 use crate::params::TradeoffParams;
-use crate::pipeline::{Algorithm, Batch, BuildGuard, PipelineError, SpannerRequest};
+use crate::pipeline::{Algorithm, BuildGuard, PipelineError, SpannerRequest};
 use crate::result::SpannerResult;
 
 /// Options shared by the engine-based constructions.
@@ -98,10 +99,10 @@ pub fn log_k_spanner(g: &Graph, k: u32, seed: u64) -> SpannerResult {
 
 /// Runs `repetitions` independent copies (different derived seeds) and
 /// returns the smallest spanner — the paper's expected-size-to-w.h.p.
-/// amplification. Section 6 runs `O(log n)` copies in parallel; since
-/// the pipeline's [`Batch`] executes requests concurrently on the rayon
-/// pool, so do we (each copy is the identical per-copy algorithm, and
-/// the selection is deterministic regardless of thread count).
+/// amplification. Section 6 runs `O(log n)` copies in parallel, and so
+/// do we: the copies' requests fan out on the rayon pool (each copy is
+/// the identical per-copy algorithm, results come back in seed order,
+/// and the selection is deterministic regardless of thread count).
 pub fn best_of(
     g: &Graph,
     params: TradeoffParams,
@@ -110,15 +111,15 @@ pub fn best_of(
     opts: BuildOptions,
 ) -> SpannerResult {
     assert!(repetitions >= 1, "need at least one repetition");
-    let batch: Batch = (0..repetitions as u64)
+    let requests: Vec<SpannerRequest<'_>> = (0..repetitions as u64)
         .map(|r| {
             SpannerRequest::new(g, Algorithm::General(params))
                 .seed(crate::coins::splitmix64(base_seed ^ r))
                 .track_radii(opts.track_radii)
         })
         .collect();
-    batch
-        .run()
+    let reports: Vec<_> = requests.par_iter().map(SpannerRequest::run).collect();
+    reports
         .into_iter()
         .map(|report| {
             report

@@ -25,13 +25,13 @@
 //! **New code should enter through [`pipeline`]**: one typed
 //! `SpannerRequest` (algorithm × backend × seed × verification policy)
 //! with a `plan()` step that predicts the theorem bounds before running
-//! and a `run()` that returns a unified `RunReport`; a `Batch` executes
-//! many requests concurrently. The per-model free functions in the
-//! algorithm modules survive as thin shims over the pipeline. For
-//! long-lived serving (register a graph once, answer many jobs from a
-//! budgeted artifact store under admission control), continue to
-//! [`pipeline::service`] — the one-shot request types are themselves
-//! thin shims over that layer's anonymous single-use path.
+//! and a `run()` that returns a unified `RunReport`; many requests fan
+//! out concurrently with `par_iter().map(SpannerRequest::run)`. The
+//! per-model free functions in the algorithm modules survive as thin
+//! shims over the pipeline. For long-lived serving (register a graph
+//! once, answer many jobs from the budgeted artifact store), continue to
+//! [`pipeline::service`], and put a [`pipeline::JobQueue`] in front of
+//! it to bound how many jobs execute at once.
 //!
 //! Every construction exists as a *sequential reference* (it executes
 //! the exact per-iteration rules and is what the stretch/size

@@ -36,17 +36,19 @@
 //!   query substrate;
 //! * [`DistanceOracle::query_batch`] fans queries out on the rayon pool
 //!   with order-preserving results, bit-identical to one-by-one
-//!   [`DistanceOracle::query`] at any thread count;
-//! * [`DistanceBatch`] / [`OracleCache`] deduplicate builds: requests
-//!   agreeing on (graph fingerprint, algorithm, backend, seed, engine)
-//!   share one oracle.
+//!   [`DistanceOracle::query`] at any thread count.
+//!
+//! A one-shot build owns its oracle. To build once and share the oracle
+//! across callers, register the graph with a
+//! [`SpannerService`](super::SpannerService) and submit oracle jobs:
+//! jobs agreeing on (graph, version, algorithm, backend, seed, engine)
+//! are served one `Arc`'d oracle from the service's artifact store.
 //!
 //! The legacy `spanner_apsp` entry points (`build_oracle`,
 //! `mpc_build_oracle`, `evaluate_sketches`) are thin shims over this
 //! stage.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rayon::prelude::*;
@@ -56,7 +58,7 @@ use spanner_graph::edge::{Distance, EdgeId, INFINITY};
 use spanner_graph::shortest_paths::dijkstra;
 use spanner_graph::Graph;
 
-use super::service::{HeapSize, LruStore, SpannerService};
+use super::service::HeapSize;
 use super::{
     Algorithm, Backend, CancelToken, ExecutionStats, MpcStats, PipelineError, Plan, SpannerRequest,
 };
@@ -71,12 +73,13 @@ use super::{
 /// turns a fired token or an expired deadline into the matching typed
 /// [`PipelineError`].
 ///
-/// The distance stage checks its guard *during* oracle builds — before
-/// and after the spanner construction, between Thorup–Zwick levels, and
-/// between cluster-search chunks — so a cancelled or deadline-blown
-/// build stops within one chunk of work instead of running to
-/// completion ([`DistanceRequest::build_with`],
-/// [`DistanceSketches::preprocess_guarded`]).
+/// Builds check their guard *during* the work — the sequential spanner
+/// construction between grow iterations and before Phase 2, the
+/// distance stage before and after the spanner construction, between
+/// Thorup–Zwick levels and between cluster-search chunks
+/// ([`DistanceSketches::preprocess_guarded`]) — so a cancelled or
+/// deadline-blown build stops within one chunk of work instead of
+/// running to completion.
 #[derive(Debug, Clone)]
 pub struct BuildGuard {
     label: String,
@@ -98,6 +101,23 @@ impl BuildGuard {
         }
     }
 
+    /// The guard a request or job runs under: labelled with its
+    /// algorithm and armed with its deadline and token, when it has
+    /// them. The deadline is measured from this call.
+    pub(crate) fn armed(
+        algorithm: Algorithm,
+        deadline: Option<Duration>,
+        cancel: Option<&CancelToken>,
+    ) -> Self {
+        BuildGuard {
+            label: algorithm.label(),
+            cancel: cancel.cloned(),
+            deadline,
+            // analyze:allow(determinism-taint): deadline/latency telemetry only — never in artifacts
+            started: Instant::now(),
+        }
+    }
+
     /// Attaches a cancellation token.
     pub fn with_cancel(mut self, token: CancelToken) -> Self {
         self.cancel = Some(token);
@@ -113,26 +133,6 @@ impl BuildGuard {
     /// Time since the guard was created.
     pub fn elapsed(&self) -> Duration {
         self.started.elapsed()
-    }
-
-    /// The attached token, if any.
-    pub(crate) fn cancel_token(&self) -> Option<&super::CancelToken> {
-        self.cancel.as_ref()
-    }
-
-    /// Time left before the deadline expires (zero once it has).
-    pub(crate) fn deadline_remaining(&self) -> Option<Duration> {
-        self.deadline
-            .map(|deadline| deadline.saturating_sub(self.started.elapsed()))
-    }
-
-    /// Subscribes a condvar-style waiter to the guard's token (no-op
-    /// without one); the subscription ends when the handle drops.
-    pub(crate) fn subscribe_waiter(
-        &self,
-        waiter: std::sync::Arc<dyn super::CancelWaiter>,
-    ) -> super::CancelSubscription<'_> {
-        super::CancelSubscription::new(self.cancel_token(), waiter)
     }
 
     /// Errs with [`PipelineError::Cancelled`] /
@@ -594,8 +594,11 @@ impl<'g> DistanceRequest<'g> {
         self
     }
 
-    /// Per-request build deadline (checked when the spanner construction
-    /// finishes; see [`SpannerRequest::deadline`]).
+    /// Per-request build deadline, measured from the start of
+    /// [`Self::build`]. It is checked inside the spanner construction
+    /// (see [`SpannerRequest::deadline`]), after it, between
+    /// Thorup–Zwick levels and cluster-search chunks, and once more when
+    /// the oracle is complete.
     pub fn deadline(mut self, deadline: Duration) -> Self {
         self.spanner = self.spanner.deadline(deadline);
         self
@@ -629,48 +632,23 @@ impl<'g> DistanceRequest<'g> {
         })
     }
 
-    /// The cache identity of this request: two requests with equal keys
-    /// build interchangeable oracles ([`OracleCache`] /
-    /// [`DistanceBatch`] deduplicate on it).
-    pub fn cache_key(&self) -> OracleKey {
-        OracleKey {
-            // Debug-rendered, not `label()`ed: the label drops
-            // `Corollary`'s `k`, which changes the built spanner — two
-            // requests differing only in `k` must not share an oracle.
-            algorithm: format!("{:?}", self.spanner.algorithm()),
-            graph: self.spanner.graph().fingerprint(),
-            backend: format!("{:?}", self.spanner.backend()),
-            seed: self.spanner.seed_value(),
-            engine: self.engine.label(),
-        }
-    }
-
     /// Executes the request: builds the spanner on the chosen backend
     /// (on MPC, additionally pays the Section 7 "+1 gather" to collect
     /// it onto machine 0), preprocesses the query substrate, and returns
-    /// the queryable [`DistanceOracle`].
-    ///
-    /// Thin shim over an anonymous single-use registration on the
-    /// process-wide [`SpannerService`] — the same execution path
-    /// handle-based oracle jobs run, bit-identical at equal seeds.
+    /// the queryable [`DistanceOracle`], under a [`BuildGuard`] armed
+    /// with the request's deadline. Handle-based oracle jobs run the
+    /// same path, so both produce bit-identical oracles at equal seeds.
     pub fn build(&self) -> Result<DistanceOracle, PipelineError> {
-        SpannerService::anonymous().build_anonymous(self, None)
+        let spanner = &self.spanner;
+        self.build_guarded(&BuildGuard::armed(
+            spanner.algorithm(),
+            spanner.deadline_limit(),
+            None,
+        ))
     }
 
-    /// [`Self::build`] under a cancellation token, checked
-    /// **cooperatively during the build**: before and after the spanner
-    /// construction, between Thorup–Zwick levels, and between
-    /// cluster-search chunks. A token fired mid-build stops the work
-    /// within one chunk and returns [`PipelineError::Cancelled`].
-    /// The request's [`Self::deadline`] is enforced at the same
-    /// checkpoints.
-    pub fn build_with(&self, cancel: &CancelToken) -> Result<DistanceOracle, PipelineError> {
-        SpannerService::anonymous().build_anonymous(self, Some(cancel))
-    }
-
-    /// The raw guarded build (plan → spanner → gather → substrate),
-    /// shared by the anonymous shims above and by the service's oracle
-    /// jobs.
+    /// The guarded build (plan → spanner → gather → substrate), shared
+    /// by [`Self::build`] and by the service's oracle jobs.
     pub(crate) fn build_guarded(
         &self,
         guard: &BuildGuard,
@@ -757,17 +735,8 @@ impl<'g> DistanceRequest<'g> {
 
         // The deadline covers the whole build — gather and substrate
         // preprocessing included, since for sketch oracles those
-        // dominate (the spanner run only checks its own execution).
-        if let Some(deadline) = self.spanner.deadline_limit() {
-            let elapsed = started.elapsed();
-            if elapsed > deadline {
-                return Err(PipelineError::DeadlineExceeded {
-                    algorithm: result.algorithm,
-                    deadline,
-                    elapsed,
-                });
-            }
-        }
+        // dominate.
+        guard.check()?;
 
         Ok(DistanceOracle {
             spanner,
@@ -958,202 +927,6 @@ impl HeapSize for DistanceOracle {
             + self.spanner_edges.len() * std::mem::size_of::<EdgeId>()
             + self.sketches.as_ref().map_or(0, HeapSize::heap_size)
             + std::mem::size_of::<Self>()
-    }
-}
-
-// ---------------------------------------------------------------------
-// Caching and batching
-// ---------------------------------------------------------------------
-
-/// The identity under which oracles are cached: requests agreeing on
-/// all five components build interchangeable oracles.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct OracleKey {
-    /// [`Graph::fingerprint`] of the host graph.
-    pub graph: u64,
-    /// Debug rendering of the [`Algorithm`] (carries **all** its
-    /// parameters, unlike the display label).
-    pub algorithm: String,
-    /// Backend rendering (carries γ / explicit configs).
-    pub backend: String,
-    /// Shared-randomness seed.
-    pub seed: u64,
-    /// Query-engine label (carries λ).
-    pub engine: String,
-}
-
-/// A build-once cache of [`DistanceOracle`]s keyed by [`OracleKey`],
-/// shareable across batches and threads.
-///
-/// Since the [`super::service`] redesign the cache sits on the same
-/// memory-budgeted [`LruStore`] as the service's artifact store:
-/// oracles are sized through [`HeapSize`] and the least-recently-used
-/// ones are evicted once [`OracleCache::with_budget`]'s byte budget is
-/// exceeded ([`OracleCache::new`] keeps the historical never-evict
-/// behaviour via an unlimited budget, but now tracks recency and usage
-/// too). New code serving long-lived traffic should prefer a
-/// [`SpannerService`], which adds registration, versioned invalidation
-/// and admission control on top of the same store.
-#[derive(Debug)]
-pub struct OracleCache {
-    store: LruStore<OracleKey, Arc<DistanceOracle>>,
-}
-
-impl Default for OracleCache {
-    fn default() -> Self {
-        OracleCache::new()
-    }
-}
-
-impl OracleCache {
-    /// An empty cache with an unlimited budget (never evicts).
-    pub fn new() -> Self {
-        OracleCache::with_budget(usize::MAX)
-    }
-
-    /// An empty cache that holds at most `budget_bytes` of oracles
-    /// ([`HeapSize`] accounting) and evicts least-recently-used entries
-    /// beyond that.
-    pub fn with_budget(budget_bytes: usize) -> Self {
-        OracleCache {
-            store: LruStore::new(budget_bytes),
-        }
-    }
-
-    /// Number of cached oracles.
-    pub fn len(&self) -> usize {
-        self.store.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.store.is_empty()
-    }
-
-    /// Estimated bytes currently held.
-    pub fn used_bytes(&self) -> usize {
-        self.store.used_bytes()
-    }
-
-    /// Oracles evicted under budget pressure over the cache's lifetime.
-    pub fn evictions(&self) -> u64 {
-        self.store.evictions()
-    }
-
-    /// Returns the cached oracle for the request's key, building (and
-    /// caching) it on a miss. Concurrent misses on the same key may
-    /// build twice; the first insert wins, so callers always observe one
-    /// oracle per key. A hit marks the entry most-recently-used; an
-    /// insert may evict the least-recently-used oracles to stay within
-    /// budget.
-    pub fn get_or_build(
-        &self,
-        request: &DistanceRequest<'_>,
-    ) -> Result<Arc<DistanceOracle>, PipelineError> {
-        let key = request.cache_key();
-        if let Some(hit) = self.store.get(&key) {
-            return Ok(hit);
-        }
-        let built = Arc::new(request.build()?);
-        let size = built.heap_size();
-        Ok(self.store.insert_or_get(key, built, size))
-    }
-}
-
-/// Many [`DistanceRequest`]s built concurrently, with builds
-/// deduplicated by [`OracleKey`]: repeated entries share one oracle
-/// (`Arc`-identical slots). Results come back in submission order and
-/// fail independently.
-#[derive(Debug, Clone, Default)]
-pub struct DistanceBatch<'g> {
-    requests: Vec<DistanceRequest<'g>>,
-}
-
-impl<'g> DistanceBatch<'g> {
-    /// An empty batch.
-    pub fn new() -> Self {
-        DistanceBatch::default()
-    }
-
-    /// Appends a request.
-    pub fn push(&mut self, request: DistanceRequest<'g>) {
-        self.requests.push(request);
-    }
-
-    /// Builder-style append.
-    pub fn with(mut self, request: DistanceRequest<'g>) -> Self {
-        self.push(request);
-        self
-    }
-
-    /// Number of queued requests.
-    pub fn len(&self) -> usize {
-        self.requests.len()
-    }
-
-    /// Whether the batch is empty.
-    pub fn is_empty(&self) -> bool {
-        self.requests.is_empty()
-    }
-
-    /// The queued requests, in submission order.
-    pub fn requests(&self) -> &[DistanceRequest<'g>] {
-        &self.requests
-    }
-
-    /// Builds every distinct oracle once, concurrently on the rayon
-    /// pool, and hands each request its (shared) oracle in submission
-    /// order.
-    pub fn build(&self) -> Vec<Result<Arc<DistanceOracle>, PipelineError>> {
-        self.build_with(&CancelToken::new())
-    }
-
-    /// [`Self::build`] under a cancellation token: requests that have
-    /// not started when the token fires fail with
-    /// [`PipelineError::Cancelled`], and **in-flight builds observe the
-    /// token cooperatively** (between Thorup–Zwick levels and
-    /// cluster-search chunks, via [`DistanceRequest::build_with`]), so
-    /// a mid-batch cancellation stops early instead of finishing every
-    /// started oracle.
-    pub fn build_with(
-        &self,
-        cancel: &CancelToken,
-    ) -> Vec<Result<Arc<DistanceOracle>, PipelineError>> {
-        let keys: Vec<OracleKey> = self
-            .requests
-            .iter()
-            .map(DistanceRequest::cache_key)
-            .collect();
-        // First-appearance index per distinct key: each oracle builds once.
-        let mut first: HashMap<&OracleKey, usize> = HashMap::new();
-        let mut distinct: Vec<usize> = Vec::new();
-        for (i, key) in keys.iter().enumerate() {
-            first.entry(key).or_insert_with(|| {
-                distinct.push(i);
-                i
-            });
-        }
-        let results: Vec<Result<Arc<DistanceOracle>, PipelineError>> = distinct
-            .par_iter()
-            .map(|&i| {
-                if cancel.is_cancelled() {
-                    Err(PipelineError::Cancelled)
-                } else {
-                    self.requests[i].build_with(cancel).map(Arc::new)
-                }
-            })
-            .collect();
-        let built: HashMap<usize, &Result<Arc<DistanceOracle>, PipelineError>> =
-            distinct.iter().copied().zip(&results).collect();
-        keys.iter().map(|key| built[&first[key]].clone()).collect()
-    }
-}
-
-impl<'g> FromIterator<DistanceRequest<'g>> for DistanceBatch<'g> {
-    fn from_iter<I: IntoIterator<Item = DistanceRequest<'g>>>(iter: I) -> Self {
-        DistanceBatch {
-            requests: iter.into_iter().collect(),
-        }
     }
 }
 
@@ -1358,84 +1131,5 @@ mod tests {
                 assert_eq!(got, oracle.query(u, v), "({u},{v})");
             }
         }
-    }
-
-    #[test]
-    fn distance_batch_shares_builds_per_key() {
-        let g = graph();
-        let batch = DistanceBatch::new()
-            .with(request(&g))
-            .with(request(&g).engine(QueryEngine::Sketches { levels: 2 }))
-            .with(request(&g)) // duplicate of slot 0
-            .with(request(&g).engine(QueryEngine::Sketches { levels: 0 })); // malformed
-        let oracles = batch.build();
-        assert_eq!(oracles.len(), 4);
-        let a = oracles[0].as_ref().unwrap();
-        let b = oracles[2].as_ref().unwrap();
-        assert!(Arc::ptr_eq(a, b), "identical requests must share one build");
-        assert!(!Arc::ptr_eq(a, oracles[1].as_ref().unwrap()));
-        assert!(matches!(oracles[3], Err(PipelineError::InvalidRequest(_))));
-    }
-
-    #[test]
-    fn cache_keys_carry_every_algorithm_parameter() {
-        // The Corollary settings take their `k` outside the label; the
-        // cache identity must still distinguish it.
-        use crate::presets::CorollarySetting;
-        let g = graph();
-        let r = |k: u32| {
-            DistanceRequest::new(
-                &g,
-                Algorithm::Corollary {
-                    setting: CorollarySetting::Fastest,
-                    k,
-                },
-            )
-            .seed(1)
-        };
-        assert_ne!(r(2).cache_key(), r(4).cache_key());
-        assert_eq!(r(3).cache_key(), r(3).cache_key());
-    }
-
-    #[test]
-    fn oracle_cache_evicts_in_lru_order_under_budget() {
-        let g = graph();
-        let r = |seed: u64| request(&g).seed(seed);
-        // Size the budget from real builds: room for exactly two of the
-        // three oracles, so the third insert must evict — and precisely
-        // the least-recently-used one.
-        let sizes: Vec<usize> = (1..=3u64)
-            .map(|s| r(s).build().unwrap().heap_size())
-            .collect();
-        let cache = OracleCache::with_budget(sizes.iter().sum::<usize>() - 1);
-
-        let o1 = cache.get_or_build(&r(1)).unwrap();
-        let o2 = cache.get_or_build(&r(2)).unwrap();
-        assert!(Arc::ptr_eq(&o1, &cache.get_or_build(&r(1)).unwrap())); // touch 1 → 2 is LRU
-        let _o3 = cache.get_or_build(&r(3)).unwrap(); // over budget → evict 2
-        assert_eq!(cache.evictions(), 1);
-        assert_eq!(cache.len(), 2);
-
-        // Seed 2 was evicted (rebuild), then its insert evicts seed 1 —
-        // the LRU at that point — while the re-served answers stay
-        // correct (recomputed, bit-identical).
-        let o2_again = cache.get_or_build(&r(2)).unwrap();
-        assert!(!Arc::ptr_eq(&o2, &o2_again), "evicted entry must rebuild");
-        assert_eq!(o2.query(0, 50), o2_again.query(0, 50));
-        assert_eq!(cache.evictions(), 2);
-        assert!(!Arc::ptr_eq(&o1, &cache.get_or_build(&r(1)).unwrap()));
-    }
-
-    #[test]
-    fn oracle_cache_hits_across_batches() {
-        let g = graph();
-        let cache = OracleCache::new();
-        let first = cache.get_or_build(&request(&g)).unwrap();
-        let second = cache.get_or_build(&request(&g)).unwrap();
-        assert!(Arc::ptr_eq(&first, &second));
-        assert_eq!(cache.len(), 1);
-        let other = cache.get_or_build(&request(&g).seed(99)).unwrap();
-        assert!(!Arc::ptr_eq(&first, &other));
-        assert_eq!(cache.len(), 2);
     }
 }

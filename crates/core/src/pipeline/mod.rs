@@ -32,24 +32,26 @@
 //!   returns a [`RunReport`]: the [`SpannerResult`], the
 //!   backend-specific cost ([`ExecutionStats`]), and (optionally) an
 //!   inline verification outcome;
-//! * [`Batch`] — many requests executed concurrently through the rayon
-//!   pool, each failing independently: the serving-shaped workload.
-//!   Per-request deadlines ([`SpannerRequest::deadline`]) and a shared
-//!   [`CancelToken`] ([`Batch::run_with`]) bound tail latency;
 //! * [`service`] — **the long-lived serving front door**: a
 //!   [`SpannerService`] owning a fingerprint-deduped, versioned graph
-//!   registry ([`SpannerService::register`] → [`GraphHandle`]), a
+//!   registry ([`SpannerService::register`] → [`GraphHandle`]), the one
 //!   memory-budgeted LRU artifact store ([`HeapSize`]-sized spanners
-//!   and oracles), admission control and [`ServiceStats`]. Register
-//!   once, serve many — the one-shot request types below are thin
-//!   shims over an anonymous single-use registration on this layer;
+//!   and oracles) and [`ServiceStats`]. Register once, serve many; a
+//!   [`JobQueue`] in front of a [`ShardedService`] is the one admission
+//!   point, and a batch is "submit N, wait N";
 //! * [`distance`] — the Section 7 / §1.2 serving stage: a
 //!   [`DistanceRequest`] composes any spanner request with a
 //!   [`QueryEngine`] (exact Dijkstra or Thorup–Zwick sketches) into a
 //!   [`DistanceOracle`] answering distance queries under the composed
-//!   `σ·(2λ−1)` guarantee, with batched queries, build deduplication
-//!   ([`OracleCache`], [`DistanceBatch`]) and the MPC "+1 gather"
-//!   charged faithfully.
+//!   `σ·(2λ−1)` guarantee, with batched queries and the MPC "+1
+//!   gather" charged faithfully.
+//!
+//! Many borrowed requests fan out with
+//! `par_iter().map(SpannerRequest::run)`: each request fails
+//! independently, and results come back in input order. Per-request
+//! deadlines ([`SpannerRequest::deadline`]) bound tail latency;
+//! cancellation belongs to service and queue jobs
+//! ([`SpannerJob::cancel`], [`OracleJob::cancel`], [`JobSpec::cancel`]).
 //!
 //! The legacy free functions (`general_spanner`, `cc_spanner`,
 //! `pram_general_spanner`, `streaming_spanner`, …) survive as thin
@@ -79,11 +81,7 @@
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-
-use crate::sync::TrackedMutex;
 use std::time::{Duration, Instant};
-
-use rayon::prelude::*;
 
 use mpc_runtime::{Metrics, MpcConfig, MpcError};
 use spanner_graph::verify::verify_spanner;
@@ -102,16 +100,16 @@ pub mod shard;
 
 pub use clique::CcNetwork;
 pub use distance::{
-    BuildGuard, DistanceBatch, DistanceBuildStats, DistanceOracle, DistancePlan, DistanceRequest,
-    DistanceSketches, OracleCache, OracleKey, QueryEngine, VertexSketch,
+    BuildGuard, DistanceBuildStats, DistanceOracle, DistancePlan, DistanceRequest,
+    DistanceSketches, QueryEngine, VertexSketch,
 };
 pub use pram_cost::{log_star, PramTracker};
 pub use queue::{
     ClientId, JobId, JobOutput, JobQueue, JobSpec, JobStatus, Priority, QueueConfig, QueueStats,
 };
 pub use service::{
-    GraphHandle, HeapSize, LruStore, OracleJob, OverloadPolicy, ServiceConfig, ServiceJob,
-    ServiceStats, SpannerJob, SpannerService,
+    GraphHandle, HeapSize, LruStore, OracleJob, ServiceJob, ServiceStats, SpannerJob,
+    SpannerService,
 };
 pub use shard::ShardedService;
 
@@ -431,8 +429,8 @@ impl VerificationOutcome {
 // ---------------------------------------------------------------------
 
 /// Why a request could not be planned or executed. Requests fail
-/// *individually* — a malformed request inside a [`Batch`] yields an
-/// `Err` slot, never a panic that aborts its neighbours.
+/// *individually* — a malformed request among many fanned out together
+/// yields an `Err` slot, never a panic that aborts its neighbours.
 #[derive(Debug, Clone)]
 pub enum PipelineError {
     /// The request is malformed (k = 0, ε ≤ 0, weighted input to the
@@ -457,27 +455,21 @@ pub enum PipelineError {
         /// The recorded outcome.
         outcome: VerificationOutcome,
     },
-    /// The request's [`CancelToken`] fired before the request started
-    /// (cancellation is cooperative: in-flight executions run to
-    /// completion, queued ones fail with this error).
+    /// The job's [`CancelToken`] fired. A job still queued fails
+    /// without executing; a running build stops at its next
+    /// [`BuildGuard`] checkpoint (between grow iterations, between
+    /// Thorup–Zwick levels, between cluster-search chunks).
     Cancelled,
-    /// The request carried a [`SpannerRequest::deadline`] and execution
-    /// outlived it.
+    /// The request or job carried a deadline and outlived it: checked
+    /// at the same [`BuildGuard`] checkpoints as cancellation, and once
+    /// more when execution finishes.
     DeadlineExceeded {
         /// Label of the algorithm that ran.
         algorithm: String,
         /// The per-request deadline.
         deadline: Duration,
-        /// How long execution actually took.
+        /// How long the request had run when the check fired.
         elapsed: Duration,
-    },
-    /// A [`SpannerService`] with [`OverloadPolicy::Reject`] had no free
-    /// execution slot for this job.
-    Overloaded {
-        /// Executions in flight when the job was rejected.
-        in_flight: usize,
-        /// The service's `max_in_flight` limit.
-        limit: usize,
     },
 }
 
@@ -496,7 +488,7 @@ impl fmt::Display for PipelineError {
                 "{algorithm}: verification failed (spanned={}, stretch {} > bound {})",
                 outcome.all_edges_spanned, outcome.max_edge_stretch, outcome.stretch_bound
             ),
-            PipelineError::Cancelled => write!(f, "request cancelled before execution"),
+            PipelineError::Cancelled => write!(f, "request cancelled"),
             PipelineError::DeadlineExceeded {
                 algorithm,
                 deadline,
@@ -504,10 +496,6 @@ impl fmt::Display for PipelineError {
             } => write!(
                 f,
                 "{algorithm}: deadline exceeded ({elapsed:?} > {deadline:?})"
-            ),
-            PipelineError::Overloaded { in_flight, limit } => write!(
-                f,
-                "service overloaded: {in_flight} jobs in flight (limit {limit})"
             ),
         }
     }
@@ -521,52 +509,12 @@ impl From<MpcError> for PipelineError {
     }
 }
 
-/// A shared, cloneable cancellation flag for batched serving.
-/// Cancellation is *cooperative*: requests check the token at their
-/// checkpoints (see [`Batch::run_with`] /
-/// [`distance::DistanceBatch::build_with`] and the service's
-/// [`distance::BuildGuard`]); an execution between checkpoints runs to
-/// the next one.
-///
-/// Besides the flag, a token carries a waiter list: a thread parked on
-/// a condvar (a queued job waiting for an admission slot, say) can
-/// [`subscribe`](CancelToken::subscribe) its wakeup, and
-/// [`CancelToken::cancel`] notifies every subscriber — so cancellation
-/// releases blocked waiters immediately instead of on a poll interval.
-#[derive(Clone, Default)]
-pub struct CancelToken {
-    inner: Arc<TokenInner>,
-}
-
-struct TokenInner {
-    fired: AtomicBool,
-    waiters: TrackedMutex<Vec<Arc<dyn CancelWaiter>>>,
-}
-
-impl Default for TokenInner {
-    fn default() -> Self {
-        TokenInner {
-            fired: AtomicBool::new(false),
-            waiters: TrackedMutex::new("cancel.waiters", Vec::new()),
-        }
-    }
-}
-
-/// Internal: something parked on a condvar that must be woken when a
-/// token it subscribed to fires. Implementations take the same lock the
-/// waiter holds between its last flag check and its `wait()`, so the
-/// notification can never fall into that window and be lost.
-pub(crate) trait CancelWaiter: Send + Sync {
-    fn wake(&self);
-}
-
-impl std::fmt::Debug for CancelToken {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CancelToken")
-            .field("fired", &self.is_cancelled())
-            .finish_non_exhaustive()
-    }
-}
+/// A shared, cloneable cancellation flag for service and queue jobs.
+/// Cancellation is *cooperative*: builds check the token at their
+/// [`BuildGuard`] checkpoints, so an execution between checkpoints runs
+/// to the next one.
+#[derive(Debug, Clone, Default)]
+pub struct CancelToken(Arc<AtomicBool>);
 
 impl CancelToken {
     /// A fresh, un-fired token.
@@ -574,68 +522,15 @@ impl CancelToken {
         CancelToken::default()
     }
 
-    /// Fires the token: every request observing it afterwards fails with
-    /// [`PipelineError::Cancelled`], and every subscribed waiter is
-    /// woken.
+    /// Fires the token: every job observing it afterwards fails with
+    /// [`PipelineError::Cancelled`].
     pub fn cancel(&self) {
-        self.inner.fired.store(true, Ordering::SeqCst);
-        // Drain under the lock, wake outside it: `wake()` takes the
-        // waiter's own lock, and a subscriber may hold that lock while
-        // calling `subscribe` — never hold both here.
-        let waiters: Vec<Arc<dyn CancelWaiter>> = {
-            let mut list = self.inner.waiters.lock();
-            list.drain(..).collect()
-        };
-        for waiter in waiters {
-            waiter.wake();
-        }
+        self.0.store(true, Ordering::SeqCst);
     }
 
     /// Whether the token has fired.
     pub fn is_cancelled(&self) -> bool {
-        self.inner.fired.load(Ordering::SeqCst)
-    }
-
-    /// Registers a waiter to be woken by [`CancelToken::cancel`]. The
-    /// caller must still re-check [`CancelToken::is_cancelled`] after
-    /// subscribing — a token fired *before* the subscription has
-    /// already drained its list.
-    pub(crate) fn subscribe(&self, waiter: Arc<dyn CancelWaiter>) {
-        self.inner.waiters.lock().push(waiter);
-    }
-
-    /// Removes a previously subscribed waiter (by identity).
-    pub(crate) fn unsubscribe(&self, waiter: &Arc<dyn CancelWaiter>) {
-        let target = Arc::as_ptr(waiter) as *const ();
-        self.inner
-            .waiters
-            .lock()
-            .retain(|w| Arc::as_ptr(w) as *const () != target);
-    }
-}
-
-/// Internal RAII handle for a [`CancelToken::subscribe`] registration:
-/// dropping it unsubscribes the waiter, so a finished (or errored)
-/// acquisition never leaks list entries on a long-lived token.
-pub(crate) struct CancelSubscription<'t> {
-    token: Option<&'t CancelToken>,
-    waiter: Arc<dyn CancelWaiter>,
-}
-
-impl<'t> CancelSubscription<'t> {
-    pub(crate) fn new(token: Option<&'t CancelToken>, waiter: Arc<dyn CancelWaiter>) -> Self {
-        if let Some(token) = token {
-            token.subscribe(Arc::clone(&waiter));
-        }
-        CancelSubscription { token, waiter }
-    }
-}
-
-impl Drop for CancelSubscription<'_> {
-    fn drop(&mut self) {
-        if let Some(token) = self.token {
-            token.unsubscribe(&self.waiter);
-        }
+        self.0.load(Ordering::SeqCst)
     }
 }
 
@@ -948,11 +843,13 @@ impl<'g> SpannerRequest<'g> {
         self
     }
 
-    /// Per-request deadline for the serving story: if execution outlives
-    /// it, [`SpannerRequest::run`] returns
+    /// Per-request deadline, measured from the start of
+    /// [`SpannerRequest::run`]: once it passes, `run` returns
     /// [`PipelineError::DeadlineExceeded`] instead of a report. The
-    /// check is cooperative (applied when execution finishes) — a
-    /// blocking backend cannot be pre-empted mid-run.
+    /// check is cooperative: the sequential backend checks it between
+    /// grow iterations and before Phase 2, the model backends before and
+    /// after their whole-schedule simulation, and every backend once
+    /// more when execution finishes.
     pub fn deadline(mut self, deadline: Duration) -> Self {
         self.deadline = Some(deadline);
         self
@@ -1091,59 +988,30 @@ impl<'g> SpannerRequest<'g> {
         })
     }
 
-    /// Executes the request on its backend.
-    ///
-    /// Since the [`service`] redesign this is a thin shim over an
-    /// anonymous single-use registration on the process-wide service
-    /// (no artifact store, unlimited admission): the graph is borrowed
-    /// for exactly one job, and the execution path is the same one
-    /// handle-based [`SpannerJob`]s run, so one-shot and registered
-    /// calls produce bit-identical reports at equal seeds.
+    /// Executes the request on its backend, under a [`BuildGuard`] armed
+    /// with the request's deadline. Handle-based [`SpannerJob`]s run the
+    /// same path, so both produce bit-identical reports at equal seeds.
     pub fn run(&self) -> Result<RunReport, PipelineError> {
-        SpannerService::anonymous().run_anonymous(self)
+        self.run_guarded(&BuildGuard::armed(self.algorithm, self.deadline, None))
     }
 
-    /// The raw execution path (plan → execute → deadline →
-    /// verification), shared by the anonymous shim above and by
-    /// [`SpannerJob`]s, which add registry/store/admission around it.
-    /// The request's own deadline/cancellation settings become the
-    /// guard, so one-shot runs get the same mid-build checkpoints as
-    /// service jobs.
-    pub(crate) fn run_uncached(&self) -> Result<RunReport, PipelineError> {
-        let mut guard = distance::BuildGuard::new(self.algorithm.label());
-        if let Some(deadline) = self.deadline {
-            guard = guard.with_deadline(deadline);
-        }
-        self.run_guarded(&guard)
-    }
-
-    /// [`Self::run_uncached`] under an explicit [`BuildGuard`]: the
-    /// guard is checked between engine grow iterations and before
+    /// The execution path (plan → execute → deadline → verification)
+    /// under an explicit [`BuildGuard`], shared by [`Self::run`] and by
+    /// [`SpannerJob`]s, which add the registry and the store around it.
+    /// The guard is checked between engine grow iterations and before
     /// Phase 2 on the sequential backend, so a fired token or expired
     /// deadline stops a spanner construction mid-build instead of
     /// after it.
-    pub(crate) fn run_guarded(
-        &self,
-        guard: &distance::BuildGuard,
-    ) -> Result<RunReport, PipelineError> {
+    pub(crate) fn run_guarded(&self, guard: &BuildGuard) -> Result<RunReport, PipelineError> {
         let plan = self.plan()?;
         // analyze:allow(determinism-taint): build-latency telemetry only — never in artifacts
         let started = Instant::now();
         let (result, stats) = self.execute(&plan, guard)?;
         let elapsed = started.elapsed();
-        // The guard's clock may predate execution (it counts a service
-        // job's admission wait); this final check charges that whole
-        // span against the caller's deadline.
+        // The guard's clock predates execution (it counts planning);
+        // this final check charges that whole span against the
+        // caller's deadline.
         guard.check()?;
-        if let Some(deadline) = self.deadline {
-            if elapsed > deadline {
-                return Err(PipelineError::DeadlineExceeded {
-                    algorithm: result.algorithm,
-                    deadline,
-                    elapsed,
-                });
-            }
-        }
 
         let verification = match self.verification {
             Verification::Skip => None,
@@ -1177,7 +1045,7 @@ impl<'g> SpannerRequest<'g> {
     fn execute(
         &self,
         plan: &Plan,
-        guard: &distance::BuildGuard,
+        guard: &BuildGuard,
     ) -> Result<(SpannerResult, ExecutionStats), PipelineError> {
         let g = self.graph;
         let seed = self.seed;
@@ -1257,7 +1125,7 @@ impl<'g> SpannerRequest<'g> {
     fn run_sequential(
         &self,
         plan: &Plan,
-        guard: &distance::BuildGuard,
+        guard: &BuildGuard,
     ) -> Result<SpannerResult, PipelineError> {
         let g = self.graph;
         let seed = self.seed;
@@ -1316,103 +1184,6 @@ fn require_sequential(
             backend: backend.name(),
             hint: hint(),
         })
-    }
-}
-
-// ---------------------------------------------------------------------
-// Batch
-// ---------------------------------------------------------------------
-
-/// Many requests executed concurrently through the rayon pool — the
-/// serving-shaped workload. Each request succeeds or fails
-/// independently and results come back in submission order.
-///
-/// ```
-/// use spanner_core::pipeline::{Algorithm, Batch, SpannerRequest};
-/// use spanner_core::TradeoffParams;
-/// use spanner_graph::generators::{connected_erdos_renyi, WeightModel};
-///
-/// let g = connected_erdos_renyi(100, 0.08, WeightModel::Unit, 1);
-/// let batch: Batch = (0..4)
-///     .map(|s| SpannerRequest::new(&g, Algorithm::General(TradeoffParams::log_k(4))).seed(s))
-///     .collect();
-/// let reports = batch.run();
-/// assert_eq!(reports.len(), 4);
-/// assert!(reports.iter().all(|r| r.is_ok()));
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct Batch<'g> {
-    requests: Vec<SpannerRequest<'g>>,
-}
-
-impl<'g> Batch<'g> {
-    /// An empty batch.
-    pub fn new() -> Self {
-        Batch::default()
-    }
-
-    /// Appends a request.
-    pub fn push(&mut self, request: SpannerRequest<'g>) {
-        self.requests.push(request);
-    }
-
-    /// Builder-style append.
-    pub fn with(mut self, request: SpannerRequest<'g>) -> Self {
-        self.push(request);
-        self
-    }
-
-    /// Number of queued requests.
-    pub fn len(&self) -> usize {
-        self.requests.len()
-    }
-
-    /// Whether the batch is empty.
-    pub fn is_empty(&self) -> bool {
-        self.requests.is_empty()
-    }
-
-    /// The queued requests, in submission order.
-    pub fn requests(&self) -> &[SpannerRequest<'g>] {
-        &self.requests
-    }
-
-    /// Plans every request (no execution), in submission order.
-    pub fn plan(&self) -> Vec<Result<Plan, PipelineError>> {
-        self.requests.iter().map(SpannerRequest::plan).collect()
-    }
-
-    /// Executes every request concurrently on the rayon pool. Results
-    /// are in submission order; a failed request occupies its slot as
-    /// `Err` without disturbing the others.
-    pub fn run(&self) -> Vec<Result<RunReport, PipelineError>> {
-        self.run_with(&CancelToken::new())
-    }
-
-    /// [`Self::run`] under a cancellation token: requests that have not
-    /// started when the token fires fail with
-    /// [`PipelineError::Cancelled`] (in-flight requests finish — see
-    /// [`CancelToken`]). Per-request deadlines set via
-    /// [`SpannerRequest::deadline`] are honoured either way.
-    pub fn run_with(&self, cancel: &CancelToken) -> Vec<Result<RunReport, PipelineError>> {
-        self.requests
-            .par_iter()
-            .map(|request| {
-                if cancel.is_cancelled() {
-                    Err(PipelineError::Cancelled)
-                } else {
-                    request.run()
-                }
-            })
-            .collect()
-    }
-}
-
-impl<'g> FromIterator<SpannerRequest<'g>> for Batch<'g> {
-    fn from_iter<I: IntoIterator<Item = SpannerRequest<'g>>>(iter: I) -> Self {
-        Batch {
-            requests: iter.into_iter().collect(),
-        }
     }
 }
 
@@ -1510,26 +1281,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_isolates_failures() {
-        let g = graph();
-        let batch = Batch::new()
-            .with(SpannerRequest::new(&g, Algorithm::General(TradeoffParams::new(4, 2))).seed(1))
-            .with(SpannerRequest::new(
-                &g,
-                Algorithm::Corollary {
-                    setting: CorollarySetting::Epsilon(0.0),
-                    k: 8,
-                },
-            ))
-            .with(SpannerRequest::new(&g, Algorithm::BaswanaSen { k: 3 }).seed(2));
-        let reports = batch.run();
-        assert_eq!(reports.len(), 3);
-        assert!(reports[0].is_ok());
-        assert!(matches!(reports[1], Err(PipelineError::InvalidRequest(_))));
-        assert!(reports[2].is_ok());
-    }
-
-    #[test]
     fn enforce_verification_passes_on_valid_spanners() {
         let g = graph();
         let report = SpannerRequest::new(&g, Algorithm::ClusterMerging { k: 4 })
@@ -1553,56 +1304,5 @@ mod tests {
             .plan()
             .unwrap();
         assert_eq!(plan.streaming_passes, Some(plan.iterations + 1));
-    }
-
-    /// Model-check the subscribe-vs-cancel race on the token's waiter
-    /// list: a waiter that subscribed and then saw the token un-fired
-    /// must be woken by a concurrent `cancel()` in *every* explored
-    /// interleaving. This is exactly the lost-wakeup window the
-    /// drain-under-lock / wake-outside design closes; a failing
-    /// schedule prints its replay seed.
-    #[test]
-    #[cfg(feature = "lock-audit")]
-    fn cancel_subscribe_race_never_loses_a_wakeup() {
-        use crate::sync::interleave::Explorer;
-
-        struct Flag(AtomicBool);
-        impl CancelWaiter for Flag {
-            fn wake(&self) {
-                self.0.store(true, Ordering::SeqCst);
-            }
-        }
-
-        let summary = Explorer::new(200).base_seed(0x7E57).explore(|sim| {
-            let token = CancelToken::new();
-            let waiter = Arc::new(Flag(AtomicBool::new(false)));
-            let saw_unfired = Arc::new(AtomicBool::new(false));
-
-            {
-                let token = token.clone();
-                let waiter = Arc::clone(&waiter);
-                let saw_unfired = Arc::clone(&saw_unfired);
-                sim.spawn(move || {
-                    token.subscribe(waiter);
-                    // The documented contract: re-check the flag after
-                    // subscribing. Record what that check saw.
-                    if !token.is_cancelled() {
-                        saw_unfired.store(true, Ordering::SeqCst);
-                    }
-                });
-            }
-            {
-                let token = token.clone();
-                sim.spawn(move || token.cancel());
-            }
-
-            sim.join_all();
-            assert!(token.is_cancelled());
-            assert!(
-                waiter.0.load(Ordering::SeqCst) || !saw_unfired.load(Ordering::SeqCst),
-                "a subscriber that saw the token un-fired was never woken (lost wakeup)"
-            );
-        });
-        assert_eq!(summary.schedules, 200);
     }
 }

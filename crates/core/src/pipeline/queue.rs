@@ -1,11 +1,11 @@
 //! The **non-blocking front door** over a [`ShardedService`]: submit a
 //! job, get a [`JobId`] back immediately, collect the result later.
 //!
-//! PR 5's submitters block the calling thread (`SpannerJob::run` /
-//! `OracleJob::build` return only when the artifact is ready), and the
-//! only concurrency control is the single global
-//! `ServiceConfig::max_in_flight` gate. This module replaces that shape
-//! for serving traffic:
+//! The service's submitters block the calling thread
+//! (`SpannerJob::run` / `OracleJob::build` return only when the artifact
+//! is ready) and place no limit on how many jobs execute at once. This
+//! module is the one admission point for serving traffic — a batch of
+//! jobs is "submit N, wait N":
 //!
 //! * [`JobQueue::submit`] enqueues a [`JobSpec`] and returns without
 //!   blocking; [`JobQueue::poll`] / [`JobQueue::wait`] /
@@ -21,13 +21,11 @@
 //!   job by more than one rotation;
 //! * a fixed pool of **worker threads** drains the queue into
 //!   shard-local [`SpannerService`] jobs — worker count bounds
-//!   execution concurrency *for queued traffic*, replacing the global
-//!   `max_in_flight` for this front end (the inner shards can run
-//!   unlimited admission);
-//! * **cancel/deadline before execution**: a job whose
-//!   [`CancelToken`] fires or whose deadline expires while still
-//!   queued resolves ([`PipelineError::Cancelled`] /
-//!   [`PipelineError::DeadlineExceeded`]) *without executing* — the
+//!   execution concurrency;
+//! * **cancel/deadline before execution**: every job carries its own
+//!   [`CancelToken`]; a job whose token fires or whose deadline
+//!   expires while still queued resolves ([`PipelineError::Cancelled`]
+//!   / [`PipelineError::DeadlineExceeded`]) *without executing* — the
 //!   check happens at dispatch, and a token fired mid-build aborts at
 //!   the engine's [`BuildGuard`](super::BuildGuard) checkpoints;
 //! * every wait is **condvar-driven** (submission wakes a worker,

@@ -50,28 +50,27 @@
 //!   ([`Algorithm`], [`Backend`], [`Verification`], seeds, deadlines,
 //!   [`CancelToken`]s) and return the same [`RunReport`] /
 //!   [`DistanceOracle`] types, `Arc`'d out of the artifact store;
-//! * [`LruStore`] — the memory-budgeted artifact store: every artifact
-//!   is sized through the [`HeapSize`] trait and the least-recently-used
-//!   entries are evicted once the byte budget is exceeded;
-//! * admission control — [`ServiceConfig::max_in_flight`] bounds
-//!   concurrent executions, with an [`OverloadPolicy`] choosing between
-//!   queueing and typed rejection ([`PipelineError::Overloaded`]);
+//! * [`LruStore`] — the one memory-budgeted artifact store: every
+//!   artifact is sized through the [`HeapSize`] trait and the
+//!   least-recently-used entries are evicted once the byte budget
+//!   ([`SpannerService::with_budget`], the service's only setting) is
+//!   exceeded;
 //! * [`SpannerService::prebuild`] — warm-up: build a set of jobs into
 //!   the store before traffic arrives;
 //! * [`ServiceStats`] — hit/miss/eviction/latency counters.
 //!
-//! The one-shot API is now a thin shim over this module: a bare
-//! [`SpannerRequest::run`] routes through a process-wide *anonymous*
-//! service (an unbudgeted, unlimited-admission instance) as a
-//! single-use registration — the graph is borrowed for the duration of
-//! one job instead of entering the registry — so one-shot and
-//! handle-based calls execute the same code path and produce
-//! bit-identical artifacts at equal seeds.
+//! A job runs on the calling thread, with no admission limit of its
+//! own: the one admission point for serving traffic is the
+//! [`JobQueue`](super::JobQueue), whose worker count bounds how many
+//! jobs execute at once. A job builds its artifact through the same
+//! code path as the one-shot [`SpannerRequest::run`] /
+//! [`DistanceRequest::build`], so both produce bit-identical artifacts
+//! at equal seeds.
 
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rayon::prelude::*;
@@ -84,7 +83,7 @@ use super::{
     Algorithm, Backend, CancelToken, PipelineError, RunReport, SpannerRequest, Verification,
 };
 use crate::result::SpannerResult;
-use crate::sync::{MutexGuard, TrackedCondvar, TrackedMutex};
+use crate::sync::{MutexGuard, TrackedMutex};
 
 // ---------------------------------------------------------------------
 // HeapSize
@@ -176,9 +175,7 @@ impl<K: Eq + Hash + Clone, V> LruInner<K, V> {
 /// the caller still gets its value back, and the warm entries (which
 /// do fit) are left untouched.
 ///
-/// This is the artifact store behind [`SpannerService`] and the
-/// replacement for the previously unbounded
-/// [`super::OracleCache`][`super::distance::OracleCache`] map.
+/// This is the artifact store behind [`SpannerService`].
 #[derive(Debug)]
 pub struct LruStore<K, V> {
     budget: usize,
@@ -317,56 +314,23 @@ impl<K: Eq + Hash + Clone, V: Clone> LruStore<K, V> {
 }
 
 // ---------------------------------------------------------------------
-// Configuration, stats, admission
+// Stats
 // ---------------------------------------------------------------------
 
-/// What happens to a job submitted while [`ServiceConfig::max_in_flight`]
-/// executions are already running.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OverloadPolicy {
-    /// Block the submitting thread until a slot frees up (the default:
-    /// backpressure, no dropped work).
-    #[default]
-    Queue,
-    /// Fail fast with [`PipelineError::Overloaded`] — the load-shedding
-    /// policy for latency-sensitive frontends.
-    Reject,
-}
-
-/// Tuning knobs of a [`SpannerService`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ServiceConfig {
-    /// Byte budget of the artifact store ([`HeapSize`] accounting).
-    /// `0` disables caching — every job recomputes.
-    pub store_budget_bytes: usize,
-    /// Maximum concurrently *executing* jobs (store hits don't count —
-    /// they never execute). `0` means unlimited.
-    pub max_in_flight: usize,
-    /// Policy once `max_in_flight` executions are running.
-    pub overload: OverloadPolicy,
-}
-
-impl Default for ServiceConfig {
-    fn default() -> Self {
-        ServiceConfig {
-            // Generous for the reproduction's workloads; production
-            // deployments size this to the serving tier's RAM.
-            store_budget_bytes: 256 << 20,
-            max_in_flight: 0,
-            overload: OverloadPolicy::Queue,
-        }
-    }
-}
+/// The store budget of [`SpannerService::new`] and
+/// [`ShardedService::new`](super::ShardedService::new): generous for
+/// the reproduction's workloads; production deployments size it to the
+/// serving tier's RAM.
+pub(crate) const DEFAULT_STORE_BUDGET: usize = 256 << 20;
 
 /// A point-in-time snapshot of a service's counters.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ServiceStats {
     /// Jobs answered from the artifact store.
     pub hits: u64,
-    /// Jobs that missed the store and actually executed. Jobs rejected
-    /// by admission or cancelled before execution are *not* misses —
-    /// they appear only under [`ServiceStats::rejected`] / the caller's
-    /// error, so [`ServiceStats::hit_rate`] and
+    /// Jobs that missed the store and actually executed. Jobs cancelled
+    /// or out of time before execution are *not* misses — they appear
+    /// only as the caller's error, so [`ServiceStats::hit_rate`] and
     /// [`ServiceStats::avg_job_latency`] describe real traffic.
     pub misses: u64,
     /// Artifacts evicted under budget pressure.
@@ -374,16 +338,11 @@ pub struct ServiceStats {
     /// Artifacts invalidated by graph re-registration /
     /// [`SpannerService::invalidate`].
     pub invalidations: u64,
-    /// Jobs rejected by [`OverloadPolicy::Reject`].
-    pub rejected: u64,
-    /// Jobs that waited for an execution slot under
-    /// [`OverloadPolicy::Queue`].
-    pub queued: u64,
     /// Executed jobs that completed successfully.
     pub completed: u64,
     /// Executed jobs that returned an error.
     pub failed: u64,
-    /// Total wall-clock across executed jobs (admission wait included).
+    /// Total wall-clock across executed jobs.
     pub busy: Duration,
     /// Artifacts currently cached.
     pub store_len: usize,
@@ -402,8 +361,6 @@ impl ServiceStats {
         self.misses += other.misses;
         self.evictions += other.evictions;
         self.invalidations += other.invalidations;
-        self.rejected += other.rejected;
-        self.queued += other.queued;
         self.completed += other.completed;
         self.failed += other.failed;
         self.busy += other.busy;
@@ -435,15 +392,13 @@ impl ServiceStats {
     /// One-line summary for logs and experiment tables.
     pub fn summary(&self) -> String {
         format!(
-            "hits={} misses={} (rate {:.0}%) evictions={} invalidations={} rejected={} \
-             queued={} avg_latency={:.3?} store={}B/{} entries",
+            "hits={} misses={} (rate {:.0}%) evictions={} invalidations={} \
+             avg_latency={:.3?} store={}B/{} entries",
             self.hits,
             self.misses,
             100.0 * self.hit_rate(),
             self.evictions,
             self.invalidations,
-            self.rejected,
-            self.queued,
             self.avg_job_latency(),
             self.store_used_bytes,
             self.store_len,
@@ -456,127 +411,9 @@ struct Counters {
     hits: AtomicU64,
     misses: AtomicU64,
     invalidations: AtomicU64,
-    rejected: AtomicU64,
-    queued: AtomicU64,
     completed: AtomicU64,
     failed: AtomicU64,
     busy_micros: AtomicU64,
-}
-
-/// The slot counter + condvar a queued waiter parks on. `Arc`'d so a
-/// [`CancelToken`] can hold it as a waiter to wake on cancellation.
-#[derive(Debug)]
-struct AdmissionShared {
-    in_flight: TrackedMutex<usize>,
-    freed: TrackedCondvar,
-}
-
-impl Default for AdmissionShared {
-    fn default() -> Self {
-        AdmissionShared {
-            in_flight: TrackedMutex::new("service.admission", 0),
-            freed: TrackedCondvar::new("service.admission.freed"),
-        }
-    }
-}
-
-impl super::CancelWaiter for AdmissionShared {
-    fn wake(&self) {
-        // Taking the slot lock orders this wake strictly after the
-        // waiter has either parked on the condvar (it holds the lock
-        // from its last token check until `wait()` releases it) or
-        // already observed the fired token — so the notification can
-        // never be lost in between.
-        drop(self.in_flight.lock());
-        self.freed.notify_all();
-    }
-}
-
-/// Counting semaphore over (max_in_flight, policy) — plain
-/// Mutex+Condvar, deterministic under the test loads we care about.
-///
-/// Queued waiters are *event-driven*: a freed slot notifies one waiter,
-/// and a fired [`CancelToken`] wakes every subscribed waiter through
-/// [`AdmissionShared::wake`] — there is no poll interval. A waiter with
-/// a deadline sleeps at most the remaining time.
-#[derive(Debug)]
-struct Admission {
-    max_in_flight: usize,
-    policy: OverloadPolicy,
-    shared: Arc<AdmissionShared>,
-}
-
-/// RAII execution slot; releasing wakes one queued job.
-#[derive(Debug)]
-struct Permit<'a>(Option<&'a Admission>);
-
-impl Admission {
-    fn new(max_in_flight: usize, policy: OverloadPolicy) -> Self {
-        Admission {
-            max_in_flight,
-            policy,
-            shared: Arc::new(AdmissionShared::default()),
-        }
-    }
-
-    fn acquire(&self, counters: &Counters) -> Result<Permit<'_>, PipelineError> {
-        self.acquire_guarded(counters, &BuildGuard::new("admission"))
-    }
-
-    /// [`Self::acquire`] under a [`BuildGuard`]: while queued, the
-    /// waiter is woken by freed slots, by the guard's token firing
-    /// (condvar subscription), or by its deadline expiring — whichever
-    /// comes first — and re-checks the guard on every wakeup.
-    fn acquire_guarded(
-        &self,
-        counters: &Counters,
-        guard: &BuildGuard,
-    ) -> Result<Permit<'_>, PipelineError> {
-        if self.max_in_flight == 0 {
-            return Ok(Permit(None));
-        }
-        let shared = &self.shared;
-        let mut in_flight = shared.in_flight.lock();
-        if *in_flight >= self.max_in_flight {
-            match self.policy {
-                OverloadPolicy::Reject => {
-                    counters.rejected.fetch_add(1, Ordering::Relaxed);
-                    return Err(PipelineError::Overloaded {
-                        in_flight: *in_flight,
-                        limit: self.max_in_flight,
-                    });
-                }
-                OverloadPolicy::Queue => {
-                    counters.queued.fetch_add(1, Ordering::Relaxed);
-                    let _subscription =
-                        guard.subscribe_waiter(Arc::clone(shared) as Arc<dyn super::CancelWaiter>);
-                    loop {
-                        guard.check()?;
-                        if *in_flight < self.max_in_flight {
-                            break;
-                        }
-                        in_flight = match guard.deadline_remaining() {
-                            Some(remaining) => shared.freed.wait_timeout(in_flight, remaining).0,
-                            None => shared.freed.wait(in_flight),
-                        };
-                    }
-                }
-            }
-        }
-        *in_flight += 1;
-        Ok(Permit(Some(self)))
-    }
-}
-
-impl Drop for Permit<'_> {
-    fn drop(&mut self) {
-        if let Some(admission) = self.0 {
-            let mut in_flight = admission.shared.in_flight.lock();
-            *in_flight -= 1;
-            drop(in_flight);
-            admission.shared.freed.notify_one();
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -657,17 +494,15 @@ enum Artifact {
 // ---------------------------------------------------------------------
 
 /// A long-lived serving front end over the pipeline: a graph registry,
-/// a memory-budgeted artifact store, admission control and counters.
+/// a memory-budgeted artifact store and counters.
 /// See the [module docs](self) for the full tour.
 ///
 /// The service is `Sync`: one instance serves jobs from any number of
 /// threads concurrently.
 #[derive(Debug)]
 pub struct SpannerService {
-    config: ServiceConfig,
     registry: TrackedMutex<HashMap<u64, GraphHandle>>,
     store: LruStore<ArtifactKey, Artifact>,
-    admission: Admission,
     counters: Counters,
 }
 
@@ -678,25 +513,20 @@ impl Default for SpannerService {
 }
 
 impl SpannerService {
-    /// A service with the default [`ServiceConfig`].
+    /// A service with a 256 MiB artifact store.
     pub fn new() -> Self {
-        SpannerService::with_config(ServiceConfig::default())
+        SpannerService::with_budget(DEFAULT_STORE_BUDGET)
     }
 
-    /// A service with explicit tuning.
-    pub fn with_config(config: ServiceConfig) -> Self {
+    /// A service whose artifact store holds at most `store_budget_bytes`
+    /// ([`HeapSize`] accounting). `0` disables caching — every job
+    /// recomputes.
+    pub fn with_budget(store_budget_bytes: usize) -> Self {
         SpannerService {
-            config,
             registry: TrackedMutex::new("service.registry", HashMap::new()),
-            store: LruStore::new(config.store_budget_bytes),
-            admission: Admission::new(config.max_in_flight, config.overload),
+            store: LruStore::new(store_budget_bytes),
             counters: Counters::default(),
         }
-    }
-
-    /// The configuration this service runs with.
-    pub fn config(&self) -> &ServiceConfig {
-        &self.config
     }
 
     /// Registers a graph and returns its handle.
@@ -830,11 +660,10 @@ impl SpannerService {
         }
     }
 
-    /// Warm-up: executes the given jobs concurrently (through the same
-    /// admission control as live traffic), populating the artifact
-    /// store so the first real requests hit. Results come back in
-    /// submission order; artifacts are dropped here (they stay in the
-    /// store) and each job fails independently.
+    /// Warm-up: executes the given jobs concurrently on the rayon pool,
+    /// populating the artifact store so the first real requests hit.
+    /// Results come back in submission order; artifacts are dropped here
+    /// (they stay in the store) and each job fails independently.
     pub fn prebuild(&self, jobs: Vec<ServiceJob<'_>>) -> Vec<Result<(), PipelineError>> {
         jobs.par_iter()
             .map(|job| match job {
@@ -852,8 +681,6 @@ impl SpannerService {
             misses: c.misses.load(Ordering::Relaxed),
             evictions: self.store.evictions(),
             invalidations: c.invalidations.load(Ordering::Relaxed),
-            rejected: c.rejected.load(Ordering::Relaxed),
-            queued: c.queued.load(Ordering::Relaxed),
             completed: c.completed.load(Ordering::Relaxed),
             failed: c.failed.load(Ordering::Relaxed),
             busy: Duration::from_micros(c.busy_micros.load(Ordering::Relaxed)),
@@ -886,7 +713,7 @@ impl SpannerService {
                 job.algorithm, job.backend, job.seed, job.verification
             ),
         };
-        if self.config.store_budget_bytes > 0 {
+        if self.store.budget() > 0 {
             if let Some(Artifact::Spanner(hit)) = self.store.get(&key) {
                 self.counters.hits.fetch_add(1, Ordering::Relaxed);
                 return Ok(hit);
@@ -894,21 +721,12 @@ impl SpannerService {
         }
         // analyze:allow(determinism-taint): job-latency telemetry only — never reaches artifacts
         let started = Instant::now();
-        // The guard's clock starts at submission, so admission wait
-        // counts against the job's deadline — and the guard rides into
-        // the engine loops, so a token fired mid-build stops the
-        // construction between grow iterations.
-        let mut guard = BuildGuard::new(job.algorithm.label());
-        if let Some(token) = &job.cancel {
-            guard = guard.with_cancel(token.clone());
-        }
-        if let Some(deadline) = job.deadline {
-            guard = guard.with_deadline(deadline);
-        }
-        // Rejected / cancelled-before-execution jobs return here without
-        // touching the miss or latency counters — only executions count.
-        guard.check()?;
-        let permit = self.admission.acquire_guarded(&self.counters, &guard)?;
+        // The guard rides into the engine loops, so a token fired
+        // mid-build stops the construction between grow iterations.
+        let guard = BuildGuard::armed(job.algorithm, job.deadline, job.cancel.as_ref());
+        // Jobs cancelled or out of time before execution return here
+        // without touching the miss or latency counters — only
+        // executions count.
         guard.check()?;
         self.counters.misses.fetch_add(1, Ordering::Relaxed);
         let built = SpannerRequest::new(job.handle.graph(), job.algorithm)
@@ -916,10 +734,9 @@ impl SpannerService {
             .seed(job.seed)
             .verification(job.verification)
             .run_guarded(&guard);
-        drop(permit);
         self.finish(started, built.is_ok());
         let report = Arc::new(built?);
-        if self.config.store_budget_bytes == 0 {
+        if self.store.budget() == 0 {
             return Ok(report);
         }
         let size = report.heap_size();
@@ -945,7 +762,7 @@ impl SpannerService {
                 job.engine.label()
             ),
         };
-        if self.config.store_budget_bytes > 0 {
+        if self.store.budget() > 0 {
             if let Some(Artifact::Oracle(hit)) = self.store.get(&key) {
                 self.counters.hits.fetch_add(1, Ordering::Relaxed);
                 return Ok(hit);
@@ -953,34 +770,17 @@ impl SpannerService {
         }
         // analyze:allow(determinism-taint): job-latency telemetry only — never reaches artifacts
         let started = Instant::now();
-        // The guard's clock starts at submission, so admission wait
-        // counts against the job's deadline — and a queued job whose
-        // token fires is released by the admission interrupt check.
-        let mut guard = BuildGuard::new(job.algorithm.label());
-        if let Some(token) = &job.cancel {
-            guard = guard.with_cancel(token.clone());
-        }
-        if let Some(deadline) = job.deadline {
-            guard = guard.with_deadline(deadline);
-        }
-        guard.check()?;
-        let permit = self.admission.acquire_guarded(&self.counters, &guard)?;
+        let guard = BuildGuard::armed(job.algorithm, job.deadline, job.cancel.as_ref());
         guard.check()?;
         self.counters.misses.fetch_add(1, Ordering::Relaxed);
-        let built = {
-            let mut request = DistanceRequest::new(job.handle.graph(), job.algorithm)
-                .on(job.backend)
-                .seed(job.seed)
-                .engine(job.engine);
-            if let Some(deadline) = job.deadline {
-                request = request.deadline(deadline);
-            }
-            request.build_guarded(&guard)
-        };
-        drop(permit);
+        let built = DistanceRequest::new(job.handle.graph(), job.algorithm)
+            .on(job.backend)
+            .seed(job.seed)
+            .engine(job.engine)
+            .build_guarded(&guard);
         self.finish(started, built.is_ok());
         let oracle = Arc::new(built?);
-        if self.config.store_budget_bytes == 0 {
+        if self.store.budget() == 0 {
             return Ok(oracle);
         }
         let size = oracle.heap_size();
@@ -1003,68 +803,6 @@ impl SpannerService {
         } else {
             c.failed.fetch_add(1, Ordering::Relaxed);
         }
-    }
-
-    // -- the anonymous single-use path (legacy one-shot shims) --------
-
-    /// The process-wide service the one-shot API routes through: no
-    /// artifact store (the borrowed graph is gone after the call, so
-    /// nothing could be served later anyway) and unlimited admission
-    /// (the one-shot API predates admission control and must keep its
-    /// semantics).
-    pub(crate) fn anonymous() -> &'static SpannerService {
-        static ANONYMOUS: OnceLock<SpannerService> = OnceLock::new();
-        ANONYMOUS.get_or_init(|| {
-            SpannerService::with_config(ServiceConfig {
-                store_budget_bytes: 0,
-                max_in_flight: 0,
-                overload: OverloadPolicy::Queue,
-            })
-        })
-    }
-
-    /// Executes a one-shot [`SpannerRequest`] as an anonymous
-    /// single-use registration: the graph is borrowed for the duration
-    /// of this job instead of entering the registry.
-    pub(crate) fn run_anonymous(
-        &self,
-        request: &SpannerRequest<'_>,
-    ) -> Result<RunReport, PipelineError> {
-        self.counters.misses.fetch_add(1, Ordering::Relaxed);
-        // analyze:allow(determinism-taint): job-latency telemetry only — never reaches artifacts
-        let started = Instant::now();
-        let out = (|| {
-            let _permit = self.admission.acquire(&self.counters)?;
-            request.run_uncached()
-        })();
-        self.finish(started, out.is_ok());
-        out
-    }
-
-    /// Executes a one-shot [`DistanceRequest`] anonymously, with
-    /// cooperative cancellation when a token is supplied.
-    pub(crate) fn build_anonymous(
-        &self,
-        request: &DistanceRequest<'_>,
-        cancel: Option<&CancelToken>,
-    ) -> Result<DistanceOracle, PipelineError> {
-        self.counters.misses.fetch_add(1, Ordering::Relaxed);
-        // analyze:allow(determinism-taint): job-latency telemetry only — never reaches artifacts
-        let started = Instant::now();
-        let out = (|| {
-            let mut guard = BuildGuard::new(request.spanner_request().algorithm().label());
-            if let Some(token) = cancel {
-                guard = guard.with_cancel(token.clone());
-            }
-            if let Some(deadline) = request.spanner_request().deadline_limit() {
-                guard = guard.with_deadline(deadline);
-            }
-            guard.check()?;
-            let _permit = self.admission.acquire(&self.counters)?;
-            request.build_guarded(&guard)
-        })();
-        self.finish(started, out.is_ok());
-        out
     }
 }
 
@@ -1107,21 +845,24 @@ impl SpannerJob<'_> {
         self
     }
 
-    /// Per-job deadline (admission wait counts against it).
+    /// Per-job deadline, measured from the store miss and checked
+    /// cooperatively during the build (between grow iterations on the
+    /// sequential backend) and once more when it finishes.
     pub fn deadline(mut self, deadline: Duration) -> Self {
         self.deadline = Some(deadline);
         self
     }
 
-    /// Attaches a cancellation token, checked cooperatively before and
-    /// after admission.
+    /// Attaches a cancellation token, checked before execution and
+    /// cooperatively during the build (between grow iterations on the
+    /// sequential backend).
     pub fn cancel(mut self, token: CancelToken) -> Self {
         self.cancel = Some(token);
         self
     }
 
-    /// Serves the job: store hit, or admission-controlled execution
-    /// whose report enters the budgeted store.
+    /// Serves the job: store hit, or execution whose report enters the
+    /// budgeted store.
     pub fn run(&self) -> Result<Arc<RunReport>, PipelineError> {
         self.service.run_spanner_job(self)
     }
@@ -1161,8 +902,9 @@ impl OracleJob<'_> {
         self
     }
 
-    /// Per-job build deadline, checked cooperatively *during* the build
-    /// (admission wait, spanner phases, between sketch levels).
+    /// Per-job build deadline, measured from the store miss and checked
+    /// cooperatively *during* the build (spanner phases, between sketch
+    /// levels and cluster-search chunks).
     pub fn deadline(mut self, deadline: Duration) -> Self {
         self.deadline = Some(deadline);
         self
@@ -1175,8 +917,8 @@ impl OracleJob<'_> {
         self
     }
 
-    /// Serves the job: store hit, or admission-controlled build whose
-    /// oracle enters the budgeted store.
+    /// Serves the job: store hit, or a build whose oracle enters the
+    /// budgeted store.
     pub fn build(&self) -> Result<Arc<DistanceOracle>, PipelineError> {
         self.service.run_oracle_job(self)
     }
@@ -1270,40 +1012,6 @@ mod tests {
     }
 
     #[test]
-    fn admission_rejects_when_full_and_releases_on_drop() {
-        let admission = Admission::new(1, OverloadPolicy::Reject);
-        let counters = Counters::default();
-        let permit = admission.acquire(&counters).expect("first slot free");
-        let err = admission.acquire(&counters).expect_err("full → reject");
-        assert!(matches!(
-            err,
-            PipelineError::Overloaded {
-                in_flight: 1,
-                limit: 1
-            }
-        ));
-        drop(permit);
-        assert!(admission.acquire(&counters).is_ok(), "slot freed on drop");
-        assert_eq!(counters.rejected.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn admission_queue_blocks_until_a_slot_frees() {
-        let admission = Arc::new(Admission::new(1, OverloadPolicy::Queue));
-        let counters = Arc::new(Counters::default());
-        let permit = admission.acquire(&counters).expect("first slot");
-        let (a, c) = (Arc::clone(&admission), Arc::clone(&counters));
-        let waiter = std::thread::spawn(move || {
-            let _p = a.acquire(&c).expect("queued acquire succeeds");
-        });
-        // Give the waiter time to queue, then free the slot.
-        std::thread::sleep(Duration::from_millis(20));
-        drop(permit);
-        waiter.join().expect("waiter finishes");
-        assert_eq!(counters.queued.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
     fn register_dedupes_identical_content() {
         let service = SpannerService::new();
         let g = Arc::new(graph(1));
@@ -1370,31 +1078,6 @@ mod tests {
     }
 
     #[test]
-    fn rejected_jobs_surface_a_typed_error() {
-        // max_in_flight = 1 and the only slot taken by... nothing — a
-        // single-threaded submission always finds the slot free, so
-        // drive the admission path through a held permit.
-        let service = SpannerService::with_config(ServiceConfig {
-            max_in_flight: 1,
-            overload: OverloadPolicy::Reject,
-            ..ServiceConfig::default()
-        });
-        let handle = service.register(graph(6));
-        let _held = service.admission.acquire(&service.counters).unwrap();
-        let err = service
-            .spanner(&handle, alg())
-            .run()
-            .expect_err("no slot → reject");
-        assert!(matches!(err, PipelineError::Overloaded { .. }));
-        let stats = service.stats();
-        assert_eq!(stats.rejected, 1);
-        // A rejected job never executed: it is neither a miss nor a
-        // failure, so latency/hit-rate numbers stay truthful.
-        assert_eq!(stats.misses, 0);
-        assert_eq!(stats.failed, 0);
-    }
-
-    #[test]
     fn corollary_jobs_differing_only_in_k_never_alias() {
         use crate::presets::CorollarySetting;
         let service = SpannerService::new();
@@ -1434,30 +1117,6 @@ mod tests {
     }
 
     #[test]
-    fn queued_job_is_released_by_cancellation() {
-        // One slot, held forever; a queued Queue-policy job with a token
-        // must come back Cancelled instead of blocking until the slot
-        // frees.
-        let service = SpannerService::with_config(ServiceConfig {
-            max_in_flight: 1,
-            overload: OverloadPolicy::Queue,
-            ..ServiceConfig::default()
-        });
-        let handle = service.register(graph(10));
-        let _held = service.admission.acquire(&service.counters).unwrap();
-        let token = CancelToken::new();
-        let job = service.oracle(&handle, alg()).cancel(token.clone());
-        let canceller = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(30));
-            token.cancel();
-        });
-        let err = job.build().expect_err("queued job must observe the token");
-        assert!(matches!(err, PipelineError::Cancelled));
-        canceller.join().unwrap();
-        assert_eq!(service.stats().misses, 0, "never executed");
-    }
-
-    #[test]
     fn cancelled_job_never_executes() {
         let service = SpannerService::new();
         let handle = service.register(graph(7));
@@ -1469,6 +1128,10 @@ mod tests {
             .run()
             .expect_err("fired token → cancelled");
         assert!(matches!(err, PipelineError::Cancelled));
+        // A job that never executed is neither a miss nor a failure, so
+        // latency and hit-rate numbers stay truthful.
+        let stats = service.stats();
+        assert_eq!((stats.misses, stats.failed), (0, 0));
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //!   re-registration under an equal key (`register_keyed`) lands on the
 //!   shard that already holds the old version, whose version bump
 //!   purges the stale artifacts *on that shard*;
-//! * each shard has its own lock, its own memory budget
-//!   ([`ServiceConfig`] is per shard) and its own admission gate, so
-//!   unrelated graphs never contend;
+//! * each shard has its own lock and its own memory budget
+//!   ([`ShardedService::with_budget`] is per shard), so unrelated
+//!   graphs never contend;
 //! * virtual nodes keep the key distribution balanced and make the
 //!   mapping stable under resharding: growing from N to N+1 shards
 //!   moves only ~1/(N+1) of the keys (the classic consistent-hashing
@@ -45,7 +45,8 @@ use rayon::prelude::*;
 use spanner_graph::Graph;
 
 use super::service::{
-    GraphHandle, OracleJob, ServiceConfig, ServiceJob, ServiceStats, SpannerJob, SpannerService,
+    GraphHandle, OracleJob, ServiceJob, ServiceStats, SpannerJob, SpannerService,
+    DEFAULT_STORE_BUDGET,
 };
 use super::{Algorithm, PipelineError};
 
@@ -75,21 +76,22 @@ pub struct ShardedService {
 }
 
 impl ShardedService {
-    /// `shards` inner services, each with the default [`ServiceConfig`].
+    /// `shards` inner services, each with the 256 MiB store of
+    /// [`SpannerService::new`].
     ///
     /// # Panics
     /// If `shards` is zero.
     pub fn new(shards: usize) -> Self {
-        ShardedService::with_config(shards, ServiceConfig::default())
+        ShardedService::with_budget(shards, DEFAULT_STORE_BUDGET)
     }
 
-    /// `shards` inner services, each configured with `per_shard` — the
-    /// budget and admission limits apply *per shard*, so total store
-    /// capacity scales with the shard count.
+    /// `shards` inner services, each with a store of
+    /// `per_shard_budget_bytes` — the budget applies *per shard*, so
+    /// total store capacity scales with the shard count.
     ///
     /// # Panics
     /// If `shards` is zero.
-    pub fn with_config(shards: usize, per_shard: ServiceConfig) -> Self {
+    pub fn with_budget(shards: usize, per_shard_budget_bytes: usize) -> Self {
         assert!(shards >= 1, "a sharded service needs at least one shard");
         let mut ring = Vec::with_capacity(shards * VNODES_PER_SHARD);
         for shard in 0..shards as u64 {
@@ -105,7 +107,7 @@ impl ShardedService {
         ring.dedup_by_key(|entry| entry.0);
         ShardedService {
             shards: (0..shards)
-                .map(|_| SpannerService::with_config(per_shard))
+                .map(|_| SpannerService::with_budget(per_shard_budget_bytes))
                 .collect(),
             ring,
         }
@@ -182,8 +184,7 @@ impl ShardedService {
     }
 
     /// Warm-up across shards: executes the jobs concurrently (each
-    /// against its owning shard's admission gate and store). Results in
-    /// submission order.
+    /// against its owning shard's store). Results in submission order.
     pub fn prebuild(&self, jobs: Vec<ServiceJob<'_>>) -> Vec<Result<(), PipelineError>> {
         jobs.par_iter()
             .map(|job| match job {

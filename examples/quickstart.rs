@@ -1,5 +1,5 @@
 //! Quickstart: one `SpannerRequest` per point on the paper's
-//! round/stretch trade-off, planned, batch-executed and verified
+//! round/stretch trade-off, planned, run concurrently and verified
 //! through the unified pipeline, with predicted vs measured side by
 //! side.
 //!
@@ -9,7 +9,8 @@
 
 use mpc_spanners::core::TradeoffParams;
 use mpc_spanners::graph::generators::{connected_erdos_renyi, WeightModel};
-use mpc_spanners::pipeline::{Algorithm, Batch, SpannerRequest, Verification};
+use mpc_spanners::pipeline::{Algorithm, SpannerRequest, Verification};
+use rayon::prelude::*;
 
 fn main() {
     // A weighted graph: G(n, p) plus a connectivity backbone, weights
@@ -28,18 +29,20 @@ fn main() {
         ("Baswana-Sen baseline     ", Algorithm::BaswanaSen { k }),
     ];
 
-    // One request per algorithm; the batch runs them concurrently and
-    // `Verification::Enforce` turns any violated guarantee into an Err.
-    let batch: Batch = requests
-        .iter()
+    // One request per algorithm, run concurrently on the rayon pool
+    // (results in input order); `Verification::Enforce` turns any
+    // violated guarantee into an Err.
+    let reports: Vec<_> = requests
+        .par_iter()
         .map(|&(_, algorithm)| {
             SpannerRequest::new(&g, algorithm)
                 .seed(42)
                 .verification(Verification::Enforce)
+                .run()
         })
         .collect();
 
-    for ((label, _), report) in requests.iter().zip(batch.run()) {
+    for ((label, _), report) in requests.iter().zip(reports) {
         let report = report.expect("every guarantee must hold");
         let verified = report.verification.as_ref().expect("verification ran");
         println!(

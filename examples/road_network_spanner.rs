@@ -17,7 +17,8 @@
 use mpc_spanners::core::unweighted_ok::UnweightedOkConfig;
 use mpc_spanners::core::TradeoffParams;
 use mpc_spanners::graph::generators::geometric_euclidean;
-use mpc_spanners::pipeline::{Algorithm, Batch, SpannerRequest, Verification};
+use mpc_spanners::pipeline::{Algorithm, SpannerRequest, Verification};
+use rayon::prelude::*;
 
 fn main() {
     let g = geometric_euclidean(2000, 0.045, 12345);
@@ -30,15 +31,16 @@ fn main() {
 
     println!("weighted spanners (Section 5, t = log k):");
     let ks = [2u32, 4, 8, 16];
-    let batch: Batch = ks
-        .iter()
+    let reports: Vec<_> = ks
+        .par_iter()
         .map(|&k| {
             SpannerRequest::new(&g, Algorithm::General(TradeoffParams::log_k(k)))
                 .seed(5)
                 .verification(Verification::Enforce)
+                .run()
         })
         .collect();
-    for (&k, report) in ks.iter().zip(batch.run()) {
+    for (&k, report) in ks.iter().zip(reports) {
         let report = report.expect("guarantee must hold");
         let v = report.verification.as_ref().expect("verification ran");
         println!(

@@ -11,8 +11,8 @@
 //! 1. register a fleet of workload graphs — the ring routes each to its
 //!    owning shard;
 //! 2. submit a mixed-priority job stream from several client threads
-//!    (`Interactive` point lookups racing a `Batch` prebuild sweep) and
-//!    wait on the ids — every job resolves exactly once;
+//!    (`Interactive` point lookups racing a `Priority::Batch` prebuild
+//!    sweep) and wait on the ids — every job resolves exactly once;
 //! 3. verify shard-count transparency: a 1-shard tier returns
 //!    bit-identical spanners for the same seeds;
 //! 4. re-register one mutated graph: the version bump purges stale

@@ -9,16 +9,17 @@
 //! [`pipeline::SpannerRequest::plan`] (predicted rounds/stretch/size
 //! before running), then [`pipeline::SpannerRequest::run`] it on any
 //! [`pipeline::Backend`] (sequential, MPC, Congested Clique, PRAM,
-//! streaming) for a unified [`pipeline::RunReport`]. A
-//! [`pipeline::Batch`] serves many requests concurrently, with
-//! per-request deadlines and cancellation. For the paper's headline
-//! *application* — serving approximate distance queries (Section 7 /
-//! §1.2) — compose a [`pipeline::DistanceRequest`] with a
-//! [`pipeline::QueryEngine`] (exact Dijkstra-on-spanner or Thorup–Zwick
-//! sketches) and [`pipeline::DistanceRequest::build`] a
-//! [`pipeline::DistanceOracle`] whose batched queries carry the
-//! composed `σ·(2λ−1)` guarantee. The per-model free functions remain
-//! available as shims with their historical signatures.
+//! streaming) for a unified [`pipeline::RunReport`]. Many requests fan
+//! out concurrently with `par_iter().map(SpannerRequest::run)`, each
+//! with its own deadline ([`pipeline::SpannerRequest::deadline`]). For
+//! the paper's headline *application* — serving approximate distance
+//! queries (Section 7 / §1.2) — compose a
+//! [`pipeline::DistanceRequest`] with a [`pipeline::QueryEngine`]
+//! (exact Dijkstra-on-spanner or Thorup–Zwick sketches) and
+//! [`pipeline::DistanceRequest::build`] a [`pipeline::DistanceOracle`]
+//! whose batched queries carry the composed `σ·(2λ−1)` guarantee. The
+//! per-model free functions remain available as shims with their
+//! historical signatures.
 //!
 //! **Serving long-lived traffic? Go one level up to
 //! [`pipeline::service`]**: a [`pipeline::SpannerService`] turns the
@@ -26,19 +27,20 @@
 //! [`pipeline::SpannerService::register`] a graph for an `Arc`'d,
 //! fingerprint-deduped, *versioned* [`pipeline::GraphHandle`], then
 //! submit handle-based jobs ([`pipeline::SpannerService::spanner`],
-//! [`pipeline::SpannerService::oracle`]) that are answered from a
-//! memory-budgeted LRU artifact store under admission control, with
-//! warm-up ([`pipeline::SpannerService::prebuild`]) and
-//! [`pipeline::ServiceStats`] counters. The one-shot request types are
-//! thin shims over an anonymous single-use registration on that layer,
-//! so both flows produce bit-identical artifacts at equal seeds.
+//! [`pipeline::SpannerService::oracle`]) that are answered from its one
+//! memory-budgeted LRU artifact store, with warm-up
+//! ([`pipeline::SpannerService::prebuild`]), cancellation
+//! ([`pipeline::CancelToken`]) and [`pipeline::ServiceStats`] counters.
+//! Jobs run the same guarded build as the one-shot request types, so
+//! both flows produce bit-identical artifacts at equal seeds.
 //!
 //! **Scaling the tier out?** [`pipeline::ShardedService`] puts N inner
 //! services behind a consistent-hash ring (per-shard budgets and
 //! locks, cross-shard stats rollup, rebalance-on-reregistration), and
-//! [`pipeline::JobQueue`] is its non-blocking front door: submit a
-//! [`pipeline::JobSpec`] for a [`pipeline::JobId`] immediately, with
-//! priority lanes, per-client fair admission, condvar-driven waits and
+//! [`pipeline::JobQueue`] is its non-blocking front door and the one
+//! admission point: submit a [`pipeline::JobSpec`] for a
+//! [`pipeline::JobId`] immediately, with a fixed worker pool, priority
+//! lanes, per-client fair admission, condvar-driven waits and
 //! pre-execution cancel/deadline resolution. The shard count is
 //! unobservable in answers — every tier shape returns bit-identical
 //! artifacts.

@@ -7,19 +7,21 @@
 //!    (property-tested).
 //! 2. **Batched queries are pure fan-out** — `query_batch` is
 //!    bit-identical to one-by-one `query` at 1 and N threads.
-//! 3. **Builds are shared** — `DistanceBatch` entries agreeing on
-//!    (graph fingerprint, algorithm, backend, seed, engine) receive the
-//!    same `Arc`'d oracle; different keys do not.
+//! 3. **Builds are shared** — service oracle jobs agreeing on
+//!    (graph, version, algorithm, backend, seed, engine) receive the
+//!    same `Arc`'d oracle from the store, even when submitted
+//!    concurrently; different keys do not.
 //! 4. **Legacy shims are pinned** — `build_oracle` / `mpc_build_oracle`
 //!    return exactly what the distance stage returns, including the
 //!    gather-only round accounting.
-//! 5. **Serving hooks** — per-request deadlines and batch cancellation
+//! 5. **Serving hooks** — per-request deadlines and job cancellation
 //!    produce typed errors instead of hung or silently-dropped work.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use proptest::prelude::*;
+use rayon::prelude::*;
 
 use mpc_spanners::apsp::{build_oracle, mpc_build_oracle};
 use mpc_spanners::core::TradeoffParams;
@@ -28,8 +30,8 @@ use mpc_spanners::graph::generators::{self, Family, WeightModel};
 use mpc_spanners::graph::shortest_paths::dijkstra;
 use mpc_spanners::graph::Graph;
 use mpc_spanners::pipeline::{
-    Algorithm, Backend, Batch, CancelToken, DistanceBatch, DistanceRequest, MpcDeployment,
-    PipelineError, QueryEngine, SpannerRequest,
+    Algorithm, Backend, CancelToken, DistanceRequest, MpcDeployment, PipelineError, QueryEngine,
+    SpannerRequest, SpannerService,
 };
 
 fn serving_backends() -> [Backend; 2] {
@@ -124,19 +126,27 @@ fn query_batch_is_bit_identical_to_serial_queries_at_any_thread_count() {
 #[test]
 fn repeated_batch_entries_share_one_oracle_build() {
     let g = generators::connected_erdos_renyi(90, 0.09, WeightModel::Uniform(1, 8), 11);
+    let service = SpannerService::new();
+    let handle = service.register(g);
     let make = || {
-        DistanceRequest::new(&g, Algorithm::General(TradeoffParams::new(4, 2)))
+        service
+            .oracle(&handle, Algorithm::General(TradeoffParams::new(4, 2)))
             .engine(QueryEngine::Sketches { levels: 2 })
             .seed(42)
     };
-    let batch = DistanceBatch::new()
-        .with(make())
-        .with(make().seed(43)) // different seed → its own build
-        .with(make()) // duplicate of slot 0
-        .with(make().engine(QueryEngine::Dijkstra)) // different engine → its own build
-        .with(make()); // duplicate of slot 0
-    let oracles = batch.build();
+    let jobs = [
+        make(),
+        make().seed(43),                      // different seed → its own build
+        make(),                               // duplicate of slot 0
+        make().engine(QueryEngine::Dijkstra), // different engine → its own build
+        make(),                               // duplicate of slot 0
+    ];
+    // Built concurrently: racing duplicates may both miss, but the
+    // store's first insert wins, so every slot still holds one oracle
+    // per key.
+    let oracles: Vec<_> = jobs.par_iter().map(|job| job.build()).collect();
     assert_eq!(oracles.len(), 5);
+    assert_eq!(service.store_len(), 3, "one stored oracle per distinct key");
     let first = oracles[0].as_ref().expect("build ok");
     for dup in [2usize, 4] {
         assert!(
@@ -220,20 +230,24 @@ fn deadline_and_cancellation_produce_typed_errors() {
         .expect("no deadline");
     assert_eq!(relaxed.result.edges, unconstrained.result.edges);
 
-    // A fired token fails every queued request with Cancelled.
+    // A fired token fails every job that carries it with Cancelled.
+    let service = SpannerService::new();
+    let handle = service.register(g.clone());
     let token = CancelToken::new();
     token.cancel();
-    let batch: Batch = (0..4u64)
-        .map(|s| SpannerRequest::new(&g, Algorithm::General(params)).seed(s))
-        .collect();
-    let reports = batch.run_with(&token);
-    assert_eq!(reports.len(), 4);
+    let job = |s: u64, token: &CancelToken| {
+        service
+            .spanner(&handle, Algorithm::General(params))
+            .seed(s)
+            .cancel(token.clone())
+    };
+    let reports: Vec<_> = (0..4u64).map(|s| job(s, &token).run()).collect();
     for report in &reports {
         assert!(matches!(report, Err(PipelineError::Cancelled)));
     }
     // An un-fired token is a no-op.
-    let reports = batch.run_with(&CancelToken::new());
-    assert!(reports.iter().all(|r| r.is_ok()));
+    let unfired = CancelToken::new();
+    assert!((0..4u64).all(|s| job(s, &unfired).run().is_ok()));
 
     // The distance stage inherits both hooks.
     let err = DistanceRequest::new(&g, Algorithm::General(params))
@@ -241,10 +255,11 @@ fn deadline_and_cancellation_produce_typed_errors() {
         .build()
         .expect_err("zero build deadline must be exceeded");
     assert!(matches!(err, PipelineError::DeadlineExceeded { .. }));
-    let cancelled = DistanceBatch::new()
-        .with(DistanceRequest::new(&g, Algorithm::General(params)))
-        .build_with(&token);
-    assert!(matches!(cancelled[0], Err(PipelineError::Cancelled)));
+    let cancelled = service
+        .oracle(&handle, Algorithm::General(params))
+        .cancel(token)
+        .build();
+    assert!(matches!(cancelled, Err(PipelineError::Cancelled)));
 }
 
 #[test]

@@ -80,11 +80,11 @@ fn pipeline_reexport_resolves_and_runs() {
 /// long-lived front door the crate-root rustdoc advertises.
 #[test]
 fn service_reexport_resolves_and_serves() {
-    use mpc_spanners::pipeline::{Algorithm, ServiceConfig, SpannerService};
+    use mpc_spanners::pipeline::{Algorithm, SpannerService};
 
     let g = connected_erdos_renyi(60, 0.1, WeightModel::Uniform(1, 8), 5);
     let service: spanner_core::pipeline::service::SpannerService =
-        SpannerService::with_config(ServiceConfig::default());
+        SpannerService::with_budget(64 << 20);
     let handle = service.register(g);
     let report = service
         .spanner(&handle, Algorithm::General(TradeoffParams::new(4, 2)))

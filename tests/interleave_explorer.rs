@@ -11,10 +11,9 @@
 //! Scenarios here cover the dispatch shape the pipeline's front door
 //! is built from — a producer/consumer queue over
 //! `TrackedMutex`/`TrackedCondvar` — and the threaded MPC executor's
-//! round-barrier rendezvous (`spanner_net::RoundBarrier`). The subscribe-vs-cancel race on
-//! `CancelToken`'s waiter list and the `LruStore` storm are explored
-//! in their own homes (`pipeline::mod` unit tests and
-//! `tests/lru_contention.rs`).
+//! round-barrier rendezvous (`spanner_net::RoundBarrier`). The
+//! `LruStore` storm is explored in its own home
+//! (`tests/lru_contention.rs`).
 #![cfg(feature = "lock-audit")]
 
 use std::collections::VecDeque;

@@ -12,10 +12,13 @@
 //!    result's bound.
 //! 3. **Shims are bit-identical** — every legacy free function returns
 //!    exactly what the pipeline returns for the corresponding request.
-//! 4. **Batches fail per-request** — one malformed request cannot abort
-//!    its neighbours, and batch output is independent of thread count.
+//! 4. **Fan-outs fail per-request** — requests fanned out with
+//!    `par_iter().map(SpannerRequest::run)` fail individually (one
+//!    malformed request cannot abort its neighbours), and the output is
+//!    independent of thread count.
 
 use proptest::prelude::*;
+use rayon::prelude::*;
 
 use mpc_spanners::core::baswana_sen::baswana_sen;
 use mpc_spanners::core::cluster_merging::cluster_merging_spanner;
@@ -27,7 +30,7 @@ use mpc_spanners::core::unweighted_ok::{unweighted_ok_spanner, UnweightedOkConfi
 use mpc_spanners::core::{best_of, general_spanner, BuildOptions, TradeoffParams};
 use mpc_spanners::graph::generators::{self, Family, WeightModel};
 use mpc_spanners::pipeline::{
-    Algorithm, Backend, Batch, CorollarySetting, PipelineError, SpannerRequest, Verification,
+    Algorithm, Backend, CorollarySetting, PipelineError, SpannerRequest, Verification,
 };
 
 fn all_backends() -> [Backend; 5] {
@@ -315,8 +318,8 @@ fn shims_are_bit_identical_to_pipeline_output() {
 fn best_of_shim_still_picks_the_smallest_copy() {
     let g = generators::connected_erdos_renyi(150, 0.1, WeightModel::Unit, 19);
     let params = TradeoffParams::new(4, 2);
-    // best_of now fans out through Batch; its selection must remain the
-    // deterministic minimum over the same derived seeds.
+    // best_of fans its copies out on the rayon pool; its selection must
+    // remain the deterministic minimum over the same derived seeds.
     let best = best_of(&g, params, 77, 5, BuildOptions::default());
     let sizes: Vec<usize> = (0..5u64)
         .map(|r| {
@@ -336,33 +339,28 @@ fn best_of_shim_still_picks_the_smallest_copy() {
 fn batch_mixes_backends_and_survives_malformed_requests() {
     let g = generators::connected_erdos_renyi(90, 0.1, WeightModel::Uniform(1, 8), 2);
     let params = TradeoffParams::new(4, 2);
-    let batch = Batch::new()
-        .with(SpannerRequest::new(&g, Algorithm::General(params)).seed(5))
-        .with(
-            SpannerRequest::new(&g, Algorithm::General(params))
-                .on(Backend::Pram)
-                .seed(5),
-        )
+    let requests = [
+        SpannerRequest::new(&g, Algorithm::General(params)).seed(5),
+        SpannerRequest::new(&g, Algorithm::General(params))
+            .on(Backend::Pram)
+            .seed(5),
         // Malformed: ε ≤ 0 must fail alone, not abort the batch.
-        .with(SpannerRequest::new(
+        SpannerRequest::new(
             &g,
             Algorithm::Corollary {
                 setting: CorollarySetting::Epsilon(-0.5),
                 k: 8,
             },
-        ))
+        ),
         // Unsupported combination: typed error, not a panic.
-        .with(
-            SpannerRequest::new(&g, Algorithm::BaswanaSen { k: 4 })
-                .on(Backend::Streaming)
-                .seed(5),
-        )
-        .with(
-            SpannerRequest::new(&g, Algorithm::General(params))
-                .on(Backend::congested_clique())
-                .seed(5),
-        );
-    let reports = batch.run();
+        SpannerRequest::new(&g, Algorithm::BaswanaSen { k: 4 })
+            .on(Backend::Streaming)
+            .seed(5),
+        SpannerRequest::new(&g, Algorithm::General(params))
+            .on(Backend::congested_clique())
+            .seed(5),
+    ];
+    let reports: Vec<_> = requests.par_iter().map(SpannerRequest::run).collect();
     assert_eq!(reports.len(), 5);
     let seq = reports[0].as_ref().expect("sequential ok");
     assert_eq!(
@@ -383,7 +381,7 @@ fn batch_mixes_backends_and_survives_malformed_requests() {
 #[test]
 fn batch_output_is_thread_count_independent() {
     let g = generators::connected_erdos_renyi(120, 0.08, WeightModel::Uniform(1, 16), 4);
-    let batch: Batch = (0..6u64)
+    let requests: Vec<SpannerRequest<'_>> = (0..6u64)
         .map(|s| SpannerRequest::new(&g, Algorithm::General(TradeoffParams::log_k(8))).seed(s))
         .collect();
     let run_sizes = |threads: usize| -> Vec<usize> {
@@ -392,10 +390,9 @@ fn batch_output_is_thread_count_independent() {
             .build()
             .expect("pool");
         pool.install(|| {
-            batch
-                .run()
-                .into_iter()
-                .map(|r| r.expect("valid").size())
+            requests
+                .par_iter()
+                .map(|request| request.run().expect("valid").size())
                 .collect()
         })
     };

@@ -1,9 +1,11 @@
 //! The long-lived serving API's contract:
 //!
-//! 1. **Shims are pinned** — the one-shot `SpannerRequest` /
-//!    `DistanceRequest` calls are thin shims over the service's
-//!    anonymous path and produce **bit-identical** artifacts to
-//!    handle-based jobs at fixed seeds, on every backend.
+//! 1. **One-shot and handle-based builds agree** — the one-shot
+//!    `SpannerRequest` / `DistanceRequest` calls and handle-based
+//!    service jobs run the same guarded build and produce
+//!    **bit-identical** artifacts at fixed seeds: spanners on every
+//!    backend, oracles (with the MPC gather's cost) on the serving
+//!    backends.
 //! 2. **Concurrency is deterministic per request** — N threads
 //!    hammering one `SpannerService` each observe exactly the artifact
 //!    their request determines, store hits or not.
@@ -14,13 +16,14 @@
 //!    content under an equal registry key (a fingerprint collision or a
 //!    mutated graph) bumps the version and invalidates dependent
 //!    artifacts; the new handle can never be served the old oracle.
-//! 5. **Builds are cooperatively interruptible** — a token fired
-//!    mid-batch stops in-flight oracle builds between Thorup–Zwick
+//! 5. **Builds are cooperatively interruptible** — a token fired while
+//!    concurrent oracle jobs build stops them between Thorup–Zwick
 //!    levels / cluster chunks instead of running them to completion.
 //! 6. **Spanner construction itself is preemptible** — the token is
 //!    also checked between grow iterations (Baswana–Sen and the
 //!    general engine), so a mid-spanner cancel returns `Cancelled` in
 //!    well under one full build, not only at oracle-stage boundaries.
+//!    A one-shot request's deadline fires at the same checkpoints.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -30,9 +33,9 @@ use mpc_spanners::graph::edge::{Distance, Edge, EdgeId};
 use mpc_spanners::graph::generators::{connected_erdos_renyi, Family, WeightModel};
 use mpc_spanners::graph::Graph;
 use mpc_spanners::pipeline::{
-    Algorithm, Backend, BuildGuard, CancelToken, DistanceBatch, DistanceRequest, DistanceSketches,
-    HeapSize, OverloadPolicy, PipelineError, QueryEngine, ServiceConfig, ServiceJob,
-    SpannerRequest, SpannerService,
+    Algorithm, Backend, BuildGuard, CancelToken, ClientId, DistanceOracle, DistanceRequest,
+    DistanceSketches, HeapSize, JobId, JobQueue, JobSpec, MpcDeployment, PipelineError,
+    QueryEngine, QueueConfig, ServiceJob, ShardedService, SpannerRequest, SpannerService,
 };
 
 fn params() -> TradeoffParams {
@@ -50,7 +53,7 @@ fn sample_queries(n: u32) -> Vec<(u32, u32)> {
 }
 
 #[test]
-fn one_shot_shims_are_bit_identical_to_handle_based_jobs() {
+fn one_shot_requests_are_bit_identical_to_handle_based_jobs() {
     let g = connected_erdos_renyi(100, 0.08, WeightModel::Uniform(1, 16), 3);
     let service = SpannerService::new();
     let handle = service.register(g.clone());
@@ -87,25 +90,45 @@ fn one_shot_shims_are_bit_identical_to_handle_based_jobs() {
     }
 
     let queries = sample_queries(g.n() as u32);
-    for engine in [QueryEngine::Dijkstra, QueryEngine::Sketches { levels: 2 }] {
-        let legacy = DistanceRequest::new(&g, alg())
-            .engine(engine)
-            .seed(11)
-            .build()
-            .expect("one-shot build");
-        let job = service
-            .oracle(&handle, alg())
-            .engine(engine)
-            .seed(11)
-            .build()
-            .expect("handle-based build");
-        assert_eq!(legacy.spanner_edges(), job.spanner_edges());
-        assert_eq!(legacy.stretch_bound(), job.stretch_bound());
-        assert_eq!(
-            legacy.query_batch(&queries),
-            job.query_batch(&queries),
-            "{engine:?}: one-shot and handle-based oracles answer differently"
-        );
+    for backend in [
+        Backend::Sequential,
+        Backend::mpc_deployment(MpcDeployment::NearLinear),
+    ] {
+        for engine in [QueryEngine::Dijkstra, QueryEngine::Sketches { levels: 2 }] {
+            let legacy = DistanceRequest::new(&g, alg())
+                .on(backend)
+                .engine(engine)
+                .seed(11)
+                .build()
+                .expect("one-shot build");
+            let job = service
+                .oracle(&handle, alg())
+                .on(backend)
+                .engine(engine)
+                .seed(11)
+                .build()
+                .expect("handle-based build");
+            let what = format!("{} {engine:?}", backend.name());
+            assert_eq!(legacy.spanner_edges(), job.spanner_edges(), "{what}");
+            assert_eq!(legacy.stretch_bound(), job.stretch_bound(), "{what}");
+            // On MPC both paths charge the same "+1" gather on top of
+            // the same construction.
+            assert_eq!(
+                legacy.stats().gather_rounds,
+                job.stats().gather_rounds,
+                "{what}: gather rounds diverged"
+            );
+            assert_eq!(
+                legacy.stats().execution.model_rounds(),
+                job.stats().execution.model_rounds(),
+                "{what}: model rounds diverged"
+            );
+            assert_eq!(
+                legacy.query_batch(&queries),
+                job.query_batch(&queries),
+                "{what}: one-shot and handle-based oracles answer differently"
+            );
+        }
     }
 }
 
@@ -136,11 +159,7 @@ fn concurrent_submissions_against_one_service_are_deterministic_per_request() {
         })
         .collect();
 
-    let service = SpannerService::with_config(ServiceConfig {
-        max_in_flight: 2,
-        overload: OverloadPolicy::Queue,
-        ..ServiceConfig::default()
-    });
+    let service = SpannerService::new();
     let handle = service.register(g);
     let (service, handle, queries) = (&service, &handle, &queries);
     let (expected_edges, expected_answers) = (&expected_edges, &expected_answers);
@@ -182,7 +201,6 @@ fn concurrent_submissions_against_one_service_are_deterministic_per_request() {
     assert!(stats.misses >= 6);
     assert!(stats.hits > stats.misses, "warm traffic must mostly hit");
     assert_eq!(service.store_len(), 6);
-    assert_eq!(stats.rejected, 0, "Queue policy never rejects");
 }
 
 #[test]
@@ -200,10 +218,7 @@ fn over_budget_store_evicts_lru_and_reserves_recomputed_answers() {
             .heap_size()
     };
     let budget = size_of(1).max(size_of(2));
-    let service = SpannerService::with_config(ServiceConfig {
-        store_budget_bytes: budget,
-        ..ServiceConfig::default()
-    });
+    let service = SpannerService::with_budget(budget);
     let handle = service.register(g);
 
     let a1 = service.oracle(&handle, alg()).seed(1).build().unwrap();
@@ -284,40 +299,50 @@ fn reregistering_mutated_content_under_an_equal_key_never_serves_stale_oracles()
 #[test]
 fn prebuild_warms_the_store_for_admission_controlled_traffic() {
     let g = connected_erdos_renyi(70, 0.1, WeightModel::Uniform(1, 8), 13);
-    let service = SpannerService::with_config(ServiceConfig {
-        max_in_flight: 1,
-        overload: OverloadPolicy::Queue,
-        ..ServiceConfig::default()
-    });
-    let handle = service.register(g);
+    // One shard: a single service's store, behind the job queue — the
+    // one admission point — with one worker.
+    let tier = Arc::new(ShardedService::new(1));
+    let handle = tier.register(g);
     let warmup: Vec<ServiceJob<'_>> = vec![
-        service.oracle(&handle, alg()).seed(1).into(),
-        service
-            .oracle(&handle, alg())
+        tier.oracle(&handle, alg()).seed(1).into(),
+        tier.oracle(&handle, alg())
             .engine(QueryEngine::Sketches { levels: 2 })
             .seed(1)
             .into(),
-        service.spanner(&handle, alg()).seed(1).into(),
+        tier.spanner(&handle, alg()).seed(1).into(),
     ];
-    assert!(service.prebuild(warmup).iter().all(Result::is_ok));
-    assert_eq!(service.store_len(), 3);
+    assert!(tier.prebuild(warmup).iter().all(Result::is_ok));
+    assert_eq!(tier.store_len(), 3);
 
-    let misses_after_warmup = service.stats().misses;
-    let (service, handle) = (&service, &handle);
+    let misses_after_warmup = tier.stats().misses;
+    let queue = JobQueue::start(
+        Arc::clone(&tier),
+        QueueConfig {
+            workers: 1,
+            ..QueueConfig::default()
+        },
+    );
+    let (queue, handle) = (&queue, &handle);
     std::thread::scope(|scope| {
-        for _ in 0..4 {
+        for client in 0..4u64 {
             scope.spawn(move || {
-                for _ in 0..3 {
-                    service
-                        .oracle(handle, alg())
-                        .seed(1)
-                        .build()
-                        .expect("warm hit");
+                // Submit N, wait N.
+                let ids: Vec<JobId> = (0..3)
+                    .map(|_| {
+                        queue.submit(
+                            JobSpec::oracle(handle, alg())
+                                .seed(1)
+                                .client(ClientId(client)),
+                        )
+                    })
+                    .collect();
+                for id in ids {
+                    queue.wait(id).expect("warm hit");
                 }
             });
         }
     });
-    let stats = service.stats();
+    let stats = tier.stats();
     assert_eq!(
         stats.misses, misses_after_warmup,
         "warm traffic never executes"
@@ -387,11 +412,10 @@ fn cancelled_mid_batch_build_stops_early() {
     let (g, full) = workload.expect("at least one workload measured");
     let timing_reliable = full >= Duration::from_millis(200);
 
-    // Three distinct builds; the token fires while they are in flight.
-    let batch = DistanceBatch::new()
-        .with(DistanceRequest::new(&g, algorithm).engine(engine).seed(2))
-        .with(DistanceRequest::new(&g, algorithm).engine(engine).seed(3))
-        .with(DistanceRequest::new(&g, algorithm).engine(engine).seed(4));
+    // Three distinct concurrent oracle jobs sharing one token; it fires
+    // while they are in flight.
+    let service = SpannerService::new();
+    let handle = service.register(g);
     let token = CancelToken::new();
     let canceller = {
         let token = token.clone();
@@ -402,23 +426,39 @@ fn cancelled_mid_batch_build_stops_early() {
         })
     };
     let started = Instant::now();
-    let results = batch.build_with(&token);
+    let results: Vec<Result<Arc<DistanceOracle>, PipelineError>> = std::thread::scope(|scope| {
+        let jobs: Vec<_> = [2u64, 3, 4]
+            .into_iter()
+            .map(|seed| {
+                let job = service
+                    .oracle(&handle, algorithm)
+                    .engine(engine)
+                    .seed(seed)
+                    .cancel(token.clone());
+                scope.spawn(move || job.build())
+            })
+            .collect();
+        jobs.into_iter()
+            .map(|job| job.join().expect("oracle job thread"))
+            .collect()
+    });
     let elapsed = started.elapsed();
     canceller.join().expect("canceller finishes");
 
     for (i, result) in results.iter().enumerate() {
         assert!(
             matches!(result, Err(PipelineError::Cancelled)),
-            "slot {i}: expected Cancelled, got {result:?}"
+            "job {i}: expected Cancelled, got {result:?}"
         );
     }
+    assert_eq!(service.store_len(), 0, "cancelled builds store nothing");
     if timing_reliable {
         // Had any in-flight build run to completion it alone would have
         // taken ≥ `full`; stopping between levels/chunks must come in
         // well under that.
         assert!(
             elapsed < full.mul_f64(0.75),
-            "cancelled batch took {elapsed:?}, full build takes {full:?} — \
+            "cancelled jobs took {elapsed:?}, full build takes {full:?} — \
              in-flight builds did not stop early"
         );
     }
@@ -494,4 +534,49 @@ fn cancelled_mid_spanner_build_stops_between_grow_iterations() {
         .run()
         .expect("uncancelled re-run completes");
     assert!(!fresh.result.edges.is_empty());
+}
+
+#[test]
+fn one_shot_deadline_stops_a_spanner_build_between_grow_iterations() {
+    // The one-shot twin of the mid-spanner cancel test above: the
+    // request's own deadline arms the same grow-iteration checkpoints.
+    let algorithm = Algorithm::BaswanaSen { k: 8 };
+
+    // Escalate the workload until one full spanner build takes long
+    // enough that a mid-build deadline is unambiguous here.
+    let mut workload = None;
+    for n in [5_000usize, 20_000, 60_000, 120_000] {
+        let g = Family::ErdosRenyi { n, avg_deg: 8.0 }.generate(WeightModel::Uniform(1, 8), 0x5B);
+        let started = Instant::now();
+        SpannerRequest::new(&g, algorithm)
+            .seed(1)
+            .run()
+            .expect("full build");
+        let full = started.elapsed();
+        workload = Some((g, full));
+        if full >= Duration::from_millis(200) {
+            break;
+        }
+    }
+    let (g, full) = workload.expect("at least one workload measured");
+    let timing_reliable = full >= Duration::from_millis(200);
+
+    let started = Instant::now();
+    let result = SpannerRequest::new(&g, algorithm)
+        .seed(1)
+        .deadline(full / 8)
+        .run();
+    let elapsed = started.elapsed();
+
+    assert!(
+        matches!(result, Err(PipelineError::DeadlineExceeded { .. })),
+        "expected DeadlineExceeded, got {result:?}"
+    );
+    if timing_reliable {
+        assert!(
+            elapsed < full.mul_f64(0.75),
+            "deadline-bound spanner build took {elapsed:?}, full build takes {full:?} — \
+             construction did not stop at a grow-iteration checkpoint"
+        );
+    }
 }

@@ -228,7 +228,7 @@ fn reregistration_purges_the_owning_shard_across_the_tier() {
 /// with the shard count).
 #[test]
 fn per_shard_budgets_scale_store_capacity() {
-    use mpc_spanners::pipeline::{HeapSize, ServiceConfig};
+    use mpc_spanners::pipeline::HeapSize;
 
     let graphs: Vec<Graph> = (0..4u64)
         .map(|s| connected_erdos_renyi(40, 0.12, WeightModel::Uniform(1, 8), s))
@@ -238,10 +238,7 @@ fn per_shard_budgets_scale_store_capacity() {
     let probe = SpannerService::new();
     let h = probe.register(graphs[0].clone());
     let one = probe.spanner(&h, alg()).seed(0).run().unwrap().heap_size();
-    let config = ServiceConfig {
-        store_budget_bytes: one * 2,
-        ..ServiceConfig::default()
-    };
+    let per_shard_budget = one * 2;
 
     let run_all = |tier: &ShardedService| {
         for g in &graphs {
@@ -250,9 +247,9 @@ fn per_shard_budgets_scale_store_capacity() {
         }
     };
 
-    let single = ShardedService::with_config(1, config);
+    let single = ShardedService::with_budget(1, per_shard_budget);
     run_all(&single);
-    let sharded = ShardedService::with_config(8, config);
+    let sharded = ShardedService::with_budget(8, per_shard_budget);
     run_all(&sharded);
 
     assert!(
