@@ -53,6 +53,34 @@ fn bench_k_scaling(c: &mut Criterion) {
     group.finish();
 }
 
+/// Thread-scaling probe for the engine's grow steps and contractions,
+/// which decide one super-node range per pool thread: Theorem 1.1's
+/// log-k schedule at n = 2^14 at 1 thread, 2 threads and the pool
+/// default. Shim splitting is capped via `ThreadPool::install`, so all
+/// counts run in one process.
+fn bench_engine_threads(c: &mut Criterion) {
+    let g = Family::ErdosRenyi {
+        n: 1 << 14,
+        avg_deg: 16.0,
+    }
+    .generate(WeightModel::Uniform(1, 64), 0xB3);
+    let request = SpannerRequest::new(&g, Algorithm::General(TradeoffParams::log_k(16))).seed(1);
+    let mut group = c.benchmark_group("engine_threads");
+    let mut counts = vec![1usize, 2, rayon::current_num_threads()];
+    counts.sort_unstable();
+    counts.dedup();
+    for threads in counts {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap();
+        group.bench_with_input(BenchmarkId::new("threads", threads), &threads, |b, _| {
+            b.iter(|| pool.install(|| run(&request)))
+        });
+    }
+    group.finish();
+}
+
 fn bench_unweighted_ok(c: &mut Criterion) {
     let g = Family::ErdosRenyi {
         n: 1024,
@@ -74,6 +102,6 @@ fn bench_unweighted_ok(c: &mut Criterion) {
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_algorithms, bench_k_scaling, bench_unweighted_ok
+    targets = bench_algorithms, bench_k_scaling, bench_engine_threads, bench_unweighted_ok
 );
 criterion_main!(benches);

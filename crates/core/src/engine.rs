@@ -34,9 +34,44 @@
 //! implementations (the MPC driver, Congested Clique) can reproduce the
 //! exact same spanner for differential testing. All tie-breaks are by
 //! `(weight, edge id)`.
+//!
+//! # Data layout
+//!
+//! Every per-vertex quantity is a dense array indexed by original vertex
+//! id, so a super-node or a cluster is looked up, never hashed. A
+//! cluster is named by its centre super-node: `cluster_of[v]` is the
+//! cluster of super-node `v`, `centres` lists the live clusters in
+//! ascending order, and `join_edge[v]` is the edge by which a non-centre
+//! member joined its cluster this epoch. Together they hold every
+//! cluster's members and connection edges without a per-cluster
+//! container.
+//!
+//! # One pass per super-node range
+//!
+//! A grow step writes one *candidate record* `(neighbour cluster, w, id,
+//! live index)` per live edge and endpoint of an unsampled cluster, and
+//! buckets the records by super-node with a counting scatter: count,
+//! prefix sum, scatter. Each super-node is then decided from its bucket
+//! with two scratch arrays indexed by cluster. One pass fills a stamp
+//! and a group minimum, which give the lightest edge of every
+//! `(super-node, cluster)` group and the nearest sampled cluster; a
+//! second pass marks the killed records. There is no hashing and no
+//! comparison sort. Contraction finds the lightest edge per cluster pair
+//! the same way: it buckets the live edges by their smaller cluster,
+//! stamps the larger one, and sorts only each bucket's surviving pairs,
+//! so the new live edges come out in `(a, b)` order.
+//!
+//! Both steps run on the rayon pool. The super-nodes are cut into one
+//! contiguous range per pool thread, balanced by record count, and each
+//! range scatters its own bucket and decides with its own scratch. A
+//! range's output depends only on the super-nodes in it, and the outputs
+//! are concatenated in range order, which is ascending super-node order
+//! wherever the cuts fall. So the spanner, the live edges and every
+//! statistic are identical at every thread count.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::HashMap;
 
+use rayon::prelude::*;
 use spanner_graph::edge::{EdgeId, Weight};
 use spanner_graph::Graph;
 
@@ -44,7 +79,7 @@ use crate::coins::cluster_coin;
 use crate::result::SpannerResult;
 
 /// A live edge between two super-nodes.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct LiveEdge {
     /// Super-node endpoint (original-vertex id of its centre).
     a: u32,
@@ -56,13 +91,32 @@ struct LiveEdge {
     id: EdgeId,
 }
 
-/// Per-cluster bookkeeping within an epoch.
-#[derive(Debug, Clone, Default)]
-struct ClusterData {
-    /// Member super-nodes (centre included).
-    members: Vec<u32>,
-    /// Connection edges added this epoch (between member super-nodes).
-    conn: Vec<EdgeId>,
+/// A live edge seen from one endpoint super-node of an unsampled
+/// cluster: the record a grow step buckets under that super-node.
+#[derive(Debug, Clone, Copy, Default)]
+struct Candidate {
+    /// Weight of the edge.
+    w: Weight,
+    /// Cluster of the other endpoint.
+    c: u32,
+    /// Original edge id.
+    id: EdgeId,
+    /// Position of the edge in `live`.
+    live: u32,
+}
+
+/// What a grow step decided for one range of super-nodes.
+#[derive(Debug, Default)]
+struct Decisions {
+    /// Edge ids added to the spanner.
+    spanner: Vec<EdgeId>,
+    /// `(super-node, sampled cluster, edge)` per super-node that joins.
+    joins: Vec<(u32, u32, EdgeId)>,
+    /// Positions in `live` of the killed edges.
+    killed: Vec<u32>,
+    /// Distinct `(super-node, c)` groups per target cluster `c` (empty
+    /// when the range has no records).
+    groups: Vec<u32>,
 }
 
 /// The shared state machine. See the module docs.
@@ -79,15 +133,17 @@ pub struct Engine<'g> {
     active: Vec<bool>,
     /// Internal tree of each active super-node (edge ids in `G`).
     sn_tree: Vec<Vec<EdgeId>>,
-    /// Original vertices composing each active super-node.
-    sn_vertices: Vec<Vec<u32>>,
+    /// Number of original vertices in each active super-node.
+    sn_size: Vec<u32>,
     /// Live inter-super-node edges.
     live: Vec<LiveEdge>,
     /// Cluster id (centre super-node) of each active super-node.
     cluster_of: Vec<u32>,
-    /// Clusters of the current epoch, keyed by centre super-node id
-    /// (BTreeMap for deterministic iteration order).
-    clusters: BTreeMap<u32, ClusterData>,
+    /// Centres of the current epoch's clusters, ascending.
+    centres: Vec<u32>,
+    /// The edge by which each active non-centre super-node joined its
+    /// cluster this epoch (its connection edge).
+    join_edge: Vec<EdgeId>,
     /// Accumulated spanner edge ids (deduplicated at the end).
     spanner: Vec<EdgeId>,
     /// Iterations run so far.
@@ -118,25 +174,16 @@ impl<'g> Engine<'g> {
                 id: id as EdgeId,
             })
             .collect();
-        let mut clusters = BTreeMap::new();
-        for v in 0..n as u32 {
-            clusters.insert(
-                v,
-                ClusterData {
-                    members: vec![v],
-                    conn: vec![],
-                },
-            );
-        }
         Engine {
             g,
             seed,
             active: vec![true; n],
             sn_tree: vec![Vec::new(); n],
-            sn_vertices: (0..n as u32).map(|v| vec![v]).collect(),
+            sn_size: vec![1; n],
             live,
             cluster_of: (0..n as u32).collect(),
-            clusters,
+            centres: (0..n as u32).collect(),
+            join_edge: vec![0; n],
             spanner: Vec::new(),
             iterations_run: 0,
             epochs_run: 0,
@@ -158,7 +205,7 @@ impl<'g> Engine<'g> {
 
     /// Number of clusters in the current within-epoch clustering.
     pub fn cluster_count(&self) -> usize {
-        self.clusters.len()
+        self.centres.len()
     }
 
     /// Replaces the shared-randomness seed (used by the Congested Clique
@@ -172,142 +219,93 @@ impl<'g> Engine<'g> {
     /// step for the shared-randomness coins (1-based). Returns the
     /// iteration statistics the Section 8 run-selection needs.
     pub fn run_iteration(&mut self, p: f64, epoch: u32, iter: u32) -> IterStats {
-        let clusters_before = self.clusters.len();
+        let n = self.active.len();
+        let clusters_before = self.centres.len();
         let spanner_before = self.spanner.len();
 
         // (B1) Sample the clusters.
-        let sampled: HashSet<u32> = self
-            .clusters
-            .keys()
-            .copied()
-            .filter(|&c| cluster_coin(self.seed, epoch, iter, c, p))
-            .collect();
-        let sampled_count = sampled.len();
-
-        // (B2) Candidate edges of super-nodes in unsampled clusters:
-        // (super-node, neighbouring cluster, weight, edge id).
-        let mut cand: Vec<(u32, u32, Weight, EdgeId)> = Vec::new();
-        for e in &self.live {
-            let ca = self.cluster_of[e.a as usize];
-            let cb = self.cluster_of[e.b as usize];
-            debug_assert_ne!(ca, cb, "live edges are inter-cluster (Lemma 5.6)");
-            if !sampled.contains(&ca) {
-                cand.push((e.a, cb, e.w, e.id));
-            }
-            if !sampled.contains(&cb) {
-                cand.push((e.b, ca, e.w, e.id));
-            }
-        }
-        // Minimum edge per (super-node, neighbour cluster).
-        cand.sort_unstable_by_key(|&(v, c, w, id)| (v, c, w, id));
-        cand.dedup_by_key(|&mut (v, c, _, _)| (v, c));
-        // Candidate load per *target* cluster (the fan-in a Congested
-        // Clique centre would absorb this iteration).
-        let max_candidates_per_cluster = {
-            let mut by_cluster: HashMap<u32, usize> = HashMap::new();
-            for &(_, c, _, _) in &cand {
-                *by_cluster.entry(c).or_insert(0) += 1;
-            }
-            // analyze:allow(determinism-taint): `max()` is order-insensitive
-            by_cluster.values().copied().max().unwrap_or(0)
-        };
-        // Per super-node, order neighbour clusters by (weight, id): the
-        // "closest" order of Steps B3/B4.
-        cand.sort_unstable_by_key(|&(v, _, w, id)| (v, w, id));
-
-        // (B3)/(B4) decisions, computed against the iteration-start
-        // snapshot and applied afterwards (the model is synchronous).
-        let mut kills: HashSet<(u32, u32)> = HashSet::new(); // (super-node, neighbour cluster)
-        let mut joins: Vec<(u32, u32, EdgeId)> = Vec::new(); // (super-node, cluster, edge)
-        let mut i = 0;
-        while i < cand.len() {
-            let v = cand[i].0;
-            let mut j = i;
-            while j < cand.len() && cand[j].0 == v {
-                j += 1;
-            }
-            let group = &cand[i..j];
-            // Nearest sampled neighbouring cluster, if any.
-            let best = group.iter().find(|&&(_, c, _, _)| sampled.contains(&c));
-            match best {
-                Some(&(_, cstar, wstar, idstar)) => {
-                    // Join the nearest sampled cluster via its lightest edge.
-                    self.spanner.push(idstar);
-                    joins.push((v, cstar, idstar));
-                    kills.insert((v, cstar));
-                    // One edge to every strictly closer neighbouring cluster.
-                    for &(_, c, w, id) in group {
-                        if w < wstar {
-                            self.spanner.push(id);
-                            kills.insert((v, c));
-                        }
-                    }
-                }
-                None => {
-                    // No sampled neighbour: one edge per neighbouring
-                    // cluster, then the super-node retires.
-                    for &(_, c, _, id) in group {
-                        self.spanner.push(id);
-                        kills.insert((v, c));
-                    }
-                }
-            }
-            i = j;
+        let mut sampled = vec![false; n];
+        for &c in &self.centres {
+            sampled[c as usize] = cluster_coin(self.seed, epoch, iter, c, p);
         }
 
-        // Kill the processed edge groups E(v, c) against snapshot labels.
+        // (B2) Bucket offsets of the candidate records by super-node: one
+        // record per live edge and endpoint of an unsampled cluster.
         let cluster_of = &self.cluster_of;
-        self.live.retain(|e| {
+        let start = bucket_starts(&self.live, n, |e, count| {
             let ca = cluster_of[e.a as usize];
             let cb = cluster_of[e.b as usize];
-            !(kills.contains(&(e.a, cb)) || kills.contains(&(e.b, ca)))
+            debug_assert_ne!(ca, cb, "live edges are inter-cluster (Lemma 5.6)");
+            if !sampled[ca as usize] {
+                count[e.a as usize + 1] += 1;
+            }
+            if !sampled[cb as usize] {
+                count[e.b as usize + 1] += 1;
+            }
         });
 
-        // (B5) New clustering: sampled clusters keep their members and
-        // absorb the joiners; unsampled clusters dissolve; super-nodes of
-        // unsampled clusters that did not join retire.
-        let joined: HashSet<u32> = joins.iter().map(|&(v, _, _)| v).collect();
-        let mut new_clusters: BTreeMap<u32, ClusterData> = BTreeMap::new();
-        for (&c, data) in &self.clusters {
-            if sampled.contains(&c) {
-                new_clusters.insert(c, data.clone());
-            }
-        }
-        for (&c, data) in &self.clusters {
-            if !sampled.contains(&c) {
-                for &v in &data.members {
-                    if !joined.contains(&v) {
-                        // Retired: drop the super-node entirely.
-                        self.active[v as usize] = false;
-                    }
-                }
-            }
-        }
-        for &(v, cstar, id) in &joins {
-            let entry = new_clusters
-                .get_mut(&cstar)
-                .expect("join target is sampled");
-            entry.members.push(v);
-            entry.conn.push(id);
-            self.cluster_of[v as usize] = cstar;
-        }
-        self.clusters = new_clusters;
+        // (B3)/(B4) Bucket and decide, one super-node range per pool
+        // thread, against the iteration-start snapshot (the model is
+        // synchronous); the decisions are applied afterwards.
+        let step = GrowStep {
+            live: &self.live,
+            cluster_of,
+            sampled: &sampled,
+            start: &start,
+        };
+        let parts: Vec<Decisions> = ranges(&start)
+            .into_par_iter()
+            .map(|range| step.decide(range))
+            .collect();
 
-        // Drop edges whose endpoints retired (their groups were all
-        // killed above; this is a belt-and-braces sweep) and (B6) the
-        // now-intra-cluster edges.
-        let active = &self.active;
-        let cluster_of = &self.cluster_of;
+        let mut killed = vec![false; self.live.len()];
+        // Candidate load per *target* cluster (the fan-in a Congested
+        // Clique centre would absorb this iteration).
+        let mut groups = vec![0; n];
+        for part in parts {
+            self.spanner.extend(part.spanner);
+            for i in part.killed {
+                killed[i as usize] = true;
+            }
+            for (total, count) in groups.iter_mut().zip(part.groups) {
+                *total += count;
+            }
+            for (v, c, id) in part.joins {
+                self.cluster_of[v as usize] = c;
+                self.join_edge[v as usize] = id;
+            }
+        }
+        let max_candidates_per_cluster = groups.into_iter().max().unwrap_or(0) as usize;
+
+        // (B5) New clustering: sampled clusters keep their members and
+        // absorb the joiners (relabelled above); unsampled clusters
+        // dissolve; super-nodes of unsampled clusters that did not join
+        // retire.
+        for (v, active) in self.active.iter_mut().enumerate() {
+            if *active && !sampled[self.cluster_of[v] as usize] {
+                *active = false;
+            }
+        }
+        self.centres.retain(|&c| sampled[c as usize]);
+
+        // One sweep drops the killed edge groups E(v, c), the edges of
+        // retired super-nodes (all killed already; belt and braces) and
+        // (B6) the now intra-cluster edges.
+        let (active, cluster_of) = (&self.active, &self.cluster_of);
+        let mut i = 0;
         self.live.retain(|e| {
-            active[e.a as usize]
+            let keep = !killed[i]
+                && active[e.a as usize]
                 && active[e.b as usize]
-                && cluster_of[e.a as usize] != cluster_of[e.b as usize]
+                && cluster_of[e.a as usize] != cluster_of[e.b as usize];
+            i += 1;
+            keep
         });
 
         self.iterations_run += 1;
         IterStats {
             clusters_before,
-            sampled_clusters: sampled_count,
+            sampled_clusters: self.centres.len(),
             edges_added: self.spanner.len() - spanner_before,
             max_candidates_per_cluster,
         }
@@ -319,81 +317,51 @@ impl<'g> Engine<'g> {
     /// stretch is covered by Theorem 5.11). Also re-initialises the
     /// within-epoch clustering to singletons.
     pub fn contract(&mut self) {
-        // Compose the new super-node trees (Definition 5.2): member
-        // internal trees plus this epoch's connection edges.
-        let mut new_tree: HashMap<u32, Vec<EdgeId>> = HashMap::new();
-        let mut new_vertices: HashMap<u32, Vec<u32>> = HashMap::new();
-        for (&c, data) in &self.clusters {
-            let mut tree = Vec::new();
-            let mut verts = Vec::new();
-            for &m in &data.members {
-                tree.extend(self.sn_tree[m as usize].iter().copied());
-                verts.extend(self.sn_vertices[m as usize].iter().copied());
+        let n = self.active.len();
+        // Compose the new super-node trees (Definition 5.2): every member
+        // moves its internal tree and its connection edge into its
+        // centre's. Only the centres survive as super-nodes, each now a
+        // singleton cluster.
+        for v in 0..n {
+            let c = self.cluster_of[v] as usize;
+            if self.active[v] && c != v {
+                let mut tree = std::mem::take(&mut self.sn_tree[v]);
+                tree.push(self.join_edge[v]);
+                self.sn_tree[c].append(&mut tree);
+                self.sn_size[c] += self.sn_size[v];
+                self.active[v] = false;
             }
-            tree.extend(data.conn.iter().copied());
-            new_tree.insert(c, tree);
-            new_vertices.insert(c, verts);
         }
 
-        // Only cluster centres survive as super-nodes.
-        for a in self.active.iter_mut() {
-            *a = false;
-        }
-        for &c in self.clusters.keys() {
-            self.active[c as usize] = true;
-        }
-        // analyze:allow(determinism-taint): one write per distinct key into an indexed slot — order cannot leak
-        for (c, tree) in new_tree {
-            self.sn_tree[c as usize] = tree;
-        }
-        // analyze:allow(determinism-taint): one write per distinct key into an indexed slot — order cannot leak
-        for (c, verts) in new_vertices {
-            self.sn_vertices[c as usize] = verts;
-        }
-
-        // Quotient edges: group by (cluster, cluster), keep the minimum.
-        let mut best: HashMap<(u32, u32), (Weight, EdgeId)> = HashMap::new();
-        for e in &self.live {
-            let ca = self.cluster_of[e.a as usize];
-            let cb = self.cluster_of[e.b as usize];
+        // Quotient edges: bucket the live edges by their smaller cluster,
+        // keep the lightest per larger cluster.
+        let cluster_of = &self.cluster_of;
+        let start = bucket_starts(&self.live, n, |e, count| {
+            let ca = cluster_of[e.a as usize];
+            let cb = cluster_of[e.b as usize];
             debug_assert_ne!(ca, cb);
-            let key = (ca.min(cb), ca.max(cb));
-            let cur = best.entry(key).or_insert((e.w, e.id));
-            if (e.w, e.id) < *cur {
-                *cur = (e.w, e.id);
-            }
-        }
-        let mut new_live: Vec<LiveEdge> = best
-            // analyze:allow(determinism-taint): collected then sorted by (a, b) below — order cannot leak
-            .into_iter()
-            .map(|((a, b), (w, id))| LiveEdge { a, b, w, id })
-            .collect();
-        new_live.sort_unstable_by_key(|e| (e.a, e.b));
-        self.live = new_live;
-
-        // Fresh singleton clustering over the new super-nodes; update
-        // `cluster_of` so every original centre points at itself.
-        let centres: Vec<u32> = self.clusters.keys().copied().collect();
-        self.clusters = centres
-            .iter()
-            .map(|&c| {
-                (
-                    c,
-                    ClusterData {
-                        members: vec![c],
-                        conn: vec![],
-                    },
-                )
-            })
-            .collect();
-        for &c in &centres {
-            self.cluster_of[c as usize] = c;
+            count[ca.min(cb) as usize + 1] += 1;
+        });
+        let step = ContractStep {
+            live: &self.live,
+            cluster_of,
+            start: &start,
+        };
+        let mut parts = ranges(&start)
+            .into_par_iter()
+            .map(|range| step.lightest_per_pair(range))
+            .collect::<Vec<_>>()
+            .into_iter();
+        self.live = parts.next().unwrap_or_default();
+        for part in parts {
+            self.live.extend(part);
         }
 
         self.epochs_run += 1;
-        self.supernodes_per_epoch.push(centres.len());
+        self.supernodes_per_epoch.push(self.centres.len());
         if self.track_radii {
-            let r = centres
+            let r = self
+                .centres
                 .iter()
                 .map(|&c| self.supernode_radius(c))
                 .max()
@@ -433,7 +401,7 @@ impl<'g> Engine<'g> {
         }
         debug_assert_eq!(
             depth.len(),
-            self.sn_vertices[c as usize].len(),
+            self.sn_size[c as usize] as usize,
             "super-node tree must span its vertex set"
         );
         max_depth
@@ -534,6 +502,204 @@ impl<'g> Engine<'g> {
     /// remaining graph to the black box instead of Phase 2).
     pub fn discard_live_edges(&mut self) {
         self.live.clear();
+    }
+}
+
+/// The counting half of a counting scatter over keys `0..keys`: `count`
+/// adds one at `count[key + 1]` for each record a live edge yields, and
+/// the result holds the bucket offsets, so that `start[key]..start[key +
+/// 1]` is the bucket of `key`. The edges are counted in one chunk per
+/// pool thread.
+fn bucket_starts(
+    live: &[LiveEdge],
+    keys: usize,
+    count: impl Fn(&LiveEdge, &mut [usize]) + Sync,
+) -> Vec<usize> {
+    let parts = rayon::current_num_threads();
+    let per_chunk: Vec<Vec<usize>> = (0..parts)
+        .into_par_iter()
+        .map(|r| {
+            let mut chunk = vec![0; keys + 1];
+            for e in &live[live.len() * r / parts..live.len() * (r + 1) / parts] {
+                count(e, &mut chunk);
+            }
+            chunk
+        })
+        .collect();
+    let mut start = vec![0; keys + 1];
+    for chunk in per_chunk {
+        for (s, c) in start.iter_mut().zip(chunk) {
+            *s += c;
+        }
+    }
+    let mut sum = 0;
+    for s in &mut start {
+        sum += *s;
+        *s = sum;
+    }
+    start
+}
+
+/// Cuts the keys `0..start.len() - 1` into one contiguous range per pool
+/// thread, each holding about the same number of records. `start` holds
+/// the bucket offsets from [`bucket_starts`].
+fn ranges(start: &[usize]) -> Vec<(usize, usize)> {
+    let keys = start.len() - 1;
+    let total = start[keys];
+    let parts = rayon::current_num_threads();
+    let mut cuts: Vec<usize> = (0..parts)
+        .map(|r| start.partition_point(|&s| s < total * r / parts))
+        .collect();
+    cuts.push(keys);
+    cuts.windows(2).map(|w| (w[0], w[1])).collect()
+}
+
+/// The iteration-start snapshot one grow step decides against.
+struct GrowStep<'a> {
+    live: &'a [LiveEdge],
+    cluster_of: &'a [u32],
+    /// `sampled[c]`: cluster `c` was sampled this iteration.
+    sampled: &'a [bool],
+    /// Bucket offsets of the candidate records, by super-node.
+    start: &'a [usize],
+}
+
+impl GrowStep<'_> {
+    /// Scatters the candidate records of the super-nodes `lo..hi` into
+    /// their buckets, then decides each of those super-nodes.
+    fn decide(&self, (lo, hi): (usize, usize)) -> Decisions {
+        let base = self.start[lo];
+        if self.start[hi] == base {
+            return Decisions::default();
+        }
+        let mut bucket = vec![Candidate::default(); self.start[hi] - base];
+        let mut next: Vec<usize> = self.start[lo..hi].iter().map(|&s| s - base).collect();
+        for (i, e) in self.live.iter().enumerate() {
+            for (v, u) in [(e.a, e.b), (e.b, e.a)] {
+                let v = v as usize;
+                if (lo..hi).contains(&v) && !self.sampled[self.cluster_of[v] as usize] {
+                    bucket[next[v - lo]] = Candidate {
+                        w: e.w,
+                        c: self.cluster_of[u as usize],
+                        id: e.id,
+                        live: i as u32,
+                    };
+                    next[v - lo] += 1;
+                }
+            }
+        }
+
+        // Scratch indexed by cluster: `stamp[c] == v + 1` marks `c` as
+        // seen in the bucket of `v`, and `lightest[c]` is then the
+        // `(w, id)`-minimum of the group E(v, c).
+        let n = self.cluster_of.len();
+        let mut stamp = vec![0u32; n];
+        let mut lightest: Vec<(Weight, EdgeId)> = vec![(0, 0); n];
+        let mut out = Decisions {
+            groups: vec![0; n],
+            ..Decisions::default()
+        };
+        for v in lo..hi {
+            let records = &bucket[self.start[v] - base..self.start[v + 1] - base];
+            let tag = v as u32 + 1;
+            // Nearest sampled neighbouring cluster `(w*, id*, c*)`, if any.
+            let mut nearest: Option<(Weight, EdgeId, u32)> = None;
+            for r in records {
+                let c = r.c as usize;
+                if stamp[c] != tag {
+                    stamp[c] = tag;
+                    lightest[c] = (r.w, r.id);
+                    out.groups[c] += 1;
+                } else if (r.w, r.id) < lightest[c] {
+                    lightest[c] = (r.w, r.id);
+                }
+                if self.sampled[c] && nearest.is_none_or(|(w, id, _)| (r.w, r.id) < (w, id)) {
+                    nearest = Some((r.w, r.id, r.c));
+                }
+            }
+            if let Some((_, id, c)) = nearest {
+                out.joins.push((v as u32, c, id));
+            }
+            for r in records {
+                let (w, id) = lightest[r.c as usize];
+                let killed = match nearest {
+                    // Join c* via its lightest edge, plus one edge to
+                    // every strictly closer neighbouring cluster.
+                    Some((w_star, _, c_star)) => r.c == c_star || w < w_star,
+                    // No sampled neighbour: one edge per neighbouring
+                    // cluster, then the super-node retires.
+                    None => true,
+                };
+                if killed {
+                    out.killed.push(r.live);
+                    if r.id == id {
+                        out.spanner.push(id);
+                    }
+                }
+            }
+        }
+        out
+    }
+}
+
+/// The state one contraction reads to find its quotient edges.
+struct ContractStep<'a> {
+    live: &'a [LiveEdge],
+    cluster_of: &'a [u32],
+    /// Bucket offsets of the live edges, by smaller cluster.
+    start: &'a [usize],
+}
+
+impl ContractStep<'_> {
+    /// The lightest live edge between each cluster pair `(a, b)`, `a < b`,
+    /// with `a` in `lo..hi`, in `(a, b)` order.
+    fn lightest_per_pair(&self, (lo, hi): (usize, usize)) -> Vec<LiveEdge> {
+        let base = self.start[lo];
+        if self.start[hi] == base {
+            return Vec::new();
+        }
+        let mut bucket = vec![LiveEdge::default(); self.start[hi] - base];
+        let mut next: Vec<usize> = self.start[lo..hi].iter().map(|&s| s - base).collect();
+        for e in self.live {
+            let ca = self.cluster_of[e.a as usize];
+            let cb = self.cluster_of[e.b as usize];
+            let (a, b) = (ca.min(cb), ca.max(cb));
+            if (lo..hi).contains(&(a as usize)) {
+                bucket[next[a as usize - lo]] = LiveEdge {
+                    a,
+                    b,
+                    w: e.w,
+                    id: e.id,
+                };
+                next[a as usize - lo] += 1;
+            }
+        }
+
+        // `stamp[b] == a + 1` marks `b` as seen in the bucket of `a`, and
+        // `slot[b]` is then the position of the pair's edge in `out`.
+        let n = self.cluster_of.len();
+        let mut stamp = vec![0u32; n];
+        let mut slot = vec![0usize; n];
+        let mut out: Vec<LiveEdge> = Vec::new();
+        for a in lo..hi {
+            let first = out.len();
+            let tag = a as u32 + 1;
+            for e in &bucket[self.start[a] - base..self.start[a + 1] - base] {
+                let b = e.b as usize;
+                if stamp[b] != tag {
+                    stamp[b] = tag;
+                    slot[b] = out.len();
+                    out.push(*e);
+                } else {
+                    let kept = &mut out[slot[b]];
+                    if (e.w, e.id) < (kept.w, kept.id) {
+                        *kept = *e;
+                    }
+                }
+            }
+            out[first..].sort_unstable_by_key(|e| e.b);
+        }
+        out
     }
 }
 

@@ -471,6 +471,10 @@ pub enum PipelineError {
         /// How long the request had run when the check fired.
         elapsed: Duration,
     },
+    /// A [`JobQueue`] job completed, but its output was already handed
+    /// to an earlier `wait` and everyone has since dropped it, so the
+    /// queue has nothing left to return.
+    ResultReleased(JobId),
 }
 
 impl fmt::Display for PipelineError {
@@ -497,6 +501,9 @@ impl fmt::Display for PipelineError {
                 f,
                 "{algorithm}: deadline exceeded ({elapsed:?} > {deadline:?})"
             ),
+            PipelineError::ResultReleased(job) => {
+                write!(f, "{job} completed, but its result was waited and released")
+            }
         }
     }
 }

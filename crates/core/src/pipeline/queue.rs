@@ -34,8 +34,20 @@
 //!
 //! Every submitted job resolves **exactly once**: the per-job state
 //! machine (`Queued → Running → Completed | Failed`) advances under one
-//! lock, and results are retained until the queue is dropped, so late
-//! `wait`s and repeated `poll`s are always answered.
+//! lock.
+//!
+//! The queue **hands results off** instead of keeping them. A completed
+//! output is held strongly until the first [`JobQueue::wait`] or
+//! [`JobQueue::wait_timeout`] returns it, and from then on only as a
+//! [`Weak`] reference. Later `poll`s and `wait`s upgrade it, so they
+//! return the same `Arc` for as long as anyone holds it — the waiter, or
+//! the service store. Once nobody does, its memory is freed: `poll`
+//! reports [`JobStatus::Released`] and `wait` fails with
+//! [`PipelineError::ResultReleased`]. A job that is never waited keeps
+//! its result until the queue is dropped. The [`JobSpec`] (and with it
+//! the [`GraphHandle`]) moves to the worker at dispatch; the entry keeps
+//! only the job's [`CancelToken`] and its resolution order, so
+//! [`JobQueue::cancel`] and [`JobQueue::resolution_order`] always answer.
 //!
 //! Answers are identical to the blocking path: workers execute through
 //! the same [`ShardedService`] jobs, so artifacts land in (and are
@@ -46,7 +58,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -124,10 +136,35 @@ impl JobOutput {
             JobOutput::Spanner(_) => None,
         }
     }
+
+    fn downgrade(&self) -> WeakOutput {
+        match self {
+            JobOutput::Spanner(report) => WeakOutput::Spanner(Arc::downgrade(report)),
+            JobOutput::Oracle(oracle) => WeakOutput::Oracle(Arc::downgrade(oracle)),
+        }
+    }
+}
+
+/// A [`JobOutput`] the queue has handed off: reachable while a caller
+/// (or the store) still holds it.
+#[derive(Debug)]
+enum WeakOutput {
+    Spanner(Weak<RunReport>),
+    Oracle(Weak<DistanceOracle>),
+}
+
+impl WeakOutput {
+    fn upgrade(&self) -> Option<JobOutput> {
+        match self {
+            WeakOutput::Spanner(report) => report.upgrade().map(JobOutput::Spanner),
+            WeakOutput::Oracle(oracle) => oracle.upgrade().map(JobOutput::Oracle),
+        }
+    }
 }
 
 /// A job's lifecycle state. Exactly one terminal transition happens per
-/// job ([`JobStatus::Completed`] or [`JobStatus::Failed`]).
+/// job ([`JobStatus::Completed`] or [`JobStatus::Failed`]); a completed
+/// job reads [`JobStatus::Released`] once its handed-off output is gone.
 #[derive(Debug, Clone)]
 pub enum JobStatus {
     /// Waiting in its lane.
@@ -140,12 +177,16 @@ pub enum JobStatus {
     /// Resolved with an error — including jobs cancelled or
     /// deadline-expired while still queued, which never executed.
     Failed(PipelineError),
+    /// Resolved with an artifact that a `wait` took and everyone has
+    /// since dropped (see the [module docs](self)).
+    Released,
 }
 
 impl JobStatus {
-    /// Whether the job has resolved (will never change again).
+    /// Whether the job has resolved (it stays resolved; only
+    /// `Completed` may later read `Released`).
     pub fn is_terminal(&self) -> bool {
-        matches!(self, JobStatus::Completed(_) | JobStatus::Failed(_))
+        !matches!(self, JobStatus::Queued | JobStatus::Running)
     }
 }
 
@@ -339,14 +380,77 @@ impl QueueStats {
 // Internal state
 // ---------------------------------------------------------------------
 
+/// Where a job is, as the queue stores it.
+#[derive(Debug)]
+enum Stage {
+    Queued,
+    Running,
+    /// Completed, output not yet taken by a `wait`.
+    Completed(JobOutput),
+    /// Completed, output handed to a `wait`.
+    HandedOff(WeakOutput),
+    Failed(PipelineError),
+}
+
 #[derive(Debug)]
 struct JobEntry {
-    spec: JobSpec,
-    status: JobStatus,
+    /// The job, until a worker takes it at dispatch.
+    spec: Option<JobSpec>,
+    /// The spec's token, kept for [`JobQueue::cancel`].
+    cancel: CancelToken,
+    stage: Stage,
     submitted: Instant,
     /// 1-based global order in which this job resolved (terminal
     /// transitions only) — lets tests assert scheduling properties.
     resolved_seq: Option<u64>,
+}
+
+impl JobEntry {
+    fn new(spec: JobSpec, stage: Stage) -> JobEntry {
+        JobEntry {
+            cancel: spec.cancel.clone(),
+            spec: matches!(stage, Stage::Queued).then_some(spec),
+            stage,
+            // analyze:allow(determinism-taint): admission timestamp — latency metrics and deadline accounting are wall-clock by the serving contract
+            submitted: Instant::now(),
+            resolved_seq: None,
+        }
+    }
+
+    /// The public view of the job's stage.
+    fn status(&self) -> JobStatus {
+        match &self.stage {
+            Stage::Queued => JobStatus::Queued,
+            Stage::Running => JobStatus::Running,
+            Stage::Completed(output) => JobStatus::Completed(output.clone()),
+            Stage::HandedOff(output) => output
+                .upgrade()
+                .map_or(JobStatus::Released, JobStatus::Completed),
+            Stage::Failed(error) => JobStatus::Failed(error.clone()),
+        }
+    }
+
+    /// What a `wait` returns once the job has resolved (`None` while it
+    /// is pending). The first call takes the queue's strong reference
+    /// and leaves a [`Weak`] behind; later calls upgrade that.
+    fn hand_off(&mut self, id: JobId) -> Option<Result<JobOutput, PipelineError>> {
+        match &self.stage {
+            Stage::Queued | Stage::Running => None,
+            Stage::Completed(output) => {
+                let output = output.clone();
+                self.stage = Stage::HandedOff(output.downgrade());
+                Some(Ok(output))
+            }
+            Stage::HandedOff(output) => {
+                Some(output.upgrade().ok_or(PipelineError::ResultReleased(id)))
+            }
+            Stage::Failed(error) => Some(Err(error.clone())),
+        }
+    }
+
+    fn is_terminal(&self) -> bool {
+        !matches!(self.stage, Stage::Queued | Stage::Running)
+    }
 }
 
 /// One priority lane: per-client FIFOs plus the round-robin rotation.
@@ -533,17 +637,9 @@ impl JobQueue {
                 state.refused += 1;
                 state.failed += 1;
                 state.resolutions += 1;
-                let seq = state.resolutions;
-                state.jobs.insert(
-                    id,
-                    JobEntry {
-                        spec,
-                        status: JobStatus::Failed(PipelineError::Cancelled),
-                        // analyze:allow(determinism-taint): admission timestamp — latency metrics and deadline accounting are wall-clock by the serving contract
-                        submitted: Instant::now(),
-                        resolved_seq: Some(seq),
-                    },
-                );
+                let mut entry = JobEntry::new(spec, Stage::Failed(PipelineError::Cancelled));
+                entry.resolved_seq = Some(state.resolutions);
+                state.jobs.insert(id, entry);
                 drop(state);
                 self.inner.job_done.notify_all();
                 return id;
@@ -552,16 +648,7 @@ impl JobQueue {
             state.peak_queued = state.peak_queued.max(state.queued_now);
             // analyze:allow(panic-path): `Priority::lane()` returns 0 or 1 into `[Lane; 2]`
             state.lanes[spec.priority.lane()].push(spec.client, id);
-            state.jobs.insert(
-                id,
-                JobEntry {
-                    spec,
-                    status: JobStatus::Queued,
-                    // analyze:allow(determinism-taint): admission timestamp — latency metrics and deadline accounting are wall-clock by the serving contract
-                    submitted: Instant::now(),
-                    resolved_seq: None,
-                },
-            );
+            state.jobs.insert(id, JobEntry::new(spec, Stage::Queued));
         }
         self.inner.work_ready.notify_one();
         id
@@ -585,23 +672,27 @@ impl JobQueue {
     }
 
     /// The job's current status (`None` for an id this queue never
-    /// issued). Non-blocking.
+    /// issued). Non-blocking; it never takes the output, so it does not
+    /// count as the hand-off `wait` makes.
     pub fn poll(&self, id: JobId) -> Option<JobStatus> {
-        self.lock().jobs.get(&id).map(|entry| entry.status.clone())
+        self.lock().jobs.get(&id).map(JobEntry::status)
     }
 
-    /// Blocks until the job resolves; condvar-driven, no polling.
+    /// Blocks until the job resolves; condvar-driven, no polling. The
+    /// first `wait` (or [`JobQueue::wait_timeout`]) on a completed job
+    /// takes its output off the queue (see the [module docs](self)).
     pub fn wait(&self, id: JobId) -> Result<JobOutput, PipelineError> {
         let mut state = self.lock();
         loop {
-            match &state.jobs.get(&id).ok_or_else(|| unknown_job(id))?.status {
-                JobStatus::Completed(output) => return Ok(output.clone()),
-                JobStatus::Failed(error) => return Err(error.clone()),
-                _ if state.shutdown => return Err(PipelineError::Cancelled),
-                _ => {
-                    state = self.inner.job_done.wait(state);
-                }
+            let shutdown = state.shutdown;
+            let entry = state.jobs.get_mut(&id).ok_or_else(|| unknown_job(id))?;
+            if let Some(result) = entry.hand_off(id) {
+                return result;
             }
+            if shutdown {
+                return Err(PipelineError::Cancelled);
+            }
+            state = self.inner.job_done.wait(state);
         }
     }
 
@@ -616,22 +707,22 @@ impl JobQueue {
         let deadline = Instant::now() + timeout;
         let mut state = self.lock();
         loop {
-            match &state.jobs.get(&id) {
-                None => return Some(Err(unknown_job(id))),
-                Some(entry) => match &entry.status {
-                    JobStatus::Completed(output) => return Some(Ok(output.clone())),
-                    JobStatus::Failed(error) => return Some(Err(error.clone())),
-                    _ if state.shutdown => return Some(Err(PipelineError::Cancelled)),
-                    _ => {
-                        // analyze:allow(determinism-taint): real-time timeout is this API's contract
-                        let remaining = deadline.saturating_duration_since(Instant::now());
-                        if remaining.is_zero() {
-                            return None;
-                        }
-                        state = self.inner.job_done.wait_timeout(state, remaining).0;
-                    }
-                },
+            let shutdown = state.shutdown;
+            let Some(entry) = state.jobs.get_mut(&id) else {
+                return Some(Err(unknown_job(id)));
+            };
+            if let Some(result) = entry.hand_off(id) {
+                return Some(result);
             }
+            if shutdown {
+                return Some(Err(PipelineError::Cancelled));
+            }
+            // analyze:allow(determinism-taint): real-time timeout is this API's contract
+            let remaining = deadline.saturating_duration_since(Instant::now());
+            if remaining.is_zero() {
+                return None;
+            }
+            state = self.inner.job_done.wait_timeout(state, remaining).0;
         }
     }
 
@@ -645,8 +736,8 @@ impl JobQueue {
             state
                 .jobs
                 .get(&id)
-                .filter(|entry| !entry.status.is_terminal())
-                .map(|entry| entry.spec.cancel.clone())
+                .filter(|entry| !entry.is_terminal())
+                .map(|entry| entry.cancel.clone())
         };
         match token {
             Some(token) => {
@@ -717,7 +808,7 @@ impl JobQueue {
             .jobs
             // analyze:allow(determinism-taint): collected into a Vec and sorted below — map order cannot leak
             .iter()
-            .filter(|(_, entry)| !entry.status.is_terminal())
+            .filter(|(_, entry)| !entry.is_terminal())
             .map(|(id, _)| *id)
             .collect();
         // Sort so `resolved_seq` assignment below is deterministic
@@ -738,7 +829,7 @@ impl JobQueue {
             state.skipped_cancelled += 1;
             // analyze:allow(panic-path): id collected from `jobs` a few lines up under this same lock
             let entry = state.jobs.get_mut(id).expect("abandoned job exists");
-            entry.status = JobStatus::Failed(PipelineError::Cancelled);
+            entry.stage = Stage::Failed(PipelineError::Cancelled);
             entry.resolved_seq = Some(seq);
         }
         state.queued_now = 0;
@@ -782,8 +873,20 @@ fn worker_loop(inner: &QueueInner) {
             state.running_now += 1;
             // analyze:allow(panic-path): entries outlive dispatch — inserted at submit, removed only after resolution
             let entry = state.jobs.get_mut(&id).expect("dispatched job exists");
-            entry.status = JobStatus::Running;
-            (id, entry.spec.clone(), entry.submitted)
+            entry.stage = Stage::Running;
+            (id, entry.spec.take(), entry.submitted)
+        };
+        let Some(spec) = spec else {
+            // Unreachable: a queued entry holds its spec, and only this
+            // dispatch takes it. Degrade rather than panic under the lock.
+            debug_assert!(false, "{id} was dispatched without its spec");
+            resolve(
+                inner,
+                id,
+                Err(PipelineError::Cancelled),
+                Disposition::SkippedCancel,
+            );
+            continue;
         };
 
         // Pre-execution checks: a token fired or a deadline blown while
@@ -892,12 +995,12 @@ fn resolve(
         // analyze:allow(panic-path): entries outlive dispatch — inserted at submit, removed only after resolution
         let entry = state.jobs.get_mut(&id).expect("resolved job exists");
         debug_assert!(
-            matches!(entry.status, JobStatus::Running),
+            matches!(entry.stage, Stage::Running),
             "exactly-once: only Running jobs resolve"
         );
-        entry.status = match result {
-            Ok(output) => JobStatus::Completed(output),
-            Err(error) => JobStatus::Failed(error),
+        entry.stage = match result {
+            Ok(output) => Stage::Completed(output),
+            Err(error) => Stage::Failed(error),
         };
         entry.resolved_seq = Some(seq);
     }

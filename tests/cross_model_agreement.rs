@@ -12,7 +12,7 @@
 use congested_clique::cc_spanner;
 use mpc_spanners::core::mpc_driver::mpc_general_spanner;
 use mpc_spanners::core::{general_spanner, BuildOptions, TradeoffParams};
-use mpc_spanners::graph::generators::{Family, WeightModel};
+use mpc_spanners::graph::generators::{caterpillar, hub_ring, Family, WeightModel};
 use spanner_pram::pram_general_spanner;
 
 fn families() -> Vec<(String, mpc_spanners::graph::Graph)> {
@@ -59,6 +59,43 @@ fn all_four_drivers_agree() {
                     seq.edges, cc.result.edges,
                     "{name} k={k} t={t}: CC diverged"
                 );
+            }
+        }
+    }
+}
+
+#[test]
+fn sequential_and_mpc_agree_under_weight_ties() {
+    // The MPC driver is the only implementation independent of the
+    // sequential engine (PRAM and Congested Clique reuse the engine).
+    // Unit and {1, 2} weights make most comparisons ties, so they pin
+    // the strict `w < w*` rule and the `(w, id)` tie-break; hubs and
+    // caterpillar legs add extreme cluster fan-in.
+    for weights in [WeightModel::Unit, WeightModel::Uniform(1, 2)] {
+        let graphs = [
+            (
+                "er",
+                Family::ErdosRenyi {
+                    n: 400,
+                    avg_deg: 12.0,
+                }
+                .generate(weights, 0x71E5),
+            ),
+            ("hub_ring", hub_ring(120, 6, 40, weights, 0x71E5)),
+            ("caterpillar", caterpillar(60, 6, weights, 0x71E5)),
+        ];
+        for (name, g) in &graphs {
+            for (k, t) in [(4u32, 2u32), (8, 3), (5, 5)] {
+                let params = TradeoffParams::new(k, t);
+                for seed in [1u64, 99, 4242] {
+                    let seq = general_spanner(g, params, seed, BuildOptions::default());
+                    let mpc = mpc_general_spanner(g, params, 0.5, seed)
+                        .unwrap_or_else(|e| panic!("{name} {weights:?}: MPC driver failed: {e}"));
+                    assert_eq!(
+                        seq.edges, mpc.result.edges,
+                        "{name} {weights:?} k={k} t={t} seed={seed}: MPC diverged"
+                    );
+                }
             }
         }
     }

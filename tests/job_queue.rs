@@ -16,6 +16,12 @@
 //!    deadline expired) while a job is still queued resolves it at
 //!    dispatch without ever reaching a shard.
 //!
+//! 7. **Hand-off, not retention** — the first `wait` takes a completed
+//!    output off the queue, which then holds it only weakly: once the
+//!    waiter and the store drop it, it is freed, `poll` reports
+//!    `Released` and `wait` a typed error. A job nobody waited keeps its
+//!    result.
+//!
 //! Timing-dependent assertions follow the repo's escalating-workload
 //! idiom: grow the blocker job until one full build is long enough to
 //! make the race unambiguous, and skip the timing assertions (never
@@ -516,4 +522,73 @@ fn draining_queue_refuses_new_submissions() {
         "every id ever handed out resolved exactly once: {}",
         stats.summary()
     );
+}
+
+/// 7a. A waited oracle is held by the queue only weakly: dropping the
+///     waiter's copy and invalidating the store's frees it, after which
+///     `poll` reports `Released`, `wait` fails with a typed error, and
+///     `resolution_order` still answers.
+#[test]
+fn waited_output_is_freed_once_waiter_and_store_drop_it() {
+    let tier = Arc::new(ShardedService::new(2));
+    let handle = tier.register(small_graph(3));
+    let queue = JobQueue::with_defaults(Arc::clone(&tier));
+    let id = queue.submit(JobSpec::oracle(&handle, alg()).seed(4));
+
+    let output = queue.wait(id).expect("oracle job succeeds");
+    let oracle = Arc::downgrade(output.oracle().expect("oracle job yields an oracle"));
+    let again = queue
+        .wait(id)
+        .expect("the output is alive, so a second wait succeeds");
+    assert!(
+        Arc::ptr_eq(
+            output.oracle().expect("oracle job"),
+            again.oracle().expect("oracle job")
+        ),
+        "while held, repeated waits return the same artifact"
+    );
+    assert!(matches!(queue.poll(id), Some(JobStatus::Completed(_))));
+    drop((output, again));
+    assert!(oracle.upgrade().is_some(), "the store still holds its copy");
+
+    assert_eq!(
+        tier.invalidate(&handle),
+        1,
+        "the oracle was the only artifact"
+    );
+    assert!(
+        oracle.upgrade().is_none(),
+        "with the waiter and the store gone, the queue must not keep the oracle alive"
+    );
+    assert!(matches!(queue.poll(id), Some(JobStatus::Released)));
+    assert!(queue.poll(id).is_some_and(|status| status.is_terminal()));
+    assert!(matches!(
+        queue.wait(id),
+        Err(PipelineError::ResultReleased(job)) if job == id
+    ));
+    assert!(matches!(
+        queue.wait_timeout(id, Duration::from_secs(1)),
+        Some(Err(PipelineError::ResultReleased(_)))
+    ));
+    assert_eq!(queue.resolution_order(id), Some(1));
+    assert!(!queue.cancel(id), "a released job is resolved");
+}
+
+/// 7b. A job nobody waited keeps its result: after `drain`, even with
+///     the store emptied, `poll` and then `wait` return it.
+#[test]
+fn unwaited_job_keeps_its_result_through_drain() {
+    let tier = Arc::new(ShardedService::new(2));
+    let handle = tier.register(small_graph(5));
+    let queue = JobQueue::with_defaults(Arc::clone(&tier));
+    let id = queue.submit(JobSpec::spanner(&handle, alg()).seed(6));
+    queue.drain();
+    tier.invalidate(&handle);
+
+    assert!(matches!(queue.poll(id), Some(JobStatus::Completed(_))));
+    let output = queue.wait(id).expect("an unwaited result is kept");
+    let report = output.spanner().expect("spanner job yields a report");
+    let direct = tier.spanner(&handle, alg()).seed(6).run().unwrap();
+    assert_eq!(report.result.edges, direct.result.edges);
+    assert_eq!(queue.resolution_order(id), Some(1));
 }

@@ -1,6 +1,8 @@
 //! Determinism-under-parallelism properties: every parallelized MPC
 //! primitive must produce **bit-identical output and identical round
-//! accounting** whether the rayon shim splits work across 1 thread or 8.
+//! accounting** whether the rayon shim splits work across 1 thread or 8,
+//! and the sequential engine, which decides one super-node range per
+//! pool thread, must build the same spanner at 1, 2 and 4 threads.
 //! This pins the shim's order-preserving-collect contract at the level
 //! the simulator actually depends on (the CI matrix re-runs the whole
 //! suite under `RAYON_NUM_THREADS={1,4}` for the same reason).
@@ -9,9 +11,12 @@ use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
+use mpc_spanners::core::TradeoffParams;
+use mpc_spanners::graph::generators::{hub_ring, Family, WeightModel};
 use mpc_spanners::mpc::comm::{route, route_with};
 use mpc_spanners::mpc::primitives::{aggregate_by_key, forward_fill, sort_by_key};
 use mpc_spanners::mpc::{Dist, Metrics, MpcConfig, MpcSystem};
+use mpc_spanners::pipeline::{Algorithm, SpannerRequest};
 
 /// Runs `f` with the shim's parallel splitting capped at `threads`.
 fn at_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
@@ -234,5 +239,41 @@ proptest! {
             }
         }
         prop_assert_eq!(seq.0, reference);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    #[test]
+    fn engine_spanner_is_thread_count_invariant(
+        hubs in 0u8..2,
+        ties in 0u8..2,
+        k in 2u32..=16,
+        t in 1u32..=4,
+        seed in 0u64..1_000_000,
+    ) {
+        // n >= 4096 gives every one of the 4 super-node ranges records.
+        let (hubs, ties) = (hubs == 1, ties == 1);
+        let weights = if ties { WeightModel::Uniform(1, 2) } else { WeightModel::Uniform(1, 64) };
+        let g = if hubs {
+            hub_ring(2048, 16, 128, weights, seed)
+        } else {
+            Family::ErdosRenyi { n: 4096, avg_deg: 8.0 }.generate(weights, seed)
+        };
+        let request = SpannerRequest::new(&g, Algorithm::General(TradeoffParams::new(k, t))).seed(seed);
+        let run = || {
+            let r = request.run().expect("a valid general request builds").result;
+            (r.edges, r.iterations, r.supernodes_per_epoch)
+        };
+        let one = at_threads(1, run);
+        for threads in [2, 4] {
+            prop_assert_eq!(
+                &one,
+                &at_threads(threads, run),
+                "hubs={} ties={} k={} t={} seed={}: the {}-thread build differs",
+                hubs, ties, k, t, seed, threads
+            );
+        }
     }
 }
