@@ -3,11 +3,10 @@
 
 use rayon::prelude::*;
 
-use spanner_graph::edge::{Distance, INFINITY};
+use spanner_graph::edge::INFINITY;
 use spanner_graph::shortest_paths::dijkstra;
 use spanner_graph::Graph;
 
-use crate::oracle::ApspOracle;
 use spanner_core::pipeline::DistanceOracle;
 
 /// Approximation statistics of an oracle against exact distances.
@@ -23,55 +22,23 @@ pub struct ApproxReport {
     pub guarantee: f64,
 }
 
-/// Measures `d̂/d` over all targets from `sources.min(n)` random sources
-/// (full APSP comparison when `sources ≥ n`).
+/// Measures `d̂/d` of a pipeline-built [`DistanceOracle`] (any query
+/// engine) over all targets from `sources.min(n)` random sources (full
+/// APSP comparison when `sources ≥ n`), judged against its *composed*
+/// guarantee.
 ///
 /// # Panics
 /// Panics if the oracle fails to preserve reachability (that would mean
 /// the spanner is invalid, which other tests rule out — here it guards
 /// the measurement itself).
-pub fn measure_approximation(
-    g: &Graph,
-    oracle: &ApspOracle,
-    sources: usize,
-    seed: u64,
-) -> ApproxReport {
-    measure_rows(
-        g,
-        |s| oracle.distances_from(s),
-        oracle.stretch_bound,
-        sources,
-        seed,
-    )
-}
-
-/// [`measure_approximation`] for a pipeline-built [`DistanceOracle`]
-/// (any query engine), judged against its *composed* guarantee.
 pub fn measure_distance_oracle(
     g: &Graph,
     oracle: &DistanceOracle,
     sources: usize,
     seed: u64,
 ) -> ApproxReport {
-    measure_rows(
-        g,
-        |s| oracle.distances_from(s),
-        oracle.stretch_bound(),
-        sources,
-        seed,
-    )
-}
-
-/// The shared measurement loop behind both oracle surfaces: one
-/// approximate row per sampled source, compared to exact Dijkstra.
-fn measure_rows(
-    g: &Graph,
-    row: impl Fn(u32) -> Vec<Distance> + Sync,
-    guarantee: f64,
-    sources: usize,
-    seed: u64,
-) -> ApproxReport {
     use rand::prelude::*;
+    let guarantee = oracle.stretch_bound();
     let n = g.n();
     if n == 0 {
         return ApproxReport {
@@ -95,7 +62,7 @@ fn measure_rows(
         .par_iter()
         .map(|&s| {
             let exact = dijkstra(g, s).dist;
-            let approx = row(s);
+            let approx = oracle.distances_from(s);
             let mut max = 1.0f64;
             let mut sum = 0.0;
             let mut cnt = 0usize;
@@ -134,15 +101,23 @@ fn measure_rows(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oracle::{apsp_request, build_oracle};
-    use spanner_core::pipeline::QueryEngine;
+    use crate::oracle::apsp_request;
+    use spanner_core::pipeline::{Algorithm, DistanceRequest, QueryEngine};
+    use spanner_core::TradeoffParams;
     use spanner_graph::generators::{self, WeightModel};
+
+    /// The whole graph as an oracle (`k = 1` is the 1-spanner).
+    fn whole_graph_oracle(g: &Graph) -> DistanceOracle {
+        DistanceRequest::new(g, Algorithm::General(TradeoffParams::new(1, 1)))
+            .build()
+            .unwrap()
+    }
 
     #[test]
     fn ratios_are_at_least_one_and_within_guarantee() {
         let g = generators::connected_erdos_renyi(150, 0.08, WeightModel::Uniform(1, 32), 3);
-        let oracle = build_oracle(&g, 5);
-        let rep = measure_approximation(&g, &oracle, 25, 7);
+        let oracle = apsp_request(&g).seed(5).build().unwrap();
+        let rep = measure_distance_oracle(&g, &oracle, 25, 7);
         assert!(rep.pairs > 0);
         assert!(rep.avg_ratio >= 1.0 - 1e-9);
         assert!(rep.max_ratio >= rep.avg_ratio);
@@ -176,17 +151,15 @@ mod tests {
     #[test]
     fn full_graph_oracle_is_exact() {
         let g = generators::torus(7, 7, WeightModel::Uniform(1, 9), 1);
-        let oracle = ApspOracle::from_parts(&g, (0..g.m() as u32).collect(), 1.0, 0);
-        let rep = measure_approximation(&g, &oracle, g.n(), 3);
+        let rep = measure_distance_oracle(&g, &whole_graph_oracle(&g), g.n(), 3);
         assert!((rep.max_ratio - 1.0).abs() < 1e-12);
         assert!((rep.avg_ratio - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn empty_graph_report() {
-        let g = spanner_graph::Graph::from_edges(0, vec![]);
-        let oracle = ApspOracle::from_parts(&g, vec![], 1.0, 0);
-        let rep = measure_approximation(&g, &oracle, 10, 0);
+        let g = Graph::from_edges(0, vec![]);
+        let rep = measure_distance_oracle(&g, &whole_graph_oracle(&g), 10, 0);
         assert_eq!(rep.pairs, 0);
     }
 }

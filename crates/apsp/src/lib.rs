@@ -1,7 +1,7 @@
 //! # spanner-apsp
 //!
 //! Section 7 of the paper: **distance approximation in near-linear-memory
-//! MPC** (Corollary 1.4).
+//! MPC** (Corollary 1.4), and its Congested Clique twin (Corollary 1.5).
 //!
 //! The pipeline is exactly the paper's:
 //!
@@ -9,32 +9,29 @@
 //!    `O(n log log n)`, stretch `O(log^s n)` with
 //!    `s = log(2t+1)/log(t+1)`, in `O(t·log log n / log(t+1))` grow
 //!    iterations;
-//! 2. with `Õ(n)` memory per machine, ship the whole spanner to one
-//!    machine (a single gather round — the spanner fits);
-//! 3. that machine answers any shortest-path query on the spanner; the
-//!    spanner property turns them into `O(log^s n)`-approximate answers
-//!    for the original graph.
+//! 2. collect it: with `Õ(n)` memory per machine, ship the whole spanner
+//!    to one machine (a single gather round — the spanner fits); in the
+//!    Congested Clique, disseminate it to every node by Lenzen routing;
+//! 3. answer any shortest-path query on the spanner; the spanner
+//!    property turns them into `O(log^s n)`-approximate answers for the
+//!    original graph.
 //!
-//! This whole flow now runs through the pipeline's distance stage —
-//! build a [`spanner_core::pipeline::DistanceRequest`] (or the Corollary
-//! 1.4 preset [`oracle::apsp_request`]) and `.build()` a
-//! [`spanner_core::pipeline::DistanceOracle`]. The crate keeps the
-//! legacy surface as pinned shims over that stage: [`ApspOracle`] is
-//! step 3 as a queryable object; [`build_oracle`] runs steps 1–2 with
-//! the sequential reference construction, and [`mpc_build_oracle`] runs
-//! them **in-model** (the spanner construction through `mpc_runtime`
-//! with measured rounds, then a real gather into machine 0 under the
-//! near-linear configuration, charged as the paper's "+1"). [`eval`]
-//! measures empirical approximation ratios against exact Dijkstra — the
-//! quantity experiment E6 reports against the `log^{1+o(1)} n`
-//! guarantee.
+//! The whole flow runs through the pipeline's distance stage:
+//! [`apsp_request`] is the Corollary 1.4/1.5 [`DistanceRequest`], and
+//! `.on(backend).build()` returns a queryable [`DistanceOracle`] —
+//! `Backend::mpc_deployment(MpcDeployment::NearLinear)` for Corollary
+//! 1.4, `Backend::CongestedClique { repetitions }` for Corollary 1.5.
+//! [`eval`] and [`sketches`] measure empirical approximation ratios
+//! against exact Dijkstra — the quantities experiments E6 and E11
+//! report against the composed guarantee.
+//!
+//! [`DistanceRequest`]: spanner_core::pipeline::DistanceRequest
+//! [`DistanceOracle`]: spanner_core::pipeline::DistanceOracle
 
 pub mod eval;
 pub mod oracle;
 pub mod sketches;
 
-pub use eval::{measure_approximation, measure_distance_oracle, ApproxReport};
-pub use oracle::{apsp_request, build_oracle, mpc_build_oracle, ApspOracle, MpcApspRun};
-pub use sketches::{
-    evaluate_sketch_oracle, evaluate_sketches, DistanceSketches, SketchReport, VertexSketch,
-};
+pub use eval::{measure_distance_oracle, ApproxReport};
+pub use oracle::apsp_request;
+pub use sketches::{evaluate_sketch_oracle, SketchReport};

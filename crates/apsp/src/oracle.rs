@@ -1,201 +1,35 @@
-//! The approximate-APSP oracle of Section 7.
-//!
-//! Since the distance-query serving stage moved into the pipeline
-//! ([`spanner_core::pipeline::distance`]), this module is the Corollary
-//! 1.4 *parameterisation* of that stage: [`apsp_params`] derives the
-//! `k = ⌈log₂ n⌉`, `t = ⌈log₂ log₂ n⌉` schedule, and
-//! [`build_oracle`] / [`mpc_build_oracle`] are pinned shims over
-//! [`DistanceRequest`] with the exact-Dijkstra query engine.
+//! The approximate-APSP request of Section 7: the Corollary 1.2(4)
+//! parameterisation of the pipeline's distance stage
+//! ([`spanner_core::pipeline::distance`]).
 
-use mpc_runtime::MpcConfig;
-use spanner_graph::edge::{Distance, EdgeId};
-use spanner_graph::shortest_paths::dijkstra;
 use spanner_graph::Graph;
 
-use spanner_core::pipeline::{
-    Algorithm, Backend, DistanceOracle, DistanceRequest, HeapSize, MpcDeployment, PipelineError,
-};
-use spanner_core::TradeoffParams;
+use spanner_core::pipeline::{Algorithm, CorollarySetting, DistanceRequest};
 
-/// The Corollary 1.4 parameters for a graph on `n` vertices:
-/// `k = ⌈log₂ n⌉`, `t = ⌈log₂ log₂ n⌉`.
-pub fn apsp_params(n: usize) -> TradeoffParams {
-    let n = n.max(4) as f64;
-    let k = (n.log2().ceil() as u32).max(2);
-    let t = (n.log2().log2().ceil() as u32).max(1);
-    TradeoffParams::new(k, t)
-}
-
-/// The Corollary 1.4 distance request: the [`apsp_params`] schedule with
-/// the exact-Dijkstra query engine, ready to `.on(backend)` / `.build()`.
+/// The Corollary 1.4/1.5 distance request: the
+/// [`CorollarySetting::ApspRegime`] schedule (`k = ⌈log₂ n⌉`,
+/// `t = ⌈log₂ log₂ n⌉`) with the exact-Dijkstra query engine, ready to
+/// `.on(backend)` / `.build()`.
 pub fn apsp_request(g: &Graph) -> DistanceRequest<'_> {
-    DistanceRequest::new(g, Algorithm::General(apsp_params(g.n())))
-}
-
-/// A distance oracle backed by a spanner that has been collected onto a
-/// single machine (the paper's step 3). Queries run Dijkstra on the
-/// spanner, so every answer `d̂` satisfies
-/// `d_G(u,v) ≤ d̂ ≤ stretch_bound · d_G(u,v)`.
-#[derive(Debug, Clone)]
-pub struct ApspOracle {
-    /// The spanner as a standalone graph (same vertex set as the host).
-    spanner: Graph,
-    /// Edge ids of the spanner within the host graph.
-    pub spanner_edges: Vec<EdgeId>,
-    /// The stretch guarantee of the underlying construction.
-    pub stretch_bound: f64,
-    /// Grow iterations the construction used.
-    pub iterations: u32,
-}
-
-impl ApspOracle {
-    /// Assembles an oracle from a host graph and a spanner edge set
-    /// (used by the Congested Clique pipeline and by tests; the MPC
-    /// pipelines construct oracles via [`build_oracle`] /
-    /// [`mpc_build_oracle`]).
-    pub fn from_parts(
-        g: &Graph,
-        spanner_edges: Vec<EdgeId>,
-        stretch_bound: f64,
-        iterations: u32,
-    ) -> Self {
-        ApspOracle {
-            spanner: g.edge_subgraph(&spanner_edges),
-            spanner_edges,
-            stretch_bound,
-            iterations,
-        }
-    }
-
-    /// Repackages a pipeline [`DistanceOracle`] under the legacy
-    /// surface (no recomputation; the spanner graph moves over).
-    pub fn from_distance_oracle(oracle: DistanceOracle) -> Self {
-        let stretch_bound = oracle.substrate_stretch();
-        let (spanner, spanner_edges, stats) = oracle.into_spanner_parts();
-        ApspOracle {
-            spanner,
-            spanner_edges,
-            stretch_bound,
-            iterations: stats.iterations,
-        }
-    }
-
-    /// Approximate distance from `u` to `v`.
-    pub fn query(&self, u: u32, v: u32) -> Distance {
-        dijkstra(&self.spanner, u).dist[v as usize]
-    }
-
-    /// Approximate distances from `source` to every vertex (one Dijkstra
-    /// on the spanner).
-    pub fn distances_from(&self, source: u32) -> Vec<Distance> {
-        dijkstra(&self.spanner, source).dist
-    }
-
-    /// Full approximate APSP table (n Dijkstras on the spanner,
-    /// parallelised) — only sensible for moderate `n`.
-    pub fn all_pairs(&self) -> Vec<Vec<Distance>> {
-        spanner_graph::shortest_paths::apsp(&self.spanner)
-    }
-
-    /// Number of edges the oracle stores — the paper's `O(n log log n)`.
-    pub fn size(&self) -> usize {
-        self.spanner.m()
-    }
-
-    /// Estimated heap bytes the hosting machine spends on the oracle
-    /// (the CSR spanner plus the edge-id map) — what a
-    /// [`spanner_core::pipeline::SpannerService`] budget would charge
-    /// for it.
-    pub fn memory_bytes(&self) -> usize {
-        self.heap_size()
-    }
-
-    /// The spanner graph itself.
-    pub fn spanner(&self) -> &Graph {
-        &self.spanner
-    }
-}
-
-impl HeapSize for ApspOracle {
-    fn heap_size(&self) -> usize {
-        self.spanner.heap_size()
-            + self.spanner_edges.len() * std::mem::size_of::<EdgeId>()
-            + std::mem::size_of::<Self>()
-    }
-}
-
-/// Builds the oracle with the sequential reference construction
-/// (steps 1–2 of Section 7, without the model simulation). Shim over
-/// [`DistanceRequest`]; this is what the large-scale
-/// approximation-quality experiments use.
-pub fn build_oracle(g: &Graph, seed: u64) -> ApspOracle {
-    let oracle = apsp_request(g)
-        .seed(seed)
-        .build()
-        .expect("sequential execution of a valid schedule is infallible");
-    ApspOracle::from_distance_oracle(oracle)
-}
-
-/// Result of the in-model APSP preprocessing.
-#[derive(Debug)]
-pub struct MpcApspRun {
-    /// The queryable oracle (hosted, in the model, by machine 0).
-    pub oracle: ApspOracle,
-    /// Measured rounds for construction + collection (the gather is the
-    /// only collection cost charged — the paper's "+1").
-    pub metrics: mpc_runtime::Metrics,
-    /// The near-linear deployment used.
-    pub config: MpcConfig,
-    /// Rounds spent in the final gather (the "+1" of Section 7).
-    pub gather_rounds: u64,
-}
-
-/// Runs the full Corollary 1.4 pipeline **in-model**: spanner
-/// construction through the MPC simulator under a near-linear
-/// configuration, then a real gather of the spanner onto machine 0
-/// (whose `Õ(n)` memory must absorb it — enforced by the runtime).
-/// Shim over [`DistanceRequest`] on [`Backend::Mpc`].
-pub fn mpc_build_oracle(g: &Graph, seed: u64) -> mpc_runtime::Result<MpcApspRun> {
-    let oracle = apsp_request(g)
-        .on(Backend::mpc_deployment(MpcDeployment::NearLinear))
-        .seed(seed)
-        .build()
-        .map_err(|e| match e {
-            PipelineError::Mpc(mpc) => mpc,
-            other => unreachable!("mpc execution fails only with MPC errors: {other}"),
-        })?;
-    let stats = oracle.stats().clone();
-    let mpc = stats
-        .execution
-        .mpc()
-        .expect("mpc backend reports mpc stats")
-        .clone();
-    Ok(MpcApspRun {
-        oracle: ApspOracle::from_distance_oracle(oracle),
-        metrics: mpc.metrics,
-        config: mpc.config,
-        gather_rounds: stats.gather_rounds.expect("mpc builds pay the gather"),
-    })
+    let params = CorollarySetting::ApspRegime
+        .try_params(g.n(), 0)
+        .expect("the APSP regime derives k from n, so every graph is valid input");
+    DistanceRequest::new(g, Algorithm::General(params))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spanner_core::pipeline::SpannerRequest;
+    use spanner_core::pipeline::{Backend, HeapSize, MpcDeployment};
+    use spanner_core::TradeoffParams;
     use spanner_graph::edge::INFINITY;
     use spanner_graph::generators::{self, WeightModel};
-
-    #[test]
-    fn params_scale_with_n() {
-        let p = apsp_params(1 << 16);
-        assert_eq!(p.k, 16); // log₂(65536)
-        assert_eq!(p.t, 4); // log₂ log₂(65536) = log₂ 16
-    }
+    use spanner_graph::shortest_paths::dijkstra;
 
     #[test]
     fn oracle_never_underestimates() {
         let g = generators::connected_erdos_renyi(120, 0.08, WeightModel::Uniform(1, 16), 3);
-        let oracle = build_oracle(&g, 7);
+        let oracle = apsp_request(&g).seed(7).build().unwrap();
         let exact = dijkstra(&g, 0).dist;
         let approx = oracle.distances_from(0);
         for v in 0..g.n() {
@@ -209,16 +43,16 @@ mod tests {
     #[test]
     fn oracle_respects_stretch_bound() {
         let g = generators::connected_erdos_renyi(150, 0.07, WeightModel::PowersOfTwo(6), 5);
-        let oracle = build_oracle(&g, 9);
+        let oracle = apsp_request(&g).seed(9).build().unwrap();
         let exact = dijkstra(&g, 3).dist;
         let approx = oracle.distances_from(3);
         for v in 0..g.n() {
             if v != 3 && exact[v] != INFINITY && exact[v] > 0 {
                 let ratio = approx[v] as f64 / exact[v] as f64;
                 assert!(
-                    ratio <= oracle.stretch_bound + 1e-9,
+                    ratio <= oracle.stretch_bound() + 1e-9,
                     "v={v}: ratio {ratio} > bound {}",
-                    oracle.stretch_bound
+                    oracle.stretch_bound()
                 );
             }
         }
@@ -227,7 +61,7 @@ mod tests {
     #[test]
     fn oracle_size_is_near_linear() {
         let g = generators::connected_erdos_renyi(400, 0.2, WeightModel::Unit, 11);
-        let oracle = build_oracle(&g, 13);
+        let oracle = apsp_request(&g).seed(13).build().unwrap();
         // O(n log log n) with a generous constant; certainly o(m) here.
         assert!(
             oracle.size() < g.m() / 2,
@@ -240,16 +74,24 @@ mod tests {
     #[test]
     fn mpc_pipeline_reports_rounds_and_matches_reference() {
         let g = generators::connected_erdos_renyi(80, 0.1, WeightModel::Uniform(1, 8), 17);
-        let run = mpc_build_oracle(&g, 21).unwrap();
-        assert!(run.metrics.rounds > 0);
+        let near_linear = Backend::mpc_deployment(MpcDeployment::NearLinear);
+        let oracle = apsp_request(&g).on(near_linear).seed(21).build().unwrap();
+        let stats = oracle.stats();
+        let metrics = &stats.execution.mpc().expect("mpc stats").metrics;
+        assert!(metrics.rounds > 0);
         // The Section 7 gather is one direct all-to-one round; nothing
         // else (in particular not the harness's re-distribution of the
         // already-in-model spanner) may be charged on top of the
         // construction's own rounds.
-        assert_eq!(run.gather_rounds, 1, "direct gather costs exactly +1");
-        let construction = SpannerRequest::new(&g, Algorithm::General(apsp_params(g.n())))
-            .on(Backend::mpc_deployment(MpcDeployment::NearLinear))
+        assert_eq!(
+            stats.gather_rounds,
+            Some(1),
+            "direct gather costs exactly +1"
+        );
+        let construction = apsp_request(&g)
+            .on(near_linear)
             .seed(21)
+            .spanner_request()
             .run()
             .expect("in-model construction")
             .stats
@@ -258,14 +100,15 @@ mod tests {
             .metrics
             .rounds;
         assert_eq!(
-            run.metrics.rounds,
-            construction + run.gather_rounds,
+            metrics.rounds,
+            construction + 1,
             "total rounds must be construction + the gather, nothing more"
         );
-        assert_eq!(run.metrics.rounds_by_op.get("apsp.collect"), Some(&1));
-        let reference = build_oracle(&g, 21);
+        assert_eq!(metrics.rounds_by_op.get("apsp.collect"), Some(&1));
+        let reference = apsp_request(&g).seed(21).build().unwrap();
         assert_eq!(
-            run.oracle.spanner_edges, reference.spanner_edges,
+            oracle.spanner_edges(),
+            reference.spanner_edges(),
             "in-model and reference pipelines must agree"
         );
     }
@@ -273,14 +116,17 @@ mod tests {
     #[test]
     fn oracle_memory_accounting_tracks_spanner_size() {
         let g = generators::connected_erdos_renyi(200, 0.15, WeightModel::Unit, 7);
-        let sparse = build_oracle(&g, 7);
-        let whole = ApspOracle::from_parts(&g, (0..g.m() as EdgeId).collect(), 1.0, 0);
-        assert!(sparse.memory_bytes() > 0);
+        let sparse = apsp_request(&g).seed(7).build().unwrap();
+        let whole = DistanceRequest::new(&g, Algorithm::General(TradeoffParams::new(1, 1)))
+            .build()
+            .unwrap();
+        assert_eq!(whole.size(), g.m());
+        assert!(sparse.heap_size() > 0);
         assert!(
-            whole.memory_bytes() > sparse.memory_bytes(),
+            whole.heap_size() > sparse.heap_size(),
             "a whole-graph oracle must charge more than its spanner ({} vs {})",
-            whole.memory_bytes(),
-            sparse.memory_bytes()
+            whole.heap_size(),
+            sparse.heap_size()
         );
     }
 
@@ -288,7 +134,7 @@ mod tests {
     fn query_is_symmetric_enough() {
         // Undirected spanner ⇒ symmetric queries.
         let g = generators::torus(8, 8, WeightModel::Uniform(1, 5), 1);
-        let oracle = build_oracle(&g, 3);
+        let oracle = apsp_request(&g).seed(3).build().unwrap();
         assert_eq!(oracle.query(0, 17), oracle.query(17, 0));
     }
 }

@@ -2,24 +2,20 @@
 //! \[DN19] application the paper highlights in §1.2.
 //!
 //! The construction itself lives in the pipeline's distance stage
-//! ([`spanner_core::pipeline::distance`], re-exported here), where it
-//! serves [`spanner_core::pipeline::QueryEngine::Sketches`] oracles;
-//! this module keeps the legacy measurement surface:
-//! [`evaluate_sketches`] is a pinned shim that preprocesses through the
-//! same [`DistanceSketches`] code path and reports preprocessing size
-//! vs query accuracy, now with an explicit [`SketchReport::failed_queries`]
-//! dropout counter (which the per-component landmark guarantee keeps at
-//! zero for connected pairs).
+//! ([`spanner_core::pipeline::DistanceSketches`]), where it serves
+//! [`spanner_core::pipeline::QueryEngine::Sketches`] oracles; this
+//! module measures them: [`evaluate_sketch_oracle`] reports
+//! preprocessing size vs query accuracy, with an explicit
+//! [`SketchReport::failed_queries`] dropout counter (which the
+//! per-component landmark guarantee keeps at zero for connected pairs).
 
-pub use spanner_core::pipeline::distance::{DistanceSketches, VertexSketch};
-
-use spanner_core::pipeline::DistanceOracle;
+use spanner_core::pipeline::{DistanceOracle, DistanceSketches};
 use spanner_graph::edge::INFINITY;
 use spanner_graph::shortest_paths::dijkstra;
 use spanner_graph::Graph;
 
-/// Comparison of sketch preprocessing on the full graph vs on a spanner
-/// (the §1.2 / \[DN19] trade: preprocessing memory vs query accuracy).
+/// Sketch preprocessing size vs query accuracy of one oracle (the §1.2
+/// / \[DN19] trade: preprocessing memory vs query accuracy).
 #[derive(Debug, Clone)]
 pub struct SketchReport {
     /// Edges the preprocessing touched.
@@ -39,66 +35,16 @@ pub struct SketchReport {
     pub failed_queries: usize,
 }
 
-/// Builds sketches on `substrate` (a subgraph of `g` with the given
-/// stretch) and measures query quality against exact distances on `g`,
-/// over `sources` random sources. Pinned shim over
-/// [`DistanceSketches::preprocess_with_substrate`] — the same
-/// preprocessing the pipeline's sketch oracles run.
-pub fn evaluate_sketches(
-    g: &Graph,
-    substrate: &Graph,
-    substrate_stretch: f64,
-    levels: u32,
-    sources: usize,
-    seed: u64,
-) -> SketchReport {
-    let sk =
-        DistanceSketches::preprocess_with_substrate(substrate, levels, seed, substrate_stretch);
-    measure_queries(
-        g,
-        |u, v| sk.query(u, v),
-        substrate.m(),
-        sk.total_entries(),
-        sk.stretch_bound(),
-        sources,
-        seed,
-    )
-}
-
 /// Measures a pipeline-built [`DistanceOracle`] (typically one serving
-/// through [`spanner_core::pipeline::QueryEngine::Sketches`]) with the
-/// same sampling as [`evaluate_sketches`], so experiment tables stay
-/// comparable across the legacy and pipeline entry points.
+/// through [`spanner_core::pipeline::QueryEngine::Sketches`]): samples
+/// `sources` random sources and compares every query against exact
+/// Dijkstra on `g` over all their connected targets, counting (instead
+/// of silently skipping) failed estimates. A whole-graph oracle
+/// (`Algorithm::General(TradeoffParams::new(1, 1))`) measures sketches
+/// preprocessed on `g` itself.
 pub fn evaluate_sketch_oracle(
     g: &Graph,
     oracle: &DistanceOracle,
-    sources: usize,
-    seed: u64,
-) -> SketchReport {
-    let entries = oracle
-        .sketches()
-        .map(DistanceSketches::total_entries)
-        .unwrap_or(0);
-    measure_queries(
-        g,
-        |u, v| oracle.query(u, v),
-        oracle.size(),
-        entries,
-        oracle.stretch_bound(),
-        sources,
-        seed,
-    )
-}
-
-/// The shared measurement loop: samples `sources` random sources and
-/// compares `query` against exact Dijkstra over all their connected
-/// targets, counting (instead of silently skipping) failed estimates.
-fn measure_queries(
-    g: &Graph,
-    query: impl Fn(u32, u32) -> spanner_graph::edge::Distance,
-    preprocessing_edges: usize,
-    sketch_entries: usize,
-    guarantee: f64,
     sources: usize,
     seed: u64,
 ) -> SketchReport {
@@ -114,7 +60,7 @@ fn measure_queries(
         let exact = dijkstra(g, s).dist;
         for v in 0..n {
             if v != s && exact[v as usize] != INFINITY && exact[v as usize] > 0 {
-                let est = query(s, v);
+                let est = oracle.query(s, v);
                 if est == INFINITY {
                     failed += 1;
                     continue;
@@ -127,11 +73,14 @@ fn measure_queries(
         }
     }
     SketchReport {
-        preprocessing_edges,
-        sketch_entries,
+        preprocessing_edges: oracle.size(),
+        sketch_entries: oracle
+            .sketches()
+            .map(DistanceSketches::total_entries)
+            .unwrap_or(0),
         max_ratio,
         avg_ratio: if cnt == 0 { 1.0 } else { sum / cnt as f64 },
-        guarantee,
+        guarantee: oracle.stretch_bound(),
         failed_queries: failed,
     }
 }
@@ -140,10 +89,19 @@ fn measure_queries(
 mod tests {
     use super::*;
     use spanner_core::pipeline::{Algorithm, DistanceRequest, QueryEngine};
+    use spanner_core::TradeoffParams;
     use spanner_graph::generators::{self, WeightModel};
 
     fn graph() -> Graph {
         generators::connected_erdos_renyi(100, 0.08, WeightModel::Uniform(1, 16), 3)
+    }
+
+    fn sketch_oracle(g: &Graph, params: TradeoffParams, seed: u64) -> DistanceOracle {
+        DistanceRequest::new(g, Algorithm::General(params))
+            .engine(QueryEngine::Sketches { levels: 2 })
+            .seed(seed)
+            .build()
+            .unwrap()
     }
 
     #[test]
@@ -158,12 +116,11 @@ mod tests {
 
     #[test]
     fn spanner_substrate_composes_guarantees() {
-        use spanner_core::{general_spanner, BuildOptions, TradeoffParams};
         let g = graph();
-        let sp = general_spanner(&g, TradeoffParams::new(4, 2), 3, BuildOptions::default());
-        let sub = g.edge_subgraph(&sp.edges);
-        let rep = evaluate_sketches(&g, &sub, sp.stretch_bound, 2, 10, 5);
+        let oracle = sketch_oracle(&g, TradeoffParams::new(4, 2), 3);
+        let rep = evaluate_sketch_oracle(&g, &oracle, 10, 5);
         assert!(rep.preprocessing_edges < g.m());
+        assert!(rep.sketch_entries > 0);
         assert!(rep.avg_ratio >= 1.0 - 1e-9);
         assert_eq!(rep.failed_queries, 0, "no dropped connected pairs");
         assert!(
@@ -212,37 +169,9 @@ mod tests {
                     );
                 }
             }
-            let rep = evaluate_sketches(&g, &g, 1.0, 2, g.n(), seed);
+            let whole = sketch_oracle(&g, TradeoffParams::new(1, 1), seed);
+            let rep = evaluate_sketch_oracle(&g, &whole, g.n(), seed);
             assert_eq!(rep.failed_queries, 0, "seed {seed}: dropouts in report");
         }
-    }
-
-    #[test]
-    fn oracle_and_legacy_evaluations_agree() {
-        // The pipeline's sketch oracle and the legacy evaluate_sketches
-        // run the same preprocessing on the same spanner with the same
-        // seed: the reports must be identical, bit for bit.
-        use spanner_core::{general_spanner, BuildOptions, TradeoffParams};
-        let g = graph();
-        let params = TradeoffParams::new(4, 2);
-        let seed = 0xE11;
-        let sp = general_spanner(&g, params, seed, BuildOptions::default());
-        let sub = g.edge_subgraph(&sp.edges);
-        let legacy = evaluate_sketches(&g, &sub, sp.stretch_bound, 2, 10, seed);
-
-        let oracle = DistanceRequest::new(&g, Algorithm::General(params))
-            .engine(QueryEngine::Sketches { levels: 2 })
-            .seed(seed)
-            .build()
-            .unwrap();
-        let via_oracle = evaluate_sketch_oracle(&g, &oracle, 10, seed);
-
-        assert_eq!(legacy.preprocessing_edges, via_oracle.preprocessing_edges);
-        assert_eq!(legacy.sketch_entries, via_oracle.sketch_entries);
-        assert_eq!(legacy.max_ratio, via_oracle.max_ratio);
-        assert_eq!(legacy.avg_ratio, via_oracle.avg_ratio);
-        assert_eq!(legacy.guarantee, via_oracle.guarantee);
-        assert_eq!(legacy.failed_queries, 0);
-        assert_eq!(via_oracle.failed_queries, 0);
     }
 }

@@ -3,7 +3,7 @@
 //! the serving layer's query throughput per substrate.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use spanner_apsp::{apsp_request, build_oracle};
+use spanner_apsp::apsp_request;
 use spanner_core::pipeline::QueryEngine;
 use spanner_graph::generators::{Family, WeightModel};
 use spanner_graph::shortest_paths::dijkstra;
@@ -14,7 +14,7 @@ fn bench_oracle_build(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
             let g =
                 Family::ErdosRenyi { n, avg_deg: 12.0 }.generate(WeightModel::PowersOfTwo(8), 0xA0);
-            b.iter(|| build_oracle(&g, 1))
+            b.iter(|| apsp_request(&g).seed(1).build().expect("build"))
         });
     }
     group.finish();
@@ -26,7 +26,7 @@ fn bench_query(c: &mut Criterion) {
         avg_deg: 12.0,
     }
     .generate(WeightModel::PowersOfTwo(8), 0xA0);
-    let oracle = build_oracle(&g, 1);
+    let oracle = apsp_request(&g).seed(1).build().expect("build");
     c.bench_function("apsp_oracle_sssp_query", |b| {
         b.iter(|| oracle.distances_from(7))
     });

@@ -1,8 +1,8 @@
 //! Criterion timing of the Congested Clique pipelines (experiment E7's
 //! wall-clock side).
 
-use congested_clique::cc_apsp;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use spanner_apsp::apsp_request;
 use spanner_core::pipeline::{Algorithm, Backend, SpannerRequest};
 use spanner_core::TradeoffParams;
 use spanner_graph::generators::{Family, WeightModel};
@@ -32,7 +32,12 @@ fn bench_cc_apsp(c: &mut Criterion) {
         avg_deg: 10.0,
     }
     .generate(WeightModel::Uniform(1, 16), 0xCD);
-    c.bench_function("cc_apsp_n256", |b| b.iter(|| cc_apsp(&g, 1, Some(4))));
+    let request = apsp_request(&g)
+        .on(Backend::CongestedClique { repetitions: 4 })
+        .seed(1);
+    c.bench_function("cc_apsp_n256", |b| {
+        b.iter(|| request.build().expect("valid request"))
+    });
 }
 
 criterion_group!(

@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mpc_runtime::{comm, primitives, Dist, MpcConfig, MpcSystem};
-use spanner_core::mpc_driver::mpc_general_spanner_with_config;
+use spanner_core::pipeline::{Algorithm, Backend, SpannerRequest};
 use spanner_core::TradeoffParams;
 use spanner_graph::generators::{Family, WeightModel};
 
@@ -109,8 +109,11 @@ fn bench_driver(c: &mut Criterion) {
     .generate(WeightModel::Uniform(1, 32), 0xB3);
     let input_words = 4 * g.m() + 2 * g.n() + 64;
     let cfg = MpcConfig::explicit(2048, input_words.div_ceil(2048).max(2), 8);
+    let request = SpannerRequest::new(&g, Algorithm::General(TradeoffParams::new(8, 3)))
+        .on(Backend::mpc_deployment(cfg))
+        .seed(1);
     c.bench_function("mpc_driver_k8_t3_n1024", |b| {
-        b.iter(|| mpc_general_spanner_with_config(&g, TradeoffParams::new(8, 3), cfg, 1).unwrap())
+        b.iter(|| request.run().expect("the deployment fits the run"))
     });
 }
 

@@ -6,7 +6,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mpc_runtime::{primitives, Dist, ExecutorKind, MpcConfig, MpcSystem, NetworkModel};
-use spanner_core::mpc_driver::mpc_general_spanner_with_executor;
+use spanner_core::pipeline::{Algorithm, Backend, SpannerRequest};
 use spanner_core::TradeoffParams;
 use spanner_graph::generators::{Family, WeightModel};
 
@@ -65,11 +65,14 @@ fn bench_driver_by_executor(c: &mut Criterion) {
     let input_words = 4 * g.m() + 2 * g.n() + 64;
     let cfg = MpcConfig::explicit(2048, input_words.div_ceil(2048).max(2), 8);
     for (name, executor) in executors() {
-        group.bench_with_input(BenchmarkId::from_parameter(name), &executor, |b, &ex| {
-            b.iter(|| {
-                mpc_general_spanner_with_executor(&g, TradeoffParams::new(6, 2), cfg, ex, 1)
-                    .unwrap()
+        let request = SpannerRequest::new(&g, Algorithm::General(TradeoffParams::new(6, 2)))
+            .on(Backend::Mpc {
+                deployment: cfg.into(),
+                executor,
             })
+            .seed(1);
+        group.bench_with_input(BenchmarkId::from_parameter(name), &executor, |b, _| {
+            b.iter(|| request.run().expect("the deployment fits the run"))
         });
     }
     group.finish();

@@ -8,7 +8,7 @@
 //!   process default (`RAYON_NUM_THREADS`), via `ThreadPool::install`,
 //!   so both counts run in one process;
 //! * **batch composition** — a homogeneous batch (one algorithm, many
-//!   seeds: the `best_of` amplification shape) vs a mixed batch
+//!   seeds: the best-of-R amplification shape) vs a mixed batch
 //!   (several algorithms × backends: the cross-model comparison shape).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

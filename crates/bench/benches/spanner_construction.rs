@@ -43,7 +43,7 @@ fn bench_k_scaling(c: &mut Criterion) {
         avg_deg: 12.0,
     }
     .generate(WeightModel::Uniform(1, 64), 0xB1);
-    let mut group = c.benchmark_group("general_spanner_k");
+    let mut group = c.benchmark_group("k_scaling");
     for k in [4u32, 16, 64] {
         let request = SpannerRequest::new(&g, Algorithm::General(TradeoffParams::log_k(k))).seed(1);
         group.bench_with_input(BenchmarkId::from_parameter(k), &k, |b, _| {

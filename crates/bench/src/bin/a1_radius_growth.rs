@@ -7,7 +7,8 @@
 //! high-diameter workload where radii actually grow.
 
 use spanner_bench::table::{f2, Table};
-use spanner_core::{general_spanner, BuildOptions, TradeoffParams};
+use spanner_core::pipeline::{Algorithm, SpannerRequest};
+use spanner_core::TradeoffParams;
 use spanner_graph::generators::{torus, WeightModel};
 
 fn main() {
@@ -24,7 +25,12 @@ fn main() {
     ]);
     for (k, tt) in [(16u32, 1u32), (16, 2), (27, 2), (16, 4)] {
         let params = TradeoffParams::new(k, tt);
-        let r = general_spanner(&g, params, 0x1A, BuildOptions { track_radii: true });
+        let r = SpannerRequest::new(&g, Algorithm::General(params))
+            .seed(0x1A)
+            .track_radii(true)
+            .run()
+            .expect("sequential run")
+            .result;
         for (i, &radius) in r.radius_per_epoch.iter().enumerate() {
             let bound = params.radius_bound(i as u32 + 1);
             t.row(vec![

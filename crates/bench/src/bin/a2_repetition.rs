@@ -7,8 +7,8 @@
 //! without the amplification: the mean barely moves, but the worst case
 //! (the tail the w.h.p. claim is about) tightens.
 
-use congested_clique::cc_spanner;
 use spanner_bench::table::{f2, Table};
+use spanner_core::pipeline::{Algorithm, Backend, SpannerRequest};
 use spanner_core::TradeoffParams;
 use spanner_graph::generators::{Family, WeightModel};
 
@@ -36,15 +36,26 @@ fn main() {
         "mean cc rounds",
     ]);
     for reps in [1usize, 4, 9] {
-        let runs: Vec<_> = seeds
+        // (spanner size, clique rounds) per seed.
+        let runs: Vec<(usize, u64)> = seeds
             .iter()
-            .map(|&s| cc_spanner(&g, params, s, reps))
+            .map(|&s| {
+                let report = SpannerRequest::new(&g, Algorithm::General(params))
+                    .on(Backend::CongestedClique { repetitions: reps })
+                    .seed(s)
+                    .run()
+                    .expect("clique run");
+                (
+                    report.size(),
+                    report.stats.model_rounds().expect("clique rounds"),
+                )
+            })
             .collect();
-        let sizes: Vec<usize> = runs.iter().map(|r| r.result.size()).collect();
+        let sizes: Vec<usize> = runs.iter().map(|&(size, _)| size).collect();
         let mean = sizes.iter().sum::<usize>() as f64 / sizes.len() as f64;
         let max = *sizes.iter().max().unwrap();
         let min = *sizes.iter().min().unwrap();
-        let rounds = runs.iter().map(|r| r.rounds).sum::<u64>() as f64 / runs.len() as f64;
+        let rounds = runs.iter().map(|&(_, r)| r).sum::<u64>() as f64 / runs.len() as f64;
         t.row(vec![
             reps.to_string(),
             f2(mean),

@@ -4,8 +4,8 @@
 
 use spanner_bench::table::{f2, Table};
 use spanner_bench::workloads;
+use spanner_core::pipeline::{log_star, Algorithm, Backend, SpannerRequest};
 use spanner_core::TradeoffParams;
-use spanner_pram::pram_general_spanner;
 
 fn main() {
     println!("# E10 — PRAM depth (CRCW, log* n primitives)\n");
@@ -14,7 +14,7 @@ fn main() {
         "workload er(n={}, m={}); log* n = {}\n",
         g.n(),
         g.m(),
-        spanner_pram::log_star(g.n())
+        log_star(g.n())
     );
     let mut t = Table::new(&[
         "k",
@@ -28,16 +28,21 @@ fn main() {
     ]);
     for k in [8u32, 16, 32, 64, 128] {
         let params = TradeoffParams::log_k(k);
-        let run = pram_general_spanner(&g, params, 0x10);
+        let report = SpannerRequest::new(&g, Algorithm::General(params))
+            .on(Backend::Pram)
+            .seed(0x10)
+            .run()
+            .expect("pram run");
+        let run = report.stats.pram().expect("pram stats");
         let ls = run.log_star_n as f64;
-        let iters = run.result.iterations.max(1) as f64;
+        let iters = report.result.iterations.max(1) as f64;
         // Baswana–Sen on the same accounting: k iterations, each with the
         // same 3 primitives + 1 step.
         let bs_depth = k as f64 * (3.0 * ls + 1.0);
         t.row(vec![
             k.to_string(),
             params.t.to_string(),
-            run.result.iterations.to_string(),
+            report.result.iterations.to_string(),
             run.depth.to_string(),
             f2(run.depth as f64 / (iters * ls)),
             format!("{bs_depth:.0}"),

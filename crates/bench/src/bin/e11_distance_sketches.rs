@@ -11,7 +11,7 @@
 //! -query counter (0 by construction since every component owns a
 //! top-level landmark).
 
-use spanner_apsp::{evaluate_sketch_oracle, evaluate_sketches};
+use spanner_apsp::evaluate_sketch_oracle;
 use spanner_bench::table::{f2, Table};
 use spanner_bench::workloads;
 use spanner_core::pipeline::{Algorithm, DistanceRequest, QueryEngine};
@@ -33,8 +33,14 @@ fn main() {
         "guarantee",
     ]);
     for lambda in [2u32, 3] {
-        // (a) preprocess on the full graph.
-        let full = evaluate_sketches(&g, &g, 1.0, lambda, 12, 0xE11);
+        // (a) preprocess on the full graph: k = 1 is the 1-spanner, the
+        // graph itself.
+        let whole = DistanceRequest::new(&g, Algorithm::General(TradeoffParams::new(1, 1)))
+            .engine(QueryEngine::Sketches { levels: lambda })
+            .seed(0xE11)
+            .build()
+            .expect("sequential build");
+        let full = evaluate_sketch_oracle(&g, &whole, 12, 0xE11);
         t.row(vec![
             "full graph".into(),
             lambda.to_string(),

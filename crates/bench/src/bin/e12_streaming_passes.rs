@@ -9,7 +9,7 @@
 
 use spanner_bench::table::{f2, Table};
 use spanner_bench::{measure, workloads};
-use spanner_core::streaming::streaming_spanner;
+use spanner_core::pipeline::{Algorithm, Backend, SpannerRequest};
 use spanner_core::TradeoffParams;
 
 fn main() {
@@ -33,8 +33,13 @@ fn main() {
             ("t=1 (log k passes)", TradeoffParams::cluster_merging(k)),
             ("t=log k", TradeoffParams::log_k(k)),
         ] {
-            let run = streaming_spanner(&g, params, 0x12);
-            let m = measure(&g, &run.result.edges, 16, 12);
+            let report = SpannerRequest::new(&g, Algorithm::General(params))
+                .on(Backend::Streaming)
+                .seed(0x12)
+                .run()
+                .expect("streaming run");
+            let run = report.stats.streaming().expect("streaming stats");
+            let m = measure(&g, &report.result.edges, 16, 12);
             t.row(vec![
                 label.into(),
                 k.to_string(),

@@ -6,7 +6,7 @@
 
 use spanner_bench::table::{f2, Table};
 use spanner_bench::{measure, size_baseline, workloads};
-use spanner_core::presets::{corollary_spanner, CorollarySetting};
+use spanner_core::pipeline::{Algorithm, CorollarySetting, SpannerRequest};
 
 fn main() {
     println!("# E1 — Corollary 1.2 settings (k = 8 where applicable)\n");
@@ -26,15 +26,19 @@ fn main() {
             "valid",
         ]);
         for setting in CorollarySetting::all() {
-            let params = setting.params(g.n(), k);
-            let r = corollary_spanner(&g, setting, k, 0xE1);
+            let request = SpannerRequest::new(&g, Algorithm::Corollary { setting, k }).seed(0xE1);
+            let plan = request.plan().expect("valid setting");
+            let params = plan
+                .schedule
+                .expect("corollary settings resolve to a schedule");
+            let r = request.run().expect("sequential run").result;
             let m = measure(&g, &r.edges, 32, 1);
             t.row(vec![
                 setting.label(),
                 params.k.to_string(),
                 params.t.to_string(),
                 r.iterations.to_string(),
-                params.iterations().to_string(),
+                plan.iterations.to_string(),
                 f2(m.stretch),
                 f2(r.stretch_bound),
                 m.size.to_string(),

@@ -4,7 +4,7 @@
 
 use spanner_bench::table::{f2, Table};
 use spanner_bench::{measure, size_baseline, workloads};
-use spanner_core::cluster_merging::cluster_merging_spanner;
+use spanner_core::pipeline::{Algorithm, SpannerRequest};
 
 fn main() {
     println!("# E2 — Theorem 4.14 (cluster-cluster merging, t = 1)\n");
@@ -21,7 +21,11 @@ fn main() {
             "valid",
         ]);
         for k in [2u32, 4, 8, 16, 32] {
-            let r = cluster_merging_spanner(&g, k, 0xE2);
+            let r = SpannerRequest::new(&g, Algorithm::ClusterMerging { k })
+                .seed(0xE2)
+                .run()
+                .expect("sequential run")
+                .result;
             let m = measure(&g, &r.edges, 24, 2);
             let logk = (k as f64).log2().max(1.0);
             t.row(vec![

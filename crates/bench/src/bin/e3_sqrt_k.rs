@@ -3,7 +3,7 @@
 
 use spanner_bench::table::{f2, Table};
 use spanner_bench::{measure, size_baseline, workloads};
-use spanner_core::sqrt_k::sqrt_k_spanner;
+use spanner_core::pipeline::{Algorithm, SpannerRequest};
 
 fn main() {
     println!("# E3 — Theorem 3.1/3.4 (two-phase sqrt-k algorithm)\n");
@@ -21,7 +21,11 @@ fn main() {
             "valid",
         ]);
         for k in [4u32, 9, 16, 25, 36] {
-            let r = sqrt_k_spanner(&g, k, 0xE3);
+            let r = SpannerRequest::new(&g, Algorithm::SqrtK { k })
+                .seed(0xE3)
+                .run()
+                .expect("sequential run")
+                .result;
             let m = measure(&g, &r.edges, 24, 3);
             let sq = (k as f64).sqrt();
             t.row(vec![

@@ -7,7 +7,8 @@
 
 use spanner_bench::table::{f2, Table};
 use spanner_bench::{measure, size_baseline, workloads};
-use spanner_core::{general_spanner, BuildOptions, TradeoffParams};
+use spanner_core::pipeline::{Algorithm, SpannerRequest};
+use spanner_core::TradeoffParams;
 
 fn main() {
     println!("# E4 — Theorem 5.15 trade-off curve\n");
@@ -40,7 +41,11 @@ fn main() {
         ts.dedup();
         for t in ts {
             let params = TradeoffParams::new(k, t);
-            let r = general_spanner(&g, params, 0xE4, BuildOptions::default());
+            let r = SpannerRequest::new(&g, Algorithm::General(params))
+                .seed(0xE4)
+                .run()
+                .expect("sequential run")
+                .result;
             let m = measure(&g, &r.edges, 24, 4);
             let denom = size_baseline(g.n(), k) * (t as f64 + (k as f64).log2());
             table.row(vec![

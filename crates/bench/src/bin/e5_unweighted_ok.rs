@@ -12,7 +12,8 @@
 
 use spanner_bench::table::{f2, Table};
 use spanner_bench::{measure, size_baseline};
-use spanner_core::unweighted_ok::{unweighted_ok_spanner, UnweightedOkConfig};
+use spanner_core::pipeline::{Algorithm, SpannerRequest};
+use spanner_core::unweighted_ok::UnweightedOkConfig;
 use spanner_graph::generators::{self, WeightModel};
 use spanner_graph::Graph;
 
@@ -72,7 +73,11 @@ fn main() {
                     ball_factor: 16.0,
                     hitting_boost: 0.05,
                 };
-                let r = unweighted_ok_spanner(&g, k, cfg, 0xE5);
+                let r = SpannerRequest::new(&g, Algorithm::UnweightedOk { k, config: cfg })
+                    .seed(0xE5)
+                    .run()
+                    .expect("unweighted workload")
+                    .result;
                 let stats = r.decomposition.clone().expect("appendix B fills its stats");
                 let m = measure(&g, &r.edges, 16, 5);
                 t.row(vec![

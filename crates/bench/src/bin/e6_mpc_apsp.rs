@@ -28,12 +28,16 @@ fn main() {
     ]);
     for n in [256usize, 512, 1024] {
         let g = Family::ErdosRenyi { n, avg_deg: 12.0 }.generate(WeightModel::PowersOfTwo(8), 0xE6);
-        let params = spanner_apsp::oracle::apsp_params(n);
-        let oracle = apsp_request(&g)
+        let request = apsp_request(&g)
             .on(Backend::mpc_deployment(MpcDeployment::NearLinear))
-            .seed(0x6E)
-            .build()
-            .expect("in-model APSP");
+            .seed(0x6E);
+        let params = request
+            .plan()
+            .expect("valid request")
+            .spanner
+            .schedule
+            .expect("the APSP regime resolves to a schedule");
+        let oracle = request.build().expect("in-model APSP");
         let stats = oracle.stats();
         let metrics = &stats.execution.mpc().expect("mpc stats").metrics;
         let rep = measure_distance_oracle(&g, &oracle, 24, 6);

@@ -6,10 +6,8 @@
 
 use spanner_bench::table::{f2, Table};
 use spanner_bench::{measure, workloads};
-use spanner_core::baswana_sen::baswana_sen;
-use spanner_core::cluster_merging::cluster_merging_spanner;
-use spanner_core::sqrt_k::sqrt_k_spanner;
-use spanner_core::{general_spanner, BuildOptions, TradeoffParams};
+use spanner_core::pipeline::{Algorithm, SpannerRequest};
+use spanner_core::TradeoffParams;
 
 fn main() {
     println!("# E8 — Baswana–Sen baseline vs the paper's algorithms\n");
@@ -25,13 +23,18 @@ fn main() {
         "valid",
     ]);
     for k in [4u32, 8, 16, 32, 64] {
-        let runs = vec![
-            baswana_sen(&g, k, 0xE8),
-            sqrt_k_spanner(&g, k, 0xE8),
-            general_spanner(&g, TradeoffParams::log_k(k), 0xE8, BuildOptions::default()),
-            cluster_merging_spanner(&g, k, 0xE8),
+        let algorithms = [
+            Algorithm::BaswanaSen { k },
+            Algorithm::SqrtK { k },
+            Algorithm::General(TradeoffParams::log_k(k)),
+            Algorithm::ClusterMerging { k },
         ];
-        for r in runs {
+        for algorithm in algorithms {
+            let r = SpannerRequest::new(&g, algorithm)
+                .seed(0xE8)
+                .run()
+                .expect("sequential run")
+                .result;
             let m = measure(&g, &r.edges, 16, 8);
             t.row(vec![
                 k.to_string(),

@@ -10,13 +10,25 @@
 //!    grow iteration, and the bit-for-bit agreement with the sequential
 //!    reference.
 
-use mpc_runtime::{comm, primitives, Dist, ExecutorKind, MpcConfig, MpcSystem, NetworkModel};
+use mpc_runtime::{comm, primitives, Dist, MpcConfig, MpcSystem, NetworkModel};
 use spanner_bench::table::{f2, Table};
 use spanner_bench::workloads;
-use spanner_core::mpc_driver::{
-    mpc_general_spanner_with_config, mpc_general_spanner_with_executor,
-};
-use spanner_core::{general_spanner, BuildOptions, TradeoffParams};
+use spanner_core::pipeline::{Algorithm, Backend, MpcStats, RunReport, SpannerRequest};
+use spanner_core::TradeoffParams;
+use spanner_graph::Graph;
+
+/// One run of the Section 5 algorithm on `backend`.
+fn run_on(g: &Graph, params: TradeoffParams, backend: Backend) -> RunReport {
+    SpannerRequest::new(g, Algorithm::General(params))
+        .on(backend)
+        .seed(0xE9)
+        .run()
+        .expect("the deployment fits the run")
+}
+
+fn mpc_stats(report: &RunReport) -> &MpcStats {
+    report.stats.mpc().expect("mpc stats")
+}
 
 fn main() {
     println!("# E9 — Section 6 implementation layer (measured rounds)\n");
@@ -84,7 +96,7 @@ fn main() {
     println!("\n## End-to-end distributed runs (k=8, t=3; er n=2048)\n");
     let g = workloads::default_er(2048);
     let params = TradeoffParams::new(8, 3);
-    let seq = general_spanner(&g, params, 0xE9, BuildOptions::default());
+    let seq = run_on(&g, params, Backend::Sequential).result;
     let input_words = 4 * g.m() + 2 * g.n() + 64;
     let mut t2 = Table::new(&[
         "S (words)",
@@ -99,14 +111,15 @@ fn main() {
     ]);
     for s in [1024usize, 2048, 4096, 8192] {
         let cfg = MpcConfig::explicit(s, input_words.div_ceil(s).max(2), 8);
-        let run = mpc_general_spanner_with_config(&g, params, cfg, 0xE9).unwrap();
+        let run = run_on(&g, params, Backend::mpc_deployment(cfg));
+        let metrics = &mpc_stats(&run).metrics;
         t2.row(vec![
             s.to_string(),
             cfg.num_machines.to_string(),
-            run.metrics.rounds.to_string(),
+            metrics.rounds.to_string(),
             run.result.iterations.to_string(),
-            f2(run.metrics.rounds as f64 / run.result.iterations.max(1) as f64),
-            run.metrics.peak_machine_words.to_string(),
+            f2(metrics.rounds as f64 / run.result.iterations.max(1) as f64),
+            metrics.peak_machine_words.to_string(),
             cfg.capacity().to_string(),
             run.result.size().to_string(),
             (run.result.edges == seq.edges).to_string(),
@@ -116,9 +129,9 @@ fn main() {
 
     println!("\n## Rounds by primitive (S = 2048 run above)\n");
     let cfg = MpcConfig::explicit(2048, input_words.div_ceil(2048).max(2), 8);
-    let run = mpc_general_spanner_with_config(&g, params, cfg, 0xE9).unwrap();
+    let run = run_on(&g, params, Backend::mpc_deployment(cfg));
     let mut t3 = Table::new(&["primitive", "rounds"]);
-    for (op, rounds) in &run.metrics.rounds_by_op {
+    for (op, rounds) in &mpc_stats(&run).metrics.rounds_by_op {
         t3.row(vec![op.to_string(), rounds.to_string()]);
     }
     t3.print();
@@ -136,18 +149,17 @@ fn main() {
             bytes_per_sec: 1e9,
         },
     ] {
-        let run =
-            mpc_general_spanner_with_executor(&g, params, cfg, ExecutorKind::Threaded(model), 0xE9)
-                .unwrap();
+        let run = run_on(&g, params, Backend::mpc_deployment(cfg).threaded(model));
         assert_eq!(
             run.result.edges, seq.edges,
             "threaded executor must rebuild the sequential spanner bit for bit"
         );
-        let report = run.net.as_ref().expect("threaded runs carry a NetReport");
+        let stats = mpc_stats(&run);
+        let report = stats.net.as_ref().expect("threaded runs carry a NetReport");
         t4.row(vec![
             "4096".to_string(),
             cfg.num_machines.to_string(),
-            run.metrics.rounds.to_string(),
+            stats.metrics.rounds.to_string(),
             model.label(),
             format!("{:.4}s", report.total_seconds),
         ]);

@@ -31,34 +31,19 @@ use crate::coins::cluster_coin;
 use crate::pipeline::{BuildGuard, PipelineError};
 use crate::result::SpannerResult;
 
-/// Classic Baswana–Sen `(2k−1)`-spanner on a weighted graph.
-///
-/// Runs `k` grow iterations at fixed probability `n^{-1/k}` and the
-/// vertex-level second phase. Expected size `O(k·n^{1+1/k})`.
-///
-/// Shim over [`crate::pipeline`]: equivalent to running a
-/// `SpannerRequest` with `Algorithm::BaswanaSen` on the sequential
-/// backend.
-pub fn baswana_sen(g: &Graph, k: u32, seed: u64) -> SpannerResult {
-    assert!(k >= 1, "k must be at least 1");
-    crate::pipeline::SpannerRequest::new(g, crate::pipeline::Algorithm::BaswanaSen { k })
-        .seed(seed)
-        .run()
-        .expect("validated above; sequential execution is infallible")
-        .result
-}
-
-/// The implementation behind [`baswana_sen`] (the pipeline's
-/// sequential `Algorithm::BaswanaSen` driver; also used as a black box
-/// by Section 3 and Appendix B, which run it uninterruptible).
+/// Classic Baswana–Sen `(2k−1)`-spanner on a weighted graph: `k`
+/// grow iterations at fixed probability `n^{-1/k}` and the vertex-level
+/// second phase, expected size `O(k·n^{1+1/k})`. The pipeline's
+/// sequential `Algorithm::BaswanaSen` driver runs [`build_guarded`];
+/// Section 3 and Appendix B run it uninterruptible as a black box.
 pub(crate) fn build(g: &Graph, k: u32, seed: u64) -> SpannerResult {
     build_guarded(g, k, seed, &BuildGuard::new(format!("baswana-sen(k={k})")))
         .expect("an unbounded guard never interrupts")
 }
 
 /// [`build`] under a [`BuildGuard`], checked before every grow
-/// iteration and before Phase 2 — the preemptible variant the service
-/// path runs.
+/// iteration and before Phase 2 — the preemptible variant the pipeline
+/// runs.
 pub(crate) fn build_guarded(
     g: &Graph,
     k: u32,
@@ -213,11 +198,20 @@ pub(crate) fn build_guarded(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::{Algorithm, SpannerRequest};
     use spanner_graph::generators::{self, WeightModel};
     use spanner_graph::verify::verify_spanner;
 
+    fn run(g: &Graph, k: u32, seed: u64) -> SpannerResult {
+        SpannerRequest::new(g, Algorithm::BaswanaSen { k })
+            .seed(seed)
+            .run()
+            .expect("valid request")
+            .result
+    }
+
     fn check(g: &Graph, k: u32, seed: u64) -> SpannerResult {
-        let r = baswana_sen(g, k, seed);
+        let r = run(g, k, seed);
         spanner_graph::verify::assert_valid_edge_ids(g, &r.edges);
         let rep = verify_spanner(g, &r.edges);
         assert!(rep.all_edges_spanned, "unspanned edge (k={k})");
@@ -233,7 +227,7 @@ mod tests {
     #[test]
     fn k1_is_identity() {
         let g = generators::connected_erdos_renyi(30, 0.2, WeightModel::Unit, 0);
-        assert_eq!(baswana_sen(&g, 1, 0).size(), g.m());
+        assert_eq!(run(&g, 1, 0).size(), g.m());
     }
 
     #[test]
@@ -268,7 +262,7 @@ mod tests {
         // Expected size O(k n^{1+1/k}); allow a generous constant.
         let g = generators::connected_erdos_renyi(300, 0.15, WeightModel::Unit, 6);
         let k = 3u32;
-        let sizes: Vec<usize> = (0..5).map(|s| baswana_sen(&g, k, s).size()).collect();
+        let sizes: Vec<usize> = (0..5).map(|s| run(&g, k, s).size()).collect();
         let avg = sizes.iter().sum::<usize>() as f64 / sizes.len() as f64;
         let bound = k as f64 * (g.n() as f64).powf(1.0 + 1.0 / k as f64);
         assert!(avg <= 3.0 * bound, "avg {avg} vs k·n^(1+1/k) = {bound}");
@@ -277,7 +271,7 @@ mod tests {
     #[test]
     fn deterministic_per_seed() {
         let g = generators::connected_erdos_renyi(80, 0.1, WeightModel::Uniform(1, 9), 8);
-        assert_eq!(baswana_sen(&g, 4, 9).edges, baswana_sen(&g, 4, 9).edges);
+        assert_eq!(run(&g, 4, 9).edges, run(&g, 4, 9).edges);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! | module | paper | rounds (iterations) | stretch | size |
 //! |---|---|---|---|---|
 //! | [`baswana_sen`] | \[BS07] baseline | `k` | `2k−1` | `O(k·n^{1+1/k})` |
-//! | [`cluster_merging`] | §4 (Thm 4.14) | `⌈log k⌉` | `O(k^{log 3})` | `O(n^{1+1/k}log k)` |
+//! | [`pipeline::Algorithm::ClusterMerging`] | §4 (Thm 4.14) | `⌈log k⌉` | `O(k^{log 3})` | `O(n^{1+1/k}log k)` |
 //! | [`sqrt_k`] | §3 (Thm 3.4) | `O(√k)` | `O(k)` | `O(√k·n^{1+1/k})` |
 //! | [`general`] | §5 (Thm 5.15) | `t·⌈log k/log(t+1)⌉` | `O(k^s)`, `s=log(2t+1)/log(t+1)` | `O(n^{1+1/k}(t+log k))` |
 //! | [`presets`] | Cor 1.2 | the 4 named settings | | |
@@ -20,18 +20,20 @@
 //! All of these work on **weighted** graphs except Appendix B's, which is
 //! inherently unweighted (as in the paper).
 //!
-//! ## Execution models — start at [`pipeline`]
+//! ## Execution models — enter through [`pipeline`]
 //!
-//! **New code should enter through [`pipeline`]**: one typed
+//! Every construction runs through [`pipeline`]: one typed
 //! `SpannerRequest` (algorithm × backend × seed × verification policy)
 //! with a `plan()` step that predicts the theorem bounds before running
 //! and a `run()` that returns a unified `RunReport`; many requests fan
 //! out concurrently with `par_iter().map(SpannerRequest::run)`. The
-//! per-model free functions in the algorithm modules survive as thin
-//! shims over the pipeline. For long-lived serving (register a graph
-//! once, answer many jobs from the budgeted artifact store), continue to
-//! [`pipeline::service`], and put a [`pipeline::JobQueue`] in front of
-//! it to bound how many jobs execute at once.
+//! algorithm modules hold the constructions and their documentation;
+//! their drivers are crate-private. For distance queries, a
+//! `DistanceRequest` builds an oracle on the spanner; for long-lived
+//! serving (register a graph once, answer many jobs from the budgeted
+//! artifact store), continue to [`pipeline::service`], and put a
+//! [`pipeline::JobQueue`] in front of it to bound how many jobs execute
+//! at once.
 //!
 //! Every construction exists as a *sequential reference* (it executes
 //! the exact per-iteration rules and is what the stretch/size
@@ -44,7 +46,6 @@
 //! `(weight, id)` tie-breaks), which integration tests verify.
 
 pub mod baswana_sen;
-pub mod cluster_merging;
 pub mod coins;
 pub mod engine;
 pub mod general;
@@ -58,6 +59,5 @@ pub mod streaming;
 pub mod sync;
 pub mod unweighted_ok;
 
-pub use general::{best_of, general_spanner, log_k_spanner, BuildOptions};
 pub use params::TradeoffParams;
 pub use result::SpannerResult;

@@ -27,8 +27,8 @@
 //!    each (Lemma 6.1's Clustering/Merge); contraction (Lemma 6.1's
 //!    Contraction) is a relabel + minimum-per-pair aggregation.
 //!
-//! With the same seed, the driver and the sequential
-//! [`crate::general::general_spanner`] produce **identical spanners**
+//! With the same seed, the driver and the sequential engine
+//! ([`crate::general`]) produce **identical spanners**
 //! (shared coins, identical `(w, id)` tie-breaks) — integration tests
 //! assert this. The measured `sys.rounds()` is experiment E9's subject:
 //! per iteration it is `O(1/γ)`, matching Lemma 6.1.
@@ -54,10 +54,11 @@ type LabelRec = (u64, u64);
 
 const NONE: u64 = u64::MAX;
 
-/// Result of a distributed run: the spanner plus the *measured* model
-/// metrics.
+/// Raw outcome of a distributed run — the spanner plus the *measured*
+/// model metrics — before the pipeline wraps it into
+/// [`crate::pipeline::MpcStats`].
 #[derive(Debug, Clone)]
-pub struct MpcSpannerRun {
+pub(crate) struct MpcSpannerRun {
     /// The spanner and schedule statistics.
     pub result: SpannerResult,
     /// Measured rounds / traffic / peak memory.
@@ -68,75 +69,8 @@ pub struct MpcSpannerRun {
     pub net: Option<mpc_runtime::NetReport>,
 }
 
-/// Runs the Section 5 algorithm on the MPC simulator in the strongly
-/// sublinear regime with memory exponent `gamma`.
-///
-/// Shim over [`crate::pipeline`]: equivalent to running a
-/// `SpannerRequest` with `Algorithm::General` on
-/// `Backend::mpc_gamma(gamma)`.
-pub fn mpc_general_spanner(
-    g: &Graph,
-    params: TradeoffParams,
-    gamma: f64,
-    seed: u64,
-) -> mpc_runtime::Result<MpcSpannerRun> {
-    let input_words = 4 * g.m() + 2 * g.n() + 64;
-    let config = MpcConfig::strongly_sublinear(g.n(), gamma, input_words);
-    mpc_general_spanner_with_config(g, params, config, seed)
-}
-
-/// Same, with an explicit deployment (used by the near-linear regime of
-/// the APSP application and by tests).
-///
-/// Shim over [`crate::pipeline`] (`Backend::Mpc` with an explicit
-/// deployment); MPC constraint violations come back as the legacy
-/// `mpc_runtime::Result`.
-pub fn mpc_general_spanner_with_config(
-    g: &Graph,
-    params: TradeoffParams,
-    config: MpcConfig,
-    seed: u64,
-) -> mpc_runtime::Result<MpcSpannerRun> {
-    mpc_general_spanner_with_executor(g, params, config, ExecutorKind::Loop, seed)
-}
-
-/// Same, additionally choosing the physical executor — e.g.
-/// `ExecutorKind::Threaded(NetworkModel::FullMesh { .. })` to run every
-/// machine on its own OS thread and predict cluster wall-clock (returned
-/// in [`MpcSpannerRun::net`]).
-pub fn mpc_general_spanner_with_executor(
-    g: &Graph,
-    params: TradeoffParams,
-    config: MpcConfig,
-    executor: ExecutorKind,
-    seed: u64,
-) -> mpc_runtime::Result<MpcSpannerRun> {
-    use crate::pipeline::{Algorithm, Backend, MpcDeployment, PipelineError};
-    assert!(params.k >= 1, "k must be at least 1");
-    let report = crate::pipeline::SpannerRequest::new(g, Algorithm::General(params))
-        .on(Backend::Mpc {
-            deployment: MpcDeployment::Explicit(config),
-            executor,
-        })
-        .seed(seed)
-        .run()
-        .map_err(|e| match e {
-            PipelineError::Mpc(mpc) => mpc,
-            // k ≥ 1 is asserted above and an explicit deployment skips
-            // the gamma check, so plan() cannot reject this request.
-            other => unreachable!("mpc execution fails only with MPC errors: {other}"),
-        })?;
-    let stats = report.stats.mpc().expect("mpc backend reports mpc stats");
-    Ok(MpcSpannerRun {
-        metrics: stats.metrics.clone(),
-        config: stats.config,
-        net: stats.net.clone(),
-        result: report.result,
-    })
-}
-
-/// The distributed driver behind [`mpc_general_spanner_with_config`]
-/// (the pipeline's `Backend::Mpc` driver).
+/// Runs the Section 5 algorithm on the MPC simulator under an explicit
+/// deployment and executor (the pipeline's `Backend::Mpc` driver).
 pub(crate) fn run_mpc(
     g: &Graph,
     params: TradeoffParams,
@@ -552,19 +486,35 @@ const _: () = assert!(<Rec as Record>::WORDS == 8);
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::general::{general_spanner, BuildOptions};
+    use crate::pipeline::{Algorithm, Backend, MpcStats, RunReport, SpannerRequest};
     use spanner_graph::generators::{self, WeightModel};
     use spanner_graph::verify::verify_spanner;
+
+    /// Runs the request on the default `γ = 0.5` deployment.
+    fn mpc(g: &Graph, params: TradeoffParams, seed: u64) -> RunReport {
+        SpannerRequest::new(g, Algorithm::General(params))
+            .on(Backend::mpc_gamma(0.5))
+            .seed(seed)
+            .run()
+            .expect("fits the deployment")
+    }
+
+    fn stats(report: &RunReport) -> &MpcStats {
+        report.stats.mpc().expect("mpc stats")
+    }
 
     #[test]
     fn driver_produces_valid_spanner() {
         let g = generators::connected_erdos_renyi(60, 0.1, WeightModel::Uniform(1, 8), 3);
-        let run = mpc_general_spanner(&g, TradeoffParams::new(4, 2), 0.5, 11).unwrap();
+        let run = mpc(&g, TradeoffParams::new(4, 2), 11);
         spanner_graph::verify::assert_valid_edge_ids(&g, &run.result.edges);
         let rep = verify_spanner(&g, &run.result.edges);
         assert!(rep.all_edges_spanned);
         assert!(rep.max_edge_stretch <= run.result.stretch_bound + 1e-9);
-        assert!(run.metrics.rounds > 0, "distributed run must cost rounds");
+        assert!(
+            stats(&run).metrics.rounds > 0,
+            "distributed run must cost rounds"
+        );
     }
 
     #[test]
@@ -572,10 +522,13 @@ mod tests {
         let g = generators::connected_erdos_renyi(50, 0.12, WeightModel::Uniform(1, 4), 7);
         let params = TradeoffParams::new(4, 2);
         let seed = 23;
-        let seq = general_spanner(&g, params, seed, BuildOptions::default());
-        let dist = mpc_general_spanner(&g, params, 0.5, seed).unwrap();
+        let seq = SpannerRequest::new(&g, Algorithm::General(params))
+            .seed(seed)
+            .run()
+            .expect("valid request");
+        let dist = mpc(&g, params, seed);
         assert_eq!(
-            seq.edges, dist.result.edges,
+            seq.result.edges, dist.result.edges,
             "sequential and distributed must agree bit-for-bit"
         );
     }
@@ -583,20 +536,21 @@ mod tests {
     #[test]
     fn memory_constraints_hold_during_run() {
         let g = generators::connected_erdos_renyi(80, 0.08, WeightModel::Unit, 5);
-        let run = mpc_general_spanner(&g, TradeoffParams::new(4, 2), 0.5, 3).unwrap();
+        let run = mpc(&g, TradeoffParams::new(4, 2), 3);
+        let stats = stats(&run);
         assert!(
-            run.metrics.peak_machine_words <= run.config.capacity(),
+            stats.metrics.peak_machine_words <= stats.config.capacity(),
             "peak {} exceeds capacity {}",
-            run.metrics.peak_machine_words,
-            run.config.capacity()
+            stats.metrics.peak_machine_words,
+            stats.config.capacity()
         );
     }
 
     #[test]
     fn k1_shortcut() {
         let g = generators::cycle(8, WeightModel::Unit, 0);
-        let run = mpc_general_spanner(&g, TradeoffParams::new(1, 1), 0.5, 0).unwrap();
+        let run = mpc(&g, TradeoffParams::new(1, 1), 0);
         assert_eq!(run.result.size(), g.m());
-        assert_eq!(run.metrics.rounds, 0);
+        assert_eq!(stats(&run).metrics.rounds, 0);
     }
 }

@@ -10,11 +10,11 @@
 //! The primitives charge rounds for the *measured* loads the algorithms
 //! feed them; nothing is asserted about loads in advance.
 //!
-//! [`CcNetwork`] lives here (rather than in the `congested-clique`
-//! crate, which re-exports it) so that the pipeline can execute every
-//! backend from one place without a dependency cycle; the
-//! `congested-clique` crate keeps the public Section 8 surface
-//! (`cc_spanner`, `cc_apsp`) as shims over this driver.
+//! Section 8 runs through the pipeline: Theorem 8.1 is a
+//! [`SpannerRequest`](super::SpannerRequest) on
+//! `Backend::CongestedClique { repetitions }`, and Corollary 1.5 is a
+//! [`DistanceRequest`](super::DistanceRequest) on the same backend,
+//! whose build adds [`CcNetwork::disseminate_to_all`] of the spanner.
 
 use crate::coins::splitmix64;
 use crate::engine::Engine;
@@ -253,6 +253,94 @@ pub(crate) fn run_cc(g: &Graph, params: TradeoffParams, seed: u64, repetitions: 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::{Algorithm, Backend, CcStats, SpannerRequest};
+    use spanner_graph::generators::{self, WeightModel};
+    use spanner_graph::verify::verify_spanner;
+
+    /// Theorem 8.1 through the pipeline: the spanner and the clique
+    /// stats of one run.
+    fn cc(
+        g: &Graph,
+        params: TradeoffParams,
+        seed: u64,
+        repetitions: usize,
+    ) -> (SpannerResult, CcStats) {
+        let report = SpannerRequest::new(g, Algorithm::General(params))
+            .on(Backend::CongestedClique { repetitions })
+            .seed(seed)
+            .run()
+            .expect("valid request");
+        let stats = report
+            .stats
+            .congested_clique()
+            .expect("clique stats")
+            .clone();
+        (report.result, stats)
+    }
+
+    #[test]
+    fn single_repetition_matches_sequential_reference() {
+        let g = generators::connected_erdos_renyi(100, 0.08, WeightModel::Uniform(1, 8), 3);
+        let params = TradeoffParams::new(8, 2);
+        let seq = SpannerRequest::new(&g, Algorithm::General(params))
+            .seed(42)
+            .run()
+            .expect("valid request");
+        let (result, stats) = cc(&g, params, 42, 1);
+        assert_eq!(
+            seq.result.edges, result.edges,
+            "R=1 must equal the reference"
+        );
+        assert!(stats.chosen_runs.iter().all(|&r| r == 0));
+    }
+
+    #[test]
+    fn repetitions_produce_valid_spanner() {
+        let g = generators::connected_erdos_renyi(120, 0.07, WeightModel::PowersOfTwo(5), 5);
+        let (result, _) = cc(&g, TradeoffParams::new(8, 3), 7, 8);
+        let rep = verify_spanner(&g, &result.edges);
+        assert!(rep.all_edges_spanned);
+        assert!(
+            rep.max_edge_stretch <= result.stretch_bound + 1e-9,
+            "{} > {}",
+            rep.max_edge_stretch,
+            result.stretch_bound
+        );
+    }
+
+    #[test]
+    fn repetition_never_hurts_expected_size_much() {
+        // Averaged over seeds, best-of-R is at most the single-run size
+        // (selection minimises edges added subject to the sampling
+        // constraint, which holds for run 0 most of the time).
+        let g = generators::connected_erdos_renyi(150, 0.08, WeightModel::Unit, 9);
+        let params = TradeoffParams::new(4, 2);
+        let mut single = 0usize;
+        let mut amplified = 0usize;
+        for seed in 0..6 {
+            single += cc(&g, params, seed, 1).0.size();
+            amplified += cc(&g, params, seed, 8).0.size();
+        }
+        assert!(
+            (amplified as f64) <= 1.1 * single as f64,
+            "amplified {amplified} vs single {single}"
+        );
+    }
+
+    #[test]
+    fn rounds_scale_with_iterations_not_n() {
+        let params = TradeoffParams::new(16, 2);
+        let g_small = generators::connected_erdos_renyi(80, 0.1, WeightModel::Unit, 1);
+        let g_large = generators::connected_erdos_renyi(320, 0.025, WeightModel::Unit, 1);
+        let r_small = cc(&g_small, params, 3, 4).1.rounds;
+        let r_large = cc(&g_large, params, 3, 4).1.rounds;
+        // Same schedule ⇒ same round count up to per-iteration constants
+        // (no dependence on n beyond load batching).
+        assert!(
+            (r_large as f64) <= 1.5 * r_small as f64 + 10.0,
+            "rounds {r_large} vs {r_small}"
+        );
+    }
 
     #[test]
     fn broadcast_charges_per_word() {

@@ -29,11 +29,16 @@
 //! * [`DistanceRequest::plan`] predicts the composed guarantee
 //!   `σ·(2λ−1)` and the MPC gather cost before running anything;
 //! * [`DistanceRequest::build`] constructs the spanner on the requested
-//!   [`Backend`] — on MPC it additionally pays the paper's "+1 gather"
-//!   round to collect the spanner onto one machine, charging **only**
-//!   the gather (the harness's re-distribution of the already-in-model
-//!   spanner costs no rounds and is not billed) — and preprocesses the
-//!   query substrate;
+//!   [`Backend`], collects it, and preprocesses the query substrate.
+//!   The collection is the one step in which Corollaries 1.4 and 1.5
+//!   differ: on MPC the build pays the paper's "+1 gather" round onto
+//!   one machine, charging **only** the gather (the harness's
+//!   re-distribution of the already-in-model spanner costs no rounds
+//!   and is not billed); on the Congested Clique every node learns the
+//!   whole spanner by Lenzen dissemination (§8). So the Corollary
+//!   1.2(4) spanner ([`CorollarySetting::ApspRegime`](super::CorollarySetting))
+//!   built on `Backend::CongestedClique { repetitions }` is
+//!   Corollary 1.5;
 //! * [`DistanceOracle::query_batch`] fans queries out on the rayon pool
 //!   with order-preserving results, bit-identical to one-by-one
 //!   [`DistanceOracle::query`] at any thread count.
@@ -43,10 +48,6 @@
 //! [`SpannerService`](super::SpannerService) and submit oracle jobs:
 //! jobs agreeing on (graph, version, algorithm, backend, seed, engine)
 //! are served one `Arc`'d oracle from the service's artifact store.
-//!
-//! The legacy `spanner_apsp` entry points (`build_oracle`,
-//! `mpc_build_oracle`, `evaluate_sketches`) are thin shims over this
-//! stage.
 
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -58,6 +59,7 @@ use spanner_graph::edge::{Distance, EdgeId, INFINITY};
 use spanner_graph::shortest_paths::dijkstra;
 use spanner_graph::Graph;
 
+use super::clique::CcNetwork;
 use super::service::HeapSize;
 use super::{
     Algorithm, Backend, CancelToken, ExecutionStats, MpcStats, PipelineError, Plan, SpannerRequest,
@@ -633,8 +635,9 @@ impl<'g> DistanceRequest<'g> {
     }
 
     /// Executes the request: builds the spanner on the chosen backend
-    /// (on MPC, additionally pays the Section 7 "+1 gather" to collect
-    /// it onto machine 0), preprocesses the query substrate, and returns
+    /// and collects it (on MPC, the Section 7 "+1 gather" onto machine
+    /// 0; on the Congested Clique, the Lenzen dissemination to every
+    /// node), preprocesses the query substrate, and returns
     /// the queryable [`DistanceOracle`], under a [`BuildGuard`] armed
     /// with the request's deadline. Handle-based oracle jobs run the
     /// same path, so both produce bit-identical oracles at equal seeds.
@@ -647,8 +650,8 @@ impl<'g> DistanceRequest<'g> {
         ))
     }
 
-    /// The guarded build (plan → spanner → gather → substrate), shared
-    /// by [`Self::build`] and by the service's oracle jobs.
+    /// The guarded build (plan → spanner → collection → substrate),
+    /// shared by [`Self::build`] and by the service's oracle jobs.
     pub(crate) fn build_guarded(
         &self,
         guard: &BuildGuard,
@@ -717,6 +720,16 @@ impl<'g> DistanceRequest<'g> {
                     Some(gather_rounds),
                 )
             }
+            // Corollary 1.5's collection step: every node learns the
+            // whole spanner, 4 words per edge, by Lenzen dissemination,
+            // charged to the run's rounds and words like the MPC gather.
+            ExecutionStats::CongestedClique(mut stats) => {
+                let mut net = CcNetwork::new(self.spanner.graph().n().max(2));
+                let rounds = net.disseminate_to_all(4 * result.size());
+                stats.rounds += rounds;
+                stats.total_words += net.total_words();
+                (ExecutionStats::CongestedClique(stats), Some(rounds))
+            }
             stats => (stats, None),
         };
 
@@ -770,7 +783,10 @@ pub struct DistancePlan {
     /// The composed end-to-end guarantee `σ·(2λ−1)`.
     pub stretch_bound: f64,
     /// Predicted rounds for the Section 7 gather (`Some(1)` on MPC —
-    /// the spanner fits one near-linear machine).
+    /// the spanner fits one near-linear machine). `None` on the
+    /// Congested Clique, whose dissemination cost depends on the
+    /// spanner's size and is reported by
+    /// [`DistanceBuildStats::gather_rounds`] after the build.
     pub gather_rounds: Option<u64>,
 }
 
@@ -786,11 +802,16 @@ pub struct DistanceBuildStats {
     /// Grow iterations the construction used.
     pub iterations: u32,
     /// Backend cost of the construction. On MPC this *includes* the
-    /// gather (rounds, traffic and the host machine's peak storage).
+    /// gather (rounds, traffic and the host machine's peak storage); on
+    /// the Congested Clique it includes the dissemination (rounds and
+    /// words).
     pub execution: ExecutionStats,
-    /// Rounds the Section 7 gather cost (`Some` only on MPC).
+    /// Rounds the collection step cost: the Section 7 gather on MPC,
+    /// the Corollary 1.5 Lenzen dissemination of `4·|E_S|` words on the
+    /// Congested Clique, `None` on the other backends.
     pub gather_rounds: Option<u64>,
-    /// Wall clock for construction + gather + substrate preprocessing.
+    /// Wall clock for construction + collection + substrate
+    /// preprocessing.
     pub build_elapsed: Duration,
 }
 
@@ -897,12 +918,6 @@ impl DistanceOracle {
     /// Per-backend build statistics (construction + gather + substrate).
     pub fn stats(&self) -> &DistanceBuildStats {
         &self.stats
-    }
-
-    /// Decomposes the oracle into its spanner parts (used by the legacy
-    /// `spanner_apsp` shims).
-    pub fn into_spanner_parts(self) -> (Graph, Vec<EdgeId>, DistanceBuildStats) {
-        (self.spanner, self.spanner_edges, self.stats)
     }
 }
 
@@ -1117,6 +1132,28 @@ mod tests {
                 .plan(),
             Err(PipelineError::InvalidRequest(_))
         ));
+    }
+
+    #[test]
+    fn cc_apsp_spanner_is_sized_near_linearly() {
+        // Corollary 1.5: the Corollary 1.2(4) spanner on the Congested
+        // Clique with 8 repetitions, disseminated to every node.
+        let g = generators::connected_erdos_renyi(256, 0.2, WeightModel::Unit, 11);
+        let params = crate::presets::CorollarySetting::ApspRegime
+            .try_params(g.n(), 0)
+            .unwrap();
+        let oracle = DistanceRequest::new(&g, Algorithm::General(params))
+            .on(Backend::CongestedClique { repetitions: 8 })
+            .seed(13)
+            .build()
+            .unwrap();
+        // O(n log log n) with slack; certainly far below m here.
+        assert!(
+            oracle.size() < g.m() / 2,
+            "spanner {} vs m {}",
+            oracle.size(),
+            g.m()
+        );
     }
 
     #[test]

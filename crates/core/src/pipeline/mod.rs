@@ -4,9 +4,8 @@
 //! The paper presents one algorithmic family (clustering/contraction
 //! schedules, Theorem 1.1 / Corollary 1.2) realised in several
 //! computation models — MPC, Congested Clique, PRAM, multi-pass
-//! streams, and the plain sequential reference. Historically each
-//! model had its own free function with its own signature and return
-//! type; this module replaces all of them with a single typed flow:
+//! streams, and the plain sequential reference. Every model is a
+//! [`Backend`] of one typed flow:
 //!
 //! ```
 //! use spanner_core::pipeline::{Algorithm, Backend, SpannerRequest};
@@ -52,11 +51,6 @@
 //! deadlines ([`SpannerRequest::deadline`]) bound tail latency;
 //! cancellation belongs to service and queue jobs
 //! ([`SpannerJob::cancel`], [`OracleJob::cancel`], [`JobSpec::cancel`]).
-//!
-//! The legacy free functions (`general_spanner`, `cc_spanner`,
-//! `pram_general_spanner`, `streaming_spanner`, …) survive as thin
-//! shims over this module, so every pre-existing call site still
-//! compiles and produces bit-identical spanners.
 //!
 //! ## Algorithm × backend support matrix
 //!
@@ -108,8 +102,7 @@ pub use queue::{
     ClientId, JobId, JobOutput, JobQueue, JobSpec, JobStatus, Priority, QueueConfig, QueueStats,
 };
 pub use service::{
-    GraphHandle, HeapSize, LruStore, OracleJob, ServiceJob, ServiceStats, SpannerJob,
-    SpannerService,
+    GraphHandle, HeapSize, LruStore, OracleJob, ServiceStats, SpannerJob, SpannerService,
 };
 pub use shard::ShardedService;
 
@@ -137,7 +130,20 @@ pub enum Algorithm {
         /// Size exponent (spanner size `O(k·n^{1+1/k})`).
         k: u32,
     },
-    /// Section 4 (`t = 1`): `⌈log k⌉` epochs, stretch `O(k^{log 3})`.
+    /// Section 4, the cluster-cluster merging algorithm (Theorem 4.14):
+    /// the fastest end of the trade-off. `⌈log₂ k⌉` epochs, each a
+    /// single grow iteration followed by a contraction, with the
+    /// doubly-exponential sampling schedule `p_i = n^{-2^{i-1}/k}`;
+    /// stretch `O(k^{log 3})`, expected size `O(n^{1+1/k} log k)`, on
+    /// weighted graphs.
+    ///
+    /// As Section 5 observes, this is exactly the general algorithm at
+    /// `t = 1` (the sampling schedule and the per-iteration rules
+    /// coincide literally; see
+    /// `params::tests::probabilities_decrease_doubly_exponentially`).
+    /// The result carries Theorem 4.10's specialised bound (paths of
+    /// weight ≤ `k^{log 3}·w_e`), and tracked radii obey Theorem 4.8's
+    /// `(3^i − 1)/2` law.
     ClusterMerging {
         /// Size exponent.
         k: u32,
@@ -171,8 +177,8 @@ pub enum Algorithm {
 }
 
 impl Algorithm {
-    /// Human-readable label (matches the `algorithm` field of the
-    /// results the legacy entry points produced).
+    /// Human-readable label (the `algorithm` field of the sequential
+    /// backend's result).
     pub fn label(&self) -> String {
         match *self {
             Algorithm::BaswanaSen { k } => format!("baswana-sen(k={k})"),
@@ -1146,10 +1152,7 @@ impl<'g> SpannerRequest<'g> {
             | Algorithm::ClusterMerging { .. }
             | Algorithm::Corollary { .. } => {
                 let params = plan.schedule.expect("engine schedule");
-                let opts = crate::general::BuildOptions {
-                    track_radii: self.track_radii,
-                };
-                let r = crate::general::run_general(g, params, seed, opts, guard)?;
+                let r = crate::general::run_general(g, params, seed, self.track_radii, guard)?;
                 Ok(self.finish_engine_result(r, plan))
             }
         }
@@ -1301,6 +1304,72 @@ mod tests {
             (4f64).powf(3f64.log2()),
             "cluster merging carries its specialised bound"
         );
+    }
+
+    #[test]
+    fn cluster_merging_runs_log_k_epochs() {
+        let g = generators::connected_erdos_renyi(200, 0.06, WeightModel::Uniform(1, 8), 1);
+        let r = SpannerRequest::new(&g, Algorithm::ClusterMerging { k: 16 })
+            .seed(5)
+            .run()
+            .unwrap()
+            .result;
+        assert!(r.epochs <= 4, "log2(16) = 4 epochs, got {}", r.epochs);
+        assert_eq!(r.iterations, r.epochs, "t = 1: one iteration per epoch");
+    }
+
+    #[test]
+    fn cluster_merging_stretch_respects_k_log3() {
+        let g = generators::connected_erdos_renyi(150, 0.08, WeightModel::PowersOfTwo(6), 2);
+        for k in [2u32, 4, 8] {
+            let r = SpannerRequest::new(&g, Algorithm::ClusterMerging { k })
+                .seed(31)
+                .run()
+                .unwrap()
+                .result;
+            let rep = verify_spanner(&g, &r.edges);
+            assert!(rep.all_edges_spanned);
+            let bound = (k as f64).powf(3f64.log2());
+            assert!(
+                rep.max_edge_stretch <= bound + 1e-9,
+                "k={k}: measured {} > k^log3 = {bound}",
+                rep.max_edge_stretch
+            );
+        }
+    }
+
+    #[test]
+    fn cluster_merging_radius_follows_power_of_three_law() {
+        let g = generators::torus(14, 14, WeightModel::Unit, 0);
+        let r = SpannerRequest::new(&g, Algorithm::ClusterMerging { k: 16 })
+            .seed(3)
+            .track_radii(true)
+            .run()
+            .unwrap()
+            .result;
+        for (i, &radius) in r.radius_per_epoch.iter().enumerate() {
+            let bound = (3f64.powi(i as i32 + 1) - 1.0) / 2.0;
+            assert!(
+                radius as f64 <= bound,
+                "epoch {}: radius {} > (3^i-1)/2 = {}",
+                i + 1,
+                radius,
+                bound
+            );
+        }
+    }
+
+    #[test]
+    fn cluster_merging_supernode_counts_decay() {
+        let g = generators::connected_erdos_renyi(300, 0.05, WeightModel::Unit, 7);
+        let r = SpannerRequest::new(&g, Algorithm::ClusterMerging { k: 8 })
+            .seed(11)
+            .run()
+            .unwrap()
+            .result;
+        for w in r.supernodes_per_epoch.windows(2) {
+            assert!(w[1] <= w[0], "super-node counts must be non-increasing");
+        }
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! Work/depth accounting for the CRCW PRAM model and the PRAM
 //! execution loop (the pipeline's `Backend::Pram` driver).
 //!
-//! [`PramTracker`] lives here (rather than in the `spanner-pram` crate,
-//! which re-exports it) so that the pipeline can execute every backend
-//! from one place without a dependency cycle; the `spanner-pram` crate
-//! keeps the public surface (`pram_general_spanner`) as a shim over
-//! this driver.
+//! The paper's PRAM extension (end of Section 6): on a CRCW PRAM, each
+//! grow iteration costs `O(log* n)` depth — the hashing / semisorting /
+//! generalised find-min primitives of \[BS07], plus an `O(1)`-depth
+//! leader-pointer merge — so the total depth is the MPC round count
+//! times an `O(log* n)` factor, with near-linear work. Experiment E10
+//! reports `depth ≈ iterations × Θ(log* n)`.
 
 use crate::engine::Engine;
 use crate::params::TradeoffParams;
@@ -158,6 +159,62 @@ pub(crate) fn run_pram(g: &Graph, params: TradeoffParams, seed: u64) -> PramRun 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::{Algorithm, Backend, PramStats, SpannerRequest};
+    use spanner_graph::generators::{self, WeightModel};
+
+    /// The pipeline's PRAM run: the spanner and its work/depth.
+    fn pram(g: &Graph, params: TradeoffParams, seed: u64) -> (SpannerResult, PramStats) {
+        let report = SpannerRequest::new(g, Algorithm::General(params))
+            .on(Backend::Pram)
+            .seed(seed)
+            .run()
+            .expect("valid request");
+        let stats = report.stats.pram().expect("pram stats").clone();
+        (report.result, stats)
+    }
+
+    #[test]
+    fn depth_is_iterations_times_log_star() {
+        let g = generators::connected_erdos_renyi(200, 0.06, WeightModel::Unit, 5);
+        let (result, run) = pram(&g, TradeoffParams::new(16, 2), 7);
+        let iters = result.iterations as u64;
+        let ls = run.log_star_n as u64;
+        // 3 primitives + 1 step per iteration, plus per-epoch and final
+        // charges: depth ∈ [3·iters·log*, 6·(iters+epochs+1)·log*].
+        assert!(run.depth >= 3 * iters * ls, "depth {} too small", run.depth);
+        let upper = 6 * (iters + result.epochs as u64 + 1) * ls.max(1);
+        assert!(run.depth <= upper, "depth {} > {upper}", run.depth);
+    }
+
+    #[test]
+    fn work_is_near_linear_in_m_per_iteration() {
+        let g = generators::connected_erdos_renyi(300, 0.05, WeightModel::Unit, 9);
+        let (result, run) = pram(&g, TradeoffParams::new(8, 2), 11);
+        let m = g.m() as u64;
+        let iters = result.iterations as u64 + result.epochs as u64 + 1;
+        assert!(
+            run.work <= 6 * m * iters,
+            "work {} vs 6·m·iters {}",
+            run.work,
+            6 * m * iters
+        );
+    }
+
+    #[test]
+    fn pram_depth_beats_baswana_sen_for_large_k() {
+        // The point of the paper: o(k) depth. Compare against k·log* n.
+        let g = generators::connected_erdos_renyi(150, 0.08, WeightModel::Unit, 13);
+        let k = 64u32;
+        let (_, run) = pram(&g, TradeoffParams::log_k(k), 3);
+        let ls = run.log_star_n as u64;
+        let bs_depth = k as u64 * ls; // [BS07]: k iterations of the same primitives
+        assert!(
+            run.depth < bs_depth,
+            "poly(log k) depth {} must beat BS {}",
+            run.depth,
+            bs_depth
+        );
+    }
 
     #[test]
     fn log_star_values() {

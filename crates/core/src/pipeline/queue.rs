@@ -86,7 +86,7 @@ pub enum Priority {
     /// Latency-sensitive traffic — dispatched ahead of batch work.
     #[default]
     Interactive,
-    /// Throughput traffic (prebuilds, sweeps) — yields to interactive
+    /// Throughput traffic (warm-up, sweeps) — yields to interactive
     /// jobs but is never starved.
     Batch,
 }

@@ -55,8 +55,6 @@
 //!   least-recently-used entries are evicted once the byte budget
 //!   ([`SpannerService::with_budget`], the service's only setting) is
 //!   exceeded;
-//! * [`SpannerService::prebuild`] — warm-up: build a set of jobs into
-//!   the store before traffic arrives;
 //! * [`ServiceStats`] — hit/miss/eviction/latency counters.
 //!
 //! A job runs on the calling thread, with no admission limit of its
@@ -72,8 +70,6 @@ use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-use rayon::prelude::*;
 
 use spanner_graph::edge::{Edge, EdgeId, Weight};
 use spanner_graph::Graph;
@@ -660,19 +656,6 @@ impl SpannerService {
         }
     }
 
-    /// Warm-up: executes the given jobs concurrently on the rayon pool,
-    /// populating the artifact store so the first real requests hit.
-    /// Results come back in submission order; artifacts are dropped here
-    /// (they stay in the store) and each job fails independently.
-    pub fn prebuild(&self, jobs: Vec<ServiceJob<'_>>) -> Vec<Result<(), PipelineError>> {
-        jobs.par_iter()
-            .map(|job| match job {
-                ServiceJob::Spanner(j) => j.run().map(drop),
-                ServiceJob::Oracle(j) => j.build().map(drop),
-            })
-            .collect()
-    }
-
     /// A point-in-time snapshot of the service's counters.
     pub fn stats(&self) -> ServiceStats {
         let c = &self.counters;
@@ -924,28 +907,6 @@ impl OracleJob<'_> {
     }
 }
 
-/// A prebuild work item: either job kind, for
-/// [`SpannerService::prebuild`] warm-up lists.
-#[derive(Debug, Clone)]
-pub enum ServiceJob<'s> {
-    /// Warm a spanner artifact.
-    Spanner(SpannerJob<'s>),
-    /// Warm a distance oracle.
-    Oracle(OracleJob<'s>),
-}
-
-impl<'s> From<SpannerJob<'s>> for ServiceJob<'s> {
-    fn from(job: SpannerJob<'s>) -> Self {
-        ServiceJob::Spanner(job)
-    }
-}
-
-impl<'s> From<OracleJob<'s>> for ServiceJob<'s> {
-    fn from(job: OracleJob<'s>) -> Self {
-        ServiceJob::Oracle(job)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1038,28 +999,6 @@ mod tests {
         assert_eq!((stats.hits, stats.misses), (1, 2));
         assert_eq!(stats.store_len, 2);
         assert!(stats.avg_job_latency() > Duration::ZERO);
-    }
-
-    #[test]
-    fn prebuild_warms_the_store() {
-        let service = SpannerService::new();
-        let handle = service.register(graph(3));
-        let jobs: Vec<ServiceJob<'_>> = vec![
-            service.spanner(&handle, alg()).seed(1).into(),
-            service.oracle(&handle, alg()).seed(1).into(),
-            service
-                .oracle(&handle, alg())
-                .engine(QueryEngine::Sketches { levels: 2 })
-                .seed(1)
-                .into(),
-        ];
-        let results = service.prebuild(jobs);
-        assert!(results.iter().all(Result::is_ok));
-        assert_eq!(service.store_len(), 3);
-        // Live traffic now hits.
-        let before = service.stats().hits;
-        service.oracle(&handle, alg()).seed(1).build().unwrap();
-        assert_eq!(service.stats().hits, before + 1);
     }
 
     #[test]

@@ -40,15 +40,12 @@
 
 use std::sync::Arc;
 
-use rayon::prelude::*;
-
 use spanner_graph::Graph;
 
 use super::service::{
-    GraphHandle, OracleJob, ServiceJob, ServiceStats, SpannerJob, SpannerService,
-    DEFAULT_STORE_BUDGET,
+    GraphHandle, OracleJob, ServiceStats, SpannerJob, SpannerService, DEFAULT_STORE_BUDGET,
 };
-use super::{Algorithm, PipelineError};
+use super::Algorithm;
 
 /// Virtual nodes per shard on the hash ring. Enough that the largest
 /// shard's share of key space stays within a few percent of the mean,
@@ -181,17 +178,6 @@ impl ShardedService {
     /// Starts an oracle job on the shard owning the handle's key.
     pub fn oracle(&self, handle: &GraphHandle, algorithm: Algorithm) -> OracleJob<'_> {
         self.owner(handle).oracle(handle, algorithm)
-    }
-
-    /// Warm-up across shards: executes the jobs concurrently (each
-    /// against its owning shard's store). Results in submission order.
-    pub fn prebuild(&self, jobs: Vec<ServiceJob<'_>>) -> Vec<Result<(), PipelineError>> {
-        jobs.par_iter()
-            .map(|job| match job {
-                ServiceJob::Spanner(j) => j.run().map(drop),
-                ServiceJob::Oracle(j) => j.build().map(drop),
-            })
-            .collect()
     }
 
     /// The cross-shard rollup: every per-shard counter summed into one

@@ -1,5 +1,6 @@
 //! Corollary 1.2: the paper's four named points on the round/stretch
-//! trade-off curve, as ready-made constructors.
+//! trade-off curve, as parameter presets that
+//! `pipeline::Algorithm::Corollary` resolves into an engine schedule.
 //!
 //! | Setting | rounds | stretch | size |
 //! |---|---|---|---|
@@ -8,11 +9,7 @@
 //! | (3) `t = log k` | `O(log²k/log log k)` | `k^{1+o(1)}` | `O(n^{1+1/k} log k)` |
 //! | (4) `k = log n, t = log log n` | `O(log²log n / log log log n)` | `log^{1+o(1)} n` | `O(n log log n)` |
 
-use spanner_graph::Graph;
-
 use crate::params::{ParamError, TradeoffParams};
-use crate::pipeline::{Algorithm, SpannerRequest};
-use crate::result::SpannerResult;
 
 /// Which of the four Corollary 1.2 settings to run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -25,7 +22,9 @@ pub enum CorollarySetting {
     /// `O(log²k/log log k)` rounds.
     LogK,
     /// (4): the APSP configuration — `k = ⌈log n⌉`, `t = ⌈log log n⌉`,
-    /// stretch `log^{1+o(1)} n`, size `O(n log log n)`.
+    /// stretch `log^{1+o(1)} n`, size `O(n log log n)`. Corollaries 1.4
+    /// (MPC) and 1.5 (Congested Clique) both collect this spanner and
+    /// query it locally.
     ApspRegime,
 }
 
@@ -65,15 +64,6 @@ impl CorollarySetting {
         })
     }
 
-    /// Infallible variant of [`CorollarySetting::try_params`]: a
-    /// malformed request is clamped to the Baswana–Sen end of the curve
-    /// (`t = k`), whose `2k − 1` bound is the tightest on offer — a safe
-    /// over-delivery rather than a panic.
-    pub fn params(&self, n: usize, k: u32) -> TradeoffParams {
-        self.try_params(n, k)
-            .unwrap_or_else(|_| TradeoffParams::baswana_sen(k.max(1)))
-    }
-
     /// Short label for tables.
     pub fn label(&self) -> String {
         match *self {
@@ -95,54 +85,48 @@ impl CorollarySetting {
     }
 }
 
-/// Runs the chosen Corollary 1.2 setting on `g`.
-///
-/// Shim over [`crate::pipeline`]: equivalent to running a
-/// `SpannerRequest` with [`Algorithm::Corollary`] on the sequential
-/// backend. Malformed settings are clamped as in
-/// [`CorollarySetting::params`].
-pub fn corollary_spanner(g: &Graph, setting: CorollarySetting, k: u32, seed: u64) -> SpannerResult {
-    // Pre-clamp so the legacy entry point stays infallible even for
-    // malformed settings (the pipeline itself would return an error);
-    // Corollary resolves to the identical General schedule, so this is
-    // bit-identical to submitting Algorithm::Corollary with valid
-    // parameters (pinned by tests/pipeline_api.rs).
-    let params = setting.params(g.n(), k);
-    let mut r = SpannerRequest::new(g, Algorithm::General(params))
-        .seed(seed)
-        .run()
-        .expect("sequential execution of a valid schedule is infallible")
-        .result;
-    r.algorithm = format!("{} [k={},t={}]", setting.label(), params.k, params.t);
-    r
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::{Algorithm, SpannerRequest};
+    use crate::result::SpannerResult;
     use spanner_graph::generators::{self, WeightModel};
     use spanner_graph::verify::verify_spanner;
+    use spanner_graph::Graph;
+
+    fn run(g: &Graph, algorithm: Algorithm, seed: u64) -> SpannerResult {
+        SpannerRequest::new(g, algorithm)
+            .seed(seed)
+            .run()
+            .expect("valid request")
+            .result
+    }
 
     #[test]
     fn epsilon_setting_picks_2_to_inv_eps() {
-        let p = CorollarySetting::Epsilon(0.5).params(1000, 64);
+        let p = CorollarySetting::Epsilon(0.5).try_params(1000, 64).unwrap();
         assert_eq!(p.t, 4); // 2^{1/0.5} = 4
-        let p = CorollarySetting::Epsilon(1.0).params(1000, 64);
+        let p = CorollarySetting::Epsilon(1.0).try_params(1000, 64).unwrap();
         assert_eq!(p.t, 2);
+        // Tiny-but-valid ε saturates into the t ≤ k clamp.
+        let p = CorollarySetting::Epsilon(1e-9).try_params(100, 64).unwrap();
+        assert_eq!(p.t, 64);
     }
 
     #[test]
     fn apsp_regime_derives_k_from_n() {
-        let p = CorollarySetting::ApspRegime.params(1024, 99);
+        let p = CorollarySetting::ApspRegime.try_params(1024, 99).unwrap();
         assert_eq!(p.k, 10); // log2(1024)
         assert!(p.t >= 1 && p.t <= p.k);
+        let p = CorollarySetting::ApspRegime.try_params(1 << 16, 0).unwrap();
+        assert_eq!((p.k, p.t), (16, 4)); // log₂ 65536, log₂ log₂ 65536
     }
 
     #[test]
     fn all_settings_produce_valid_spanners() {
         let g = generators::connected_erdos_renyi(150, 0.08, WeightModel::Uniform(1, 16), 3);
         for setting in CorollarySetting::all() {
-            let r = corollary_spanner(&g, setting, 8, 17);
+            let r = run(&g, Algorithm::Corollary { setting, k: 8 }, 17);
             let rep = verify_spanner(&g, &r.edges);
             assert!(rep.all_edges_spanned, "{}", r.algorithm);
             assert!(
@@ -158,8 +142,12 @@ mod tests {
     #[test]
     fn faster_settings_run_fewer_iterations() {
         let g = generators::connected_erdos_renyi(200, 0.06, WeightModel::Unit, 5);
-        let fast = corollary_spanner(&g, CorollarySetting::Fastest, 16, 7);
-        let slow = crate::baswana_sen::baswana_sen(&g, 16, 7);
+        let fastest = Algorithm::Corollary {
+            setting: CorollarySetting::Fastest,
+            k: 16,
+        };
+        let fast = run(&g, fastest, 7);
+        let slow = run(&g, Algorithm::BaswanaSen { k: 16 }, 7);
         assert!(
             fast.iterations < slow.iterations,
             "t=1 ({}) must beat Baswana–Sen ({})",
@@ -176,18 +164,6 @@ mod tests {
                 "eps={eps} must be rejected"
             );
         }
-        // The infallible path clamps to the Baswana–Sen end instead of
-        // aborting (tightest stretch bound on offer — safe over-delivery).
-        let p = CorollarySetting::Epsilon(0.0).params(100, 8);
-        assert_eq!((p.k, p.t), (8, 8));
-        // Valid settings are unaffected.
-        assert_eq!(
-            CorollarySetting::Epsilon(0.5).try_params(100, 8).unwrap(),
-            CorollarySetting::Epsilon(0.5).params(100, 8)
-        );
-        // Tiny-but-valid ε saturates into the clamp rather than panicking.
-        let p = CorollarySetting::Epsilon(1e-9).params(100, 64);
-        assert_eq!(p.t, 64);
         // k = 0 is also a typed error (ApspRegime derives k and ignores it).
         assert!(CorollarySetting::Fastest.try_params(100, 0).is_err());
         assert!(CorollarySetting::ApspRegime.try_params(100, 0).is_ok());

@@ -24,20 +24,7 @@ use crate::engine::Engine;
 use crate::result::SpannerResult;
 
 /// Builds the Section 3 two-phase spanner: stretch `O(k)`, size
-/// `O(√k·n^{1+1/k})`, `O(√k)` grow iterations.
-///
-/// Shim over [`crate::pipeline`]: equivalent to running a
-/// `SpannerRequest` with `Algorithm::SqrtK` on the sequential backend.
-pub fn sqrt_k_spanner(g: &Graph, k: u32, seed: u64) -> SpannerResult {
-    assert!(k >= 1, "k must be at least 1");
-    crate::pipeline::SpannerRequest::new(g, crate::pipeline::Algorithm::SqrtK { k })
-        .seed(seed)
-        .run()
-        .expect("validated above; sequential execution is infallible")
-        .result
-}
-
-/// The implementation behind [`sqrt_k_spanner`] (the pipeline's
+/// `O(√k·n^{1+1/k})`, `O(√k)` grow iterations (the pipeline's
 /// sequential `Algorithm::SqrtK` driver).
 pub(crate) fn build(g: &Graph, k: u32, seed: u64) -> SpannerResult {
     debug_assert!(k >= 1, "validated by plan()");
@@ -80,11 +67,20 @@ pub(crate) fn build(g: &Graph, k: u32, seed: u64) -> SpannerResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::{Algorithm, SpannerRequest};
     use spanner_graph::generators::{self, WeightModel};
     use spanner_graph::verify::verify_spanner;
 
+    fn run(g: &Graph, k: u32, seed: u64) -> SpannerResult {
+        SpannerRequest::new(g, Algorithm::SqrtK { k })
+            .seed(seed)
+            .run()
+            .expect("valid request")
+            .result
+    }
+
     fn check(g: &Graph, k: u32, seed: u64) -> (SpannerResult, f64) {
-        let r = sqrt_k_spanner(g, k, seed);
+        let r = run(g, k, seed);
         spanner_graph::verify::assert_valid_edge_ids(g, &r.edges);
         let rep = verify_spanner(g, &r.edges);
         assert!(rep.all_edges_spanned, "k={k}: unspanned edge");
@@ -101,7 +97,7 @@ mod tests {
     fn iteration_count_is_o_sqrt_k() {
         let g = generators::connected_erdos_renyi(200, 0.06, WeightModel::Unit, 1);
         for k in [4u32, 9, 16, 25] {
-            let r = sqrt_k_spanner(&g, k, 3);
+            let r = run(&g, k, 3);
             let t = (k as f64).sqrt().ceil() as u32;
             assert!(
                 r.iterations <= 2 * t,
@@ -131,7 +127,7 @@ mod tests {
     #[test]
     fn k1_is_identity() {
         let g = generators::cycle(12, WeightModel::Unit, 0);
-        assert_eq!(sqrt_k_spanner(&g, 1, 0).size(), g.m());
+        assert_eq!(run(&g, 1, 0).size(), g.m());
     }
 
     #[test]

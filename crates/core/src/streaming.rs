@@ -22,9 +22,10 @@ use crate::engine::Engine;
 use crate::params::TradeoffParams;
 use crate::result::SpannerResult;
 
-/// Outcome of a streaming run: the spanner plus the pass count.
+/// Raw outcome of the streaming driver, before the pipeline wraps it
+/// into [`crate::pipeline::StreamingStats`].
 #[derive(Debug, Clone)]
-pub struct StreamingRun {
+pub(crate) struct StreamingRun {
     /// The spanner (identical to the sequential reference's).
     pub result: SpannerResult,
     /// Stream passes consumed (= grow iterations + 1 for Phase 2).
@@ -33,30 +34,9 @@ pub struct StreamingRun {
     pub quoted_stretch_exponent: f64,
 }
 
-/// Runs the general algorithm as a multi-pass dynamic-stream algorithm.
-///
-/// Shim over [`crate::pipeline`]: equivalent to running a
-/// `SpannerRequest` with `Algorithm::General` on the streaming backend.
-pub fn streaming_spanner(g: &Graph, params: TradeoffParams, seed: u64) -> StreamingRun {
-    let report =
-        crate::pipeline::SpannerRequest::new(g, crate::pipeline::Algorithm::General(params))
-            .on(crate::pipeline::Backend::Streaming)
-            .seed(seed)
-            .run()
-            .expect("streaming execution of a valid schedule is infallible");
-    let stats = report
-        .stats
-        .streaming()
-        .expect("streaming backend reports streaming stats");
-    StreamingRun {
-        passes: stats.passes,
-        quoted_stretch_exponent: stats.quoted_stretch_exponent,
-        result: report.result,
-    }
-}
-
-/// The pass-accounting loop behind [`streaming_spanner`] (the
-/// pipeline's streaming driver).
+/// The pass-accounting loop: runs the general algorithm as a
+/// multi-pass dynamic-stream algorithm (the pipeline's
+/// `Backend::Streaming` driver).
 pub(crate) fn run_streaming(g: &Graph, params: TradeoffParams, seed: u64) -> StreamingRun {
     let n = g.n();
     if params.k == 1 || g.m() == 0 {
@@ -96,8 +76,16 @@ pub(crate) fn run_streaming(g: &Graph, params: TradeoffParams, seed: u64) -> Str
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::general::{general_spanner, BuildOptions};
+    use crate::pipeline::{Algorithm, Backend, SpannerRequest};
     use spanner_graph::generators::{self, WeightModel};
+
+    fn stream(g: &Graph, params: TradeoffParams, seed: u64) -> crate::pipeline::RunReport {
+        SpannerRequest::new(g, Algorithm::General(params))
+            .on(Backend::Streaming)
+            .seed(seed)
+            .run()
+            .expect("valid request")
+    }
 
     #[test]
     fn t1_matches_the_section_2_4_quote() {
@@ -105,7 +93,8 @@ mod tests {
         // improvement over [AGM12]'s k^{log 5}, on *weighted* graphs.
         let g = generators::connected_erdos_renyi(150, 0.08, WeightModel::Uniform(1, 32), 3);
         let k = 16u32;
-        let run = streaming_spanner(&g, TradeoffParams::cluster_merging(k), 7);
+        let report = stream(&g, TradeoffParams::cluster_merging(k), 7);
+        let run = report.stats.streaming().expect("streaming stats");
         assert_eq!(run.passes, 4 + 1); // log2(16) grow passes + phase 2
         assert!((run.quoted_stretch_exponent - 3f64.log2()).abs() < 1e-12);
         assert!(
@@ -118,9 +107,12 @@ mod tests {
     fn stream_output_equals_sequential_reference() {
         let g = generators::connected_erdos_renyi(120, 0.08, WeightModel::Uniform(1, 8), 5);
         let params = TradeoffParams::new(8, 2);
-        let stream = streaming_spanner(&g, params, 11);
-        let seq = general_spanner(&g, params, 11, BuildOptions::default());
-        assert_eq!(stream.result.edges, seq.edges);
+        let streamed = stream(&g, params, 11);
+        let seq = SpannerRequest::new(&g, Algorithm::General(params))
+            .seed(11)
+            .run()
+            .expect("valid request");
+        assert_eq!(streamed.result.edges, seq.result.edges);
     }
 
     #[test]
@@ -128,8 +120,9 @@ mod tests {
         let g = generators::connected_erdos_renyi(100, 0.1, WeightModel::Unit, 9);
         for (k, t) in [(16u32, 1u32), (16, 4), (64, 3)] {
             let params = TradeoffParams::new(k, t);
-            let run = streaming_spanner(&g, params, 3);
-            assert_eq!(run.passes, params.iterations() + 1);
+            let report = stream(&g, params, 3);
+            let passes = report.stats.streaming().expect("streaming stats").passes;
+            assert_eq!(passes, params.iterations() + 1);
         }
     }
 }

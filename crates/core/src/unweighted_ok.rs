@@ -86,41 +86,11 @@ pub struct UnweightedOkStats {
     pub aux_edges: usize,
 }
 
-/// Builds the Theorem 1.3 spanner. The input must be unweighted
-/// (`g.is_unweighted()`); use [`Graph::unweighted_copy`] otherwise.
-///
-/// The decomposition statistics ride inside the result
-/// ([`SpannerResult::decomposition`]) — formerly this returned a
-/// `(SpannerResult, UnweightedOkStats)` tuple, the one entry point
-/// whose shape diverged from every other construction.
-///
-/// Shim over [`crate::pipeline`]: equivalent to running a
-/// `SpannerRequest` with `Algorithm::UnweightedOk` on the sequential
-/// backend.
-pub fn unweighted_ok_spanner(
-    g: &Graph,
-    k: u32,
-    cfg: UnweightedOkConfig,
-    seed: u64,
-) -> SpannerResult {
-    assert!(k >= 1, "k must be at least 1");
-    assert!(
-        g.is_unweighted(),
-        "Appendix B's algorithm is defined for unweighted graphs only"
-    );
-    assert!(cfg.gamma > 0.0 && cfg.gamma < 1.0, "gamma must be in (0,1)");
-    crate::pipeline::SpannerRequest::new(
-        g,
-        crate::pipeline::Algorithm::UnweightedOk { k, config: cfg },
-    )
-    .seed(seed)
-    .run()
-    .expect("validated above; sequential execution is infallible")
-    .result
-}
-
-/// The implementation behind [`unweighted_ok_spanner`] (the pipeline's
-/// sequential `Algorithm::UnweightedOk` driver).
+/// Builds the Theorem 1.3 spanner (the pipeline's sequential
+/// `Algorithm::UnweightedOk` driver). The input must be unweighted
+/// ([`Graph::unweighted_copy`] otherwise; `plan()` rejects weighted
+/// input with a typed error). The decomposition statistics ride inside
+/// the result ([`SpannerResult::decomposition`]).
 pub(crate) fn build(g: &Graph, k: u32, cfg: UnweightedOkConfig, seed: u64) -> SpannerResult {
     debug_assert!(k >= 1 && g.is_unweighted(), "validated by plan()");
     let algorithm = format!("unweighted-ok(k={k},gamma={})", cfg.gamma);
@@ -338,12 +308,20 @@ fn ordered(a: u32, b: u32) -> (u32, u32) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baswana_sen::baswana_sen;
+    use crate::pipeline::{Algorithm, SpannerRequest};
     use spanner_graph::generators::{self, WeightModel};
     use spanner_graph::verify::verify_spanner;
 
+    fn run(g: &Graph, k: u32, config: UnweightedOkConfig, seed: u64) -> SpannerResult {
+        SpannerRequest::new(g, Algorithm::UnweightedOk { k, config })
+            .seed(seed)
+            .run()
+            .expect("valid request")
+            .result
+    }
+
     fn check(g: &Graph, k: u32, cfg: UnweightedOkConfig, seed: u64) -> SpannerResult {
-        let r = unweighted_ok_spanner(g, k, cfg, seed);
+        let r = run(g, k, cfg, seed);
         spanner_graph::verify::assert_valid_edge_ids(g, &r.edges);
         let rep = verify_spanner(g, &r.edges);
         assert!(rep.all_edges_spanned, "unspanned edge (k={k})");
@@ -370,7 +348,11 @@ mod tests {
         let stats = r.decomposition.as_ref().unwrap();
         assert_eq!(stats.dense_assigned, 0);
         assert_eq!(stats.sparse, g.n());
-        let bs = baswana_sen(&g, 3, 5);
+        let bs = SpannerRequest::new(&g, Algorithm::BaswanaSen { k: 3 })
+            .seed(5)
+            .run()
+            .expect("valid request")
+            .result;
         assert_eq!(r.edges, bs.edges, "all-sparse must equal global BS");
     }
 
@@ -422,24 +404,17 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unweighted")]
-    fn rejects_weighted_input() {
-        let g = generators::connected_erdos_renyi(30, 0.2, WeightModel::Uniform(2, 9), 1);
-        let _ = unweighted_ok_spanner(&g, 2, UnweightedOkConfig::default(), 0);
-    }
-
-    #[test]
     fn k1_is_identity() {
         let g = generators::cycle(10, WeightModel::Unit, 0);
-        let r = unweighted_ok_spanner(&g, 1, UnweightedOkConfig::default(), 0);
+        let r = run(&g, 1, UnweightedOkConfig::default(), 0);
         assert_eq!(r.size(), g.m());
     }
 
     #[test]
     fn deterministic_per_seed() {
         let g = generators::connected_erdos_renyi(200, 0.05, WeightModel::Unit, 21);
-        let a = unweighted_ok_spanner(&g, 3, UnweightedOkConfig::default(), 33);
-        let b = unweighted_ok_spanner(&g, 3, UnweightedOkConfig::default(), 33);
+        let a = run(&g, 3, UnweightedOkConfig::default(), 33);
+        let b = run(&g, 3, UnweightedOkConfig::default(), 33);
         assert_eq!(a.edges, b.edges);
     }
 }

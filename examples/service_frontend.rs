@@ -1,5 +1,6 @@
-//! Scenario: the **serving tier** — one long-lived `SpannerService`
-//! in front of heavy query traffic from many concurrent users.
+//! Scenario: the **serving tier** — one long-lived service (a one-shard
+//! `ShardedService`, i.e. one `SpannerService` store, with a `JobQueue`
+//! in front) serving heavy query traffic from many concurrent users.
 //!
 //! The paper's headline application (§1.2, §7) is build-once /
 //! query-many: an expensive parallel preprocessing, then millions of
@@ -9,7 +10,8 @@
 //! 1. register two workloads (a road-style grid, a social-style
 //!    power-law graph) — handles are `Arc`'d, fingerprint-deduped and
 //!    versioned;
-//! 2. `prebuild` warm oracles into the memory-budgeted artifact store;
+//! 2. warm oracles into the memory-budgeted artifact store — submit N
+//!    jobs at `Priority::Batch` to the queue, wait N;
 //! 3. serve query batches from several client threads — all traffic
 //!    hits the store;
 //! 4. re-register a mutated road network (a closed bridge): the version
@@ -21,13 +23,14 @@
 //! cargo run --release --example service_frontend
 //! ```
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use mpc_spanners::graph::edge::Edge;
 use mpc_spanners::graph::generators::{chung_lu_power_law, grid, WeightModel};
 use mpc_spanners::graph::Graph;
 use mpc_spanners::pipeline::{
-    Algorithm, CorollarySetting, QueryEngine, ServiceJob, SpannerService,
+    Algorithm, CorollarySetting, JobId, JobQueue, JobSpec, Priority, QueryEngine, ShardedService,
 };
 
 fn apsp_algorithm() -> Algorithm {
@@ -38,7 +41,8 @@ fn apsp_algorithm() -> Algorithm {
 }
 
 fn main() {
-    let service = SpannerService::with_budget(64 << 20);
+    // One shard: a single service's registry and store.
+    let service = Arc::new(ShardedService::with_budget(1, 64 << 20));
 
     // -- 1. register the workloads ------------------------------------
     let road = grid(40, 40, WeightModel::Uniform(1, 9), 7);
@@ -54,24 +58,25 @@ fn main() {
         social_handle.graph().m(),
     );
 
-    // -- 2. warm-up ---------------------------------------------------
-    let warmup: Vec<ServiceJob<'_>> = vec![
-        service
-            .oracle(&road_handle, apsp_algorithm())
-            .seed(7)
-            .into(),
-        service
-            .oracle(&social_handle, apsp_algorithm())
+    // -- 2. warm-up: submit N at batch priority, wait N ---------------
+    let queue = JobQueue::with_defaults(Arc::clone(&service));
+    let warmup = [
+        JobSpec::oracle(&road_handle, apsp_algorithm()).seed(7),
+        JobSpec::oracle(&social_handle, apsp_algorithm())
             .engine(QueryEngine::Sketches { levels: 2 })
-            .seed(7)
-            .into(),
+            .seed(7),
     ];
     let t0 = Instant::now();
-    let warmed = service.prebuild(warmup);
-    assert!(warmed.iter().all(Result::is_ok), "warm-up builds succeed");
+    let ids: Vec<JobId> = warmup
+        .into_iter()
+        .map(|spec| queue.submit(spec.priority(Priority::Batch)))
+        .collect();
+    for &id in &ids {
+        queue.wait(id).expect("warm-up builds succeed");
+    }
     println!(
-        "prebuilt {} oracles in {:.2?} ({} artifacts, {:.1} MiB in store)",
-        warmed.len(),
+        "warmed {} oracles in {:.2?} ({} artifacts, {:.1} MiB in store)",
+        ids.len(),
         t0.elapsed(),
         service.store_len(),
         service.store_used_bytes() as f64 / (1 << 20) as f64,
@@ -82,7 +87,7 @@ fn main() {
     let batches_per_client = 20usize;
     let queries_per_batch = 256usize;
     let t0 = Instant::now();
-    let service_ref = &service;
+    let service_ref = &*service;
     let (road_ref, social_ref) = (&road_handle, &social_handle);
     std::thread::scope(|scope| {
         for client in 0..clients {

@@ -11,7 +11,7 @@
 //! 1. register a fleet of workload graphs — the ring routes each to its
 //!    owning shard;
 //! 2. submit a mixed-priority job stream from several client threads
-//!    (`Interactive` point lookups racing a `Priority::Batch` prebuild
+//!    (`Interactive` point lookups racing a `Priority::Batch` warm-up
 //!    sweep) and wait on the ids — every job resolves exactly once;
 //! 3. verify shard-count transparency: a 1-shard tier returns
 //!    bit-identical spanners for the same seeds;
@@ -83,7 +83,7 @@ fn main() {
                 for j in 0..jobs_per_client {
                     let handle = &handles[((client + j) % handles.len() as u64) as usize];
                     // Even jobs: interactive spanner lookups. Odd jobs:
-                    // batch oracle prebuilds behind them.
+                    // batch oracle warm-up builds behind them.
                     let spec = if j % 2 == 0 {
                         JobSpec::spanner(handle, alg()).seed(j % 2)
                     } else {

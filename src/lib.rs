@@ -17,9 +17,9 @@
 //! [`pipeline::DistanceRequest`] with a [`pipeline::QueryEngine`]
 //! (exact Dijkstra-on-spanner or Thorup–Zwick sketches) and
 //! [`pipeline::DistanceRequest::build`] a [`pipeline::DistanceOracle`]
-//! whose batched queries carry the composed `σ·(2λ−1)` guarantee. The
-//! per-model free functions remain available as shims with their
-//! historical signatures.
+//! whose batched queries carry the composed `σ·(2λ−1)` guarantee; the
+//! Corollary 1.4/1.5 oracle is [`apsp::apsp_request`] on MPC or the
+//! Congested Clique.
 //!
 //! **Serving long-lived traffic? Go one level up to
 //! [`pipeline::service`]**: a [`pipeline::SpannerService`] turns the
@@ -28,8 +28,7 @@
 //! fingerprint-deduped, *versioned* [`pipeline::GraphHandle`], then
 //! submit handle-based jobs ([`pipeline::SpannerService::spanner`],
 //! [`pipeline::SpannerService::oracle`]) that are answered from its one
-//! memory-budgeted LRU artifact store, with warm-up
-//! ([`pipeline::SpannerService::prebuild`]), cancellation
+//! memory-budgeted LRU artifact store, with cancellation
 //! ([`pipeline::CancelToken`]) and [`pipeline::ServiceStats`] counters.
 //! Jobs run the same guarded build as the one-shot request types, so
 //! both flows produce bit-identical artifacts at equal seeds.
@@ -41,7 +40,8 @@
 //! admission point: submit a [`pipeline::JobSpec`] for a
 //! [`pipeline::JobId`] immediately, with a fixed worker pool, priority
 //! lanes, per-client fair admission, condvar-driven waits and
-//! pre-execution cancel/deadline resolution. The shard count is
+//! pre-execution cancel/deadline resolution. Warm-up is "submit N at
+//! [`pipeline::Priority::Batch`], wait N". The shard count is
 //! unobservable in answers — every tier shape returns bit-identical
 //! artifacts.
 //!
@@ -54,10 +54,10 @@
 //!   accounting, Section 6 primitives);
 //! * [`core`] — the paper's spanner constructions (Baswana–Sen
 //!   baseline, §3 `√k`, §4 cluster merging, §5 general trade-off,
-//!   Appendix B unweighted `O(k)`), both sequential and distributed;
-//! * [`apsp`] — §7 distance approximation in near-linear MPC;
-//! * [`cc`] — §8 Congested Clique spanners and APSP;
-//! * [`pram`] — the PRAM work/depth extension.
+//!   Appendix B unweighted `O(k)`) and their drivers for every model:
+//!   sequential, MPC, §8 Congested Clique, PRAM work/depth, streams;
+//! * [`apsp`] — §7/§8 distance approximation (Corollaries 1.4 and 1.5)
+//!   and its quality measurements.
 //!
 //! ## Quickstart
 //!
@@ -95,10 +95,8 @@
 //! assert_eq!(oracle.stretch_bound(), oracle.substrate_stretch() * 3.0);
 //! ```
 
-pub use congested_clique as cc;
 pub use mpc_runtime as mpc;
 pub use spanner_apsp as apsp;
 pub use spanner_core as core;
 pub use spanner_core::pipeline;
 pub use spanner_graph as graph;
-pub use spanner_pram as pram;

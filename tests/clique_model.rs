@@ -1,9 +1,22 @@
 //! Integration tests of the Congested Clique model accounting and the
-//! Section 8 pipelines' structural properties.
+//! Section 8 pipelines' structural properties, through the pipeline:
+//! Theorem 8.1 is a `SpannerRequest` and Corollary 1.5 the APSP
+//! `DistanceRequest` on `Backend::CongestedClique`.
 
-use congested_clique::{cc_apsp, cc_spanner, CcNetwork};
-use spanner_core::TradeoffParams;
-use spanner_graph::generators::{self, WeightModel};
+use mpc_spanners::apsp::apsp_request;
+use mpc_spanners::core::TradeoffParams;
+use mpc_spanners::graph::generators::{self, WeightModel};
+use mpc_spanners::graph::Graph;
+use mpc_spanners::pipeline::{Algorithm, Backend, CcNetwork, RunReport, SpannerRequest};
+
+/// Theorem 8.1 with `repetitions` parallel runs per iteration.
+fn clique_spanner(g: &Graph, params: TradeoffParams, seed: u64, repetitions: usize) -> RunReport {
+    SpannerRequest::new(g, Algorithm::General(params))
+        .on(Backend::CongestedClique { repetitions })
+        .seed(seed)
+        .run()
+        .expect("valid request")
+}
 
 #[test]
 fn wider_messages_cut_broadcast_rounds() {
@@ -38,9 +51,13 @@ fn dissemination_formula_matches_cor_1_5_shape() {
 fn spanner_run_is_deterministic_including_chosen_runs() {
     let g = generators::connected_erdos_renyi(90, 0.1, WeightModel::Uniform(1, 8), 3);
     let params = TradeoffParams::new(4, 2);
-    let a = cc_spanner(&g, params, 7, 6);
-    let b = cc_spanner(&g, params, 7, 6);
+    let a = clique_spanner(&g, params, 7, 6);
+    let b = clique_spanner(&g, params, 7, 6);
     assert_eq!(a.result.edges, b.result.edges);
+    let (a, b) = (
+        a.stats.congested_clique().expect("clique stats"),
+        b.stats.congested_clique().expect("clique stats"),
+    );
     assert_eq!(a.chosen_runs, b.chosen_runs);
     assert_eq!(a.rounds, b.rounds);
 }
@@ -48,11 +65,19 @@ fn spanner_run_is_deterministic_including_chosen_runs() {
 #[test]
 fn apsp_total_words_accounts_for_dissemination() {
     let g = generators::torus(10, 10, WeightModel::Uniform(1, 5), 1);
-    let run = cc_apsp(&g, 3, Some(4));
-    assert!(run.total_rounds >= run.spanner_run.rounds);
+    let oracle = apsp_request(&g)
+        .on(Backend::CongestedClique { repetitions: 4 })
+        .seed(3)
+        .build()
+        .expect("valid request");
+    let stats = oracle.stats();
+    let words = stats.execution.communication_words().expect("clique words");
+    // Every node receives the whole spanner: 4 words per edge per node.
+    assert!(words >= (4 * oracle.size() * g.n()) as u64);
+    assert!(stats.gather_rounds.expect("dissemination rounds") >= 1);
     // Every node must be able to answer every row.
     for s in [0u32, 42, 99] {
-        let row = run.row(s);
+        let row = oracle.distances_from(s);
         assert_eq!(row.len(), g.n());
         assert_eq!(row[s as usize], 0);
     }
@@ -61,7 +86,7 @@ fn apsp_total_words_accounts_for_dissemination() {
 #[test]
 fn disconnected_graphs_work_in_the_clique_too() {
     let g = generators::erdos_renyi(80, 0.02, WeightModel::Unit, 9);
-    let run = cc_spanner(&g, TradeoffParams::new(4, 2), 5, 4);
-    let rep = spanner_graph::verify::verify_spanner(&g, &run.result.edges);
+    let run = clique_spanner(&g, TradeoffParams::new(4, 2), 5, 4);
+    let rep = mpc_spanners::graph::verify::verify_spanner(&g, &run.result.edges);
     assert!(rep.all_edges_spanned);
 }

@@ -9,11 +9,21 @@
 //! divergence in any driver's join/kill/contract logic shows up as an
 //! edge-set mismatch.
 
-use congested_clique::cc_spanner;
-use mpc_spanners::core::mpc_driver::mpc_general_spanner;
-use mpc_spanners::core::{general_spanner, BuildOptions, TradeoffParams};
+use mpc_spanners::core::TradeoffParams;
 use mpc_spanners::graph::generators::{caterpillar, hub_ring, Family, WeightModel};
-use spanner_pram::pram_general_spanner;
+use mpc_spanners::graph::Graph;
+use mpc_spanners::pipeline::{Algorithm, Backend, SpannerRequest};
+
+/// Spanner edges of one engine-schedule run on `backend`.
+fn edges(g: &Graph, algorithm: Algorithm, backend: Backend, seed: u64) -> Vec<u32> {
+    SpannerRequest::new(g, algorithm)
+        .on(backend)
+        .seed(seed)
+        .run()
+        .unwrap_or_else(|e| panic!("{} driver failed: {e}", backend.name()))
+        .result
+        .edges
+}
 
 fn families() -> Vec<(String, mpc_spanners::graph::Graph)> {
     [
@@ -40,25 +50,15 @@ fn families() -> Vec<(String, mpc_spanners::graph::Graph)> {
 fn all_four_drivers_agree() {
     for (name, g) in families() {
         for (k, t) in [(4u32, 2u32), (8, 3)] {
-            let params = TradeoffParams::new(k, t);
+            let general = Algorithm::General(TradeoffParams::new(k, t));
             for seed in [1u64, 99] {
-                let seq = general_spanner(&g, params, seed, BuildOptions::default());
-                let mpc = mpc_general_spanner(&g, params, 0.5, seed)
-                    .unwrap_or_else(|e| panic!("{name}: MPC driver failed: {e}"));
-                let pram = pram_general_spanner(&g, params, seed);
-                let cc = cc_spanner(&g, params, seed, 1);
-                assert_eq!(
-                    seq.edges, mpc.result.edges,
-                    "{name} k={k} t={t}: MPC diverged"
-                );
-                assert_eq!(
-                    seq.edges, pram.result.edges,
-                    "{name} k={k} t={t}: PRAM diverged"
-                );
-                assert_eq!(
-                    seq.edges, cc.result.edges,
-                    "{name} k={k} t={t}: CC diverged"
-                );
+                let seq = edges(&g, general, Backend::Sequential, seed);
+                let mpc = edges(&g, general, Backend::mpc_gamma(0.5), seed);
+                let pram = edges(&g, general, Backend::Pram, seed);
+                let cc = edges(&g, general, Backend::congested_clique(), seed);
+                assert_eq!(seq, mpc, "{name} k={k} t={t}: MPC diverged");
+                assert_eq!(seq, pram, "{name} k={k} t={t}: PRAM diverged");
+                assert_eq!(seq, cc, "{name} k={k} t={t}: CC diverged");
             }
         }
     }
@@ -86,13 +86,12 @@ fn sequential_and_mpc_agree_under_weight_ties() {
         ];
         for (name, g) in &graphs {
             for (k, t) in [(4u32, 2u32), (8, 3), (5, 5)] {
-                let params = TradeoffParams::new(k, t);
+                let general = Algorithm::General(TradeoffParams::new(k, t));
                 for seed in [1u64, 99, 4242] {
-                    let seq = general_spanner(g, params, seed, BuildOptions::default());
-                    let mpc = mpc_general_spanner(g, params, 0.5, seed)
-                        .unwrap_or_else(|e| panic!("{name} {weights:?}: MPC driver failed: {e}"));
+                    let seq = edges(g, general, Backend::Sequential, seed);
+                    let mpc = edges(g, general, Backend::mpc_gamma(0.5), seed);
                     assert_eq!(
-                        seq.edges, mpc.result.edges,
+                        seq, mpc,
                         "{name} {weights:?} k={k} t={t} seed={seed}: MPC diverged"
                     );
                 }
@@ -107,19 +106,18 @@ fn engine_t_equals_k_matches_standalone_baswana_sen_guarantees() {
     // (vertex-level vs super-node-level state); they are not required to
     // emit identical edge sets, but both must satisfy the 2k−1 bound and
     // comparable sizes.
-    use mpc_spanners::core::baswana_sen::baswana_sen;
     use mpc_spanners::graph::verify::verify_spanner;
     for (name, g) in families() {
         let k = 4u32;
-        let a = baswana_sen(&g, k, 5);
-        let b = general_spanner(
+        let a = edges(&g, Algorithm::BaswanaSen { k }, Backend::Sequential, 5);
+        let b = edges(
             &g,
-            TradeoffParams::baswana_sen(k),
+            Algorithm::General(TradeoffParams::baswana_sen(k)),
+            Backend::Sequential,
             5,
-            BuildOptions::default(),
         );
         for (label, r) in [("standalone", &a), ("engine", &b)] {
-            let rep = verify_spanner(&g, &r.edges);
+            let rep = verify_spanner(&g, r);
             assert!(rep.all_edges_spanned, "{name}/{label}");
             assert!(
                 rep.max_edge_stretch <= (2 * k - 1) as f64 + 1e-9,
@@ -127,12 +125,12 @@ fn engine_t_equals_k_matches_standalone_baswana_sen_guarantees() {
                 rep.max_edge_stretch
             );
         }
-        let ratio = a.size() as f64 / b.size() as f64;
+        let ratio = a.len() as f64 / b.len() as f64;
         assert!(
             (0.4..=2.5).contains(&ratio),
             "{name}: sizes diverge wildly: {} vs {}",
-            a.size(),
-            b.size()
+            a.len(),
+            b.len()
         );
     }
 }

@@ -11,9 +11,9 @@
 //!    (graph, version, algorithm, backend, seed, engine) receive the
 //!    same `Arc`'d oracle from the store, even when submitted
 //!    concurrently; different keys do not.
-//! 4. **Legacy shims are pinned** — `build_oracle` / `mpc_build_oracle`
-//!    return exactly what the distance stage returns, including the
-//!    gather-only round accounting.
+//! 4. **Collection is charged per model** — on the Congested Clique the
+//!    oracle pays Corollary 1.5's Lenzen dissemination of the spanner,
+//!    as MPC pays the Section 7 gather.
 //! 5. **Serving hooks** — per-request deadlines and job cancellation
 //!    produce typed errors instead of hung or silently-dropped work.
 
@@ -23,7 +23,7 @@ use std::time::Duration;
 use proptest::prelude::*;
 use rayon::prelude::*;
 
-use mpc_spanners::apsp::{build_oracle, mpc_build_oracle};
+use mpc_spanners::apsp::apsp_request;
 use mpc_spanners::core::TradeoffParams;
 use mpc_spanners::graph::edge::INFINITY;
 use mpc_spanners::graph::generators::{self, Family, WeightModel};
@@ -167,39 +167,46 @@ fn repeated_batch_entries_share_one_oracle_build() {
     );
 }
 
+/// Corollary 1.5 is the Corollary 1.4 request on the Congested Clique:
+/// the same spanner as the sequential oracle at one repetition, and the
+/// Lenzen dissemination of its `4·|E_S|` words charged as the
+/// collection step, in `gather_rounds` and in the execution rounds.
 #[test]
-fn legacy_oracle_shims_are_pinned_to_the_distance_stage() {
-    let g = generators::connected_erdos_renyi(80, 0.1, WeightModel::PowersOfTwo(5), 23);
+fn congested_clique_oracle_pays_the_lenzen_dissemination() {
+    let g = generators::connected_erdos_renyi(96, 0.1, WeightModel::PowersOfTwo(5), 23);
     let seed = 77u64;
-
-    // Sequential shim.
-    let legacy = build_oracle(&g, seed);
-    let stage = mpc_spanners::apsp::apsp_request(&g)
+    let clique = Backend::CongestedClique { repetitions: 1 };
+    let oracle = apsp_request(&g)
+        .on(clique)
+        .seed(seed)
+        .build()
+        .expect("clique build");
+    let sequential = apsp_request(&g)
         .seed(seed)
         .build()
         .expect("sequential build");
-    assert_eq!(legacy.spanner_edges, stage.spanner_edges());
-    assert_eq!(legacy.stretch_bound, stage.substrate_stretch());
-    for (u, v) in [(0u32, 40u32), (17, 63), (5, 5)] {
-        assert_eq!(legacy.query(u, v), stage.query(u, v));
-    }
+    assert_eq!(oracle.spanner_edges(), sequential.spanner_edges());
 
-    // In-model shim: same edges, and rounds = construction + gather only.
-    let run = mpc_build_oracle(&g, seed).expect("in-model build");
-    let mpc_stage = mpc_spanners::apsp::apsp_request(&g)
-        .on(Backend::mpc_deployment(MpcDeployment::NearLinear))
+    let n = g.n();
+    let dissemination = (4 * oracle.spanner_edges().len()).div_ceil(n - 1) as u64 + 2;
+    let stats = oracle.stats();
+    assert_eq!(stats.gather_rounds, Some(dissemination));
+    let construction = apsp_request(&g)
+        .on(clique)
         .seed(seed)
-        .build()
-        .expect("mpc build");
-    assert_eq!(run.oracle.spanner_edges, mpc_stage.spanner_edges());
+        .spanner_request()
+        .run()
+        .expect("clique run")
+        .stats;
     assert_eq!(
-        Some(run.gather_rounds),
-        mpc_stage.stats().gather_rounds,
-        "shim and stage must agree on the gather cost"
+        stats.execution.model_rounds(),
+        Some(construction.model_rounds().expect("clique rounds") + dissemination),
+        "execution rounds are the construction plus the dissemination"
     );
-    let stage_stats = mpc_stage.stats().execution.mpc().expect("mpc stats");
-    assert_eq!(run.metrics.rounds, stage_stats.metrics.rounds);
-    assert_eq!(run.config, stage_stats.config);
+    assert!(
+        stats.execution.communication_words() > construction.communication_words(),
+        "the dissemination's words are charged too"
+    );
 }
 
 #[test]

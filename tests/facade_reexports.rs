@@ -1,19 +1,16 @@
-//! The facade contract: `mpc_spanners::{graph, mpc, core, apsp, cc, pram}`
-//! must re-export the six workspace crates — plus `mpc_spanners::pipeline`,
-//! the unified front door — and the names the crate-root rustdoc
-//! advertises must resolve *through the facade paths*. A build failure
-//! here means a re-export was dropped or renamed — a breaking change for
-//! every downstream `use mpc_spanners::...`.
+//! The facade contract: `mpc_spanners::{graph, mpc, core, apsp}` must
+//! re-export the four library crates of the workspace — plus
+//! `mpc_spanners::pipeline`, the unified front door — and the names the
+//! crate-root rustdoc advertises must resolve *through the facade
+//! paths*. A build failure here means a re-export was dropped or
+//! renamed — a breaking change for every downstream `use
+//! mpc_spanners::...`.
 
-use mpc_spanners::apsp::{build_oracle, measure_approximation};
-use mpc_spanners::cc::{cc_apsp, cc_spanner};
-use mpc_spanners::core::baswana_sen::baswana_sen;
-use mpc_spanners::core::{general_spanner, BuildOptions, TradeoffParams};
+use mpc_spanners::core::TradeoffParams;
 use mpc_spanners::graph::generators::{connected_erdos_renyi, WeightModel};
 use mpc_spanners::graph::verify::verify_spanner;
 use mpc_spanners::graph::Graph;
 use mpc_spanners::mpc::{MpcConfig, MpcSystem};
-use mpc_spanners::pram::pram_general_spanner;
 
 /// Each facade module aliases the same crate the workspace exposes
 /// directly, so types must be interchangeable across the two paths.
@@ -23,36 +20,25 @@ fn facade_types_are_the_workspace_types() {
     // via the underlying crates, and vice versa — they are one type.
     let g: Graph = connected_erdos_renyi(64, 0.1, WeightModel::Uniform(1, 8), 3);
     let g2: spanner_graph::Graph = g;
-    let r =
-        spanner_core::general_spanner(&g2, TradeoffParams::new(4, 2), 7, BuildOptions::default());
+    let general = spanner_core::pipeline::Algorithm::General(TradeoffParams::new(4, 2));
+    let r = mpc_spanners::pipeline::SpannerRequest::new(&g2, general)
+        .seed(7)
+        .run()
+        .expect("valid request")
+        .result;
     assert!(verify_spanner(&g2, &r.edges).all_edges_spanned);
+
+    // The Corollary 1.4/1.5 request resolves through `apsp` and builds
+    // the pipeline's oracle type.
+    let oracle: spanner_core::pipeline::DistanceOracle = mpc_spanners::apsp::apsp_request(&g2)
+        .seed(7)
+        .build()
+        .expect("valid request");
+    let rep = mpc_spanners::apsp::measure_distance_oracle(&g2, &oracle, 8, 13);
+    assert!(rep.max_ratio >= 1.0 - 1e-9);
 
     let cfg: mpc_runtime::MpcConfig = MpcConfig::explicit(512, 4, 8);
     let _sys: MpcSystem = mpc_spanners::mpc::MpcSystem::new(cfg);
-}
-
-/// Every algorithm entry point the `src/lib.rs` rustdoc promises is
-/// callable through its facade path.
-#[test]
-fn advertised_entry_points_resolve_and_run() {
-    let g = connected_erdos_renyi(96, 0.08, WeightModel::Uniform(1, 16), 11);
-
-    let bs = baswana_sen(&g, 3, 5);
-    assert!(verify_spanner(&g, &bs.edges).all_edges_spanned);
-
-    let gen = general_spanner(&g, TradeoffParams::log_k(8), 5, BuildOptions::default());
-    assert!(verify_spanner(&g, &gen.edges).all_edges_spanned);
-
-    let oracle = build_oracle(&g, 5);
-    let rep = measure_approximation(&g, &oracle, 8, 13);
-    assert!(rep.max_ratio >= 1.0 - 1e-9);
-
-    let cc = cc_spanner(&g, TradeoffParams::new(4, 1), 5, 3);
-    assert!(verify_spanner(&g, &cc.result.edges).all_edges_spanned);
-    let _apsp = cc_apsp(&g, 5, Some(2));
-
-    let pram = pram_general_spanner(&g, TradeoffParams::new(4, 2), 5);
-    assert!(verify_spanner(&g, &pram.result.edges).all_edges_spanned);
 }
 
 /// `mpc_spanners::pipeline` is the same module as

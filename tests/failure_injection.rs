@@ -2,10 +2,10 @@
 //! typed errors — never wrong answers, never silent constraint
 //! breaches — and the drivers must propagate them.
 
-use mpc_spanners::core::mpc_driver::mpc_general_spanner_with_config;
 use mpc_spanners::core::TradeoffParams;
 use mpc_spanners::graph::generators::{connected_erdos_renyi, WeightModel};
 use mpc_spanners::mpc::{comm, primitives, Dist, MpcConfig, MpcError, MpcSystem};
+use mpc_spanners::pipeline::{Algorithm, Backend, PipelineError, SpannerRequest};
 
 #[test]
 fn distribute_rejects_oversized_input() {
@@ -61,11 +61,17 @@ fn flat_map_explosion_is_caught() {
 #[test]
 fn driver_propagates_undersized_deployment() {
     // A deployment whose machines cannot even hold the working set: the
-    // driver must return Err, not panic or mis-answer.
+    // driver must return a typed MPC error, not panic or mis-answer.
     let g = connected_erdos_renyi(300, 0.1, WeightModel::Unit, 1);
     let cfg = MpcConfig::explicit(64, 4, 1);
-    let err = mpc_general_spanner_with_config(&g, TradeoffParams::new(4, 2), cfg, 1);
-    assert!(err.is_err(), "starved deployment must fail loudly");
+    let err = SpannerRequest::new(&g, Algorithm::General(TradeoffParams::new(4, 2)))
+        .on(Backend::mpc_deployment(cfg))
+        .seed(1)
+        .run();
+    assert!(
+        matches!(err, Err(PipelineError::Mpc(_))),
+        "starved deployment must fail loudly"
+    );
 }
 
 #[test]

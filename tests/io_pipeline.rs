@@ -2,9 +2,10 @@
 //! spanner construction results (edge ids are canonical, so determinism
 //! must carry across serialisation).
 
-use mpc_spanners::core::{general_spanner, BuildOptions, TradeoffParams};
+use mpc_spanners::core::TradeoffParams;
 use mpc_spanners::graph::generators::{connected_erdos_renyi, WeightModel};
 use mpc_spanners::graph::io::{read_edge_list, write_edge_list};
+use mpc_spanners::pipeline::{Algorithm, SpannerRequest};
 
 #[test]
 fn spanner_construction_survives_io_round_trip() {
@@ -14,10 +15,13 @@ fn spanner_construction_survives_io_round_trip() {
     let g2 = read_edge_list(buf.as_slice(), g.n()).unwrap();
     assert_eq!(g.edges(), g2.edges(), "canonical edge lists must match");
 
-    let params = TradeoffParams::new(8, 2);
-    let a = general_spanner(&g, params, 5, BuildOptions::default());
-    let b = general_spanner(&g2, params, 5, BuildOptions::default());
-    assert_eq!(a.edges, b.edges, "same ids, same coins, same spanner");
+    let general = Algorithm::General(TradeoffParams::new(8, 2));
+    let a = SpannerRequest::new(&g, general).seed(5).run().unwrap();
+    let b = SpannerRequest::new(&g2, general).seed(5).run().unwrap();
+    assert_eq!(
+        a.result.edges, b.result.edges,
+        "same ids, same coins, same spanner"
+    );
 }
 
 #[test]

@@ -10,9 +10,7 @@
 //!    bounds otherwise (property-tested over all four Corollary 1.2
 //!    settings); the predicted stretch bound always equals the measured
 //!    result's bound.
-//! 3. **Shims are bit-identical** — every legacy free function returns
-//!    exactly what the pipeline returns for the corresponding request.
-//! 4. **Fan-outs fail per-request** — requests fanned out with
+//! 3. **Fan-outs fail per-request** — requests fanned out with
 //!    `par_iter().map(SpannerRequest::run)` fail individually (one
 //!    malformed request cannot abort its neighbours), and the output is
 //!    independent of thread count.
@@ -20,14 +18,8 @@
 use proptest::prelude::*;
 use rayon::prelude::*;
 
-use mpc_spanners::core::baswana_sen::baswana_sen;
-use mpc_spanners::core::cluster_merging::cluster_merging_spanner;
-use mpc_spanners::core::mpc_driver::mpc_general_spanner;
-use mpc_spanners::core::presets::corollary_spanner;
-use mpc_spanners::core::sqrt_k::sqrt_k_spanner;
-use mpc_spanners::core::streaming::streaming_spanner;
-use mpc_spanners::core::unweighted_ok::{unweighted_ok_spanner, UnweightedOkConfig};
-use mpc_spanners::core::{best_of, general_spanner, BuildOptions, TradeoffParams};
+use mpc_spanners::core::unweighted_ok::UnweightedOkConfig;
+use mpc_spanners::core::TradeoffParams;
 use mpc_spanners::graph::generators::{self, Family, WeightModel};
 use mpc_spanners::pipeline::{
     Algorithm, Backend, CorollarySetting, PipelineError, SpannerRequest, Verification,
@@ -87,8 +79,7 @@ fn one_request_runs_on_every_backend_with_identical_edges() {
                 assert_eq!(report.plan.backend, backend.name());
                 // The report names the algorithm the user requested on
                 // every backend (General keeps the per-model executor
-                // labels for shim compatibility) and always carries the
-                // planned bound.
+                // labels) and always carries the planned bound.
                 if !matches!(algorithm, Algorithm::General(_)) {
                     assert_eq!(report.result.algorithm, reference.algorithm);
                 }
@@ -217,122 +208,6 @@ fn plan_is_exact_when_the_schedule_completes() {
             setting.label()
         );
     }
-}
-
-#[test]
-fn shims_are_bit_identical_to_pipeline_output() {
-    let g = generators::connected_erdos_renyi(110, 0.09, WeightModel::PowersOfTwo(6), 21);
-    let params = TradeoffParams::new(8, 2);
-    let seed = 1234u64;
-
-    let via = |request: SpannerRequest| request.run().expect("valid").result;
-
-    // Sequential engine schedule.
-    assert_eq!(
-        general_spanner(&g, params, seed, BuildOptions::default()).edges,
-        via(SpannerRequest::new(&g, Algorithm::General(params)).seed(seed)).edges
-    );
-    // Custom sequential constructions.
-    assert_eq!(
-        baswana_sen(&g, 5, seed).edges,
-        via(SpannerRequest::new(&g, Algorithm::BaswanaSen { k: 5 }).seed(seed)).edges
-    );
-    assert_eq!(
-        sqrt_k_spanner(&g, 9, seed).edges,
-        via(SpannerRequest::new(&g, Algorithm::SqrtK { k: 9 }).seed(seed)).edges
-    );
-    assert_eq!(
-        cluster_merging_spanner(&g, 8, seed).edges,
-        via(SpannerRequest::new(&g, Algorithm::ClusterMerging { k: 8 }).seed(seed)).edges
-    );
-    assert_eq!(
-        corollary_spanner(&g, CorollarySetting::LogK, 8, seed).edges,
-        via(SpannerRequest::new(
-            &g,
-            Algorithm::Corollary {
-                setting: CorollarySetting::LogK,
-                k: 8
-            }
-        )
-        .seed(seed))
-        .edges
-    );
-    // Appendix B (unweighted).
-    let topo = g.unweighted_copy();
-    let cfg = UnweightedOkConfig::default();
-    let shim = unweighted_ok_spanner(&topo, 3, cfg, seed);
-    let pipe =
-        via(SpannerRequest::new(&topo, Algorithm::UnweightedOk { k: 3, config: cfg }).seed(seed));
-    assert_eq!(shim.edges, pipe.edges);
-    assert_eq!(shim.decomposition, pipe.decomposition);
-
-    // Model backends.
-    let streaming = streaming_spanner(&g, params, seed);
-    let pipe = SpannerRequest::new(&g, Algorithm::General(params))
-        .on(Backend::Streaming)
-        .seed(seed)
-        .run()
-        .unwrap();
-    assert_eq!(streaming.result.edges, pipe.result.edges);
-    assert_eq!(
-        streaming.passes,
-        pipe.stats.streaming().expect("streaming stats").passes
-    );
-
-    let mpc = mpc_general_spanner(&g, params, 0.5, seed).unwrap();
-    let pipe = SpannerRequest::new(&g, Algorithm::General(params))
-        .on(Backend::mpc_gamma(0.5))
-        .seed(seed)
-        .run()
-        .unwrap();
-    assert_eq!(mpc.result.edges, pipe.result.edges);
-    assert_eq!(
-        mpc.metrics.rounds,
-        pipe.stats.mpc().expect("mpc stats").metrics.rounds
-    );
-
-    let cc = congested_clique::cc_spanner(&g, params, seed, 4);
-    let pipe = SpannerRequest::new(&g, Algorithm::General(params))
-        .on(Backend::CongestedClique { repetitions: 4 })
-        .seed(seed)
-        .run()
-        .unwrap();
-    assert_eq!(cc.result.edges, pipe.result.edges);
-    let stats = pipe.stats.congested_clique().expect("clique stats");
-    assert_eq!(cc.rounds, stats.rounds);
-    assert_eq!(cc.chosen_runs, stats.chosen_runs);
-
-    let pram = spanner_pram::pram_general_spanner(&g, params, seed);
-    let pipe = SpannerRequest::new(&g, Algorithm::General(params))
-        .on(Backend::Pram)
-        .seed(seed)
-        .run()
-        .unwrap();
-    assert_eq!(pram.result.edges, pipe.result.edges);
-    let stats = pipe.stats.pram().expect("pram stats");
-    assert_eq!(pram.depth, stats.depth);
-    assert_eq!(pram.work, stats.work);
-}
-
-#[test]
-fn best_of_shim_still_picks_the_smallest_copy() {
-    let g = generators::connected_erdos_renyi(150, 0.1, WeightModel::Unit, 19);
-    let params = TradeoffParams::new(4, 2);
-    // best_of fans its copies out on the rayon pool; its selection must
-    // remain the deterministic minimum over the same derived seeds.
-    let best = best_of(&g, params, 77, 5, BuildOptions::default());
-    let sizes: Vec<usize> = (0..5u64)
-        .map(|r| {
-            general_spanner(
-                &g,
-                params,
-                mpc_spanners::core::coins::splitmix64(77 ^ r),
-                BuildOptions::default(),
-            )
-            .size()
-        })
-        .collect();
-    assert_eq!(best.size(), *sizes.iter().min().unwrap());
 }
 
 #[test]

@@ -5,15 +5,22 @@
 
 use proptest::prelude::*;
 
-use congested_clique::cc_spanner;
-use mpc_spanners::apsp::{build_oracle, DistanceSketches};
-use mpc_spanners::core::sqrt_k::sqrt_k_spanner;
-use mpc_spanners::core::unweighted_ok::{unweighted_ok_spanner, UnweightedOkConfig};
-use mpc_spanners::core::TradeoffParams;
+use mpc_spanners::apsp::apsp_request;
+use mpc_spanners::core::unweighted_ok::UnweightedOkConfig;
+use mpc_spanners::core::{SpannerResult, TradeoffParams};
 use mpc_spanners::graph::edge::{Edge, INFINITY};
 use mpc_spanners::graph::shortest_paths::dijkstra;
 use mpc_spanners::graph::verify::{assert_valid_edge_ids, verify_spanner};
 use mpc_spanners::graph::Graph;
+use mpc_spanners::pipeline::{Algorithm, Backend, DistanceSketches, SpannerRequest};
+
+fn run(g: &Graph, algorithm: Algorithm, seed: u64) -> SpannerResult {
+    SpannerRequest::new(g, algorithm)
+        .seed(seed)
+        .run()
+        .expect("valid request")
+        .result
+}
 
 fn arb_graph(nmax: usize, unit_weights: bool) -> impl Strategy<Value = Graph> {
     (3..nmax).prop_flat_map(move |n| {
@@ -39,7 +46,7 @@ proptest! {
         k in 1u32..20,
         seed in 0u64..500,
     ) {
-        let r = sqrt_k_spanner(&g, k, seed);
+        let r = run(&g, Algorithm::SqrtK { k }, seed);
         assert_valid_edge_ids(&g, &r.edges);
         let rep = verify_spanner(&g, &r.edges);
         prop_assert!(rep.all_edges_spanned);
@@ -56,8 +63,8 @@ proptest! {
         gamma in 0.3f64..0.9,
         seed in 0u64..500,
     ) {
-        let cfg = UnweightedOkConfig { gamma, ..Default::default() };
-        let r = unweighted_ok_spanner(&g, k, cfg, seed);
+        let config = UnweightedOkConfig { gamma, ..Default::default() };
+        let r = run(&g, Algorithm::UnweightedOk { k, config }, seed);
         assert_valid_edge_ids(&g, &r.edges);
         let rep = verify_spanner(&g, &r.edges);
         prop_assert!(rep.all_edges_spanned);
@@ -72,14 +79,19 @@ proptest! {
         reps in 1usize..6,
         seed in 0u64..200,
     ) {
-        let params = TradeoffParams::new(4, 2);
-        let run = cc_spanner(&g, params, seed, reps);
-        assert_valid_edge_ids(&g, &run.result.edges);
-        let rep = verify_spanner(&g, &run.result.edges);
+        let report = SpannerRequest::new(&g, Algorithm::General(TradeoffParams::new(4, 2)))
+            .on(Backend::CongestedClique { repetitions: reps })
+            .seed(seed)
+            .run()
+            .expect("valid request");
+        let result = &report.result;
+        let chosen_runs = &report.stats.congested_clique().expect("clique stats").chosen_runs;
+        assert_valid_edge_ids(&g, &result.edges);
+        let rep = verify_spanner(&g, &result.edges);
         prop_assert!(rep.all_edges_spanned);
-        prop_assert!(rep.max_edge_stretch <= run.result.stretch_bound + 1e-9);
-        prop_assert_eq!(run.chosen_runs.len(), run.result.iterations as usize);
-        prop_assert!(run.chosen_runs.iter().all(|&r| r < reps));
+        prop_assert!(rep.max_edge_stretch <= result.stretch_bound + 1e-9);
+        prop_assert_eq!(chosen_runs.len(), result.iterations as usize);
+        prop_assert!(chosen_runs.iter().all(|&r| r < reps));
     }
 
     #[test]
@@ -89,7 +101,7 @@ proptest! {
         source in 0u32..40,
     ) {
         prop_assume!((source as usize) < g.n());
-        let oracle = build_oracle(&g, seed);
+        let oracle = apsp_request(&g).seed(seed).build().expect("valid request");
         let exact = dijkstra(&g, source).dist;
         let approx = oracle.distances_from(source);
         for v in 0..g.n() {
@@ -98,7 +110,7 @@ proptest! {
             } else {
                 prop_assert!(approx[v] >= exact[v]);
                 prop_assert!(
-                    approx[v] as f64 <= oracle.stretch_bound * exact[v].max(1) as f64 + 1e-6
+                    approx[v] as f64 <= oracle.stretch_bound() * exact[v].max(1) as f64 + 1e-6
                 );
             }
         }

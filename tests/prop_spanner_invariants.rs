@@ -11,12 +11,20 @@
 
 use proptest::prelude::*;
 
-use mpc_spanners::core::baswana_sen::baswana_sen;
-use mpc_spanners::core::{general_spanner, BuildOptions, TradeoffParams};
+use mpc_spanners::core::{SpannerResult, TradeoffParams};
 use mpc_spanners::graph::components::{component_count, spanning_forest};
 use mpc_spanners::graph::edge::Edge;
 use mpc_spanners::graph::verify::{assert_valid_edge_ids, verify_spanner};
 use mpc_spanners::graph::Graph;
+use mpc_spanners::pipeline::{Algorithm, SpannerRequest};
+
+fn run(g: &Graph, algorithm: Algorithm, seed: u64) -> SpannerResult {
+    SpannerRequest::new(g, algorithm)
+        .seed(seed)
+        .run()
+        .expect("valid request")
+        .result
+}
 
 /// Strategy: a random simple weighted graph with up to `nmax` vertices.
 fn arb_graph(nmax: usize) -> impl Strategy<Value = Graph> {
@@ -43,8 +51,7 @@ proptest! {
         t in 1u32..6,
         seed in 0u64..1000,
     ) {
-        let params = TradeoffParams::new(k, t);
-        let r = general_spanner(&g, params, seed, BuildOptions::default());
+        let r = run(&g, Algorithm::General(TradeoffParams::new(k, t)), seed);
         assert_valid_edge_ids(&g, &r.edges);
         let rep = verify_spanner(&g, &r.edges);
         prop_assert!(rep.all_edges_spanned, "unspanned edge");
@@ -65,7 +72,7 @@ proptest! {
         k in 1u32..8,
         seed in 0u64..1000,
     ) {
-        let r = baswana_sen(&g, k, seed);
+        let r = run(&g, Algorithm::BaswanaSen { k }, seed);
         assert_valid_edge_ids(&g, &r.edges);
         let rep = verify_spanner(&g, &r.edges);
         prop_assert!(rep.all_edges_spanned);
@@ -80,7 +87,7 @@ proptest! {
         g in arb_graph(50),
         seed in 0u64..500,
     ) {
-        let r = general_spanner(&g, TradeoffParams::new(4, 2), seed, BuildOptions::default());
+        let r = run(&g, Algorithm::General(TradeoffParams::new(4, 2)), seed);
         let h = g.edge_subgraph(&r.edges);
         prop_assert_eq!(component_count(&h), component_count(&g));
     }
@@ -92,9 +99,9 @@ proptest! {
         t in 1u32..4,
         seed in 0u64..100,
     ) {
-        let params = TradeoffParams::new(k, t);
-        let a = general_spanner(&g, params, seed, BuildOptions::default());
-        let b = general_spanner(&g, params, seed, BuildOptions::default());
+        let general = Algorithm::General(TradeoffParams::new(k, t));
+        let a = run(&g, general, seed);
+        let b = run(&g, general, seed);
         prop_assert_eq!(a.edges, b.edges);
     }
 }

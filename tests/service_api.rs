@@ -34,8 +34,8 @@ use mpc_spanners::graph::generators::{connected_erdos_renyi, Family, WeightModel
 use mpc_spanners::graph::Graph;
 use mpc_spanners::pipeline::{
     Algorithm, Backend, BuildGuard, CancelToken, ClientId, DistanceOracle, DistanceRequest,
-    DistanceSketches, HeapSize, JobId, JobQueue, JobSpec, MpcDeployment, PipelineError,
-    QueryEngine, QueueConfig, ServiceJob, ShardedService, SpannerRequest, SpannerService,
+    DistanceSketches, HeapSize, JobId, JobQueue, JobSpec, MpcDeployment, PipelineError, Priority,
+    QueryEngine, QueueConfig, ShardedService, SpannerRequest, SpannerService,
 };
 
 fn params() -> TradeoffParams {
@@ -303,18 +303,6 @@ fn prebuild_warms_the_store_for_admission_controlled_traffic() {
     // one admission point — with one worker.
     let tier = Arc::new(ShardedService::new(1));
     let handle = tier.register(g);
-    let warmup: Vec<ServiceJob<'_>> = vec![
-        tier.oracle(&handle, alg()).seed(1).into(),
-        tier.oracle(&handle, alg())
-            .engine(QueryEngine::Sketches { levels: 2 })
-            .seed(1)
-            .into(),
-        tier.spanner(&handle, alg()).seed(1).into(),
-    ];
-    assert!(tier.prebuild(warmup).iter().all(Result::is_ok));
-    assert_eq!(tier.store_len(), 3);
-
-    let misses_after_warmup = tier.stats().misses;
     let queue = JobQueue::start(
         Arc::clone(&tier),
         QueueConfig {
@@ -322,6 +310,24 @@ fn prebuild_warms_the_store_for_admission_controlled_traffic() {
             ..QueueConfig::default()
         },
     );
+    // Warm-up: submit N at batch priority, wait N.
+    let warmup = [
+        JobSpec::oracle(&handle, alg()).seed(1),
+        JobSpec::oracle(&handle, alg())
+            .engine(QueryEngine::Sketches { levels: 2 })
+            .seed(1),
+        JobSpec::spanner(&handle, alg()).seed(1),
+    ];
+    let ids: Vec<JobId> = warmup
+        .into_iter()
+        .map(|spec| queue.submit(spec.priority(Priority::Batch)))
+        .collect();
+    for id in ids {
+        queue.wait(id).expect("warm-up build");
+    }
+    assert_eq!(tier.store_len(), 3);
+
+    let misses_after_warmup = tier.stats().misses;
     let (queue, handle) = (&queue, &handle);
     std::thread::scope(|scope| {
         for client in 0..4u64 {

@@ -264,13 +264,14 @@ fn per_shard_budgets_scale_store_capacity() {
     );
 }
 
-/// The sharded `prebuild` mirror of the service warm-up test: warming
-/// across shards leaves later traffic all-hits on every shard.
+/// The sharded mirror of the service warm-up test: warming across
+/// shards through the job queue ("submit N at batch priority, wait N")
+/// leaves later traffic all-hits on every shard.
 #[test]
 fn prebuild_warms_every_owning_shard() {
-    use mpc_spanners::pipeline::ServiceJob;
+    use mpc_spanners::pipeline::{JobId, JobQueue, JobSpec, Priority};
 
-    let tier = ShardedService::new(4);
+    let tier = Arc::new(ShardedService::new(4));
     let handles: Vec<_> = (0..4u64)
         .map(|s| {
             tier.register(connected_erdos_renyi(
@@ -281,11 +282,14 @@ fn prebuild_warms_every_owning_shard() {
             ))
         })
         .collect();
-    let warmup: Vec<ServiceJob<'_>> = handles
+    let queue = JobQueue::with_defaults(Arc::clone(&tier));
+    let warmup: Vec<JobId> = handles
         .iter()
-        .map(|h| tier.spanner(h, alg()).seed(1).into())
+        .map(|h| queue.submit(JobSpec::spanner(h, alg()).seed(1).priority(Priority::Batch)))
         .collect();
-    assert!(tier.prebuild(warmup).iter().all(Result::is_ok));
+    for id in warmup {
+        queue.wait(id).expect("warm-up build");
+    }
     assert_eq!(tier.store_len(), 4);
 
     let misses_after_warmup = tier.stats().misses;
