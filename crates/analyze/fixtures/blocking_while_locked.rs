@@ -1,7 +1,8 @@
-//! `stall` holds `fix.aux` across a call to `settle`, which parks on
-//! the condvar `fix.ready` — only the guard passed to the wait is
-//! released, so the blocking-while-locked pass must fire at the call
-//! site with the `stall → settle` chain.
+//! `stall` holds `fix.aux` across a call to `settle`, which takes
+//! `fix.state` and parks on the condvar `fix.ready` — only the guard
+//! passed to the wait is released, so `fix.aux` stays pinned. The
+//! lock-nesting pass must fire at the call site with the
+//! `stall → settle` chain.
 
 pub struct Gate {
     state: TrackedMutex<u32>,

@@ -1,5 +1,5 @@
-//! The same held-lock park as `blocking_while_locked.rs`, waived at
-//! the call site.
+//! The same held-lock call as `blocking_while_locked.rs`, waived at the
+//! call site.
 
 pub struct Gate {
     state: TrackedMutex<u32>,
@@ -24,7 +24,7 @@ impl Gate {
 
     pub fn stall(&self) {
         let a = self.aux.lock();
-        // analyze:allow(blocking-while-locked): seeded park kept as the firing fixture
+        // analyze:allow(lock-nesting): seeded nesting kept as the firing fixture
         self.settle();
         drop(a);
     }

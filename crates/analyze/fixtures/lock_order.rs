@@ -1,6 +1,7 @@
 //! Seeded two-lock inversion: `ab` takes `fix.a` then `fix.b`, `ba`
-//! takes them in the opposite order — the classic deadlock pair the
-//! static-lock-order pass must report as a cycle.
+//! takes them in the opposite order — the classic deadlock pair. Each fn
+//! acquires one lock while holding the other, so the lock-nesting pass
+//! must report one finding in each.
 
 pub struct Pair {
     a: TrackedMutex<u32>,

@@ -16,8 +16,9 @@
 //!    (`cargo xtask analyze --callgraph-json`).
 //! 4. The passes: [`taint`] (determinism taint), [`panics`]
 //!    (panic-path audit of the serving stack plus whole-program
-//!    reachability), [`lockorder`] (static lock-order cycles and
-//!    blocking-while-locked), [`lints`] (the four per-file lints), and
+//!    reachability), [`lockorder`] (lock nesting: no tracked lock
+//!    acquired while another is held), [`lints`] (the four per-file
+//!    lints), and
 //!    [`waivers`] (unused-waiver hygiene over the run's own ledger).
 //!
 //! Output is a [`report::Report`]: sorted findings, visible waivers,
@@ -327,7 +328,7 @@ mod tests {
     fn workspace_is_clean() {
         // The real tree: every finding must be fixed or waived. This is
         // the same discipline the old xtask test enforced, now across
-        // all nine lints.
+        // all eight lints.
         let root = Path::new(env!("CARGO_MANIFEST_DIR"))
             .parent()
             .and_then(Path::parent)

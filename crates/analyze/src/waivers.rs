@@ -31,11 +31,10 @@ pub const LINT: &str = "unused-waiver";
 /// Every lint name the analyzer can emit; a waiver naming anything else
 /// is dead on arrival.
 pub const KNOWN_LINTS: &[&str] = &[
-    "blocking-while-locked",
     "determinism-taint",
+    "lock-nesting",
     "panic-path",
     "raw-sync",
-    "static-lock-order",
     "stray-spawn",
     "unsafe-comment",
     "unused-waiver",

@@ -218,66 +218,63 @@ fn fully_waived_fixture_is_clean_under_the_widest_scope() {
 }
 
 #[test]
-fn static_lock_order_fires_on_a_seeded_inversion() {
+fn lock_nesting_fires_in_both_orders_of_a_seeded_inversion() {
     let report = analyze_at("crates/core/src/pipeline/seeded.rs", "lock_order.rs");
-    let cycles: Vec<_> = report
+    let nestings: Vec<_> = report
         .findings
         .iter()
-        .filter(|f| f.lint == "static-lock-order")
+        .filter(|f| f.lint == "lock-nesting")
         .collect();
-    assert_eq!(cycles.len(), 1, "{:#?}", report.findings);
-    let msg = &cycles[0].message;
-    assert!(msg.contains("`fix.a` → `fix.b` → `fix.a`"), "{msg}");
+    assert_eq!(nestings.len(), 2, "{:#?}", report.findings);
     assert!(
-        msg.contains("Pair::ab") && msg.contains("Pair::ba"),
-        "{msg}"
-    );
-}
-
-#[test]
-fn static_lock_order_waiver_suppresses_the_cycle() {
-    let report = analyze_at("crates/core/src/pipeline/seeded.rs", "lock_order_waived.rs");
-    assert!(report.findings.is_empty(), "{:#?}", report.findings);
-    assert!(
-        report.waived.iter().any(|w| w.lint == "static-lock-order"),
+        nestings[0]
+            .message
+            .contains("`Pair::ab` acquires `fix.b` while holding `fix.a`"),
         "{:#?}",
-        report.waived
+        nestings[0]
+    );
+    assert!(
+        nestings[1]
+            .message
+            .contains("`Pair::ba` acquires `fix.a` while holding `fix.b`"),
+        "{:#?}",
+        nestings[1]
     );
 }
 
 #[test]
-fn blocking_while_locked_fires_with_the_call_chain() {
+fn lock_nesting_fires_through_a_call_with_the_chain() {
     let report = analyze_at(
         "crates/core/src/pipeline/seeded.rs",
         "blocking_while_locked.rs",
     );
-    let blocking: Vec<_> = report
+    let nestings: Vec<_> = report
         .findings
         .iter()
-        .filter(|f| f.lint == "blocking-while-locked")
+        .filter(|f| f.lint == "lock-nesting")
         .collect();
-    assert_eq!(blocking.len(), 1, "{:#?}", report.findings);
-    let msg = &blocking[0].message;
-    assert!(msg.contains("`fix.aux`"), "{msg}");
-    assert!(msg.contains("`Gate::settle`"), "{msg}");
-    assert!(msg.contains("`fix.ready`"), "{msg}");
+    assert_eq!(nestings.len(), 1, "{:#?}", report.findings);
+    assert_eq!(nestings[0].excerpt, "self.settle();");
+    let msg = &nestings[0].message;
+    assert!(msg.contains("`Gate::stall` → `Gate::settle`"), "{msg}");
+    assert!(msg.contains("`fix.state`"), "{msg}");
+    assert!(msg.contains("while holding `fix.aux`"), "{msg}");
 }
 
 #[test]
-fn blocking_while_locked_waiver_suppresses_it() {
+fn lock_nesting_waiver_suppresses_it() {
     let report = analyze_at(
         "crates/core/src/pipeline/seeded.rs",
-        "blocking_while_locked_waived.rs",
+        "lock_nesting_waived.rs",
     );
     assert!(report.findings.is_empty(), "{:#?}", report.findings);
-    assert!(
-        report
-            .waived
-            .iter()
-            .any(|w| w.lint == "blocking-while-locked"),
-        "{:#?}",
-        report.waived
-    );
+    let waived: Vec<_> = report
+        .waived
+        .iter()
+        .filter(|w| w.lint == "lock-nesting")
+        .collect();
+    assert_eq!(waived.len(), 1, "{:#?}", report.waived);
+    assert!(waived[0].justification.contains("firing fixture"));
 }
 
 #[test]

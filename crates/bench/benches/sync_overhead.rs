@@ -9,9 +9,11 @@
 //! ```
 //!
 //! (Under `--features lock-audit` the tracked rows pay for the
-//! lock-order graph on purpose — that build is a debugging tool, not a
-//! shipping configuration; the bench still runs there if you want the
-//! instrumented numbers.)
+//! thread-local no-nesting check and the explorer's yield points on
+//! purpose — that build is a debugging tool, not a shipping
+//! configuration; the bench still runs there if you want the
+//! instrumented numbers:
+//! `cargo bench -p spanner-bench --bench sync_overhead --features spanner-sync/lock-audit`.)
 
 use std::sync::{Condvar, Mutex};
 

@@ -5,9 +5,8 @@
 //! the shared primitives into a crate below both). Pipeline code must not
 //! construct raw `std::sync::{Mutex, Condvar, RwLock}` — `cargo xtask
 //! analyze` enforces this (the `raw-sync` lint) so that `--features
-//! lock-audit` builds see *every* lock in the serving stack: acquisition
-//! order (potential-deadlock detection), condvar discipline, and per-class
-//! hold/contention counters ([`lock_report`]).
+//! lock-audit` builds see *every* lock in the serving stack and panic when
+//! one is acquired while another is held.
 //!
 //! Without the feature these wrappers are zero-cost newtypes; the
 //! `sync_overhead` bench in `crates/bench` pins that.

@@ -8,8 +8,9 @@
 //! uses so nobody collects messages before everybody has posted.
 //!
 //! Everything synchronises through `spanner-sync` tracked primitives,
-//! so `--features lock-audit` checks lock ordering and condvar
-//! discipline on the executor exactly as it does on the serving stack.
+//! so `--features lock-audit` checks that no tracked lock is acquired
+//! while another is held on the executor exactly as it does on the
+//! serving stack.
 
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};

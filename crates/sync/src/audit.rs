@@ -1,24 +1,21 @@
-//! Audit mode: lock-order graph, condvar discipline, counters, yield points.
+//! Audit mode: the no-nesting rule and the explorer's yield points.
 //!
 //! Compiled only under `--features lock-audit`. The public surface is
 //! identical to `passthrough`, so call sites never notice the swap.
 //!
-//! # How the potential-deadlock detector works
+//! # The rule
 //!
-//! Locks are grouped into *classes* by the `&'static str` name passed at
-//! construction. Each thread keeps a stack of the tracked locks it currently
-//! holds. Acquiring lock class `B` while holding class `A` records the
-//! directed edge `A → B` in a global graph (with the held stack that first
-//! produced it, as the example). If a later acquisition would create an edge
-//! closing a directed cycle — some thread once locked `A` then `B`, and now a
-//! thread holding `B` wants `A` — we panic immediately, naming both the
-//! current thread's held stack and the recorded example of the reverse order.
-//! This flags *potential* deadlocks on any run that merely exercises both
-//! orders, without needing the unlucky interleaving that actually deadlocks.
+//! No tracked lock is acquired while another is held. Each thread keeps a
+//! thread-local note of the class of the one tracked lock it holds; an
+//! acquisition while the note is set panics, naming both classes, before
+//! it touches the mutex. A thread that never nests cannot take part in a
+//! lock-order cycle, cannot relock a mutex it holds, and can only be
+//! holding the waited mutex when it parks on a condvar, so the rule stands
+//! in for cycle detection, reentrancy checks and condvar discipline. The
+//! static `lock-nesting` lint checks the same rule on source text.
 //!
-//! Two locks sharing a class name must never be held simultaneously by one
-//! thread (the graph cannot order a class against itself), so same-class
-//! nesting panics too.
+//! A condvar wait keeps the note set: std releases and reacquires the
+//! waited mutex internally, and the guard is the caller's again on return.
 //!
 //! # Explorer integration
 //!
@@ -28,90 +25,16 @@
 //! waits release the mutex and spin on a notify epoch counter. Every
 //! acquire/release is a deterministic scheduling decision.
 
-use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
+use std::cell::Cell;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{self, OnceLock, TryLockError};
-use std::time::{Duration, Instant};
-
-use crate::LockStats;
-
-static NEXT_LOCK_ID: AtomicU64 = AtomicU64::new(1);
-
-fn fresh_id() -> u64 {
-    NEXT_LOCK_ID.fetch_add(1, Ordering::Relaxed)
-}
-
-#[derive(Clone, Copy)]
-struct Held {
-    id: u64,
-    class: &'static str,
-}
+use std::sync::{self, TryLockError};
+use std::time::Duration;
 
 thread_local! {
-    static HELD: RefCell<Vec<Held>> = const { RefCell::new(Vec::new()) };
-}
-
-#[derive(Default)]
-struct Counters {
-    acquisitions: u64,
-    contentions: u64,
-    hold_nanos: u64,
-}
-
-#[derive(Default)]
-struct Registry {
-    /// Adjacency: class -> classes acquired while it was held.
-    adj: HashMap<&'static str, HashSet<&'static str>>,
-    /// First held-stack example that recorded each edge.
-    order_edges: HashMap<(&'static str, &'static str), String>,
-    counters: HashMap<&'static str, Counters>,
-}
-
-fn registry() -> &'static sync::Mutex<Registry> {
-    static REGISTRY: OnceLock<sync::Mutex<Registry>> = OnceLock::new();
-    REGISTRY.get_or_init(|| sync::Mutex::new(Registry::default()))
-}
-
-fn with_registry<R>(f: impl FnOnce(&mut Registry) -> R) -> R {
-    // Tolerate poisoning: the detector panics *by design* while this lock is
-    // held, and later tests/threads still need the graph.
-    let mut guard = registry().lock().unwrap_or_else(|e| e.into_inner());
-    f(&mut guard)
-}
-
-/// Is `to` reachable from `from` following recorded acquisition edges?
-/// Returns the path if so.
-fn find_path(
-    adj: &HashMap<&'static str, HashSet<&'static str>>,
-    from: &'static str,
-    to: &'static str,
-) -> Option<Vec<&'static str>> {
-    let mut stack = vec![vec![from]];
-    let mut seen = HashSet::new();
-    seen.insert(from);
-    while let Some(path) = stack.pop() {
-        let node = *path.last().expect("path never empty");
-        if node == to {
-            return Some(path);
-        }
-        if let Some(nexts) = adj.get(node) {
-            for &next in nexts {
-                if seen.insert(next) {
-                    let mut p = path.clone();
-                    p.push(next);
-                    stack.push(p);
-                }
-            }
-        }
-    }
-    None
-}
-
-fn held_stack_names(held: &[Held]) -> Vec<&'static str> {
-    held.iter().map(|h| h.class).collect()
+    /// Class of the tracked lock this thread holds, if any.
+    static HELD: Cell<Option<&'static str>> = const { Cell::new(None) };
 }
 
 #[cold]
@@ -119,125 +42,19 @@ fn poisoned(name: &'static str) -> ! {
     panic!("tracked lock '{name}' poisoned: a thread panicked while holding it");
 }
 
-/// Run the order checks for acquiring (`class`, `id`) given the current
-/// thread's held stack, and record the new edges.
-fn before_acquire(class: &'static str, id: u64) {
-    HELD.with(|h| {
-        let held = h.borrow();
-        if held.is_empty() {
-            return;
-        }
-        for prior in held.iter() {
-            if prior.id == id {
-                panic!(
-                    "lock-audit: reentrant acquisition of tracked lock '{class}' (id {id}) — \
-                     std mutexes deadlock on relock"
-                );
-            }
-            if prior.class == class {
-                panic!(
-                    "lock-audit: acquiring a second lock of class '{class}' while one is already \
-                     held (held stack: {:?}) — same-class nesting cannot be ordered; give the \
-                     locks distinct class names if the nesting is intentional",
-                    held_stack_names(&held)
-                );
-            }
-        }
-        with_registry(|reg| {
-            for prior in held.iter() {
-                // Would the new edge prior.class -> class close a cycle?
-                if let Some(path) = find_path(&reg.adj, class, prior.class) {
-                    let example = path
-                        .windows(2)
-                        .filter_map(|w| reg.order_edges.get(&(w[0], w[1])))
-                        .next()
-                        .cloned()
-                        .unwrap_or_else(|| "<example lost>".to_string());
-                    panic!(
-                        "lock-audit: potential deadlock (lock-order cycle): this thread is \
-                         acquiring '{class}' while holding {:?}, but the opposite order \
-                         {path:?} was recorded earlier ({example}). One of the two acquisition \
-                         orders must change.",
-                        held_stack_names(&held),
-                    );
-                }
-                if reg.adj.entry(prior.class).or_default().insert(class) {
-                    let mut stack = held_stack_names(&held);
-                    stack.push(class);
-                    reg.order_edges.insert(
-                        (prior.class, class),
-                        format!("a thread held {stack:?} in that order"),
-                    );
-                }
-            }
-        });
-    });
-}
-
-fn on_acquired(class: &'static str, id: u64, contended: bool) {
-    HELD.with(|h| h.borrow_mut().push(Held { id, class }));
-    with_registry(|reg| {
-        let c = reg.counters.entry(class).or_default();
-        c.acquisitions += 1;
-        if contended {
-            c.contentions += 1;
-        }
-    });
-}
-
-fn on_released(class: &'static str, id: u64, held_for: Duration) {
-    HELD.with(|h| {
-        let mut held = h.borrow_mut();
-        if let Some(pos) = held.iter().rposition(|x| x.id == id) {
-            held.remove(pos);
-        }
-    });
-    with_registry(|reg| {
-        let c = reg.counters.entry(class).or_default();
-        c.hold_nanos = c.hold_nanos.saturating_add(held_for.as_nanos() as u64);
-    });
-}
-
-/// Panic if the current thread holds any tracked lock other than `waited_id`.
-fn check_condvar_discipline(cv_name: &'static str, waited_class: &'static str, waited_id: u64) {
-    HELD.with(|h| {
-        let held = h.borrow();
-        let others: Vec<&'static str> = held
-            .iter()
-            .filter(|x| x.id != waited_id)
-            .map(|x| x.class)
-            .collect();
-        if !others.is_empty() {
-            panic!(
-                "lock-audit: waiting on condvar '{cv_name}' (mutex '{waited_class}') while also \
-                 holding unrelated tracked locks {others:?} — those stay locked for the whole \
-                 wait and can deadlock the notifier"
-            );
-        }
-    });
-}
-
-/// Per-class counters accumulated so far, sorted by class name.
-pub fn lock_report() -> Vec<LockStats> {
-    let mut stats: Vec<LockStats> = with_registry(|reg| {
-        reg.counters
-            .iter()
-            .map(|(&name, c)| LockStats {
-                name,
-                acquisitions: c.acquisitions,
-                contentions: c.contentions,
-                hold: Duration::from_nanos(c.hold_nanos),
-            })
-            .collect()
-    });
-    stats.sort_by_key(|s| s.name);
-    stats
+/// Panic if this thread already holds a tracked lock.
+fn check_not_nested(class: &'static str) {
+    if let Some(held) = HELD.get() {
+        panic!(
+            "lock-audit: acquiring tracked lock '{class}' while holding '{held}' — no tracked \
+             lock may be acquired while another is held; release '{held}' first"
+        );
+    }
 }
 
 /// A named mutex (audit mode — see module docs).
 pub struct TrackedMutex<T> {
     name: &'static str,
-    id: u64,
     inner: sync::Mutex<T>,
 }
 
@@ -246,13 +63,12 @@ impl<T> TrackedMutex<T> {
     pub fn new(name: &'static str, value: T) -> Self {
         TrackedMutex {
             name,
-            id: fresh_id(),
             inner: sync::Mutex::new(value),
         }
     }
 
     /// Consume the mutex, returning the inner value. Exclusive ownership
-    /// means no acquisition happens, so no order bookkeeping either.
+    /// means no acquisition happens, so there is nothing to check.
     pub fn into_inner(self) -> T {
         self.inner
             .into_inner()
@@ -261,37 +77,26 @@ impl<T> TrackedMutex<T> {
 }
 
 impl<T> TrackedMutex<T> {
-    /// Acquire the lock. Runs the order checks; under the explorer this is a
-    /// spin of `try_lock` + yield instead of a blocking wait.
+    /// Acquire the lock. Panics if this thread already holds a tracked
+    /// lock; under the explorer this is a spin of `try_lock` + yield
+    /// instead of a blocking wait.
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        before_acquire(self.name, self.id);
-        let (inner, contended) = if interleave::is_active() {
+        check_not_nested(self.name);
+        let inner = if interleave::is_active() {
             interleave::yield_point();
-            let mut contended = false;
             loop {
                 match self.inner.try_lock() {
-                    Ok(g) => break (g, contended),
-                    Err(TryLockError::WouldBlock) => {
-                        contended = true;
-                        interleave::yield_point();
-                    }
+                    Ok(g) => break g,
+                    Err(TryLockError::WouldBlock) => interleave::yield_point(),
                     Err(TryLockError::Poisoned(_)) => poisoned(self.name),
                 }
             }
         } else {
-            match self.inner.try_lock() {
-                Ok(g) => (g, false),
-                Err(TryLockError::WouldBlock) => (
-                    self.inner.lock().unwrap_or_else(|_| poisoned(self.name)),
-                    true,
-                ),
-                Err(TryLockError::Poisoned(_)) => poisoned(self.name),
-            }
+            self.inner.lock().unwrap_or_else(|_| poisoned(self.name))
         };
-        on_acquired(self.name, self.id, contended);
+        HELD.set(Some(self.name));
         MutexGuard {
             lock: self,
-            start: Instant::now(),
             inner: Some(inner),
         }
     }
@@ -314,18 +119,17 @@ impl<T: fmt::Debug> fmt::Debug for TrackedMutex<T> {
 /// Guard returned by [`TrackedMutex::lock`].
 pub struct MutexGuard<'a, T> {
     lock: &'a TrackedMutex<T>,
-    start: Instant,
     /// `None` only transiently, while dissolved for a condvar wait.
     inner: Option<sync::MutexGuard<'a, T>>,
 }
 
 impl<'a, T> MutexGuard<'a, T> {
-    /// Dissolve into the raw std guard *without* release bookkeeping — the
-    /// lock stays on the held stack. Used around `Condvar::wait`, where std
-    /// releases and reacquires the mutex internally.
-    fn into_parts(mut self) -> (sync::MutexGuard<'a, T>, &'a TrackedMutex<T>, Instant) {
+    /// Dissolve into the raw std guard *without* clearing the held note.
+    /// Used around `Condvar::wait`, where std releases and reacquires the
+    /// mutex internally.
+    fn into_parts(mut self) -> (sync::MutexGuard<'a, T>, &'a TrackedMutex<T>) {
         let inner = self.inner.take().expect("guard already dissolved");
-        (inner, self.lock, self.start)
+        (inner, self.lock)
     }
 }
 
@@ -346,7 +150,7 @@ impl<T> Drop for MutexGuard<'_, T> {
     fn drop(&mut self) {
         if let Some(inner) = self.inner.take() {
             drop(inner);
-            on_released(self.lock.name, self.lock.id, self.start.elapsed());
+            HELD.set(None);
             interleave::yield_point();
         }
     }
@@ -372,23 +176,17 @@ impl TrackedCondvar {
     }
 
     /// Atomically release the guard's mutex and wait; reacquires on wake.
-    ///
-    /// Panics if the calling thread holds any tracked lock besides the
-    /// guard's mutex — such a wait keeps that lock pinned for an unbounded
-    /// time and is the classic shape of a condvar deadlock.
     pub fn wait<'a, T>(&self, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
-        check_condvar_discipline(self.name, guard.lock.name, guard.lock.id);
         if interleave::is_active() {
             self.spin_wait(guard, None).0
         } else {
-            let (inner, lock, start) = guard.into_parts();
+            let (inner, lock) = guard.into_parts();
             let inner = self
                 .inner
                 .wait(inner)
                 .unwrap_or_else(|_| poisoned(self.name));
             MutexGuard {
                 lock,
-                start,
                 inner: Some(inner),
             }
         }
@@ -402,12 +200,11 @@ impl TrackedCondvar {
         guard: MutexGuard<'a, T>,
         dur: Duration,
     ) -> (MutexGuard<'a, T>, WaitTimeoutResult) {
-        check_condvar_discipline(self.name, guard.lock.name, guard.lock.id);
         if interleave::is_active() {
             let (guard, timed_out) = self.spin_wait(guard, Some(500));
             (guard, WaitTimeoutResult { timed_out })
         } else {
-            let (inner, lock, start) = guard.into_parts();
+            let (inner, lock) = guard.into_parts();
             let (inner, res) = self
                 .inner
                 .wait_timeout(inner, dur)
@@ -415,7 +212,6 @@ impl TrackedCondvar {
             (
                 MutexGuard {
                     lock,
-                    start,
                     inner: Some(inner),
                 },
                 WaitTimeoutResult {
@@ -426,7 +222,8 @@ impl TrackedCondvar {
     }
 
     /// Explorer-mode wait: release fully, spin on the notify epoch at yield
-    /// points, then reacquire. Returns (guard, timed_out).
+    /// points, then reacquire through [`TrackedMutex::lock`], which checks
+    /// the rule again. Returns (guard, timed_out).
     fn spin_wait<'a, T>(
         &self,
         guard: MutexGuard<'a, T>,
@@ -492,157 +289,5 @@ impl WaitTimeoutResult {
     /// True if the wait ended because the timeout elapsed.
     pub fn timed_out(&self) -> bool {
         self.timed_out
-    }
-}
-
-/// A named reader-writer lock (audit mode). Read and write acquisitions both
-/// participate in the order graph under the same class.
-pub struct TrackedRwLock<T> {
-    name: &'static str,
-    id: u64,
-    inner: sync::RwLock<T>,
-}
-
-impl<T> TrackedRwLock<T> {
-    /// Wrap `value` in an rwlock belonging to lock class `name`.
-    pub fn new(name: &'static str, value: T) -> Self {
-        TrackedRwLock {
-            name,
-            id: fresh_id(),
-            inner: sync::RwLock::new(value),
-        }
-    }
-}
-
-impl<T> TrackedRwLock<T> {
-    /// Acquire a shared read guard.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        before_acquire(self.name, self.id);
-        let (inner, contended) = if interleave::is_active() {
-            interleave::yield_point();
-            let mut contended = false;
-            loop {
-                match self.inner.try_read() {
-                    Ok(g) => break (g, contended),
-                    Err(TryLockError::WouldBlock) => {
-                        contended = true;
-                        interleave::yield_point();
-                    }
-                    Err(TryLockError::Poisoned(_)) => poisoned(self.name),
-                }
-            }
-        } else {
-            match self.inner.try_read() {
-                Ok(g) => (g, false),
-                Err(TryLockError::WouldBlock) => (
-                    self.inner.read().unwrap_or_else(|_| poisoned(self.name)),
-                    true,
-                ),
-                Err(TryLockError::Poisoned(_)) => poisoned(self.name),
-            }
-        };
-        on_acquired(self.name, self.id, contended);
-        RwLockReadGuard {
-            name: self.name,
-            id: self.id,
-            start: Instant::now(),
-            inner: Some(inner),
-        }
-    }
-
-    /// Acquire an exclusive write guard.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        before_acquire(self.name, self.id);
-        let (inner, contended) = if interleave::is_active() {
-            interleave::yield_point();
-            let mut contended = false;
-            loop {
-                match self.inner.try_write() {
-                    Ok(g) => break (g, contended),
-                    Err(TryLockError::WouldBlock) => {
-                        contended = true;
-                        interleave::yield_point();
-                    }
-                    Err(TryLockError::Poisoned(_)) => poisoned(self.name),
-                }
-            }
-        } else {
-            match self.inner.try_write() {
-                Ok(g) => (g, false),
-                Err(TryLockError::WouldBlock) => (
-                    self.inner.write().unwrap_or_else(|_| poisoned(self.name)),
-                    true,
-                ),
-                Err(TryLockError::Poisoned(_)) => poisoned(self.name),
-            }
-        };
-        on_acquired(self.name, self.id, contended);
-        RwLockWriteGuard {
-            name: self.name,
-            id: self.id,
-            start: Instant::now(),
-            inner: Some(inner),
-        }
-    }
-
-    /// The lock class name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-}
-
-/// Shared guard returned by [`TrackedRwLock::read`].
-pub struct RwLockReadGuard<'a, T> {
-    name: &'static str,
-    id: u64,
-    start: Instant,
-    inner: Option<sync::RwLockReadGuard<'a, T>>,
-}
-
-impl<T> Deref for RwLockReadGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        self.inner.as_ref().expect("guard dissolved")
-    }
-}
-
-impl<T> Drop for RwLockReadGuard<'_, T> {
-    fn drop(&mut self) {
-        if let Some(inner) = self.inner.take() {
-            drop(inner);
-            on_released(self.name, self.id, self.start.elapsed());
-            interleave::yield_point();
-        }
-    }
-}
-
-/// Exclusive guard returned by [`TrackedRwLock::write`].
-pub struct RwLockWriteGuard<'a, T> {
-    name: &'static str,
-    id: u64,
-    start: Instant,
-    inner: Option<sync::RwLockWriteGuard<'a, T>>,
-}
-
-impl<T> Deref for RwLockWriteGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        self.inner.as_ref().expect("guard dissolved")
-    }
-}
-
-impl<T> DerefMut for RwLockWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        self.inner.as_mut().expect("guard dissolved")
-    }
-}
-
-impl<T> Drop for RwLockWriteGuard<'_, T> {
-    fn drop(&mut self) {
-        if let Some(inner) = self.inner.take() {
-            drop(inner);
-            on_released(self.name, self.id, self.start.elapsed());
-            interleave::yield_point();
-        }
     }
 }

@@ -1,10 +1,11 @@
 //! Instrumented synchronisation primitives for the workspace.
 //!
 //! Every lock and condvar in the serving stack (`spanner-core` pipeline, the
-//! vendored `rayon` pool) is a [`TrackedMutex`], [`TrackedRwLock`] or
-//! [`TrackedCondvar`] from this crate instead of a raw `std::sync` primitive.
-//! Each is constructed with a `&'static str` *lock class name* (e.g.
-//! `"queue.state"`, `"rayon.queue"`), which is what the tooling reports on.
+//! `spanner-net` executor, the vendored `rayon` pool) is a [`TrackedMutex`]
+//! or [`TrackedCondvar`] from this crate instead of a raw `std::sync`
+//! primitive. Each is constructed with a `&'static str` *lock class name*
+//! (e.g. `"queue.state"`, `"rayon.queue"`), which is what the tooling
+//! reports on.
 //!
 //! The crate compiles in one of two modes:
 //!
@@ -12,38 +13,15 @@
 //!   `std::sync`. The only behavioural difference from raw primitives is that
 //!   poisoning panics with the lock's class name instead of returning a
 //!   `Result` — matching how the call sites already `.expect()`ed.
-//! * **Audit** (`--features lock-audit`): every acquisition is checked against
-//!   a global lock-acquisition-order graph (panic with both held stacks' lock
-//!   names on a potential deadlock cycle), waiting on a condvar while holding
-//!   any tracked lock other than the waited mutex panics, per-class
-//!   acquisition/contention/hold-time counters are maintained (see
-//!   [`lock_report`]), and every acquire/release is a yield point for the
-//!   `interleave` deterministic scheduler, letting small scenarios be
-//!   model-checked across hundreds of seeded schedules.
+//! * **Audit** (`--features lock-audit`): no tracked lock may be acquired
+//!   while another is held. An acquisition by a thread that already holds a
+//!   tracked lock panics, naming both classes; no nesting means no
+//!   lock-order cycle, no relock and no condvar wait that pins a second
+//!   lock. Every acquire/release is also a yield point for the `interleave`
+//!   deterministic scheduler, letting small scenarios be model-checked
+//!   across hundreds of seeded schedules.
 //!
 //! Both modes expose the identical API, so call sites never `cfg`.
-
-use std::time::Duration;
-
-/// Per-lock-class counters collected in audit mode (see [`lock_report`]).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct LockStats {
-    /// Lock class name as passed to the constructor.
-    pub name: &'static str,
-    /// Successful acquisitions (read and write both count for rwlocks).
-    pub acquisitions: u64,
-    /// Acquisitions that did not succeed immediately (`try_lock` failed
-    /// first, i.e. the lock was contended).
-    pub contentions: u64,
-    /// Total time guards of this class were held. Includes time spent inside
-    /// `Condvar::wait` (the lock is logically held around the wait).
-    pub hold: Duration,
-}
-
-/// True when this build carries the auditing instrumentation.
-pub fn audit_enabled() -> bool {
-    cfg!(feature = "lock-audit")
-}
 
 /// The deterministic interleaving explorer, re-exported so downstream
 /// crates (and their unit tests) can drive tracked primitives through
@@ -54,18 +32,12 @@ pub use interleave;
 #[cfg(feature = "lock-audit")]
 mod audit;
 #[cfg(feature = "lock-audit")]
-pub use audit::{
-    lock_report, MutexGuard, RwLockReadGuard, RwLockWriteGuard, TrackedCondvar, TrackedMutex,
-    TrackedRwLock, WaitTimeoutResult,
-};
+pub use audit::{MutexGuard, TrackedCondvar, TrackedMutex, WaitTimeoutResult};
 
 #[cfg(not(feature = "lock-audit"))]
 mod passthrough;
 #[cfg(not(feature = "lock-audit"))]
-pub use passthrough::{
-    lock_report, MutexGuard, RwLockReadGuard, RwLockWriteGuard, TrackedCondvar, TrackedMutex,
-    TrackedRwLock, WaitTimeoutResult,
-};
+pub use passthrough::{MutexGuard, TrackedCondvar, TrackedMutex, WaitTimeoutResult};
 
 #[cfg(test)]
 mod tests {
@@ -82,14 +54,6 @@ mod tests {
         }
         assert_eq!(*m.lock(), 42);
         assert_eq!(m.name(), "test.roundtrip");
-    }
-
-    #[test]
-    fn rwlock_roundtrip() {
-        let l = TrackedRwLock::new("test.rw", vec![1u32, 2]);
-        assert_eq!(l.read().len(), 2);
-        l.write().push(3);
-        assert_eq!(*l.read(), vec![1, 2, 3]);
     }
 
     #[test]
@@ -121,14 +85,6 @@ mod tests {
         assert!(res.timed_out());
     }
 
-    #[cfg(not(feature = "lock-audit"))]
-    #[test]
-    fn passthrough_report_is_empty() {
-        let _ = TrackedMutex::new("test.passthrough", 0u8).lock();
-        assert!(lock_report().is_empty());
-        assert!(!audit_enabled());
-    }
-
     #[cfg(feature = "lock-audit")]
     mod audit_mode {
         use super::*;
@@ -145,24 +101,16 @@ mod tests {
         }
 
         #[test]
-        fn cycle_detector_panics_on_ab_ba() {
-            let a = Arc::new(TrackedMutex::new("cycle.a", ()));
-            let b = Arc::new(TrackedMutex::new("cycle.b", ()));
-            // Record the order a -> b.
-            {
-                let _ga = a.lock();
-                let _gb = b.lock();
-            }
-            // Now attempt b -> a: the reverse edge closes a cycle.
+        fn nested_acquisition_panics_naming_both_classes() {
+            let a = Arc::new(TrackedMutex::new("nest.a", ()));
+            let b = Arc::new(TrackedMutex::new("nest.b", ()));
             let msg = expect_panic(move || {
-                let _gb = b.lock();
                 let _ga = a.lock();
+                let _gb = b.lock();
             });
-            assert!(msg.contains("cycle.a"), "panic should name lock a: {msg}");
-            assert!(msg.contains("cycle.b"), "panic should name lock b: {msg}");
             assert!(
-                msg.contains("cycle"),
-                "panic should call out the cycle: {msg}"
+                msg.contains("'nest.b' while holding 'nest.a'"),
+                "panic should name both classes: {msg}"
             );
         }
 
@@ -181,7 +129,22 @@ mod tests {
         }
 
         #[test]
+        fn relock_panics_instead_of_deadlocking() {
+            let m = Arc::new(TrackedMutex::new("nest.relock", ()));
+            let msg = expect_panic(move || {
+                let _g = m.lock();
+                let _again = m.lock();
+            });
+            assert!(
+                msg.contains("'nest.relock' while holding 'nest.relock'"),
+                "{msg}"
+            );
+        }
+
+        #[test]
         fn condvar_wait_with_unrelated_lock_panics() {
+            // The waited mutex is the second lock, so the audit refuses it
+            // before the wait could pin `cvcheck.unrelated`.
             let unrelated = Arc::new(TrackedMutex::new("cvcheck.unrelated", ()));
             let m = Arc::new(TrackedMutex::new("cvcheck.mutex", ()));
             let cv = Arc::new(TrackedCondvar::new("cvcheck.cv"));
@@ -191,37 +154,40 @@ mod tests {
                 let _ = cv.wait_timeout(g, Duration::from_millis(1));
             });
             assert!(
-                msg.contains("cvcheck.cv"),
-                "panic should name condvar: {msg}"
-            );
-            assert!(
-                msg.contains("cvcheck.unrelated"),
-                "panic should name the held lock: {msg}"
+                msg.contains("'cvcheck.mutex' while holding 'cvcheck.unrelated'"),
+                "panic should name the held lock and the waited mutex: {msg}"
             );
         }
 
         #[test]
-        fn counters_accumulate() {
-            let m = TrackedMutex::new("counters.m", 0u32);
-            for _ in 0..5 {
-                *m.lock() += 1;
-            }
-            let stats = lock_report()
-                .into_iter()
-                .find(|s| s.name == "counters.m")
-                .expect("counters.m should be in the report");
-            assert!(stats.acquisitions >= 5, "stats: {stats:?}");
-            assert!(audit_enabled());
-        }
-
-        #[test]
-        fn consistent_order_is_allowed() {
-            let a = TrackedMutex::new("order.ok.a", ());
-            let b = TrackedMutex::new("order.ok.b", ());
+        fn one_lock_at_a_time_is_allowed() {
+            let a = TrackedMutex::new("seq.a", ());
+            let b = TrackedMutex::new("seq.b", ());
+            let cv = TrackedCondvar::new("seq.cv");
             for _ in 0..3 {
+                drop(a.lock());
+                drop(b.lock());
+            }
+            // A guard taken back from a condvar wait is still the only one
+            // held, and releasing it frees the thread to lock again.
+            let (ga, res) = cv.wait_timeout(a.lock(), Duration::from_millis(1));
+            assert!(res.timed_out());
+            drop(ga);
+            drop(b.lock());
+        }
+
+        #[test]
+        fn a_caught_nesting_panic_leaves_the_thread_unlocked() {
+            let a = TrackedMutex::new("caught.a", ());
+            let b = TrackedMutex::new("caught.b", ());
+            let nested = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 let _ga = a.lock();
                 let _gb = b.lock();
-            }
+            }));
+            assert!(nested.is_err());
+            // `a`'s guard was dropped while unwinding, which poisons `a`
+            // and clears this thread's note; `b` was never taken.
+            drop(b.lock());
         }
     }
 }

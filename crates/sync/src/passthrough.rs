@@ -11,8 +11,6 @@ use std::ops::{Deref, DerefMut};
 use std::sync::{self, PoisonError};
 use std::time::Duration;
 
-use crate::LockStats;
-
 #[cold]
 fn poisoned(name: &'static str) -> ! {
     panic!("tracked lock '{name}' poisoned: a thread panicked while holding it");
@@ -176,83 +174,4 @@ impl WaitTimeoutResult {
     pub fn timed_out(&self) -> bool {
         self.timed_out
     }
-}
-
-/// A named reader-writer lock.
-pub struct TrackedRwLock<T> {
-    name: &'static str,
-    inner: sync::RwLock<T>,
-}
-
-impl<T> TrackedRwLock<T> {
-    /// Wrap `value` in an rwlock belonging to lock class `name`.
-    #[inline]
-    pub fn new(name: &'static str, value: T) -> Self {
-        TrackedRwLock {
-            name,
-            inner: sync::RwLock::new(value),
-        }
-    }
-}
-
-impl<T> TrackedRwLock<T> {
-    /// Acquire a shared read guard.
-    #[inline]
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        RwLockReadGuard {
-            inner: self.inner.read().unwrap_or_else(|_| poisoned(self.name)),
-        }
-    }
-
-    /// Acquire an exclusive write guard.
-    #[inline]
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        RwLockWriteGuard {
-            inner: self.inner.write().unwrap_or_else(|_| poisoned(self.name)),
-        }
-    }
-
-    /// The lock class name.
-    #[inline]
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-}
-
-/// Shared guard returned by [`TrackedRwLock::read`].
-pub struct RwLockReadGuard<'a, T> {
-    inner: sync::RwLockReadGuard<'a, T>,
-}
-
-impl<T> Deref for RwLockReadGuard<'_, T> {
-    type Target = T;
-    #[inline]
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-/// Exclusive guard returned by [`TrackedRwLock::write`].
-pub struct RwLockWriteGuard<'a, T> {
-    inner: sync::RwLockWriteGuard<'a, T>,
-}
-
-impl<T> Deref for RwLockWriteGuard<'_, T> {
-    type Target = T;
-    #[inline]
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T> DerefMut for RwLockWriteGuard<'_, T> {
-    #[inline]
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.inner
-    }
-}
-
-/// Audit-mode counters; always empty in passthrough builds.
-pub fn lock_report() -> Vec<LockStats> {
-    Vec::new()
 }

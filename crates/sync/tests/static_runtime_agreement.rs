@@ -1,17 +1,17 @@
-//! The two lock-discipline detectors must agree on the canonical
-//! seeded inversion: the *static* `static-lock-order` pass (workspace
+//! The two halves of the lock tooling must agree on one rule — no
+//! tracked lock is acquired while another is held — on the canonical
+//! seeded two-lock pair: the *static* `lock-nesting` pass (workspace
 //! call-graph analysis in `spanner-analyze`) and the *runtime*
-//! `lock-audit` cycle detector in this crate. The static half reports
-//! the `ab`/`ba` pair as an order cycle from source text alone; the
-//! runtime half panics when the second order is attempted live. Both
-//! halves see the same two-fn shape, so a behavior drift in either
-//! detector breaks this pin.
+//! `lock-audit` check in this crate. The static half reports the
+//! nesting in `ab` and the one in `ba` from source text alone; the
+//! runtime half panics at `ab`'s second acquisition. Both halves see
+//! the same two-fn shape, so a behavior drift in either breaks this pin.
 //!
 //! The runtime half needs the `lock-audit` feature (the passthrough
 //! wrappers deliberately check nothing); the static half runs always.
 
-/// The seeded inversion, as the static pass sees it. The runtime half
-/// below is a line-for-line transcription of `ab` and `ba`.
+/// The seeded pair, as the static pass sees it. The runtime half below
+/// is a line-for-line transcription of `ab`.
 const SEEDED_INVERSION: &str = r#"
     pub struct Pair {
         a: TrackedMutex<u32>,
@@ -40,23 +40,32 @@ const SEEDED_INVERSION: &str = r#"
     }
 "#;
 
-#[test]
-fn static_pass_reports_the_seeded_inversion_as_a_cycle() {
+fn nestings(src: String) -> Vec<String> {
     let report = spanner_analyze::analyze_sources(&[(
         std::path::PathBuf::from("crates/core/src/pipeline/seeded.rs"),
-        SEEDED_INVERSION.to_string(),
+        src,
     )]);
-    let cycles: Vec<_> = report
+    report
         .findings
-        .iter()
-        .filter(|f| f.lint == "static-lock-order")
-        .collect();
-    assert_eq!(cycles.len(), 1, "{:#?}", report.findings);
-    let msg = &cycles[0].message;
-    assert!(msg.contains("`agree.a` → `agree.b` → `agree.a`"), "{msg}");
+        .into_iter()
+        .filter(|f| f.lint == "lock-nesting")
+        .map(|f| f.message)
+        .collect()
+}
+
+#[test]
+fn static_pass_reports_a_nesting_in_each_fn_of_the_seeded_pair() {
+    let msgs = nestings(SEEDED_INVERSION.to_string());
+    assert_eq!(msgs.len(), 2, "{msgs:#?}");
     assert!(
-        msg.contains("Pair::ab") && msg.contains("Pair::ba"),
-        "{msg}"
+        msgs[0].contains("`Pair::ab` acquires `agree.b` while holding `agree.a`"),
+        "{}",
+        msgs[0]
+    );
+    assert!(
+        msgs[1].contains("`Pair::ba` acquires `agree.a` while holding `agree.b`"),
+        "{}",
+        msgs[1]
     );
 }
 
@@ -68,63 +77,62 @@ fn runtime_audit_panics_on_the_same_inversion() {
     let a = TrackedMutex::new("agree.a", 0u32);
     let b = TrackedMutex::new("agree.b", 0u32);
 
-    // `Pair::ab`: records the order agree.a → agree.b.
-    {
-        let ga = a.lock();
-        let gb = b.lock();
-        drop((ga, gb));
-    }
-
-    // `Pair::ba`: acquiring agree.a while holding agree.b closes the
-    // cycle — the audit must refuse with its potential-deadlock panic.
+    // `Pair::ab`: acquiring agree.b while holding agree.a is already a
+    // nesting — the audit refuses it before `ba` ever runs.
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let gb = b.lock();
         let ga = a.lock();
+        let gb = b.lock();
         drop((ga, gb));
     }));
-    let err = result.expect_err("runtime audit missed the seeded inversion");
+    let err = result.expect_err("runtime audit missed the seeded nesting");
     let msg = err
         .downcast_ref::<String>()
         .cloned()
         .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
         .unwrap_or_default();
-    assert!(msg.contains("lock-order cycle"), "unexpected panic: {msg}");
+    assert!(
+        msg.contains("'agree.b' while holding 'agree.a'"),
+        "unexpected panic: {msg}"
+    );
 }
 
 #[test]
-fn both_detectors_accept_a_consistent_order() {
-    // Static: the same struct with both fns taking a before b.
-    let consistent = SEEDED_INVERSION.replace(
-        "pub fn ba(&self) {
+fn both_halves_accept_the_two_locks_taken_one_after_the_other() {
+    // Static: the same struct with each guard dropped before the next
+    // lock is taken.
+    let sequential = SEEDED_INVERSION
+        .replace(
+            "let ga = self.a.lock();
             let gb = self.b.lock();
-            let ga = self.a.lock();
-            drop((ga, gb));
-        }",
-        "pub fn ba(&self) {
-            let ga = self.a.lock();
+            drop((ga, gb));",
+            "let ga = self.a.lock();
+            drop(ga);
             let gb = self.b.lock();
-            drop((ga, gb));
-        }",
-    );
-    assert_ne!(consistent, SEEDED_INVERSION, "replacement must apply");
-    let report = spanner_analyze::analyze_sources(&[(
-        std::path::PathBuf::from("crates/core/src/pipeline/seeded.rs"),
-        consistent,
-    )]);
-    assert!(report.findings.is_empty(), "{:#?}", report.findings);
+            drop(gb);",
+        )
+        .replace(
+            "let gb = self.b.lock();
+            let ga = self.a.lock();
+            drop((ga, gb));",
+            "let gb = self.b.lock();
+            drop(gb);
+            let ga = self.a.lock();
+            drop(ga);",
+        );
+    assert_ne!(sequential, SEEDED_INVERSION, "replacement must apply");
+    let msgs = nestings(sequential);
+    assert!(msgs.is_empty(), "{msgs:#?}");
 
-    // Runtime: repeating the same order is fine under the audit. Class
-    // names are fresh — the audit registry is process-global and the
-    // inversion test above deliberately poisons `agree.*`.
+    // Runtime: the same sequence, in both orders, is fine under the
+    // audit.
     #[cfg(feature = "lock-audit")]
     {
         use spanner_sync::TrackedMutex;
-        let a = TrackedMutex::new("agree2.a", 0u32);
-        let b = TrackedMutex::new("agree2.b", 0u32);
-        for _ in 0..2 {
-            let ga = a.lock();
-            let gb = b.lock();
-            drop((ga, gb));
-        }
+        let a = TrackedMutex::new("agree.a", 0u32);
+        let b = TrackedMutex::new("agree.b", 0u32);
+        drop(a.lock());
+        drop(b.lock());
+        drop(b.lock());
+        drop(a.lock());
     }
 }

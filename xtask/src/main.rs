@@ -53,9 +53,9 @@ fn usage() -> ExitCode {
     eprintln!("                           [--only <lint,...>] [--files <glob>]");
     eprintln!("                           [--callgraph-json <path|->]");
     eprintln!();
-    eprintln!("Static analysis over the workspace: blocking-while-locked,");
-    eprintln!("determinism-taint, panic-path, raw-sync, static-lock-order,");
-    eprintln!("stray-spawn, unsafe-comment, unused-waiver, wall-clock.");
+    eprintln!("Static analysis over the workspace: determinism-taint,");
+    eprintln!("lock-nesting, panic-path, raw-sync, stray-spawn,");
+    eprintln!("unsafe-comment, unused-waiver, wall-clock.");
     eprintln!();
     eprintln!("--only / --files filter the report, not the analysis; repeatable.");
     eprintln!("--callgraph-json writes the workspace call graph (`-` = stdout).");

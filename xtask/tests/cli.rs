@@ -243,7 +243,7 @@ fn callgraph_json_is_byte_identical_and_lists_workspace_fns() {
 }
 
 #[test]
-fn static_lock_order_flows_through_the_cli() {
+fn lock_nesting_flows_through_the_cli() {
     let root = scratch("lockorder");
     write(
         &root,
@@ -255,10 +255,10 @@ fn static_lock_order_flows_through_the_cli() {
              pub fn ba(&self) { let y = self.b.lock(); let x = self.a.lock(); drop((x, y)); }\n\
          }\n",
     );
-    let out = analyze(&root, &["--only", "static-lock-order"]);
+    let out = analyze(&root, &["--only", "lock-nesting"]);
     assert_eq!(out.status.code(), Some(1), "{out:?}");
     let text = String::from_utf8(out.stdout).unwrap();
-    assert!(text.contains("static-lock-order"), "{text}");
+    assert!(text.contains("lock-nesting"), "{text}");
     assert!(text.contains("cli.a"), "{text}");
     let _ = fs::remove_dir_all(&root);
 }
