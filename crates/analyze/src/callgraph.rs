@@ -18,6 +18,9 @@
 //!   collection/iterator name ([`STD_METHODS`]): `list.drain(..)` is
 //!   `Vec::drain`, and wiring it to `JobQueue::drain` would hang every
 //!   lock class on a vector call;
+//! * `x.wait(…)` / `x.wait_timeout(…)` through a receiver bound by
+//!   `TrackedCondvar::new` is the condvar's own wait and resolves to
+//!   nothing: `self.inner.job_done.wait(state)` is not `JobQueue::wait`;
 //! * free calls `b(…)` prefer same-file definitions (a nested helper
 //!   shadows a workspace-wide name);
 //! * otherwise, when a preference leaves no candidate, resolution falls
@@ -32,10 +35,11 @@
 //! --callgraph-json <path>` serializes it with the same stable-order,
 //! byte-identical discipline as the findings report.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::path::Path;
 
 use crate::items::{Call, FileIndex, FnInfo};
+use crate::lexer::{Tok, Token};
 use crate::report::json_str;
 
 /// Files whose fns participate in the call graph. Vendored shims and
@@ -129,6 +133,81 @@ pub const STD_METHODS: &[&str] = &[
     "zip",
 ];
 
+/// The condvar waits: through a receiver bound by `TrackedCondvar::new`
+/// they are the condvar's own, not a same-named workspace fn.
+const CONDVAR_WAITS: &[&str] = &["wait", "wait_timeout"];
+
+/// Every `ty::new(…)` construction in non-test, in-graph code, as
+/// `(binding, file, token)`: the field or `let` name it is assigned to,
+/// the file's index and the token index of `ty`.
+pub(crate) fn constructions<'a>(
+    files: &'a [FileIndex],
+    ty: &'a str,
+) -> impl Iterator<Item = (String, usize, usize)> + 'a {
+    files
+        .iter()
+        .enumerate()
+        .filter(|(_, file)| in_graph(&file.rel))
+        .flat_map(move |(fi, file)| {
+            let t = &file.lexed.tokens;
+            (0..t.len()).filter_map(move |i| {
+                let path_new = ident(t, i) == Some(ty)
+                    && punct(t, i + 1, ':')
+                    && punct(t, i + 2, ':')
+                    && ident(t, i + 3) == Some("new")
+                    && punct(t, i + 4, '(');
+                if !path_new || file.in_test_code(i) {
+                    return None;
+                }
+                binding_before(t, i).map(|name| (name, fi, i))
+            })
+        })
+}
+
+/// Backward scan (capped, stopping at `;`) for the field or `let` name
+/// a construction is being assigned to: the nearest ident followed by a
+/// single `:`, or the ident after a `let`.
+fn binding_before(t: &[Token], site: usize) -> Option<String> {
+    let floor = site.saturating_sub(64);
+    let mut k = site;
+    while k > floor {
+        k -= 1;
+        match &t[k].tok {
+            Tok::Punct(';') => return None,
+            Tok::Ident(name) if name == "let" => {
+                if let Some(Tok::Ident(n)) = t.get(k + 1).map(|x| &x.tok) {
+                    if n != "mut" {
+                        return Some(n.clone());
+                    } else if let Some(Tok::Ident(n2)) = t.get(k + 2).map(|x| &x.tok) {
+                        return Some(n2.clone());
+                    }
+                }
+            }
+            Tok::Ident(name)
+                if !crate::items::is_keyword(name)
+                    && punct(t, k + 1, ':')
+                    && !punct(t, k + 2, ':')
+                    && !punct(t, k.wrapping_sub(1), ':') =>
+            {
+                return Some(name.clone());
+            }
+            _ => {}
+        }
+    }
+    None
+}
+
+pub(crate) fn ident(t: &[Token], i: usize) -> Option<&str> {
+    match t.get(i).map(|x| &x.tok) {
+        Some(Tok::Ident(s)) => Some(s.as_str()),
+        _ => None,
+    }
+}
+
+pub(crate) fn punct(t: &[Token], i: usize, c: char) -> bool {
+    matches!(t.get(i).map(|x| &x.tok), Some(Tok::Punct(p)) if *p == c)
+}
+
 /// One node: fn `f` of `files[file]`, plus its resolved outgoing edges.
 #[derive(Debug)]
 pub struct Node {
@@ -166,12 +245,15 @@ impl Graph {
                 });
             }
         }
+        let condvars: BTreeSet<String> = constructions(files, "TrackedCondvar")
+            .map(|(name, _, _)| name)
+            .collect();
         let mut edges: Vec<Vec<(usize, Vec<usize>)>> = Vec::with_capacity(nodes.len());
         for node in &nodes {
             let caller = &files[node.file].fns[node.f];
             let mut out = Vec::new();
             for (ci, call) in caller.calls.iter().enumerate() {
-                let targets = resolve(call, caller, node.file, &nodes, &by_name, files);
+                let targets = resolve(call, caller, node.file, &nodes, &by_name, &condvars, files);
                 if !targets.is_empty() {
                     out.push((ci, targets));
                 }
@@ -289,6 +371,7 @@ fn resolve(
     caller_file: usize,
     nodes: &[Node],
     by_name: &BTreeMap<&str, Vec<usize>>,
+    condvars: &BTreeSet<String>,
     files: &[FileIndex],
 ) -> Vec<usize> {
     if call.is_macro || call.name == "drop" {
@@ -330,8 +413,11 @@ fn resolve(
             let suffix = format!("{caller_prefix}::{}", call.name);
             return prefer(&|id| qual_of(id) == suffix);
         }
-        if STD_METHODS.contains(&call.name.as_str()) {
-            // `x.len()`, `list.drain(..)`, … — treat as the std call.
+        if STD_METHODS.contains(&call.name.as_str())
+            || (CONDVAR_WAITS.contains(&call.name.as_str()) && condvars.contains(r))
+        {
+            // `x.len()`, `list.drain(..)`, `cv.wait(g)` … — treat as the
+            // std call.
             return Vec::new();
         }
         // Any other method call: prefer fns that live inside an
@@ -552,6 +638,30 @@ mod tests {
         let (files, g) = graph(&[("crates/a/src/lib.rs", src)]);
         assert_eq!(callees_of(&files, &g, "caller"), vec!["Q::drain"]);
         assert_eq!(callees_of(&files, &g, "Q::reap"), vec!["Q::drain"]);
+    }
+
+    #[test]
+    fn condvar_waits_resolve_to_nothing_while_queue_waits_still_bind() {
+        // `job_done` is bound by `TrackedCondvar::new`, so its waits are
+        // the condvar's; `queue` is not, so `queue.wait(id)` is the
+        // workspace `JobQueue::wait`.
+        let src = "
+            pub struct JobQueue { inner: Inner }
+            struct Inner { job_done: TrackedCondvar }
+            impl JobQueue {
+                pub fn wait(&self, id: u32) -> u32 { id }
+                pub fn wait_timeout(&self, id: u32, ms: u64) -> u32 { id }
+                pub fn drain(&self, state: u32) {
+                    let state = self.inner.job_done.wait(state);
+                    let _ = self.inner.job_done.wait_timeout(state, 5);
+                }
+            }
+            fn inner() -> Inner { Inner { job_done: TrackedCondvar::new(\"queue.job_done\") } }
+            pub fn client(queue: &JobQueue) { let _ = queue.wait(7); }
+        ";
+        let (files, g) = graph(&[("crates/a/src/lib.rs", src)]);
+        assert!(callees_of(&files, &g, "JobQueue::drain").is_empty());
+        assert_eq!(callees_of(&files, &g, "client"), vec!["JobQueue::wait"]);
     }
 
     #[test]

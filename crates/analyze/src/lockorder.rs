@@ -26,10 +26,10 @@
 //! enclosing block (or an explicit `drop(g)`), a chained temporary to
 //! the end of its statement.
 //!
-//! A guard that goes into a call and comes back out, `g = cv.wait(g)`,
-//! is not held across that call: it is the condvar wait's shape, and the
-//! wait releases the mutex while parked. This also keeps the wait from
-//! counting as a call into a same-named workspace fn (`JobQueue::wait`).
+//! A condvar wait, `g = cv.wait(g)`, releases the mutex while parked and
+//! is no workspace call: the call graph resolves a `wait` through a
+//! receiver bound by `TrackedCondvar::new` to nothing, so it is neither
+//! an acquisition nor a call into a same-named fn (`JobQueue::wait`).
 //!
 //! `crates/sync/src` and `vendor/` are outside the call graph (see
 //! [`crate::callgraph::in_graph`]), so neither contributes facts: the
@@ -46,7 +46,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::callgraph::Graph;
+use crate::callgraph::{constructions, ident, punct, Graph};
 use crate::items::FileIndex;
 use crate::lexer::{Tok, Token};
 use crate::report::{Finding, Waived};
@@ -84,13 +84,11 @@ struct FnFacts {
 }
 
 impl FnFacts {
-    /// Classes of the guards live at `tok`, except the one bound to
-    /// `passed` (a guard handed through the call there).
-    fn held_at(&self, tok: usize, passed: Option<&str>) -> BTreeSet<String> {
+    /// Classes of the guards live at `tok`.
+    fn held_at(&self, tok: usize) -> BTreeSet<String> {
         let mut held = BTreeSet::new();
         for g in &self.guards {
-            let handed = passed.is_some() && g.binding.as_deref() == passed;
-            if g.start < tok && tok < g.end && !handed {
+            if g.start < tok && tok < g.end {
                 held.extend(g.classes.iter().cloned());
             }
         }
@@ -172,12 +170,11 @@ pub fn run(files: &[FileIndex], graph: &Graph) -> (Vec<Finding>, Vec<Waived>) {
     for (id, node) in graph.nodes.iter().enumerate() {
         let file = &files[node.file];
         let f = &file.fns[node.f];
-        let t = &file.lexed.tokens;
         // One finding per site, keyed by token: a guard-constructor call
         // is both an acquisition and a call edge.
         let mut sites: BTreeMap<usize, (u32, String)> = BTreeMap::new();
         for acq in &facts[id].acqs {
-            let held = facts[id].held_at(acq.tok, None);
+            let held = facts[id].held_at(acq.tok);
             if held.is_empty() {
                 continue;
             }
@@ -199,8 +196,7 @@ pub fn run(files: &[FileIndex], graph: &Graph) -> (Vec<Finding>, Vec<Waived>) {
                 continue;
             }
             let call = &f.calls[*ci];
-            let passed = round_trip_guard(t, call.tok);
-            let held = facts[id].held_at(call.tok, passed.as_deref());
+            let held = facts[id].held_at(call.tok);
             if held.is_empty() {
                 continue;
             }
@@ -252,69 +248,16 @@ fn class_list(classes: &BTreeSet<String>) -> String {
     )
 }
 
-/// Scan non-test code for `TrackedMutex::new("class", …)` constructions
-/// and bind each class to the nearest preceding field/`let` name.
+/// Bind each `TrackedMutex::new("class", …)` construction's class to the
+/// field or `let` name it is assigned to.
 fn build_registry(files: &[FileIndex]) -> BTreeMap<String, BTreeSet<String>> {
     let mut reg: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-    for file in files {
-        if !crate::callgraph::in_graph(&file.rel) {
-            continue;
-        }
-        let t = &file.lexed.tokens;
-        for i in 0..t.len() {
-            if ident(t, i) != Some("TrackedMutex") || file.in_test_code(i) {
-                continue;
-            }
-            let path_new = punct(t, i + 1, ':')
-                && punct(t, i + 2, ':')
-                && ident(t, i + 3) == Some("new")
-                && punct(t, i + 4, '(');
-            if !path_new {
-                continue;
-            }
-            let Some(Tok::Str(class)) = t.get(i + 5).map(|x| &x.tok) else {
-                continue;
-            };
-            let Some(name) = binding_before(t, i) else {
-                continue;
-            };
+    for (name, fi, i) in constructions(files, "TrackedMutex") {
+        if let Some(Tok::Str(class)) = files[fi].lexed.tokens.get(i + 5).map(|x| &x.tok) {
             reg.entry(name).or_default().insert(class.clone());
         }
     }
     reg
-}
-
-/// Backward scan (capped, stopping at `;`) for the field or `let` name
-/// a construction is being assigned to: the nearest ident followed by a
-/// single `:`, or the ident after a `let`.
-fn binding_before(t: &[Token], site: usize) -> Option<String> {
-    let floor = site.saturating_sub(64);
-    let mut k = site;
-    while k > floor {
-        k -= 1;
-        match &t[k].tok {
-            Tok::Punct(';') => return None,
-            Tok::Ident(name) if name == "let" => {
-                if let Some(Tok::Ident(n)) = t.get(k + 1).map(|x| &x.tok) {
-                    if n != "mut" {
-                        return Some(n.clone());
-                    } else if let Some(Tok::Ident(n2)) = t.get(k + 2).map(|x| &x.tok) {
-                        return Some(n2.clone());
-                    }
-                }
-            }
-            Tok::Ident(name)
-                if !crate::items::is_keyword(name)
-                    && punct(t, k + 1, ':')
-                    && !punct(t, k + 2, ':')
-                    && !punct(t, k.wrapping_sub(1), ':') =>
-            {
-                return Some(name.clone());
-            }
-            _ => {}
-        }
-    }
-    None
 }
 
 /// Brace depth per token: tokens inside `{…}` carry depth+1, the braces
@@ -332,17 +275,6 @@ fn depth_map(t: &[Token]) -> Vec<u32> {
         }
     }
     out
-}
-
-fn ident(t: &[Token], i: usize) -> Option<&str> {
-    match t.get(i).map(|x| &x.tok) {
-        Some(Tok::Ident(s)) => Some(s.as_str()),
-        _ => None,
-    }
-}
-
-fn punct(t: &[Token], i: usize, c: char) -> bool {
-    matches!(t.get(i).map(|x| &x.tok), Some(Tok::Punct(p)) if *p == c)
 }
 
 /// Direct lock facts for fn `gi` of `file`.
@@ -525,16 +457,6 @@ fn end_at_drops(facts: &mut FnFacts, body_end: usize, t: &[Token]) {
             }
         }
     }
-}
-
-/// `g = recv.method(g, …)`: the guard bound to `g` goes into the call
-/// and comes back out — a condvar wait's shape. Returns `g`.
-fn round_trip_guard(t: &[Token], name_tok: usize) -> Option<String> {
-    let name = binding_of_statement(t, name_tok)?;
-    let first_arg = punct(t, name_tok + 1, '(')
-        && ident(t, name_tok + 2) == Some(name.as_str())
-        && (punct(t, name_tok + 3, ',') || punct(t, name_tok + 3, ')'));
-    first_arg.then_some(name)
 }
 
 /// Fixpoint: per node, the shortest route to a tracked-lock acquisition,
@@ -839,10 +761,9 @@ mod tests {
 
     #[test]
     fn a_waited_guard_is_not_held_across_a_same_named_workspace_fn() {
-        // `self.ready.wait(s)` resolves to `Jobs::wait`, which locks; the
-        // guard goes into the wait and comes back out, so the call is
-        // not made under it. Holding the guard across `jobs.wait(id)`
-        // without handing it over still is.
+        // `self.ready.wait(s)` is the condvar's wait, not `Jobs::wait`,
+        // which locks. Holding the guard across `jobs.wait(id)` is a call
+        // into `Jobs::wait` under it.
         let src = "
             struct Jobs { table: TrackedMutex<u32> }
             impl Jobs {

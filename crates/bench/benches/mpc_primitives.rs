@@ -37,6 +37,28 @@ fn bench_aggregate(c: &mut Criterion) {
     });
 }
 
+/// The semisort behind the driver's Find Minimum, decide and kill steps:
+/// 50k records grouped into 997 keys, with a pass over every run.
+fn bench_group(c: &mut Criterion) {
+    let m = 50_000usize;
+    let cfg = MpcConfig::explicit(4096, m.div_ceil(4096) * 2, 8);
+    let data: Vec<(u64, u64)> = (0..m as u64).map(|i| (i % 997, i)).collect();
+    c.bench_function("mpc_group_by_key_50k", |b| {
+        b.iter(|| {
+            let mut sys = MpcSystem::new(cfg);
+            let d = Dist::distribute(&mut sys, data.clone()).unwrap();
+            primitives::group_by_key(
+                &mut sys,
+                d,
+                "group",
+                |r| r.0,
+                |run, out| out.push((run[0].0, run.len() as u64)),
+            )
+            .unwrap()
+        })
+    });
+}
+
 /// Thread-scaling probe for the runtime's hottest primitive: the same
 /// distributed sample sort at 1 thread (the pre-parallelism baseline),
 /// 2 threads, and the pool default. Shim splitting is capped via
@@ -120,6 +142,6 @@ fn bench_driver(c: &mut Criterion) {
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_sort, bench_aggregate, bench_sort_thread_scaling, bench_route_many_machines, bench_driver
+    targets = bench_sort, bench_aggregate, bench_group, bench_sort_thread_scaling, bench_route_many_machines, bench_driver
 );
 criterion_main!(benches);

@@ -7,8 +7,9 @@
 //!    broadcast) as the machine memory `S` shrinks — the `O(1/γ)`
 //!    (= `O(log_S N)`) scaling;
 //! 2. end-to-end distributed spanner runs: total rounds, rounds per
-//!    grow iteration, and the bit-for-bit agreement with the sequential
-//!    reference.
+//!    grow iteration next to the rounds of one sample sort at that `S`
+//!    (Lemma 6.1's `O(1/γ)` unit, so their ratio is the lemma's constant),
+//!    and the bit-for-bit agreement with the sequential reference.
 
 use mpc_runtime::{comm, primitives, Dist, MpcConfig, MpcSystem, NetworkModel};
 use spanner_bench::table::{f2, Table};
@@ -28,6 +29,22 @@ fn run_on(g: &Graph, params: TradeoffParams, backend: Backend) -> RunReport {
 
 fn mpc_stats(report: &RunReport) -> &MpcStats {
     report.stats.mpc().expect("mpc stats")
+}
+
+/// Rounds of one sample sort of `g`'s edge records under `cfg`, keyed by
+/// a word pair like the driver's relabel sort. A sort's rounds depend on
+/// the deployment and the key width, not on the data.
+fn sort_rounds(g: &Graph, cfg: MpcConfig) -> u64 {
+    let records: Vec<(u64, u64, u64, u64)> = g
+        .edges()
+        .iter()
+        .enumerate()
+        .map(|(id, e)| (e.u as u64, e.v as u64, e.w, id as u64))
+        .collect();
+    let mut sys = MpcSystem::new(cfg);
+    let d = Dist::distribute(&mut sys, records).unwrap();
+    primitives::sort_by_key(&mut sys, d, "sort", |r| (r.0, r.1)).unwrap();
+    sys.rounds()
 }
 
 fn main() {
@@ -104,6 +121,8 @@ fn main() {
         "rounds",
         "iters",
         "rounds/iter",
+        "sort rounds",
+        "rounds/iter ÷ sort",
         "peak mem (w)",
         "cap (w)",
         "spanner",
@@ -113,12 +132,16 @@ fn main() {
         let cfg = MpcConfig::explicit(s, input_words.div_ceil(s).max(2), 8);
         let run = run_on(&g, params, Backend::mpc_deployment(cfg));
         let metrics = &mpc_stats(&run).metrics;
+        let per_iter = metrics.rounds as f64 / run.result.iterations.max(1) as f64;
+        let sort = sort_rounds(&g, cfg);
         t2.row(vec![
             s.to_string(),
             cfg.num_machines.to_string(),
             metrics.rounds.to_string(),
             run.result.iterations.to_string(),
-            f2(metrics.rounds as f64 / run.result.iterations.max(1) as f64),
+            f2(per_iter),
+            sort.to_string(),
+            f2(per_iter / sort as f64),
             metrics.peak_machine_words.to_string(),
             cfg.capacity().to_string(),
             run.result.size().to_string(),

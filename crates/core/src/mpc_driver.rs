@@ -4,36 +4,43 @@
 //!
 //! Data layout (all collections sharded over the machines):
 //!
-//! * live edges `(a, b, w, id)` between super-nodes,
-//! * super-node labels `(v, cluster)`,
+//! * live edges `[a, b, w, id, cl_a, cl_b]` between super-nodes, each
+//!   carrying its endpoints' cluster labels — the identity at every epoch
+//!   start, the fresh labels after each relabel;
+//! * super-node labels `(v, cluster)`;
 //! * the spanner under construction (edge ids).
 //!
 //! Each grow iteration is compiled to Section 6 primitives:
 //!
-//! 1. every edge emits two directed *copies*; two
-//!    sort-then-segmented-broadcast joins attach the endpoint cluster
-//!    labels (this is the paper's "edges of `v` occupy a contiguous group
-//!    of machines `M(v)`; the leader informs the group" configuration —
-//!    groups spanning machines are handled by the machine-level scan);
-//! 2. cluster sampling needs **no communication**: the coins are the
-//!    shared-randomness function of [`crate::coins`], evaluable by every
-//!    machine;
-//! 3. a semisort aggregation computes the minimum edge per (super-node,
-//!    neighbouring cluster) — the paper's **Find Minimum**;
-//! 4. a second aggregation finds each super-node's nearest *sampled*
-//!    cluster; a join broadcasts it back to the candidates, which then
-//!    decide locally (add to spanner / join / kill / retire);
-//! 5. label updates and edge-set rewrites are one hash-routing round
-//!    each (Lemma 6.1's Clustering/Merge); contraction (Lemma 6.1's
-//!    Contraction) is a relabel + minimum-per-pair aggregation.
+//! 1. every edge emits its two directed *copies* locally, from the labels
+//!    it carries; cluster sampling needs **no communication** either: the
+//!    coins are the shared-randomness function of [`crate::coins`],
+//!    evaluable by every machine;
+//! 2. a semisort ([`group_by_key`]) gathers the candidate copies of each
+//!    (super-node, neighbouring cluster) pair on one machine and takes
+//!    their minimum — the paper's **Find Minimum**. The groups stay there;
+//! 3. a second semisort gathers each super-node's minima on one machine,
+//!    which finds the nearest *sampled* cluster and decides every
+//!    candidate in place (add to spanner / join / kill / retire);
+//! 4. each kill is one message to the machine that holds its pair's
+//!    group, a semisort by edge id reassembles the surviving copies into
+//!    edges, and the label update is one hash-routing round (Lemma 6.1's
+//!    Clustering/Merge);
+//! 5. the relabel sorts one half-record per edge endpoint together with
+//!    the labels, broadcasts each label over its endpoint's halves, and
+//!    reassembles each edge from its halves in one round, dropping the
+//!    now intra-cluster edges (B6). Contraction (Lemma 6.1's Contraction)
+//!    is one minimum-per-cluster-pair aggregation: the edges already carry
+//!    the epoch's final labels.
 //!
-//! With the same seed, the driver and the sequential engine
+//! So an iteration costs one sort, one segmented broadcast and six
+//! rounds. With the same seed, the driver and the sequential engine
 //! ([`crate::general`]) produce **identical spanners**
 //! (shared coins, identical `(w, id)` tie-breaks) — integration tests
 //! assert this. The measured `sys.rounds()` is experiment E9's subject:
 //! per iteration it is `O(1/γ)`, matching Lemma 6.1.
 
-use mpc_runtime::primitives::{aggregate_by_key, sort_by_key};
+use mpc_runtime::primitives::{aggregate_by_key, forward_fill, group_by_key, sort_by_key};
 use mpc_runtime::{comm, primitives, Dist, ExecutorKind, MpcConfig, MpcSystem, Record};
 use spanner_graph::edge::EdgeId;
 use spanner_graph::Graph;
@@ -42,17 +49,103 @@ use crate::coins::cluster_coin;
 use crate::params::TradeoffParams;
 use crate::result::SpannerResult;
 
-/// Uniform record: `[sort key, tag, payload…]`. Tag 0 = label/leader,
-/// tag 1 = data. Eight words keeps every join stream one type.
-type Rec = [u64; 8];
+/// A live edge between super-nodes `a` and `b`, with their cluster labels.
+#[derive(Debug, Clone, Copy)]
+struct LiveEdge {
+    a: u64,
+    b: u64,
+    w: u64,
+    id: u64,
+    cl_a: u64,
+    cl_b: u64,
+}
 
-/// Edge record `(a, b, w, id)`.
-type EdgeRec = (u64, u64, u64, u64);
+/// The copy of edge `id` at its endpoint `v`, whose other endpoint is in
+/// cluster `c`. With `id == KILL` it is instead the order to drop every
+/// copy of the pair `(v, c)`.
+#[derive(Debug, Clone, Copy)]
+struct EdgeCopy {
+    v: u64,
+    c: u64,
+    w: u64,
+    id: u64,
+}
+
+/// The lightest edge `id` from super-node `v` to cluster `c` enters the
+/// spanner (and the pair's copies die); `joins` marks `c` as `v`'s
+/// nearest sampled cluster, which `v` joins.
+#[derive(Debug, Clone, Copy)]
+struct Decided {
+    v: u64,
+    c: u64,
+    id: u64,
+    joins: bool,
+}
+
+/// One endpoint of edge `slot / 2` (`slot % 2 == 0` for `a`, `1` for
+/// `b`) waiting for its label `cl`, or with `tag == LABEL` the label `cl`
+/// of super-node `endpoint` itself.
+#[derive(Debug, Clone, Copy)]
+struct Half {
+    endpoint: u64,
+    tag: u64,
+    slot: u64,
+    w: u64,
+    cl: u64,
+}
+
+impl Record for LiveEdge {
+    const WORDS: usize = 6;
+}
+impl Record for EdgeCopy {
+    const WORDS: usize = 4;
+}
+impl Record for Decided {
+    const WORDS: usize = 4;
+}
+impl Record for Half {
+    const WORDS: usize = 5;
+}
+const _: () = {
+    assert!(std::mem::size_of::<LiveEdge>() == 8 * <LiveEdge as Record>::WORDS);
+    assert!(std::mem::size_of::<EdgeCopy>() == 8 * <EdgeCopy as Record>::WORDS);
+    assert!(std::mem::size_of::<Decided>() == 8 * <Decided as Record>::WORDS);
+    assert!(std::mem::size_of::<Half>() == 8 * <Half as Record>::WORDS);
+};
 
 /// Label record `(super-node, cluster)`.
 type LabelRec = (u64, u64);
 
+/// No label: a retired super-node's, or one not attached yet.
 const NONE: u64 = u64::MAX;
+/// The `id` of a kill order (edge ids are < 2³²).
+const KILL: u64 = u64::MAX;
+/// `Half::tag` of a label; it sorts before the halves of its super-node.
+const LABEL: u64 = 0;
+/// `Half::tag` of an edge endpoint.
+const HALF: u64 = 1;
+
+impl LiveEdge {
+    /// The copies of this edge, at `a` and at `b`, whose owner's cluster
+    /// passes `keep`.
+    fn copies(&self, keep: impl Fn(u64) -> bool) -> impl Iterator<Item = EdgeCopy> {
+        let (w, id) = (self.w, self.id);
+        let at = |v, owner, c| keep(owner).then_some(EdgeCopy { v, c, w, id });
+        [
+            at(self.a, self.cl_a, self.cl_b),
+            at(self.b, self.cl_b, self.cl_a),
+        ]
+        .into_iter()
+        .flatten()
+    }
+}
+
+impl EdgeCopy {
+    /// The (super-node, neighbouring cluster) pair this copy belongs to.
+    fn pair(&self) -> u64 {
+        pair_key(self.v, self.c)
+    }
+}
 
 /// Raw outcome of a distributed run — the spanner plus the *measured*
 /// model metrics — before the pipeline wraps it into
@@ -94,11 +187,22 @@ pub(crate) fn run_mpc(
     }
 
     let n = g.n();
-    let edges: Vec<EdgeRec> = g
+    // Every vertex starts as its own super-node and cluster.
+    let edges: Vec<LiveEdge> = g
         .edges()
         .iter()
         .enumerate()
-        .map(|(id, e)| (e.u as u64, e.v as u64, e.w, id as u64))
+        .map(|(id, e)| {
+            let (a, b) = (e.u as u64, e.v as u64);
+            LiveEdge {
+                a,
+                b,
+                w: e.w,
+                id: id as u64,
+                cl_a: a,
+                cl_b: b,
+            }
+        })
         .collect();
     let labels: Vec<LabelRec> = (0..n as u64).map(|v| (v, v)).collect();
 
@@ -149,201 +253,114 @@ pub(crate) fn run_mpc(
 struct Driver {
     sys: MpcSystem,
     seed: u64,
-    edges: Dist<EdgeRec>,
+    edges: Dist<LiveEdge>,
     labels: Dist<LabelRec>,
     spanner: Dist<u64>,
     supernodes_per_epoch: Vec<usize>,
 }
 
 impl Driver {
-    /// Joins a cluster label onto data records: for every data record,
-    /// looks up `labels[key_of(rec)]` and stores it via `write`.
-    /// One sort (`O(1/γ)` rounds) + one machine scan.
-    fn join_label(
-        &mut self,
-        data: Dist<Rec>,
-        op: &'static str,
-        key_of: impl Fn(&Rec) -> u64 + Send + Sync,
-        write: impl Fn(&mut Rec, u64) + Send + Sync,
-    ) -> mpc_runtime::Result<Dist<Rec>> {
-        let label_stream: Dist<Rec> = self
-            .labels
-            .map(&mut self.sys, |&(v, cl)| [v, 0, cl, 0, 0, 0, 0, 0])?;
-        let keyed = data.map(&mut self.sys, |rec| {
-            let mut r = *rec;
-            r[0] = key_of(rec);
-            r[1] = 1;
-            r
-        })?;
-        let stream = label_stream.union(&mut self.sys, &keyed)?;
-        let mut sorted = sort_by_key(&mut self.sys, stream, op, |r: &Rec| (r[0], r[1]))?;
-        primitives::forward_fill(
-            &mut self.sys,
-            &mut sorted,
-            op,
-            |r: &Rec| if r[1] == 0 { Some((r[0], r[2])) } else { None },
-            |r: &mut Rec, &(v, cl)| {
-                // Only fill from the matching super-node's label.
-                if r[0] == v {
-                    write(r, cl);
-                }
-            },
-        )?;
-        Ok(sorted.filter(|r| r[1] == 1))
-    }
-
     /// One grow iteration (Step B) at probability `p`.
     fn run_iteration(&mut self, p: f64, epoch: u32, iter: u32) -> mpc_runtime::Result<()> {
         let seed = self.seed;
         let sampled = move |cluster: u64| cluster_coin(seed, epoch, iter, cluster as u32, p);
 
-        // (1) Directed copies: [key, tag, other, w, id, cl_v, cl_other, 0].
-        let copies: Dist<Rec> = self.edges.flat_map(&mut self.sys, |&(a, b, w, id)| {
-            [
-                [a, 1, b, w, id, NONE, NONE, 0],
-                [b, 1, a, w, id, NONE, NONE, 0],
-            ]
-        })?;
-        // Join the owning super-node's label, then the neighbour's.
-        let copies = self.join_label(copies, "iter.join_v", |r| r[0], |r, cl| r[5] = cl)?;
-        // Re-key by the neighbour for the second join. Keep v in slot 7.
-        let copies = copies.map(&mut self.sys, |r| {
-            [r[2], 1, r[0], r[3], r[4], r[5], NONE, 0]
-        })?;
-        let copies = self.join_label(copies, "iter.join_o", |r| r[0], |r, cl| r[6] = cl)?;
-        // Restore orientation: [v, 1, other, w, id, cl_v, cl_other, 0].
-        let copies = copies.map(&mut self.sys, |r| {
-            [r[2], 1, r[0], r[3], r[4], r[5], r[6], 0]
-        })?;
+        // (1) Directed copies: a copy whose owner's cluster is unsampled
+        // is a candidate; the others are never killed and only wait for
+        // the rebuild.
+        let candidates = self
+            .edges
+            .flat_map(&mut self.sys, |e| e.copies(|owner| !sampled(owner)))?;
+        let settled = self.edges.flat_map(&mut self.sys, |e| e.copies(sampled))?;
 
-        // (2) Candidates: copies whose owner's cluster is unsampled.
-        // Layout: [v, 1, cl_other, w, id, cl_v, 0, 0].
-        let candidates = copies
-            .filter(|r| !sampled(r[5]))
-            .map(&mut self.sys, |r| [r[0], 1, r[6], r[3], r[4], r[5], 0, 0])?;
-
-        // (3) Find Minimum per (super-node, neighbouring cluster).
-        let min_per_pair = aggregate_by_key(
+        // (2) Find Minimum per (super-node, neighbouring cluster); the
+        // pair's group stays on this machine for the kills.
+        let (groups, lightest) = group_by_key(
             &mut self.sys,
             candidates,
             "iter.minpair",
-            |r: &Rec| pair_key(r[0], r[2]),
-            |r: &Rec| (r[0], r[2], r[3], r[4]),
-            |a, b| if (a.2, a.3) <= (b.2, b.3) { *a } else { *b },
+            EdgeCopy::pair,
+            |run, out| out.extend(run.iter().min_by_key(|c| (c.w, c.id)).copied()),
         )?;
-        // Back to records: [v, 1, c, w, id, 0, 0, 0].
-        let cand_min: Dist<Rec> = min_per_pair.map(&mut self.sys, |&(_, (v, c, w, id))| {
-            [v, 1, c, w, id, 0, 0, 0]
-        })?;
 
-        // (4) Nearest *sampled* cluster per super-node.
-        let best_sampled = aggregate_by_key(
+        // (3) Each super-node's minima on one machine: the nearest
+        // sampled cluster (w*, id*, c*) decides every candidate.
+        let (_, decided) = group_by_key(
             &mut self.sys,
-            cand_min.clone(),
+            lightest,
             "iter.best",
-            |r: &Rec| r[0],
-            |r: &Rec| {
-                if sampled(r[2]) {
-                    (r[3], r[4], r[2]) // (w, id, cluster)
-                } else {
-                    (NONE, NONE, NONE)
-                }
-            },
-            |a, b| (*a).min(*b),
-        )?;
-        let best_stream: Dist<Rec> =
-            best_sampled.map(&mut self.sys, |&(v, (w, id, c))| [v, 0, w, id, c, 0, 0, 0])?;
-        // Join the best onto every candidate of the same super-node.
-        let stream = best_stream.union(&mut self.sys, &cand_min)?;
-        let mut sorted = sort_by_key(&mut self.sys, stream, "iter.bestjoin", |r: &Rec| {
-            (r[0], r[1])
-        })?;
-        primitives::forward_fill(
-            &mut self.sys,
-            &mut sorted,
-            "iter.bestjoin",
-            |r: &Rec| {
-                if r[1] == 0 {
-                    Some((r[0], r[2], r[3], r[4]))
-                } else {
-                    None
-                }
-            },
-            |r: &mut Rec, &(v, w, id, c)| {
-                if r[0] == v {
-                    r[5] = w;
-                    r[6] = id;
-                    r[7] = c;
+            |c| c.v,
+            |run, out| {
+                let nearest = run
+                    .iter()
+                    .filter(|c| sampled(c.c))
+                    .map(|c| (c.w, c.id, c.c))
+                    .min();
+                for c in run {
+                    let joins = nearest.is_some_and(|(_, _, c_star)| c.c == c_star);
+                    // Join c* via its lightest edge, plus one edge to
+                    // every strictly closer cluster; with no sampled
+                    // neighbour, one edge per cluster, then retire.
+                    if joins || nearest.is_none_or(|(w_star, _, _)| c.w < w_star) {
+                        out.push(Decided {
+                            v: c.v,
+                            c: c.c,
+                            id: c.id,
+                            joins,
+                        });
+                    }
                 }
             },
         )?;
-        let decided = sorted.filter(|r| r[1] == 1);
-
-        // (5) Local decisions. Candidate: [v,1,c,w,id, w*,id*,c*].
-        // Spanner adds:
-        let adds = decided
-            .filter(|r| {
-                let (c, w, wstar, cstar) = (r[2], r[3], r[5], r[7]);
-                wstar == NONE // retire: every candidate edge goes in
-                    || c == cstar // the joining edge
-                    || w < wstar // strictly closer clusters
-            })
-            .map(&mut self.sys, |r| r[4])?;
+        let adds = decided.map(&mut self.sys, |d| d.id)?;
         self.spanner = self.spanner.union(&mut self.sys, &adds)?;
-
-        // Kills (v, c): same condition as adds.
-        let kills: Dist<Rec> = decided
-            .filter(|r| {
-                let (c, w, wstar, cstar) = (r[2], r[3], r[5], r[7]);
-                wstar == NONE || c == cstar || w < wstar
-            })
-            .map(&mut self.sys, |r| {
-                [pair_key(r[0], r[2]), 0, 1, 0, 0, 0, 0, 0]
-            })?;
-
-        // Joins (v → c*, via id*): candidates where c == c*.
         let joins: Dist<LabelRec> = decided
-            .filter(|r| r[5] != NONE && r[2] == r[7])
-            .map(&mut self.sys, |r| (r[0], r[7]))?;
+            .filter(|d| d.joins)
+            .map(&mut self.sys, |d| (d.v, d.c))?;
 
-        // (6) Apply kills to the edge set: each edge emits two (v, c)
-        // probes against its *snapshot* labels; a sorted join marks dead
-        // copies; surviving edges are reassembled by edge id.
-        let probes: Dist<Rec> = copies.map(&mut self.sys, |r| {
-            // [pair_key(v, cl_other), 1, v, other, w, id, dead?, 0]
-            [pair_key(r[0], r[6]), 1, r[0], r[2], r[3], r[4], 0, 0]
+        // (4) Every added pair's copies die: one message to the machine
+        // holding the pair's group. An edge survives iff both of its
+        // copies do.
+        let kills = decided.map(&mut self.sys, |d| EdgeCopy {
+            v: d.v,
+            c: d.c,
+            w: 0,
+            id: KILL,
         })?;
-        let stream = kills.union(&mut self.sys, &probes)?;
-        let mut sorted = sort_by_key(&mut self.sys, stream, "iter.kill", |r: &Rec| (r[0], r[1]))?;
-        primitives::forward_fill(
+        let stream = groups.union(&mut self.sys, &kills)?;
+        let (_, alive) = group_by_key(
             &mut self.sys,
-            &mut sorted,
+            stream,
             "iter.kill",
-            |r: &Rec| if r[1] == 0 { Some(r[0]) } else { None },
-            |r: &mut Rec, &key| {
-                if r[0] == key {
-                    r[6] = 1;
+            EdgeCopy::pair,
+            |run, out| {
+                if run.iter().all(|c| c.id != KILL) {
+                    out.extend_from_slice(run);
                 }
             },
         )?;
-        // Reassemble edges: keep an edge iff neither copy died.
-        let edge_halves = sorted.filter(|r| r[1] == 1);
-        let rebuilt = aggregate_by_key(
+        let stream = alive.union(&mut self.sys, &settled)?;
+        let (_, rebuilt) = group_by_key(
             &mut self.sys,
-            edge_halves,
+            stream,
             "iter.rebuild",
-            |r: &Rec| r[5], // edge id
-            |r: &Rec| {
-                let (v, o) = (r[2].min(r[3]), r[2].max(r[3]));
-                (v, o, r[4], r[6]) // (a, b, w, dead-count contribution)
+            |c| c.id,
+            |run, out| {
+                if let [x, y] = run {
+                    // The relabel below attaches the labels.
+                    out.push(LiveEdge {
+                        a: x.v.min(y.v),
+                        b: x.v.max(y.v),
+                        w: x.w,
+                        id: x.id,
+                        cl_a: NONE,
+                        cl_b: NONE,
+                    });
+                }
             },
-            |a, b| (a.0, a.1, a.2, a.3 + b.3),
         )?;
-        self.edges = rebuilt
-            .filter(|&(_, (_, _, _, dead))| dead == 0)
-            .map(&mut self.sys, |&(id, (a, b, w, _))| (a, b, w, id))?;
 
-        // (7) Label update (Lemma 6.1 Clustering/Merge): keep sampled
+        // (5) Label update (Lemma 6.1 Clustering/Merge): keep sampled
         // clusters' members, move joiners, retire the rest.
         let kept = self.labels.filter(|&(_, cl)| sampled(cl));
         let merged = kept.union(&mut self.sys, &joins)?;
@@ -351,64 +368,103 @@ impl Driver {
         // the shards within capacity after unions).
         let p = self.sys.machines();
         self.labels = comm::route(&mut self.sys, merged, "iter.labels", move |&(v, _), _| {
-            (mpc_runtime::primitives::splitmix64(v) % p as u64) as usize
+            (primitives::splitmix64(v) % p as u64) as usize
         })?;
 
-        // (8) Drop now-intra-cluster edges (B6): re-join fresh labels and
-        // filter.
-        self.relabel_edges_and_filter("iter.b6", false)?;
+        // (6) Drop now-intra-cluster edges (B6).
+        self.edges = self.relabel(rebuilt, "iter.b6")?;
         Ok(())
     }
 
-    /// Rewrites edge endpoint labels using the current `labels` and drops
-    /// intra-cluster edges. With `contract = true`, endpoints are
-    /// *replaced* by their cluster ids and the minimum edge per pair is
-    /// kept (Step C / Lemma 6.1 Contraction).
-    fn relabel_edges_and_filter(
+    /// Attaches the current labels to both endpoints of every edge and
+    /// drops intra-cluster and dangling edges (a retired endpoint has no
+    /// label): one sort of the edges' halves together with the labels,
+    /// one segmented broadcast of each label over its super-node's halves
+    /// (whose run may span machines), and one semisort that reassembles
+    /// every edge from its two halves, leaving the edges hash-placed by id.
+    fn relabel(
         &mut self,
+        edges: Dist<LiveEdge>,
         op: &'static str,
-        contract: bool,
-    ) -> mpc_runtime::Result<()> {
-        let edges = std::mem::replace(&mut self.edges, Dist::empty(&self.sys));
-        // [a, 1, b, w, id, cl_a, cl_b, 0]
-        let recs: Dist<Rec> = edges.map(&mut self.sys, |&(a, b, w, id)| {
-            [a, 1, b, w, id, NONE, NONE, 0]
+    ) -> mpc_runtime::Result<Dist<LiveEdge>> {
+        let halves = edges.flat_map(&mut self.sys, |e| {
+            [(e.a, 2 * e.id), (e.b, 2 * e.id + 1)].map(|(endpoint, slot)| Half {
+                endpoint,
+                tag: HALF,
+                slot,
+                w: e.w,
+                cl: NONE,
+            })
         })?;
-        let recs = self.join_label(recs, op, |r| r[0], |r, cl| r[5] = cl)?;
-        let recs = recs.map(&mut self.sys, |r| {
-            [r[2], 1, r[0], r[3], r[4], r[5], NONE, 0]
+        let labels = self.labels.map(&mut self.sys, |&(v, cl)| Half {
+            endpoint: v,
+            tag: LABEL,
+            slot: 0,
+            w: 0,
+            cl,
         })?;
-        let recs = self.join_label(recs, op, |r| r[0], |r, cl| r[6] = cl)?;
-        // Now [b, 1, a, w, id, cl_a, cl_b, 0]; drop intra-cluster (and
-        // dangling: a retired endpoint has no label ⇒ NONE).
-        let alive = recs.filter(|r| r[5] != NONE && r[6] != NONE && r[5] != r[6]);
-        if contract {
-            let contracted = aggregate_by_key(
-                &mut self.sys,
-                alive,
-                op,
-                |r: &Rec| pair_key(r[5].min(r[6]), r[5].max(r[6])),
-                |r: &Rec| (r[5].min(r[6]), r[5].max(r[6]), r[3], r[4]),
-                |a, b| if (a.2, a.3) <= (b.2, b.3) { *a } else { *b },
-            )?;
-            self.edges = contracted.map(&mut self.sys, |&(_, (a, b, w, id))| (a, b, w, id))?;
-        } else {
-            self.edges = recs
-                .filter(|r| r[5] != NONE && r[6] != NONE && r[5] != r[6])
-                .map(&mut self.sys, |r| (r[2], r[0], r[3], r[4]))?;
-        }
-        Ok(())
+        let stream = labels.union(&mut self.sys, &halves)?;
+        let mut sorted = sort_by_key(&mut self.sys, stream, op, |h| (h.endpoint, h.tag))?;
+        forward_fill(
+            &mut self.sys,
+            &mut sorted,
+            op,
+            |h| (h.tag == LABEL).then_some((h.endpoint, h.cl)),
+            |h, &(v, cl)| {
+                if h.endpoint == v {
+                    h.cl = cl;
+                }
+            },
+        )?;
+        let halves = sorted.filter(|h| h.tag == HALF);
+        let (_, edges) = group_by_key(
+            &mut self.sys,
+            halves,
+            op,
+            |h| h.slot / 2,
+            |run, out| {
+                if let [x, y] = run {
+                    let (a, b) = if x.slot % 2 == 0 { (x, y) } else { (y, x) };
+                    if a.cl != NONE && b.cl != NONE && a.cl != b.cl {
+                        out.push(LiveEdge {
+                            a: a.endpoint,
+                            b: b.endpoint,
+                            w: a.w,
+                            id: a.slot / 2,
+                            cl_a: a.cl,
+                            cl_b: b.cl,
+                        });
+                    }
+                }
+            },
+        )?;
+        Ok(edges)
     }
 
-    /// Step C: contraction. Clusters become super-nodes; labels reset to
-    /// singletons over the surviving cluster ids.
+    /// Step C: contraction. Clusters become super-nodes, keeping the
+    /// lightest edge between each pair; labels reset to singletons over
+    /// the surviving cluster ids. The last relabel attached this epoch's
+    /// final labels, so no join is needed.
     fn contract(&mut self) -> mpc_runtime::Result<()> {
-        self.relabel_edges_and_filter("contract", true)?;
+        let edges = std::mem::replace(&mut self.edges, Dist::empty(&self.sys));
+        let lightest = aggregate_by_key(
+            &mut self.sys,
+            edges,
+            "contract",
+            |e| pair_key(e.cl_a.min(e.cl_b), e.cl_a.max(e.cl_b)),
+            |e| (e.cl_a.min(e.cl_b), e.cl_a.max(e.cl_b), e.w, e.id),
+            |x, y| if (x.2, x.3) <= (y.2, y.3) { *x } else { *y },
+        )?;
+        self.edges = lightest.map(&mut self.sys, |&(_, (a, b, w, id))| LiveEdge {
+            a,
+            b,
+            w,
+            id,
+            cl_a: a,
+            cl_b: b,
+        })?;
         // Surviving super-nodes = distinct cluster ids.
-        let labels = {
-            let empty = Dist::empty(&self.sys);
-            std::mem::replace(&mut self.labels, empty)
-        };
+        let labels = std::mem::replace(&mut self.labels, Dist::empty(&self.sys));
         let distinct = aggregate_by_key(
             &mut self.sys,
             labels,
@@ -423,32 +479,21 @@ impl Driver {
     }
 
     /// Phase 2: minimum edge per (super-node, neighbouring cluster) over
-    /// what is left.
+    /// what is left. After the last contraction every label is the
+    /// identity, so the copies carry the neighbouring clusters.
     fn phase2(&mut self) -> mpc_runtime::Result<()> {
-        // Slot 7 carries the owning endpoint: `join_label` overwrites
-        // slot 0 with its join key (the *neighbour*), so aggregating on
-        // slot 0 afterwards would group by (neighbour, neighbour's
-        // cluster) — one edge per super-node instead of one per
-        // (super-node, neighbouring cluster), silently dropping spanner
-        // edges whenever a super-node has several live neighbours here.
-        let copies: Dist<Rec> = self.edges.flat_map(&mut self.sys, |&(a, b, w, id)| {
-            [
-                [a, 1, b, w, id, NONE, NONE, a],
-                [b, 1, a, w, id, NONE, NONE, b],
-            ]
-        })?;
-        let copies = self.join_label(copies, "p2.join", |r| r[2], |r, cl| r[6] = cl)?;
+        let edges = std::mem::replace(&mut self.edges, Dist::empty(&self.sys));
+        let copies = edges.flat_map(&mut self.sys, |e| e.copies(|_| true))?;
         let minimum = aggregate_by_key(
             &mut self.sys,
             copies,
             "p2.min",
-            |r: &Rec| pair_key(r[7], r[6]),
-            |r: &Rec| (r[3], r[4]),
-            |a, b| (*a).min(*b),
+            EdgeCopy::pair,
+            |c| (c.w, c.id),
+            |a, b| *a.min(b),
         )?;
         let adds = minimum.map(&mut self.sys, |&(_, (_, id))| id)?;
         self.spanner = self.spanner.union(&mut self.sys, &adds)?;
-        self.edges = Dist::empty(&self.sys);
         Ok(())
     }
 
@@ -479,9 +524,6 @@ fn pair_key(a: u64, b: u64) -> u64 {
     debug_assert!(a < (1 << 32) && b < (1 << 32));
     (a << 32) | b
 }
-
-// `Rec` is `[u64; 8]`, which implements `Record` via the array impl.
-const _: () = assert!(<Rec as Record>::WORDS == 8);
 
 #[cfg(test)]
 mod tests {
@@ -544,6 +586,64 @@ mod tests {
             stats.metrics.peak_machine_words,
             stats.config.capacity()
         );
+    }
+
+    #[test]
+    fn an_iteration_costs_one_relabel_sort_and_six_rounds() {
+        // Two epochs of two iterations. Some cluster is sampled in every
+        // iteration, so no relabel finds its stream empty (an empty sort
+        // costs no rounds).
+        let g = generators::connected_erdos_renyi(500, 0.02, WeightModel::Uniform(1, 16), 9);
+        let run = mpc(&g, TradeoffParams::new(8, 2), 1);
+        let stats = stats(&run);
+        let by_op = &stats.metrics.rounds_by_op;
+        let (iters, epochs) = (run.result.iterations as u64, run.result.epochs as u64);
+        assert_eq!((iters, epochs), (4, 2));
+
+        for gone in ["iter.join_v", "iter.join_o", "iter.bestjoin", "p2.join"] {
+            assert!(!by_op.contains_key(gone), "{gone} still costs rounds");
+        }
+        for op in [
+            "iter.minpair",
+            "iter.best",
+            "iter.kill",
+            "iter.rebuild",
+            "iter.labels",
+        ] {
+            assert_eq!(by_op[op], iters, "{op}: one round per iteration");
+        }
+        // The relabel: one sort of halves and labels, one segmented
+        // broadcast over it, one reassembly round.
+        let mut sys = MpcSystem::new(stats.config);
+        let half = Half {
+            endpoint: 0,
+            tag: LABEL,
+            slot: 0,
+            w: 0,
+            cl: 0,
+        };
+        let halves = Dist::distribute(&mut sys, vec![half; 64]).unwrap();
+        let mut sorted = sort_by_key(&mut sys, halves, "sort", |h| (h.endpoint, h.tag)).unwrap();
+        let sort = sys.rounds();
+        forward_fill(
+            &mut sys,
+            &mut sorted,
+            "fill",
+            |h| Some((h.endpoint, h.cl)),
+            |_, _| {},
+        )
+        .unwrap();
+        let fill = sys.rounds() - sort;
+        assert_eq!(
+            by_op["iter.b6"],
+            iters * (sort + fill + 1),
+            "sort {sort}, fill {fill}"
+        );
+        for op in ["contract", "contract.labels"] {
+            assert_eq!(by_op[op], epochs, "{op}: one round per epoch");
+        }
+        assert_eq!((by_op["p2.min"], by_op["finish.dedup"]), (1, 1));
+        assert_eq!(by_op.values().sum::<u64>(), stats.metrics.rounds);
     }
 
     #[test]

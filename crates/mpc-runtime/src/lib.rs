@@ -28,8 +28,9 @@
 //!   "Broadcast" via implicit aggregation trees of branching factor
 //!   `n^γ`).
 //! * [`primitives`] builds the Section 6 toolbox on top: sample
-//!   [`primitives::sort_by_key`] (Goodrich et al.), key-grouped
-//!   aggregation / find-min, segmented broadcast of group labels
+//!   [`primitives::sort_by_key`] (Goodrich et al.), the one-round hash
+//!   semisort [`primitives::group_by_key`] with aggregation / find-min on
+//!   top, segmented broadcast of group labels
 //!   (`sorted_fill`), counting, and gather-to-one-machine (the Section 7
 //!   "collect the spanner on one machine" step).
 //!

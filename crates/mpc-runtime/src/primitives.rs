@@ -9,9 +9,11 @@
 //!   head ("leader") record of each key group announces a value to the
 //!   whole group, even when the group spans machines. Realised with one
 //!   machine-level exclusive scan (`O(1/γ)` rounds).
-//! * [`aggregate_by_key`] — semisort + aggregate (the paper's **Find
-//!   Minimum** over `M(v)` when used with `min`): one hash-routing round
-//!   plus local folding.
+//! * [`group_by_key`] — semisort: one hash-routing round gathers each
+//!   key's records on one machine as one contiguous run, then a local
+//!   pass visits every run;
+//! * [`aggregate_by_key`] — semisort + fold (the paper's **Find
+//!   Minimum** over `M(v)` when used with `min`).
 //! * [`count_records`], [`broadcast_value`], [`global_max`] — small
 //!   conveniences on the aggregation trees.
 
@@ -304,10 +306,46 @@ pub fn forward_fill<T: Record, U: Record>(
     Ok(())
 }
 
-/// Semisort + aggregate: routes records by a caller-supplied `u64` key
-/// (one round), then folds records with equal keys machine-locally with
-/// `combine`. Output: one `(key, value)` record per distinct key, sorted
-/// by key within each machine.
+/// Semisort: routes every record to machine `splitmix64(key) % P` (one
+/// round), gathers each machine's records into one contiguous run per
+/// key — runs in key order, each run in arrival order — and calls
+/// `each_group(run, out)` on every run. Returns the grouped records, which
+/// stay on their key's machine, and what the passes pushed to `out`.
+///
+/// All records of one key land on one machine, so a key whose records
+/// exceed a machine's budget fails the round with a typed
+/// [`crate::MpcError`]; keys that may be that hot need [`sort_by_key`].
+pub fn group_by_key<T: Record, U: Record>(
+    sys: &mut MpcSystem,
+    d: Dist<T>,
+    op: &'static str,
+    key: impl Fn(&T) -> u64 + Send + Sync,
+    each_group: impl Fn(&[T], &mut Vec<U>) + Send + Sync,
+) -> Result<(Dist<T>, Dist<U>)> {
+    let p = sys.machines();
+    let routed = route(sys, d, op, |rec, _| {
+        (splitmix64(key(rec)) % p as u64) as usize
+    })?;
+    let mut shards = routed.into_shards();
+    let emitted: Vec<Vec<U>> = shards
+        .par_iter_mut()
+        .map(|shard| {
+            // Stable: equal keys keep their arrival order.
+            shard.sort_by_key(|rec| key(rec));
+            let mut out = Vec::new();
+            for run in shard.chunk_by(|a, b| key(a) == key(b)) {
+                each_group(run, &mut out);
+            }
+            out
+        })
+        .collect();
+    sys.check_all_storage(&emitted, op)?;
+    Ok((Dist::from_shards(shards), Dist::from_shards(emitted)))
+}
+
+/// Semisort + aggregate: [`group_by_key`] with a pass that folds each
+/// run, in arrival order, with `combine`. Output: one `(key, value)`
+/// record per distinct key, sorted by key within each machine.
 pub fn aggregate_by_key<T: Record, V: Record>(
     sys: &mut MpcSystem,
     d: Dist<T>,
@@ -316,27 +354,14 @@ pub fn aggregate_by_key<T: Record, V: Record>(
     value: impl Fn(&T) -> V + Send + Sync,
     combine: impl Fn(&V, &V) -> V + Send + Sync,
 ) -> Result<Dist<(u64, V)>> {
-    let p = sys.machines();
-    let routed = route(sys, d, op, |rec, _| {
-        (splitmix64(key(rec)) % p as u64) as usize
+    let (_, folded) = group_by_key(sys, d, op, &key, |run, out| {
+        let mut acc = value(&run[0]);
+        for rec in &run[1..] {
+            acc = combine(&acc, &value(rec));
+        }
+        out.push((key(&run[0]), acc));
     })?;
-    let shards = routed.into_shards();
-    let folded: Vec<Vec<(u64, V)>> = shards
-        .into_par_iter()
-        .map(|shard| {
-            let mut map: std::collections::BTreeMap<u64, V> = std::collections::BTreeMap::new();
-            for rec in shard {
-                let k = key(&rec);
-                let v = value(&rec);
-                map.entry(k)
-                    .and_modify(|acc| *acc = combine(acc, &v))
-                    .or_insert(v);
-            }
-            map.into_iter().collect()
-        })
-        .collect();
-    sys.check_all_storage(&folded, op)?;
-    Ok(Dist::from_shards(folded))
+    Ok(folded)
 }
 
 /// Global record count via the aggregation tree.
@@ -463,6 +488,98 @@ mod tests {
         flat.sort();
         assert_eq!(flat, vec![(1, 3), (2, 5), (3, 7)]);
         assert_eq!(s.rounds(), 1, "semisort is one routing round");
+    }
+
+    #[test]
+    fn group_by_key_gathers_each_key_into_one_run_in_arrival_order() {
+        let mut s = sys(64, 6, 4);
+        // (key, arrival index): `distribute` places contiguous blocks, so
+        // the index order is the (machine, position) order of arrival.
+        let recs: Vec<(u64, u64)> = (0..120u64).map(|i| (splitmix64(i) % 9, i)).collect();
+        let d = Dist::distribute(&mut s, recs).unwrap();
+        let (grouped, sizes) = group_by_key(
+            &mut s,
+            d,
+            "group",
+            |r| r.0,
+            |run, out| out.push((run[0].0, run.len() as u64)),
+        )
+        .unwrap();
+        assert_eq!(s.rounds(), 1, "a semisort is one routing round");
+        assert_eq!(grouped.len(), 120);
+        for shard in grouped.shards() {
+            let keys: Vec<u64> = shard.chunk_by(|a, b| a.0 == b.0).map(|r| r[0].0).collect();
+            assert!(
+                keys.windows(2).all(|w| w[0] < w[1]),
+                "one run per key: {keys:?}"
+            );
+            for run in shard.chunk_by(|a, b| a.0 == b.0) {
+                assert!(run.windows(2).all(|w| w[0].1 < w[1].1), "arrival order");
+            }
+        }
+        let mut sizes = sizes.collect_out_of_model();
+        sizes.sort();
+        let mut expect = vec![0u64; 9];
+        for i in 0..120u64 {
+            expect[(splitmix64(i) % 9) as usize] += 1;
+        }
+        let expect: Vec<(u64, u64)> = (0..9u64).zip(expect).filter(|&(_, n)| n > 0).collect();
+        assert_eq!(sizes, expect);
+    }
+
+    #[test]
+    fn group_by_key_routes_and_charges_like_aggregate_by_key() {
+        let recs: Vec<(u64, u64)> = (0..300u64).map(|i| (splitmix64(i) % 37, i % 11)).collect();
+        let mut a = sys(128, 8, 4);
+        let d = Dist::distribute(&mut a, recs.clone()).unwrap();
+        let agg = aggregate_by_key(&mut a, d, "op", |r| r.0, |r| r.1, |x, y| *x.min(y)).unwrap();
+        let mut g = sys(128, 8, 4);
+        let d = Dist::distribute(&mut g, recs).unwrap();
+        let (grouped, folded) = group_by_key(
+            &mut g,
+            d,
+            "op",
+            |r| r.0,
+            |run, out| out.push((run[0].0, run.iter().map(|r| r.1).min().unwrap())),
+        )
+        .unwrap();
+        assert_eq!(
+            g.metrics(),
+            a.metrics(),
+            "same words, busiest machines, peak"
+        );
+        assert_eq!(folded.shards(), agg.shards());
+        for (m, shard) in grouped.shards().iter().enumerate() {
+            for r in shard {
+                assert!(
+                    agg.shards()[m].iter().any(|&(k, _)| k == r.0),
+                    "key {}",
+                    r.0
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn group_by_key_reports_a_hot_key_as_a_typed_error() {
+        let mut s = sys(16, 8, 2);
+        let d = Dist::distribute(&mut s, (0u64..100).collect()).unwrap();
+        let err = group_by_key(
+            &mut s,
+            d,
+            "hot",
+            |_| 7,
+            |run: &[u64], out: &mut Vec<u64>| out.extend_from_slice(run),
+        )
+        .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                crate::MpcError::BandwidthExceeded { op: "hot", .. }
+                    | crate::MpcError::MemoryExceeded { op: "hot", .. }
+            ),
+            "{err}"
+        );
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! counts of the primitives must match the model's closed forms, scale
 //! the right way with the deployment shape, and be deterministic.
 
-use mpc_runtime::{comm, primitives, Dist, MpcConfig, MpcSystem};
+use mpc_runtime::{comm, primitives, Dist, MpcConfig, MpcError, MpcSystem};
 
 fn sorted_run(s_words: usize, machines: usize, n_records: usize) -> (u64, Vec<u64>) {
     let cfg = MpcConfig::explicit(s_words, machines, 8);
@@ -126,4 +126,61 @@ fn forward_fill_multiple_groups_spanning_machines() {
             assert_eq!(rec.1, expect, "position {i}");
         }
     }
+}
+
+#[test]
+fn group_by_key_is_one_round_charged_like_aggregate_by_key() {
+    // Same key, same deployment: the semisort's destinations, traffic,
+    // busiest sender and receiver, and peak storage are the
+    // aggregation's, at every shape.
+    for (words, machines, records) in [(64usize, 4usize, 200u64), (256, 16, 2000), (512, 61, 9000)]
+    {
+        let cfg = MpcConfig::explicit(words, machines, 8);
+        let data: Vec<(u64, u64)> = (0..records)
+            .map(|i| (primitives::splitmix64(i) % (records / 3), i))
+            .collect();
+        let mut agg_sys = MpcSystem::new(cfg);
+        let d = Dist::distribute(&mut agg_sys, data.clone()).unwrap();
+        let agg =
+            primitives::aggregate_by_key(&mut agg_sys, d, "k", |r| r.0, |r| r.1, |a, b| a + b)
+                .unwrap();
+        let mut sys = MpcSystem::new(cfg);
+        let d = Dist::distribute(&mut sys, data).unwrap();
+        let (grouped, sums) = primitives::group_by_key(
+            &mut sys,
+            d,
+            "k",
+            |r| r.0,
+            |run, out| out.push((run[0].0, run.iter().map(|r| r.1).sum::<u64>())),
+        )
+        .unwrap();
+        assert_eq!(sys.rounds(), 1, "words={words} machines={machines}");
+        assert_eq!(sys.metrics(), agg_sys.metrics());
+        assert_eq!(sums.collect_out_of_model(), agg.collect_out_of_model());
+        assert_eq!(grouped.len(), records as usize);
+    }
+}
+
+#[test]
+fn group_by_key_hot_key_past_capacity_is_a_typed_error() {
+    let cfg = MpcConfig::explicit(32, 16, 8);
+    let mut sys = MpcSystem::new(cfg);
+    let d = Dist::distribute(&mut sys, (0..2000u64).collect()).unwrap();
+    let err = primitives::group_by_key(
+        &mut sys,
+        d,
+        "hot",
+        |_| 42,
+        |run: &[u64], out: &mut Vec<u64>| out.push(run.len() as u64),
+    )
+    .unwrap_err();
+    assert!(
+        matches!(
+            err,
+            MpcError::BandwidthExceeded { op: "hot", .. }
+                | MpcError::MemoryExceeded { op: "hot", .. }
+        ),
+        "{err}"
+    );
+    assert_eq!(sys.rounds(), 1, "the violation happens in the round");
 }
