@@ -62,9 +62,9 @@ pub struct Call {
 /// One function item.
 #[derive(Debug)]
 pub struct FnInfo {
-    /// Base name (`spawn`).
+    /// Base name (`submit`).
     pub name: String,
-    /// Scope-qualified name (`MachinePool::spawn`, `tests::smoke`).
+    /// Scope-qualified name (`JobQueue::submit`, `tests::smoke`).
     pub qual: String,
     /// 1-based line of the name token.
     pub line: u32,

@@ -1,12 +1,13 @@
 //! Panic-path audit for the serving stack.
 //!
-//! The job-queue front door (`pipeline/{service,queue,shard}.rs`) and
-//! the threaded executor (`crates/net`) are the code that runs on
-//! behalf of *other* tenants' requests: a panic there doesn't just fail
-//! one computation, it can poison a lock, wedge a round barrier, or
-//! take down a worker thread that the whole queue depends on. So every
-//! potential panic site on those paths must either be refactored to a
-//! typed error or carry an explicit justification:
+//! The job-queue front door (`pipeline/{service,queue,shard}.rs`) is
+//! the code that runs on behalf of *other* tenants' requests: a panic
+//! there doesn't just fail one computation, it can poison a lock or
+//! take down a worker thread that the whole queue depends on. The
+//! network cost models (`crates/net`) are held to the same rule, so
+//! pricing a run never panics. Every potential panic site on those
+//! paths must either be refactored to a typed error or carry an
+//! explicit justification:
 //!
 //! * `.unwrap()` / `.expect(…)` (the `_or`/`_or_else`/`_or_default`
 //!   variants are fine — they don't panic);
@@ -395,7 +396,7 @@ mod tests {
             );
         }
         for rel in [
-            "crates/net/src/exchange.rs",
+            "crates/net/src/model.rs",
             "crates/core/src/pipeline/shard.rs",
         ] {
             assert_eq!(findings(rel, src).len(), 1, "{rel} should be in scope");

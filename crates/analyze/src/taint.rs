@@ -2,7 +2,7 @@
 //! code reach?
 //!
 //! Every guarantee in this reproduction — spanner edges, TZ sketches,
-//! MPC round counts, the threaded-executor bit-identity — depends on
+//! MPC round counts, the cross-backend bit-identity — depends on
 //! results being a pure function of `(input, seed, config)`. This pass
 //! seeds the call graph with known nondeterminism *sources*:
 //!
@@ -52,7 +52,7 @@ const ITER_METHODS: &[&str] = &[
 ];
 
 /// Result-producing root scopes: the serving pipeline, the MPC
-/// runtimes, the threaded executor, and graph/spanner construction.
+/// runtime and its network cost models, and graph/spanner construction.
 pub fn is_root_file(rel: &Path) -> bool {
     [
         "crates/core/src",

@@ -44,17 +44,17 @@ fn raw_sync_fires_in_pipeline_code() {
 
 #[test]
 fn net_crate_is_in_scope_for_every_executor_lint() {
-    // The threaded executor crate is held to the same discipline as
+    // The network cost-model crate is held to the same discipline as
     // pipeline code: tracked locks only…
     let fired = lints_fired("crates/net/src/seeded.rs", "raw_sync.rs");
     assert!(fired.contains(&"raw-sync".to_string()), "fired: {fired:?}");
-    // …no thread creation outside the one audited spawn point…
+    // …no thread creation outside the sanctioned nurseries…
     let fired = lints_fired("crates/net/src/seeded.rs", "stray_spawn.rs");
     assert!(
         fired.contains(&"stray-spawn".to_string()),
         "fired: {fired:?}"
     );
-    // …and no wall-clock reads feeding the simulated network clock.
+    // …and no wall-clock reads feeding the predicted seconds.
     let fired = lints_fired("crates/net/src/seeded.rs", "wall_clock.rs");
     assert!(
         fired.contains(&"wall-clock".to_string()),

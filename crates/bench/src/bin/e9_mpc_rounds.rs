@@ -159,8 +159,14 @@ fn main() {
     }
     t3.print();
 
-    println!("\n## Predicted wall-clock under network models (S = 4096, threaded executor)\n");
+    println!("\n## Predicted wall-clock under network models (S = 4096)\n");
     let cfg = MpcConfig::explicit(4096, input_words.div_ceil(4096).max(2), 8);
+    let run = run_on(&g, params, Backend::mpc_deployment(cfg));
+    assert_eq!(
+        run.result.edges, seq.edges,
+        "the MPC driver must rebuild the sequential spanner bit for bit"
+    );
+    let metrics = &mpc_stats(&run).metrics;
     let mut t4 = Table::new(&["S (words)", "P", "rounds", "network", "predicted"]);
     for model in [
         NetworkModel::FullMesh {
@@ -172,22 +178,15 @@ fn main() {
             bytes_per_sec: 1e9,
         },
     ] {
-        let run = run_on(&g, params, Backend::mpc_deployment(cfg).threaded(model));
-        assert_eq!(
-            run.result.edges, seq.edges,
-            "threaded executor must rebuild the sequential spanner bit for bit"
-        );
-        let stats = mpc_stats(&run);
-        let report = stats.net.as_ref().expect("threaded runs carry a NetReport");
         t4.row(vec![
             "4096".to_string(),
             cfg.num_machines.to_string(),
-            stats.metrics.rounds.to_string(),
+            metrics.rounds.to_string(),
             model.label(),
-            format!("{:.4}s", report.total_seconds),
+            format!("{:.4}s", metrics.predicted_seconds(model)),
         ]);
     }
     t4.print();
     println!("\n(simulated seconds: each round charged latency + critical-link bytes/bandwidth;");
-    println!(" both runs asserted bit-identical to the sequential reference)");
+    println!(" the run is asserted bit-identical to the sequential reference)");
 }

@@ -41,7 +41,7 @@
 //! per iteration it is `O(1/γ)`, matching Lemma 6.1.
 
 use mpc_runtime::primitives::{aggregate_by_key, forward_fill, group_by_key, sort_by_key};
-use mpc_runtime::{comm, primitives, Dist, ExecutorKind, MpcConfig, MpcSystem, Record};
+use mpc_runtime::{comm, primitives, Dist, MpcConfig, MpcSystem, Record};
 use spanner_graph::edge::EdgeId;
 use spanner_graph::Graph;
 
@@ -158,20 +158,17 @@ pub(crate) struct MpcSpannerRun {
     pub metrics: mpc_runtime::Metrics,
     /// The deployment used.
     pub config: MpcConfig,
-    /// The simulated-network report, when the threaded executor ran.
-    pub net: Option<mpc_runtime::NetReport>,
 }
 
 /// Runs the Section 5 algorithm on the MPC simulator under an explicit
-/// deployment and executor (the pipeline's `Backend::Mpc` driver).
+/// deployment (the pipeline's `Backend::Mpc` driver).
 pub(crate) fn run_mpc(
     g: &Graph,
     params: TradeoffParams,
     config: MpcConfig,
-    executor: ExecutorKind,
     seed: u64,
 ) -> mpc_runtime::Result<MpcSpannerRun> {
-    let sys = MpcSystem::with_executor(config, executor);
+    let sys = MpcSystem::new(config);
     let algorithm = format!(
         "mpc-general(k={},t={},S={}w,P={})",
         params.k, params.t, config.machine_words, config.num_machines
@@ -181,7 +178,6 @@ pub(crate) fn run_mpc(
         return Ok(MpcSpannerRun {
             result: SpannerResult::whole_graph(g, algorithm),
             metrics: sys.metrics().clone(),
-            net: sys.net_report().cloned(),
             config,
         });
     }
@@ -245,7 +241,6 @@ pub(crate) fn run_mpc(
     Ok(MpcSpannerRun {
         result,
         metrics,
-        net: driver.sys.net_report().cloned(),
         config,
     })
 }

@@ -61,9 +61,7 @@ use spanner_graph::Graph;
 
 use super::clique::CcNetwork;
 use super::service::HeapSize;
-use super::{
-    Algorithm, Backend, CancelToken, ExecutionStats, MpcStats, PipelineError, Plan, SpannerRequest,
-};
+use super::{Algorithm, Backend, CancelToken, ExecutionStats, PipelineError, Plan, SpannerRequest};
 
 // ---------------------------------------------------------------------
 // Cooperative build interruption
@@ -673,52 +671,13 @@ impl<'g> DistanceRequest<'g> {
         // into the fresh accounting system is a harness artifact the
         // paper's "+1" doesn't pay.
         let (execution, gather_rounds) = match report.stats {
-            ExecutionStats::Mpc(ref stats) => {
-                let mut metrics = stats.metrics.clone();
-                // The gather runs on the same executor as the build, so
-                // a threaded run also prices it into the net report.
-                let executor = match self.spanner.backend() {
-                    Backend::Mpc { executor, .. } => executor,
-                    _ => mpc_runtime::ExecutorKind::Loop,
-                };
-                let mut sys = MpcSystem::with_executor(stats.config, executor);
+            ExecutionStats::Mpc(mut stats) => {
+                let mut sys = MpcSystem::new(stats.config);
                 let ids: Vec<u64> = result.edges.iter().map(|&id| id as u64).collect();
                 let dist = Dist::distribute(&mut sys, ids)?;
-                let before = sys.metrics().clone();
                 comm::gather_to_machine(&mut sys, dist, 0, "apsp.collect")?;
-                let after = sys.metrics();
-                let gather_rounds = after.rounds - before.rounds;
-                metrics.rounds += gather_rounds;
-                *metrics.rounds_by_op.entry("apsp.collect").or_insert(0) += gather_rounds;
-                metrics.total_comm_words += after.total_comm_words - before.total_comm_words;
-                metrics.max_send_words = metrics.max_send_words.max(after.max_send_words);
-                metrics.max_recv_words = metrics.max_recv_words.max(after.max_recv_words);
-                metrics.critical_send_words +=
-                    after.critical_send_words - before.critical_send_words;
-                metrics.critical_recv_words +=
-                    after.critical_recv_words - before.critical_recv_words;
-                metrics.critical_link_words +=
-                    after.critical_link_words - before.critical_link_words;
-                metrics.peak_machine_words =
-                    metrics.peak_machine_words.max(after.peak_machine_words);
-                let net = match (&stats.net, sys.net_report()) {
-                    (Some(build), Some(gather)) => {
-                        let mut merged = build.clone();
-                        merged.absorb(gather);
-                        Some(merged)
-                    }
-                    (Some(build), None) => Some(build.clone()),
-                    (None, gather) => gather.cloned(),
-                };
-                (
-                    ExecutionStats::Mpc(MpcStats {
-                        metrics,
-                        config: stats.config,
-                        predicted_time: net.as_ref().map(|r| r.total_seconds),
-                        net,
-                    }),
-                    Some(gather_rounds),
-                )
+                stats.metrics.absorb(sys.metrics());
+                (ExecutionStats::Mpc(stats), Some(sys.rounds()))
             }
             // Corollary 1.5's collection step: every node learns the
             // whole spanner, 4 words per edge, by Lenzen dissemination,

@@ -111,10 +111,10 @@ pub use shard::ShardedService;
 pub use crate::params::ParamError;
 pub use crate::presets::CorollarySetting;
 pub use crate::unweighted_ok::UnweightedOkStats;
-// The executor knob and its network vocabulary, so callers can build a
-// `Backend::Mpc { .. }` (or `.threaded(model)`) without importing
-// mpc-runtime directly.
-pub use mpc_runtime::{ExecutorKind, NetReport, NetworkModel};
+// The network vocabulary, so callers can price a run's `MpcStats` with
+// `metrics.predicted_seconds(model)` without importing mpc-runtime
+// directly.
+pub use mpc_runtime::NetworkModel;
 
 // ---------------------------------------------------------------------
 // Request vocabulary
@@ -306,10 +306,6 @@ pub enum Backend {
     Mpc {
         /// How machine count / words per machine are derived.
         deployment: MpcDeployment,
-        /// Which physical engine runs the simulated machines (the
-        /// threaded engine additionally predicts cluster wall-clock
-        /// under its network model).
-        executor: ExecutorKind,
     },
     /// The Congested Clique with Section 8's parallel repetition
     /// (`repetitions = 1` disables the w.h.p. amplification and is
@@ -335,24 +331,11 @@ impl Backend {
         Backend::mpc_deployment(MpcDeployment::StronglySublinear { gamma })
     }
 
-    /// An MPC backend with the given deployment on the (default) loop
-    /// executor. Accepts an [`MpcDeployment`] or a bare [`MpcConfig`].
+    /// An MPC backend with the given deployment. Accepts an
+    /// [`MpcDeployment`] or a bare [`MpcConfig`].
     pub fn mpc_deployment(deployment: impl Into<MpcDeployment>) -> Self {
         Backend::Mpc {
             deployment: deployment.into(),
-            executor: ExecutorKind::Loop,
-        }
-    }
-
-    /// Switches an MPC backend onto the thread-per-machine executor,
-    /// pricing rounds under `model`. No-op for non-MPC backends.
-    pub fn threaded(self, model: NetworkModel) -> Self {
-        match self {
-            Backend::Mpc { deployment, .. } => Backend::Mpc {
-                deployment,
-                executor: ExecutorKind::Threaded(model),
-            },
-            other => other,
         }
     }
 
@@ -592,11 +575,6 @@ pub struct MpcStats {
     pub metrics: Metrics,
     /// The deployment that ran.
     pub config: MpcConfig,
-    /// Predicted cluster wall-clock in simulated seconds, when the run
-    /// used the threaded executor with a network model.
-    pub predicted_time: Option<f64>,
-    /// The full simulated-network report (threaded executor only).
-    pub net: Option<NetReport>,
 }
 
 /// Congested Clique rounds and the Section 8 repetition trace.
@@ -729,18 +707,12 @@ impl ExecutionStats {
     pub fn summary(&self) -> String {
         match self {
             ExecutionStats::Sequential => "sequential".into(),
-            ExecutionStats::Mpc(s) => {
-                let mut line = format!(
-                    "mpc[S={}w,P={}]: {}",
-                    s.config.machine_words,
-                    s.config.num_machines,
-                    s.metrics.summary()
-                );
-                if let Some(t) = s.predicted_time {
-                    line.push_str(&format!(" predicted={t:.4}s"));
-                }
-                line
-            }
+            ExecutionStats::Mpc(s) => format!(
+                "mpc[S={}w,P={}]: {}",
+                s.config.machine_words,
+                s.config.num_machines,
+                s.metrics.summary()
+            ),
             ExecutionStats::CongestedClique(s) => format!(
                 "cc[R={}]: rounds={} comm={}w",
                 s.repetitions, s.rounds, s.total_words
@@ -1071,21 +1043,16 @@ impl<'g> SpannerRequest<'g> {
                 self.run_sequential(plan, guard)?,
                 ExecutionStats::Sequential,
             )),
-            Backend::Mpc {
-                deployment,
-                executor,
-            } => {
+            Backend::Mpc { deployment } => {
                 let params = plan.schedule.expect("plan() rejects non-engine algorithms");
                 let config = deployment.config(g);
-                let run = crate::mpc_driver::run_mpc(g, params, config, executor, seed)?;
+                let run = crate::mpc_driver::run_mpc(g, params, config, seed)?;
                 let result = self.finish_engine_result(run.result, plan);
                 Ok((
                     result,
                     ExecutionStats::Mpc(MpcStats {
                         metrics: run.metrics,
                         config: run.config,
-                        predicted_time: run.net.as_ref().map(|r| r.total_seconds),
-                        net: run.net,
                     }),
                 ))
             }

@@ -9,30 +9,19 @@
 //!
 //! Delivery: [`route_with`] is the one routing path ([`route`] computes
 //! destinations and calls it). Its validation pass tallies traffic and
-//! counts the records bound for each machine; the loop executor then
-//! moves every record, in (source machine, source position) order, into
-//! a destination shard allocated once at its exact size — one counting
+//! counts the records bound for each machine; it then moves every
+//! record, in (source machine, source position) order, into a
+//! destination shard allocated once at its exact size — one counting
 //! scatter, `O(records + machines)` per round.
 //! [`crate::primitives::sort_by_key`]'s rebalance step depends on that
-//! order.
+//! order. The aggregation trees charge each level from its group sizes
+//! and fold every group of `f` consecutive summaries in place.
 //!
-//! Parallel-safety: per-machine stages (destination computation, outbox
-//! assembly, local folds) stay on the rayon pool. They rely on the shim's
-//! order-preserving `collect`, so results are identical at every thread
-//! count.
-//!
-//! Executors: every primitive charges rounds/traffic through shared code
-//! and only then moves the data, either in-process (the loop executor) or
-//! through the `spanner-net` thread-per-machine router
-//! ([`fn@spanner_net::exchange`], the threaded executor). The physical
-//! exchange delivers in the same (source machine, source position) order,
-//! so both executors are bit-identical; wire traffic observed by the
-//! exchange feeds the network report (self-delivery stays free, and
-//! synthetic pipelined rounds — e.g. chunked broadcast — are priced from
-//! the shared charge formulas even where the physical waves differ).
+//! Parallel-safety: per-machine destination computation stays on the
+//! rayon pool. It relies on the shim's order-preserving `collect`, so
+//! results are identical at every thread count.
 
 use rayon::prelude::*;
-use spanner_net::exchange;
 
 use crate::dist::Dist;
 use crate::record::Record;
@@ -113,30 +102,14 @@ pub fn route_with<T: Record>(
     sys.charge_round(op, busiest(&sent), busiest(&received), total)?;
 
     // Deliver in (source machine, source position) order.
-    let new_shards = match sys.pool_handle() {
-        Some(pool) => {
-            let outboxes: Vec<Vec<(usize, T)>> = shards
-                .into_par_iter()
-                .zip(dests.par_iter())
-                .map(|(shard, ds)| ds.iter().copied().zip(shard).collect())
-                .collect();
-            let (shards, sent_w, recv_w) = exchange(&pool, T::WORDS, outboxes);
-            sys.note_exchange_traffic(&sent_w, &recv_w);
-            shards
+    let mut delivered: Vec<Vec<T>> = arriving.iter().map(|&n| Vec::with_capacity(n)).collect();
+    for (shard, ds) in shards.into_iter().zip(dests) {
+        for (rec, &dst) in shard.into_iter().zip(ds) {
+            delivered[dst].push(rec);
         }
-        None => {
-            let mut delivered: Vec<Vec<T>> =
-                arriving.iter().map(|&n| Vec::with_capacity(n)).collect();
-            for (shard, ds) in shards.into_iter().zip(dests) {
-                for (rec, &dst) in shard.into_iter().zip(ds) {
-                    delivered[dst].push(rec);
-                }
-            }
-            delivered
-        }
-    };
-    sys.check_all_storage(&new_shards, op)?;
-    Ok(Dist::from_shards(new_shards))
+    }
+    sys.check_all_storage(&delivered, op)?;
+    Ok(Dist::from_shards(delivered))
 }
 
 /// The busiest machine of a per-machine traffic tally as
@@ -147,6 +120,38 @@ fn busiest(words: &[usize]) -> (usize, usize) {
         (0, 0),
         |best, (m, &w)| if w > best.1 { (m, w) } else { best },
     )
+}
+
+/// Charges one up-sweep level of an f-ary aggregation tree: each group
+/// of `f` consecutive summaries sends to its first member, the leader.
+fn charge_tree_level<T: Record>(
+    sys: &mut MpcSystem,
+    op: &'static str,
+    level: &[T],
+    f: usize,
+) -> Result<()> {
+    let mut max_recv = 0usize;
+    let mut total = 0u64;
+    for group in level.chunks(f) {
+        let incoming = (group.len() - 1) * T::WORDS;
+        max_recv = max_recv.max(incoming);
+        total += incoming as u64;
+    }
+    sys.charge_round(op, (0, T::WORDS), (0, max_recv), total)
+}
+
+/// Folds each group of `f` consecutive summaries left to right with
+/// `combine`: the values the leaders hold after [`charge_tree_level`]'s
+/// round.
+fn combine_groups<T: Record>(level: &[T], f: usize, combine: impl Fn(&T, &T) -> T) -> Vec<T> {
+    level
+        .chunks(f)
+        .map(|group| {
+            let (first, rest) = group.split_first().expect("chunks are non-empty");
+            rest.iter()
+                .fold(first.clone(), |acc, item| combine(&acc, item))
+        })
+        .collect()
 }
 
 /// Direct gather: every machine sends its shard to `root` in one round.
@@ -184,62 +189,9 @@ pub fn reduce_tree<T: Record>(
     }
     let f = sys.cfg().fanout(T::WORDS);
     let mut level: Vec<T> = per_machine;
-    // Which physical machine holds each summary of the current level
-    // (group leaders keep their machine as levels shrink).
-    let mut machine_of: Vec<usize> = (0..level.len()).collect();
     while level.len() > 1 {
-        // Each group of f consecutive nodes sends to its leader. The
-        // charge tally is shared by both executors.
-        let groups = level.len().div_ceil(f);
-        let mut max_recv = 0usize;
-        let mut total = 0u64;
-        for g in 0..groups {
-            let lo = g * f;
-            let hi = (lo + f).min(level.len());
-            let incoming = (hi - lo - 1) * T::WORDS;
-            max_recv = max_recv.max(incoming);
-            total += incoming as u64;
-        }
-        sys.charge_round(op, (0, T::WORDS), (0, max_recv), total)?;
-
-        // Group members, delivered to each leader: physically through
-        // the router (threaded) or by slicing the level (loop). The
-        // exchange delivers in source-machine order, which is exactly
-        // the level order within each group.
-        let grouped: Vec<Vec<T>> = match sys.pool_handle() {
-            Some(pool) => {
-                let mut outboxes: Vec<Vec<(usize, T)>> =
-                    (0..pool.machines()).map(|_| Vec::new()).collect();
-                for (i, item) in level.iter().enumerate() {
-                    let leader = machine_of[(i / f) * f];
-                    outboxes[machine_of[i]].push((leader, item.clone()));
-                }
-                let (mut shards, sent_w, recv_w) = exchange(&pool, T::WORDS, outboxes);
-                sys.note_exchange_traffic(&sent_w, &recv_w);
-                (0..groups)
-                    .map(|g| std::mem::take(&mut shards[machine_of[g * f]]))
-                    .collect()
-            }
-            None => (0..groups)
-                .map(|g| {
-                    let lo = g * f;
-                    let hi = (lo + f).min(level.len());
-                    level[lo..hi].to_vec()
-                })
-                .collect(),
-        };
-        level = grouped
-            .into_iter()
-            .map(|group| {
-                let mut items = group.into_iter();
-                let mut acc = items.next().expect("groups are non-empty");
-                for item in items {
-                    acc = combine(&acc, &item);
-                }
-                acc
-            })
-            .collect();
-        machine_of = (0..groups).map(|g| machine_of[g * f]).collect();
+        charge_tree_level(sys, op, &level, f)?;
+        level = combine_groups(&level, f, &combine);
     }
     Ok(level
         .into_iter()
@@ -300,26 +252,6 @@ pub fn broadcast_all<T: Record>(
             per_round_total + leftover,
         )?;
     }
-    // Threaded executor: physically replicate along the f-ary tree. The
-    // waves follow the unpipelined tree (depth waves, machine j fetches
-    // from j % cover), moving the same (p-1)·payload total the charge
-    // loop above priced into the pipelined round schedule.
-    if let Some(pool) = sys.pool_handle() {
-        let mut cover = 1usize;
-        while cover < p {
-            let next_cover = cover.saturating_mul(f).min(p);
-            let mut outboxes: Vec<Vec<(usize, T)>> = (0..p).map(|_| Vec::new()).collect();
-            for j in cover..next_cover {
-                let src = j % cover;
-                for rec in &payload {
-                    outboxes[src].push((j, rec.clone()));
-                }
-            }
-            let (_shards, sent_w, recv_w) = exchange(&pool, T::WORDS, outboxes);
-            sys.note_exchange_traffic(&sent_w, &recv_w);
-            cover = next_cover;
-        }
-    }
     Ok(vec![payload; p])
 }
 
@@ -351,116 +283,32 @@ pub fn machine_scan<T: Record>(
     }
     let f = sys.cfg().fanout(T::WORDS);
 
-    // Up-sweep: build the levels of group totals. `maps[l][i]` is the
-    // physical machine holding summary `i` of level `l` (group leaders).
+    // Up-sweep: build the levels of group totals.
     let mut levels: Vec<Vec<T>> = vec![per_machine];
-    let mut maps: Vec<Vec<usize>> = vec![(0..p).collect()];
-    loop {
-        let cur_len = levels.last().expect("non-empty").len();
-        if cur_len <= 1 {
-            break;
-        }
-        let groups = cur_len.div_ceil(f);
-        // Shared charge tally: each leader receives its group members.
-        let mut max_recv = 0usize;
-        let mut total = 0u64;
-        for g in 0..groups {
-            let lo = g * f;
-            let hi = (lo + f).min(cur_len);
-            let incoming = (hi - lo - 1) * T::WORDS;
-            max_recv = max_recv.max(incoming);
-            total += incoming as u64;
-        }
-        sys.charge_round(op, (0, T::WORDS), (0, max_recv), total)?;
-
-        let cur_map = maps.last().expect("non-empty").clone();
-        let grouped: Vec<Vec<T>> = match sys.pool_handle() {
-            Some(pool) => {
-                let cur = levels.last().expect("non-empty");
-                let mut outboxes: Vec<Vec<(usize, T)>> =
-                    (0..pool.machines()).map(|_| Vec::new()).collect();
-                for (i, item) in cur.iter().enumerate() {
-                    let leader = cur_map[(i / f) * f];
-                    outboxes[cur_map[i]].push((leader, item.clone()));
-                }
-                let (mut shards, sent_w, recv_w) = exchange(&pool, T::WORDS, outboxes);
-                sys.note_exchange_traffic(&sent_w, &recv_w);
-                (0..groups)
-                    .map(|g| std::mem::take(&mut shards[cur_map[g * f]]))
-                    .collect()
-            }
-            None => {
-                let cur = levels.last().expect("non-empty");
-                (0..groups)
-                    .map(|g| {
-                        let lo = g * f;
-                        let hi = (lo + f).min(cur.len());
-                        cur[lo..hi].to_vec()
-                    })
-                    .collect()
-            }
-        };
-        let next: Vec<T> = grouped
-            .into_iter()
-            .map(|group| {
-                let mut items = group.into_iter();
-                let mut acc = items.next().expect("groups are non-empty");
-                for item in items {
-                    acc = combine(&acc, &item);
-                }
-                acc
-            })
-            .collect();
-        let next_map: Vec<usize> = (0..groups).map(|g| cur_map[g * f]).collect();
+    while let Some(cur) = levels.last().filter(|cur| cur.len() > 1) {
+        charge_tree_level(sys, op, cur, f)?;
+        let next = combine_groups(cur, f, combine);
         levels.push(next);
-        maps.push(next_map);
     }
 
-    // Down-sweep: push exclusive prefixes back down.
-    let depth = levels.len();
+    // Down-sweep: push exclusive prefixes back down, each parent's
+    // prefix to the group of `f` summaries below it.
     let mut prefixes: Vec<T> = vec![identity.clone()];
-    for lvl in (0..depth - 1).rev() {
-        let cur = &levels[lvl];
+    for cur in levels.iter().rev().skip(1) {
         let mut next_prefixes = Vec::with_capacity(cur.len());
         let mut max_sent = 0usize;
         let mut total = 0u64;
-        for (g, parent_prefix) in prefixes.iter().enumerate() {
-            let lo = g * f;
-            let hi = (lo + f).min(cur.len());
-            let mut acc = parent_prefix.clone();
-            let sent = (hi - lo) * T::WORDS;
+        for (parent_prefix, group) in prefixes.iter().zip(cur.chunks(f)) {
+            let sent = group.len() * T::WORDS;
             max_sent = max_sent.max(sent);
             total += sent as u64;
-            for item in &cur[lo..hi] {
+            let mut acc = parent_prefix.clone();
+            for item in group {
                 next_prefixes.push(acc.clone());
                 acc = combine(&acc, item);
             }
         }
         sys.charge_round(op, (0, max_sent), (0, T::WORDS), total)?;
-        // Threaded executor: each parent physically sends every child
-        // its prefix (the leader child is the parent's own machine, so
-        // that hop is free on the wire; the charge above keeps the
-        // model's "leader informs its group" formula).
-        if let Some(pool) = sys.pool_handle() {
-            let mut outboxes: Vec<Vec<(usize, T)>> =
-                (0..pool.machines()).map(|_| Vec::new()).collect();
-            for (i, prefix) in next_prefixes.iter().enumerate() {
-                let parent = maps[lvl + 1][i / f];
-                let child = maps[lvl][i];
-                outboxes[parent].push((child, prefix.clone()));
-            }
-            let (mut shards, sent_w, recv_w) = exchange(&pool, T::WORDS, outboxes);
-            sys.note_exchange_traffic(&sent_w, &recv_w);
-            next_prefixes = maps[lvl]
-                .iter()
-                .map(|&m| {
-                    std::mem::take(&mut shards[m])
-                        .into_iter()
-                        .next()
-                        .expect("each machine holds exactly one prefix")
-                })
-                .collect();
-        }
         prefixes = next_prefixes;
     }
     debug_assert_eq!(prefixes.len(), p);

@@ -38,16 +38,13 @@
 //! (machines are independent by definition), but all observable results
 //! are deterministic: shards are combined in machine order.
 //!
-//! # Executors
+//! # Predicted cluster time
 //!
-//! Two physical engines run the simulation (see [`ExecutorKind`]):
-//! the default **loop** executor iterates machine shards in-process,
-//! while the **threaded** executor ([`MpcSystem::with_executor`]) runs
-//! one OS thread per machine and moves every round's messages through
-//! the `spanner-net` router, pricing each round under a pluggable
-//! [`NetworkModel`] into a [`NetReport`] (predicted cluster wall-clock).
-//! Both engines share all charging code, so shards, rounds, and traffic
-//! are bit-identical at fixed seeds.
+//! Rounds and words are the model's currency. [`Metrics::predicted_seconds`]
+//! converts them into simulated seconds on a concrete cluster under a
+//! pluggable [`NetworkModel`] (fixed latency plus critical-link bytes
+//! over the link bandwidth, or total bytes over a switch's bisection),
+//! in closed form from the metrics a run accumulated.
 
 pub mod comm;
 pub mod config;
@@ -63,9 +60,8 @@ pub use dist::Dist;
 pub use error::MpcError;
 pub use metrics::Metrics;
 pub use record::Record;
-pub use spanner_net as net;
-pub use spanner_net::{NetReport, NetworkModel, WORD_BYTES};
-pub use system::{ExecutorKind, MpcSystem};
+pub use spanner_net::{NetworkModel, WORD_BYTES};
+pub use system::MpcSystem;
 
 /// Crate-wide result type.
 pub type Result<T> = std::result::Result<T, MpcError>;

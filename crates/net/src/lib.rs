@@ -1,28 +1,12 @@
-//! `spanner-net`: a thread-per-machine execution substrate for the MPC
-//! runtime, with pluggable network cost models.
+//! `spanner-net`: network cost models that price MPC rounds in seconds.
 //!
-//! The loop executor in `mpc-runtime` simulates machines as a data-
-//! parallel loop and counts abstract rounds. This crate supplies the
-//! physical alternative: a [`MachinePool`] runs one OS thread per
-//! simulated machine, each round's messages travel through a [`Router`]
-//! with a [`RoundBarrier`] rendezvous ([`fn@exchange`]), and a
-//! [`NetworkModel`] prices every round in simulated seconds, which a
-//! [`NetReport`] accumulates into a predicted cluster wall-clock.
-//!
-//! Delivery order from [`fn@exchange`] is `(source, position)` — exactly
-//! the loop executor's order — so the two executors produce
-//! bit-identical shards, rounds, and traffic at fixed seeds. All
-//! synchronisation uses `spanner-sync` tracked primitives; enable the
-//! `lock-audit` feature to check the executor's lock discipline.
+//! The MPC runtime counts abstract rounds and the words each machine
+//! sends and receives. A [`NetworkModel`] turns that traffic into
+//! simulated seconds on a concrete cluster shape: per round
+//! ([`NetworkModel::round_cost`]) or in closed form over a whole run
+//! ([`NetworkModel::predict`], which `mpc_runtime::Metrics::predicted_seconds`
+//! evaluates on a run's accumulated metrics).
 
-pub mod exchange;
 pub mod model;
-pub mod pool;
-pub mod report;
-pub mod router;
 
-pub use exchange::exchange;
 pub use model::{NetworkModel, WORD_BYTES};
-pub use pool::{MachinePool, RoundBarrier};
-pub use report::NetReport;
-pub use router::Router;

@@ -16,8 +16,7 @@ pub const WORD_BYTES: u64 = 8;
 /// A network shape that prices one synchronous round.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum NetworkModel {
-    /// Zero-cost network. Rounds are free — useful for pinning the
-    /// threaded executor against the loop executor without a clock.
+    /// Zero-cost network: rounds are free, so every prediction is 0 s.
     Ideal,
     /// Every machine pair has a private link: a round costs the fixed
     /// latency plus the busiest endpoint's bytes over its link speed.
@@ -58,9 +57,9 @@ impl NetworkModel {
     /// Closed-form prediction from aggregate metrics: `rounds` rounds
     /// whose summed per-round critical-link bytes are
     /// `critical_link_bytes` and whose summed traffic is `total_bytes`.
-    /// Equals the sum of [`Self::round_cost`] over the rounds (the
-    /// per-round maxima distribute over the sum), so loop-executor
-    /// metrics yield the same prediction the threaded executor clocks.
+    /// Equals the sum of [`Self::round_cost`] over the rounds (each
+    /// round's `max(sent, received)` is summed before it reaches here),
+    /// so a run's accumulated metrics price it without a per-round log.
     pub fn predict(&self, rounds: u64, critical_link_bytes: u64, total_bytes: u64) -> f64 {
         match *self {
             NetworkModel::Ideal => 0.0,

@@ -1,8 +1,8 @@
 //! Instrumented synchronisation primitives for the workspace.
 //!
-//! Every lock and condvar in the serving stack (`spanner-core` pipeline, the
-//! `spanner-net` executor, the vendored `rayon` pool) is a [`TrackedMutex`]
-//! or [`TrackedCondvar`] from this crate instead of a raw `std::sync`
+//! Every lock and condvar in the serving stack (the `spanner-core`
+//! pipeline and the vendored `rayon` pool) is a [`TrackedMutex`] or
+//! [`TrackedCondvar`] from this crate instead of a raw `std::sync`
 //! primitive. Each is constructed with a `&'static str` *lock class name*
 //! (e.g. `"queue.state"`, `"rayon.queue"`), which is what the tooling
 //! reports on.

@@ -5,11 +5,11 @@
 //!
 //! Shows the Theorem 1.1 accounting live through the pipeline: **one**
 //! `SpannerRequest`, re-targeted at deployments with shrinking machine
-//! memory by swapping only the `Backend`. Each deployment runs twice —
-//! on the loop executor and on the thread-per-machine executor under a
-//! `FullMesh` network model — and the example asserts the two engines
-//! produce the identical spanner and round count before printing the
-//! threaded run's `NetReport` (predicted cluster seconds).
+//! memory by swapping only the `Backend`. The example asserts that every
+//! deployment builds the sequential reference's spanner, then prices
+//! each run's measured rounds and traffic under a `FullMesh` network
+//! model (`metrics.predicted_seconds(model)`), and one run under several
+//! cluster shapes.
 //!
 //! ```sh
 //! cargo run --release --example mpc_cluster_run
@@ -43,35 +43,23 @@ fn main() {
         bytes_per_sec: 10e9,
     };
     let input_words = 4 * g.m() + 2 * g.n() + 64;
+    let deployment = |s: usize| MpcConfig::explicit(s, input_words.div_ceil(s).max(2), 8);
     println!(
         "{:>8} {:>6} {:>8} {:>12} {:>14} {:>12} {:>7}",
         "S(words)", "P", "rounds", "rounds/iter", "peak mem", "predicted", "match"
     );
     for s in [2048usize, 4096, 8192, 16384] {
-        let cfg = MpcConfig::explicit(s, input_words.div_ceil(s).max(2), 8);
-        // The same request, unmodified, on the loop executor...
+        // The same request, unmodified, on the MPC simulator.
         let run = request
             .clone()
-            .on(Backend::mpc_deployment(cfg))
+            .on(Backend::mpc_deployment(deployment(s)))
             .run()
             .expect("constraints hold on this deployment");
+        assert_eq!(
+            run.result.edges, reference.edges,
+            "every deployment must build the sequential spanner"
+        );
         let stats = run.stats.mpc().expect("mpc backend reports mpc stats");
-        // ...and again on one OS thread per machine, messages moving
-        // through the router, rounds priced by the network model.
-        let threaded = request
-            .clone()
-            .on(Backend::mpc_deployment(cfg).threaded(model))
-            .run()
-            .expect("same constraints, threaded executor");
-        let tstats = threaded.stats.mpc().expect("mpc backend reports mpc stats");
-        assert_eq!(
-            threaded.result.edges, run.result.edges,
-            "executors must build the identical spanner"
-        );
-        assert_eq!(
-            tstats.metrics.rounds, stats.metrics.rounds,
-            "executors must charge identical rounds"
-        );
         let (metrics, config) = (&stats.metrics, &stats.config);
         println!(
             "{:>8} {:>6} {:>8} {:>12.1} {:>9}/{:<6} {:>10.4}s {:>7}",
@@ -81,34 +69,37 @@ fn main() {
             metrics.rounds as f64 / run.result.iterations.max(1) as f64,
             metrics.peak_machine_words,
             config.capacity(),
-            tstats.predicted_time.expect("threaded runs predict"),
+            metrics.predicted_seconds(model),
             run.result.edges == reference.edges,
         );
     }
-    let final_report = request
+
+    // One run, priced under several cluster shapes: the rounds and the
+    // traffic are fixed, only the network changes.
+    let run = request
         .clone()
-        .on(Backend::mpc_deployment(MpcConfig::explicit(
-            4096,
-            input_words.div_ceil(4096).max(2),
-            8,
-        ))
-        .threaded(model))
+        .on(Backend::mpc_deployment(deployment(4096)))
         .run()
-        .expect("threaded run for the report");
-    let net = final_report
-        .stats
-        .mpc()
-        .and_then(|s| s.net.clone())
-        .expect("threaded runs carry a NetReport");
-    println!(
-        "\nS=4096 NetReport under {}: {}",
-        model.label(),
-        net.summary()
-    );
-    if let Some((round, cost)) = net.critical_round() {
-        println!("most expensive round: #{round} at {cost:.6}s");
+        .expect("constraints hold on this deployment");
+    let metrics = &run.stats.mpc().expect("mpc stats").metrics;
+    println!("\nS=4096: {}", metrics.summary());
+    for model in [
+        model,
+        NetworkModel::FullMesh {
+            latency_s: 2e-3,
+            bytes_per_sec: 1e9,
+        },
+        NetworkModel::Switched {
+            bisection_bytes_per_sec: 1e9,
+        },
+    ] {
+        println!(
+            "  predicted under {:<20} {:.6}s",
+            model.label(),
+            metrics.predicted_seconds(model)
+        );
     }
     println!("\nSmaller machines => more machines, deeper aggregation trees, more rounds");
-    println!("(the O(1/gamma) factor of Theorem 1.1) — same spanner, bit for bit,");
-    println!("on both executors; predictions are the model's simulated seconds.");
+    println!("(the O(1/gamma) factor of Theorem 1.1) — same spanner, bit for bit;");
+    println!("predictions are the model's simulated seconds.");
 }

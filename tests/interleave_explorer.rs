@@ -8,12 +8,10 @@
 //! same interleaving — a failing schedule prints its seed, and
 //! `interleave::run_one(seed, scenario)` reproduces it exactly.
 //!
-//! Scenarios here cover the dispatch shape the pipeline's front door
-//! is built from — a producer/consumer queue over
-//! `TrackedMutex`/`TrackedCondvar` — and the threaded MPC executor's
-//! round-barrier rendezvous (`spanner_net::RoundBarrier`). The
-//! `LruStore` storm is explored in its own home
-//! (`tests/lru_contention.rs`).
+//! The scenario here covers the dispatch shape the pipeline's front
+//! door is built from — a producer/consumer queue over
+//! `TrackedMutex`/`TrackedCondvar`. The `LruStore` storm is explored in
+//! its own home (`tests/lru_contention.rs`).
 #![cfg(feature = "lock-audit")]
 
 use std::collections::VecDeque;
@@ -22,7 +20,6 @@ use std::sync::Arc;
 
 use interleave::{run_one, Explorer, Sim, Trace};
 use mpc_spanners::core::sync::{TrackedCondvar, TrackedMutex};
-use mpc_spanners::mpc::net::RoundBarrier;
 
 /// A minimal JobQueue-shaped scenario: two producers push numbered
 /// items, one consumer blocks on a condvar and drains them. Checked
@@ -104,61 +101,6 @@ fn queue_scenario_survives_hundreds_of_schedules() {
         summary.distinct_traces,
         summary.schedules
     );
-}
-
-/// The threaded MPC executor's round rendezvous: three simulated
-/// machines run three rounds through one reusable `RoundBarrier`.
-/// Checked invariant — the barrier is a full synchronisation point: no
-/// thread observes round `r` complete until *every* thread has arrived
-/// at round `r`, and generation reuse never lets a fast thread lap a
-/// slow one into the wrong round.
-fn round_barrier_scenario(sim: &Sim) {
-    const PARTIES: usize = 3;
-    const ROUNDS: usize = 3;
-    let barrier = Arc::new(RoundBarrier::new(PARTIES));
-    let arrived: Arc<Vec<AtomicU64>> = Arc::new((0..ROUNDS).map(|_| AtomicU64::new(0)).collect());
-    for _ in 0..PARTIES {
-        let barrier = Arc::clone(&barrier);
-        let arrived = Arc::clone(&arrived);
-        sim.spawn(move || {
-            for r in 0..ROUNDS {
-                arrived[r].fetch_add(1, Ordering::SeqCst);
-                barrier.arrive_and_wait();
-                assert_eq!(
-                    arrived[r].load(Ordering::SeqCst),
-                    PARTIES as u64,
-                    "crossed the round-{r} barrier before everyone arrived"
-                );
-                if r > 0 {
-                    assert_eq!(
-                        arrived[r - 1].load(Ordering::SeqCst),
-                        PARTIES as u64,
-                        "a thread lapped the barrier into round {r}"
-                    );
-                }
-            }
-        });
-    }
-    sim.join_all();
-    for (r, count) in arrived.iter().enumerate() {
-        assert_eq!(count.load(Ordering::SeqCst), PARTIES as u64, "round {r}");
-    }
-}
-
-#[test]
-fn round_barrier_rendezvous_survives_hundreds_of_schedules() {
-    let summary = Explorer::new(250).explore(round_barrier_scenario);
-    assert_eq!(summary.schedules, 250);
-    assert!(
-        summary.distinct_traces >= 25,
-        "explorer degenerated to near-identical schedules: {} distinct of {}",
-        summary.distinct_traces,
-        summary.schedules
-    );
-    // A seed is a complete replay token for the rendezvous too.
-    let a: Trace = run_one(42, round_barrier_scenario);
-    let b: Trace = run_one(42, round_barrier_scenario);
-    assert_eq!(a, b);
 }
 
 #[test]

@@ -1,266 +1,22 @@
-//! Loop-vs-threaded executor equality: the thread-per-machine engine
-//! must be **bit-identical** to the loop engine — same shards, same
-//! rounds, same traffic accounting (full `Metrics` equality) — for
-//! every mpc-runtime primitive and for an end-to-end `Backend::Mpc`
-//! spanner + oracle build, at every rayon thread count. On top of the
-//! identity, the threaded engine's `NetReport` must agree with the
-//! closed-form `NetworkModel::predict` computed from the (loop-visible)
-//! critical-path metrics.
-
-use proptest::prelude::*;
+//! Predicted cluster time on real pipeline runs: a run's `Metrics`
+//! priced under a `NetworkModel` (`Metrics::predicted_seconds`) must
+//! follow the model's laws, and the Section 7 oracle must price its
+//! gather on top of the spanner build it collects.
+//!
+//! The closed form itself (the prediction equals the sum of the
+//! per-round costs) is pinned in mpc-runtime's unit tests.
 
 use mpc_spanners::core::TradeoffParams;
 use mpc_spanners::graph::generators::{connected_erdos_renyi, WeightModel};
-use mpc_spanners::mpc::comm::{machine_scan, reduce_tree, route};
-use mpc_spanners::mpc::primitives::{aggregate_by_key, broadcast_value, forward_fill, sort_by_key};
-use mpc_spanners::mpc::{Dist, ExecutorKind, MpcConfig, MpcSystem, NetworkModel, WORD_BYTES};
-use mpc_spanners::pipeline::{Algorithm, Backend, MpcDeployment, QueryEngine, SpannerRequest};
-
-/// Runs `f` with the shim's parallel splitting capped at `threads`.
-fn at_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .unwrap()
-        .install(f)
-}
-
-/// A fixed skewed mesh so per-round costs are nontrivial.
-const MESH: NetworkModel = NetworkModel::FullMesh {
-    latency_s: 250e-6,
-    bytes_per_sec: 2e9,
+use mpc_spanners::pipeline::{
+    Algorithm, Backend, DistanceRequest, MpcDeployment, NetworkModel, QueryEngine, SpannerRequest,
 };
 
-/// A generous deployment on both executors (constraint-violation paths
-/// are covered elsewhere; here both engines must stay in budget).
-fn sys_pair(len: usize, machines: usize, model: NetworkModel) -> (MpcSystem, MpcSystem) {
-    let words = (8 * len.div_ceil(machines) + 64).max(64);
-    let cfg = MpcConfig::explicit(words, machines, 8);
-    (
-        MpcSystem::new(cfg),
-        MpcSystem::with_executor(cfg, ExecutorKind::Threaded(model)),
-    )
-}
-
-/// Asserts the two systems agree on every observable metric, and that
-/// the threaded system's simulated clock equals the model's closed-form
-/// prediction from the loop-visible critical-path aggregates.
-fn assert_accounting_identical(loop_sys: &MpcSystem, threaded: &MpcSystem, model: NetworkModel) {
-    assert_eq!(
-        loop_sys.metrics(),
-        threaded.metrics(),
-        "executors must produce identical Metrics"
-    );
-    let m = threaded.metrics();
-    let report = threaded.net_report().expect("threaded runs carry a report");
-    assert_eq!(
-        report.rounds, m.rounds,
-        "every charged round must be priced"
-    );
-    let predicted = model.predict(
-        m.rounds,
-        m.critical_link_words * WORD_BYTES,
-        m.total_comm_words * WORD_BYTES,
-    );
-    assert!(
-        (report.total_seconds - predicted).abs() <= 1e-9 * predicted.max(1.0),
-        "simulated clock {} must match closed-form prediction {}",
-        report.total_seconds,
-        predicted
-    );
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn route_is_executor_invariant(
-        data in proptest::collection::vec(0u64..1000, 0..300),
-        machines in 2usize..10,
-    ) {
-        let (mut a, mut b) = sys_pair(data.len(), machines, MESH);
-        let da = Dist::distribute(&mut a, data.clone()).unwrap();
-        let db = Dist::distribute(&mut b, data.clone()).unwrap();
-        let ra = route(&mut a, da, "route", |&x, _| (x % machines as u64) as usize).unwrap();
-        let rb = route(&mut b, db, "route", |&x, _| (x % machines as u64) as usize).unwrap();
-        prop_assert_eq!(ra.shards(), rb.shards(), "identical shards, shard by shard");
-        assert_accounting_identical(&a, &b, MESH);
+fn mesh(latency_s: f64, bytes_per_sec: f64) -> NetworkModel {
+    NetworkModel::FullMesh {
+        latency_s,
+        bytes_per_sec,
     }
-
-    #[test]
-    fn sort_by_key_is_executor_invariant(
-        data in proptest::collection::vec(0u64..1000, 0..300),
-        machines in 2usize..10,
-    ) {
-        let (mut a, mut b) = sys_pair(data.len(), machines, MESH);
-        let da = Dist::distribute(&mut a, data.clone()).unwrap();
-        let db = Dist::distribute(&mut b, data.clone()).unwrap();
-        let sa = sort_by_key(&mut a, da, "sort", |&x| x).unwrap();
-        let sb = sort_by_key(&mut b, db, "sort", |&x| x).unwrap();
-        prop_assert_eq!(sa.shards(), sb.shards());
-        assert_accounting_identical(&a, &b, MESH);
-    }
-
-    #[test]
-    fn aggregate_by_key_is_executor_invariant(
-        data in proptest::collection::vec((0u64..50, 0u64..1_000_000), 0..250),
-        machines in 2usize..10,
-    ) {
-        let (mut a, mut b) = sys_pair(data.len(), machines, MESH);
-        let da = Dist::distribute(&mut a, data.clone()).unwrap();
-        let db = Dist::distribute(&mut b, data.clone()).unwrap();
-        let oa = aggregate_by_key(&mut a, da, "agg", |r| r.0, |r| r.1, |x, y| *x.min(y)).unwrap();
-        let ob = aggregate_by_key(&mut b, db, "agg", |r| r.0, |r| r.1, |x, y| *x.min(y)).unwrap();
-        prop_assert_eq!(oa.shards(), ob.shards());
-        assert_accounting_identical(&a, &b, MESH);
-    }
-
-    #[test]
-    fn forward_fill_is_executor_invariant(
-        spec in proptest::collection::vec((0u64..100, 0u64..2), 1..250),
-        machines in 2usize..10,
-    ) {
-        let recs: Vec<(u64, u64)> = spec
-            .iter()
-            .map(|&(v, leader)| if leader == 1 { (v, u64::MAX) } else { (0, 0) })
-            .collect();
-        let (mut a, mut b) = sys_pair(recs.len(), machines, MESH);
-        let mut da = Dist::distribute(&mut a, recs.clone()).unwrap();
-        let mut db = Dist::distribute(&mut b, recs.clone()).unwrap();
-        let lead = |r: &(u64, u64)| if r.1 == u64::MAX { Some(r.0) } else { None };
-        let set = |r: &mut (u64, u64), u: &u64| r.1 = *u;
-        forward_fill(&mut a, &mut da, "fill", lead, set).unwrap();
-        forward_fill(&mut b, &mut db, "fill", lead, set).unwrap();
-        prop_assert_eq!(da.shards(), db.shards());
-        assert_accounting_identical(&a, &b, MESH);
-    }
-
-    #[test]
-    fn reduce_tree_is_executor_invariant(
-        per in proptest::collection::vec(0u64..1_000_000, 2..10),
-    ) {
-        let machines = per.len();
-        let (mut a, mut b) = sys_pair(machines, machines, MESH);
-        let ra = reduce_tree(&mut a, per.clone(), "min", |x, y| *x.min(y)).unwrap();
-        let rb = reduce_tree(&mut b, per.clone(), "min", |x, y| *x.min(y)).unwrap();
-        prop_assert_eq!(ra, rb);
-        prop_assert_eq!(ra, per.iter().copied().min().unwrap());
-        assert_accounting_identical(&a, &b, MESH);
-    }
-
-    #[test]
-    fn machine_scan_is_executor_invariant(
-        per in proptest::collection::vec(0u64..1_000, 2..10),
-    ) {
-        let machines = per.len();
-        let (mut a, mut b) = sys_pair(machines, machines, MESH);
-        let sa = machine_scan(&mut a, per.clone(), 0u64, "scan", |x, y| x + y).unwrap();
-        let sb = machine_scan(&mut b, per.clone(), 0u64, "scan", |x, y| x + y).unwrap();
-        prop_assert_eq!(&sa, &sb);
-        // Exclusive prefix sums as the semantic reference.
-        let mut acc = 0u64;
-        for (i, &v) in per.iter().enumerate() {
-            prop_assert_eq!(sa[i], acc);
-            acc += v;
-        }
-        assert_accounting_identical(&a, &b, MESH);
-    }
-
-    #[test]
-    fn broadcast_value_is_executor_invariant(
-        v in 0u64..1_000_000,
-        machines in 2usize..10,
-    ) {
-        let (mut a, mut b) = sys_pair(machines, machines, MESH);
-        let ba = broadcast_value(&mut a, v, "bcast").unwrap();
-        let bb = broadcast_value(&mut b, v, "bcast").unwrap();
-        prop_assert_eq!(ba, v);
-        prop_assert_eq!(bb, v);
-        assert_accounting_identical(&a, &b, MESH);
-    }
-
-    #[test]
-    fn threaded_executor_is_thread_count_invariant(
-        data in proptest::collection::vec(0u64..1000, 0..200),
-        machines in 2usize..8,
-    ) {
-        // The rayon thread count (machine-local work) must not leak into
-        // the threaded executor's outputs, accounting, or simulated clock.
-        let run = || {
-            let (_, mut b) = sys_pair(data.len(), machines, MESH);
-            let db = Dist::distribute(&mut b, data.clone()).unwrap();
-            let sorted = sort_by_key(&mut b, db, "sort", |&x| x).unwrap();
-            (
-                sorted.collect_out_of_model(),
-                b.metrics().clone(),
-                b.net_report().unwrap().clone(),
-            )
-        };
-        let one = at_threads(1, run);
-        let eight = at_threads(8, run);
-        prop_assert_eq!(&one.0, &eight.0);
-        prop_assert_eq!(&one.1, &eight.1);
-        prop_assert_eq!(&one.2, &eight.2);
-    }
-}
-
-/// End-to-end pipeline identity: the same `SpannerRequest` on the loop
-/// and threaded executors builds the identical spanner with identical
-/// metrics, and the threaded run carries a priced report.
-#[test]
-fn pipeline_spanner_is_executor_invariant() {
-    let g = connected_erdos_renyi(600, 0.02, WeightModel::Uniform(1, 64), 5);
-    let request =
-        SpannerRequest::new(&g, Algorithm::General(TradeoffParams::new(6, 2))).seed(0xBEEF);
-    let loop_run = request.clone().on(Backend::mpc()).run().unwrap();
-    let threaded_run = request
-        .clone()
-        .on(Backend::mpc().threaded(MESH))
-        .run()
-        .unwrap();
-    assert_eq!(loop_run.result.edges, threaded_run.result.edges);
-    let ls = loop_run.stats.mpc().unwrap();
-    let ts = threaded_run.stats.mpc().unwrap();
-    assert_eq!(ls.metrics, ts.metrics, "identical accounting end to end");
-    assert!(ls.predicted_time.is_none(), "loop runs predict nothing");
-    let report = ts.net.as_ref().expect("threaded runs carry a NetReport");
-    assert_eq!(report.rounds, ts.metrics.rounds);
-    assert_eq!(ts.predicted_time, Some(report.total_seconds));
-    assert!(
-        report.total_seconds > 0.0,
-        "a real run costs simulated time"
-    );
-    assert!(threaded_run.stats.summary().contains("predicted="));
-    assert!(!loop_run.stats.summary().contains("predicted="));
-}
-
-/// The distance-oracle stage (spanner + the Section 7 "+1" gather) is
-/// executor-invariant too, and the gather is priced into the report.
-#[test]
-fn pipeline_oracle_is_executor_invariant() {
-    let g = connected_erdos_renyi(400, 0.025, WeightModel::Uniform(1, 32), 9);
-    let build = |backend: Backend| {
-        mpc_spanners::pipeline::DistanceRequest::from_spanner_request(
-            SpannerRequest::new(&g, Algorithm::General(TradeoffParams::new(5, 2)))
-                .seed(0xACE)
-                .on(backend),
-        )
-        .engine(QueryEngine::Dijkstra)
-        .build()
-        .unwrap()
-    };
-    let loop_oracle = build(Backend::mpc_deployment(MpcDeployment::NearLinear));
-    let threaded_oracle = build(Backend::mpc_deployment(MpcDeployment::NearLinear).threaded(MESH));
-    assert_eq!(loop_oracle.spanner_edges(), threaded_oracle.spanner_edges());
-    let ls = loop_oracle.stats().execution.mpc().unwrap();
-    let ts = threaded_oracle.stats().execution.mpc().unwrap();
-    assert_eq!(ls.metrics, ts.metrics);
-    let report = ts.net.as_ref().expect("threaded oracle carries a report");
-    assert_eq!(
-        report.rounds, ts.metrics.rounds,
-        "the +1 gather must be priced into the report too"
-    );
-    assert_eq!(ts.predicted_time, Some(report.total_seconds));
 }
 
 /// Integration pin of the model laws on a real run: FullMesh predicted
@@ -268,24 +24,49 @@ fn pipeline_oracle_is_executor_invariant() {
 #[test]
 fn full_mesh_prediction_is_monotone_on_a_real_run() {
     let g = connected_erdos_renyi(300, 0.03, WeightModel::Uniform(1, 16), 2);
-    let predict = |latency_s: f64, bytes_per_sec: f64| {
-        let run = SpannerRequest::new(&g, Algorithm::General(TradeoffParams::new(4, 2)))
-            .seed(7)
-            .on(Backend::mpc().threaded(NetworkModel::FullMesh {
-                latency_s,
-                bytes_per_sec,
-            }))
-            .run()
-            .unwrap();
-        run.stats.mpc().unwrap().predicted_time.unwrap()
-    };
-    let base = predict(1e-4, 1e9);
+    let run = SpannerRequest::new(&g, Algorithm::General(TradeoffParams::new(4, 2)))
+        .seed(7)
+        .on(Backend::mpc())
+        .run()
+        .unwrap();
+    let metrics = &run.stats.mpc().unwrap().metrics;
+    let base = metrics.predicted_seconds(mesh(1e-4, 1e9));
+    assert!(base > 0.0, "a real run costs simulated time");
     assert!(
-        predict(1e-3, 1e9) > base,
+        metrics.predicted_seconds(mesh(1e-3, 1e9)) > base,
         "higher latency must predict a slower cluster"
     );
     assert!(
-        predict(1e-4, 1e10) < base,
+        metrics.predicted_seconds(mesh(1e-4, 1e10)) < base,
         "higher bandwidth must predict a faster cluster"
+    );
+}
+
+/// The MPC oracle's metrics are the spanner run's plus its one
+/// `apsp.collect` gather round, so it predicts a slower cluster than
+/// the spanner build alone.
+#[test]
+fn oracle_prices_the_gather_on_top_of_the_spanner_run() {
+    let g = connected_erdos_renyi(400, 0.025, WeightModel::Uniform(1, 32), 9);
+    let request = SpannerRequest::new(&g, Algorithm::General(TradeoffParams::new(5, 2)))
+        .seed(0xACE)
+        .on(Backend::mpc_deployment(MpcDeployment::NearLinear));
+    let spanner_run = request.run().unwrap();
+    let oracle = DistanceRequest::from_spanner_request(request)
+        .engine(QueryEngine::Dijkstra)
+        .build()
+        .unwrap();
+    assert_eq!(oracle.spanner_edges(), &spanner_run.result.edges[..]);
+
+    let built = &spanner_run.stats.mpc().unwrap().metrics;
+    let stats = oracle.stats();
+    let served = &stats.execution.mpc().unwrap().metrics;
+    assert_eq!(stats.gather_rounds, Some(1));
+    assert_eq!(served.rounds, built.rounds + 1);
+    assert_eq!(served.rounds_by_op.get("apsp.collect"), Some(&1));
+    let model = mesh(250e-6, 2e9);
+    assert!(
+        served.predicted_seconds(model) > built.predicted_seconds(model),
+        "the gather round must be priced into the oracle's prediction"
     );
 }
