@@ -1,12 +1,15 @@
 //! Criterion timing of the spanner constructions (the wall-clock side of
 //! experiments E2/E3/E4/E5/E8; the model-cost side lives in the
-//! experiment binaries), driven through the unified pipeline API.
+//! experiment binaries), driven through the unified pipeline API, and of
+//! the graph construction every workload starts with.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use spanner_core::coins::splitmix64;
 use spanner_core::pipeline::{Algorithm, SpannerRequest};
 use spanner_core::unweighted_ok::UnweightedOkConfig;
 use spanner_core::TradeoffParams;
 use spanner_graph::generators::{Family, WeightModel};
+use spanner_graph::GraphBuilder;
 
 fn run(request: &SpannerRequest<'_>) -> usize {
     request.run().expect("valid request").size()
@@ -99,9 +102,51 @@ fn bench_unweighted_ok(c: &mut Criterion) {
     c.bench_function("unweighted_ok_k3", |b| b.iter(|| run(&request)));
 }
 
+/// Graph construction at the size of the benchmark's `spanner-seq`
+/// inputs (connected Erdős–Rényi, n = 2^17, average degree 32,
+/// m ≈ 2.2M) at 1 and 2 threads: generating one instance, and building
+/// a `Graph` from that instance's edges in shuffled order (the time
+/// includes adding the edges to the builder).
+fn bench_graph_build(c: &mut Criterion) {
+    let n = 1 << 17;
+    let family = Family::ErdosRenyi { n, avg_deg: 32.0 };
+    let weights = WeightModel::PowersOfTwo(8);
+    let mut shuffled = family.generate(weights, 0xB4).edges().to_vec();
+    shuffled.sort_unstable_by_key(|e| splitmix64(u64::from(e.u) << 32 | u64::from(e.v)));
+    let mut group = c.benchmark_group("graph_build");
+    for threads in [1usize, 2] {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap();
+        group.bench_with_input(
+            BenchmarkId::new("connected_er", threads),
+            &threads,
+            |b, _| b.iter(|| pool.install(|| family.generate(weights, 0xB4).m())),
+        );
+        group.bench_with_input(
+            BenchmarkId::new("shuffled_edges", threads),
+            &threads,
+            |b, _| {
+                b.iter(|| {
+                    pool.install(|| {
+                        let mut builder = GraphBuilder::new(n);
+                        for e in &shuffled {
+                            builder.add_edge(e.u, e.v, e.w);
+                        }
+                        builder.build().m()
+                    })
+                })
+            },
+        );
+    }
+    group.finish();
+}
+
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_algorithms, bench_k_scaling, bench_engine_threads, bench_unweighted_ok
+    targets = bench_algorithms, bench_k_scaling, bench_engine_threads, bench_unweighted_ok,
+        bench_graph_build
 );
 criterion_main!(benches);

@@ -67,12 +67,15 @@
 //! range's output depends only on the super-nodes in it, and the outputs
 //! are concatenated in range order, which is ascending super-node order
 //! wherever the cuts fall. So the spanner, the live edges and every
-//! statistic are identical at every thread count.
+//! statistic are identical at every thread count. The counting and the
+//! cuts are [`spanner_graph::scatter`]'s `bucket_starts` and `ranges`,
+//! the same helpers the CSR builder uses.
 
 use std::collections::HashMap;
 
 use rayon::prelude::*;
 use spanner_graph::edge::{EdgeId, Weight};
+use spanner_graph::scatter::{bucket_starts, ranges};
 use spanner_graph::Graph;
 
 use crate::coins::cluster_coin;
@@ -503,55 +506,6 @@ impl<'g> Engine<'g> {
     pub fn discard_live_edges(&mut self) {
         self.live.clear();
     }
-}
-
-/// The counting half of a counting scatter over keys `0..keys`: `count`
-/// adds one at `count[key + 1]` for each record a live edge yields, and
-/// the result holds the bucket offsets, so that `start[key]..start[key +
-/// 1]` is the bucket of `key`. The edges are counted in one chunk per
-/// pool thread.
-fn bucket_starts(
-    live: &[LiveEdge],
-    keys: usize,
-    count: impl Fn(&LiveEdge, &mut [usize]) + Sync,
-) -> Vec<usize> {
-    let parts = rayon::current_num_threads();
-    let per_chunk: Vec<Vec<usize>> = (0..parts)
-        .into_par_iter()
-        .map(|r| {
-            let mut chunk = vec![0; keys + 1];
-            for e in &live[live.len() * r / parts..live.len() * (r + 1) / parts] {
-                count(e, &mut chunk);
-            }
-            chunk
-        })
-        .collect();
-    let mut start = vec![0; keys + 1];
-    for chunk in per_chunk {
-        for (s, c) in start.iter_mut().zip(chunk) {
-            *s += c;
-        }
-    }
-    let mut sum = 0;
-    for s in &mut start {
-        sum += *s;
-        *s = sum;
-    }
-    start
-}
-
-/// Cuts the keys `0..start.len() - 1` into one contiguous range per pool
-/// thread, each holding about the same number of records. `start` holds
-/// the bucket offsets from [`bucket_starts`].
-fn ranges(start: &[usize]) -> Vec<(usize, usize)> {
-    let keys = start.len() - 1;
-    let total = start[keys];
-    let parts = rayon::current_num_threads();
-    let mut cuts: Vec<usize> = (0..parts)
-        .map(|r| start.partition_point(|&s| s < total * r / parts))
-        .collect();
-    cuts.push(keys);
-    cuts.windows(2).map(|w| (w[0], w[1])).collect()
 }
 
 /// The iteration-start snapshot one grow step decides against.

@@ -15,7 +15,10 @@
 //!   closed-form ground truth for unit tests.
 //!
 //! All generators are deterministic given the seed and may optionally be
-//! made connected by threading a random Hamiltonian-path backbone.
+//! made connected by threading a random Hamiltonian-path backbone. Each
+//! generator adds its edges to one [`GraphBuilder`] and builds once; the
+//! connected Erdős–Rényi family adds the `G(n, p)` sample and the
+//! backbone to the same builder.
 
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -47,8 +50,15 @@ impl WeightModel {
 
 /// Erdős–Rényi `G(n, p)` with the given weight model.
 pub fn erdos_renyi(n: usize, p: f64, weights: WeightModel, seed: u64) -> Graph {
-    let mut rng = StdRng::seed_from_u64(seed);
     let mut b = GraphBuilder::new(n);
+    add_gnp_edges(&mut b, n, p, weights, seed);
+    b.build()
+}
+
+/// Adds the edges of one `G(n, p)` sample to `b`, drawing positions and
+/// weights from one RNG seeded with `seed`.
+fn add_gnp_edges(b: &mut GraphBuilder, n: usize, p: f64, weights: WeightModel, seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
     // Geometric skipping: expected O(m) instead of O(n^2) when p is small.
     if p > 0.0 {
         let ln_q = (1.0 - p).ln();
@@ -72,7 +82,6 @@ pub fn erdos_renyi(n: usize, p: f64, weights: WeightModel, seed: u64) -> Graph {
             }
         }
     }
-    b.build()
 }
 
 /// Erdős–Rényi with an expected number of edges `m` (i.e. `p = m / C(n,2)`).
@@ -84,16 +93,15 @@ pub fn erdos_renyi_m(n: usize, m: usize, weights: WeightModel, seed: u64) -> Gra
 
 /// Connected Erdős–Rényi: `G(n, p)` plus a random Hamiltonian-path backbone
 /// so every instance is connected (the backbone edges use the same weight
-/// model).
+/// model). Both edge sets go into one builder, so the graph is built
+/// once; a backbone edge that repeats a `G(n, p)` edge keeps the lighter
+/// weight.
 pub fn connected_erdos_renyi(n: usize, p: f64, weights: WeightModel, seed: u64) -> Graph {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
-    let base = erdos_renyi(n, p, weights, seed);
+    let mut b = GraphBuilder::new(n);
+    add_gnp_edges(&mut b, n, p, weights, seed);
     let mut perm: Vec<u32> = (0..n as u32).collect();
     perm.shuffle(&mut rng);
-    let mut b = GraphBuilder::new(n);
-    for e in base.edges() {
-        b.add_edge(e.u, e.v, e.w);
-    }
     for win in perm.windows(2) {
         b.add_edge(win[0], win[1], weights.sample(&mut rng));
     }
@@ -529,6 +537,26 @@ mod tests {
         assert_eq!(a.edges(), b.edges());
         let c = erdos_renyi(200, 0.03, WeightModel::Uniform(1, 10), 8);
         assert_ne!(a.edges(), c.edges());
+    }
+
+    #[test]
+    fn benchmark_inputs_keep_their_fingerprints() {
+        // The benchmark's host graphs are this family with these weights;
+        // a generator or builder change that moves an edge, a weight or an
+        // id changes these values.
+        let family = Family::ErdosRenyi {
+            n: 4096,
+            avg_deg: 12.0,
+        };
+        let pinned = [
+            (0, 28554, 0x5664_1123_1c08_70ac),
+            (1, 28681, 0x5da7_58cb_c6b2_9226),
+            (2, 28389, 0xbf5c_0816_f7f8_6962),
+        ];
+        for (seed, m, fingerprint) in pinned {
+            let g = family.generate(WeightModel::PowersOfTwo(8), seed);
+            assert_eq!((g.m(), g.fingerprint()), (m, fingerprint), "seed {seed}");
+        }
     }
 
     #[test]

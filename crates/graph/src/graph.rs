@@ -7,6 +7,7 @@
 use rayon::prelude::*;
 
 use crate::edge::{Edge, EdgeId, EdgeList, Weight};
+use crate::scatter::{bucket_starts, ranges};
 
 /// A weighted undirected graph in CSR (compressed sparse row) form.
 ///
@@ -17,6 +18,11 @@ use crate::edge::{Edge, EdgeId, EdgeList, Weight};
 /// Each undirected edge is stored once in [`Graph::edges`] and twice in the
 /// adjacency structure (one directed copy per endpoint); adjacency entries
 /// carry the [`EdgeId`] so algorithms can report spanners as edge-id sets.
+///
+/// Edge ids follow `(u, v)` order, so the edges of a vertex in edge-id
+/// order are its edges in neighbour order: [`Graph::neighbors`] lists
+/// neighbours ascending, and the builder fills the adjacency in
+/// `O(n + m)` without sorting it.
 #[derive(Debug, Clone)]
 pub struct Graph {
     n: usize,
@@ -153,6 +159,12 @@ impl Graph {
 ///
 /// Deduplicates parallel edges keeping the minimum weight, drops self-loops,
 /// and produces a deterministic CSR layout (adjacency sorted by neighbour).
+///
+/// [`GraphBuilder::build`] does `O(n + m)` work for `m` added edges,
+/// apart from sorting each vertex's own bucket of edges: two counting
+/// scatters on the rayon pool, each cut into one vertex range per pool
+/// thread, and no sort of the whole list. The result is the same at
+/// every thread count.
 #[derive(Debug, Default)]
 pub struct GraphBuilder {
     n: usize,
@@ -187,49 +199,93 @@ impl GraphBuilder {
     }
 
     /// Finalises into a [`Graph`].
-    pub fn build(mut self) -> Graph {
-        // Deduplicate: sort by (u, v, w) and keep the first (lightest) copy
-        // of each endpoint pair. The unstable parallel sort is safe here:
-        // the key is the whole record, so equal keys are identical edges.
-        self.raw.par_sort_unstable_by_key(|e| (e.u, e.v, e.w));
-        self.raw.dedup_by_key(|e| (e.u, e.v));
-        let edges = self.raw;
+    ///
+    /// First the canonical edge list: the raw edges are bucketed by
+    /// their smaller endpoint `u`, each bucket is sorted by `(v, w)`, and
+    /// the first (lightest) copy of each pair is kept, so the list comes
+    /// out in `(u, v)` order. Then the adjacency: each vertex's run is
+    /// filled from the edges in id order, which is neighbour order.
+    pub fn build(self) -> Graph {
+        let n = self.n;
+        let by_u = bucket_starts(&self.raw, n, |e, count| count[e.u as usize + 1] += 1);
+        let parts: Vec<EdgeList> = ranges(&by_u)
+            .into_par_iter()
+            .map(|range| canonical_edges(&self.raw, &by_u, range))
+            .collect();
+        // The raw list's memory is already paged in: the canonical list,
+        // at most as long, goes there.
+        let mut edges = self.raw;
+        edges.clear();
+        for part in parts {
+            edges.extend(part);
+        }
 
-        let mut deg = vec![0usize; self.n + 1];
-        for e in &edges {
-            deg[e.u as usize + 1] += 1;
-            deg[e.v as usize + 1] += 1;
-        }
-        let mut offsets = deg;
-        for i in 0..self.n {
-            offsets[i + 1] += offsets[i];
-        }
-        let mut adj = vec![(0u32, 0 as Weight, 0 as EdgeId); offsets[self.n]];
-        let mut cursor = offsets.clone();
-        for (id, e) in edges.iter().enumerate() {
-            adj[cursor[e.u as usize]] = (e.v, e.w, id as EdgeId);
-            cursor[e.u as usize] += 1;
-            adj[cursor[e.v as usize]] = (e.u, e.w, id as EdgeId);
-            cursor[e.v as usize] += 1;
-        }
-        // Deterministic neighbour order (ids are already endpoint-sorted).
-        // The per-vertex adjacency runs are disjoint, so they sort in
-        // parallel; entries are unique (v, w, id) triples, making the
-        // result thread-count-independent.
-        let mut runs: Vec<&mut [(u32, Weight, EdgeId)]> = Vec::with_capacity(self.n);
+        let offsets = bucket_starts(&edges, n, |e, count| {
+            count[e.u as usize + 1] += 1;
+            count[e.v as usize + 1] += 1;
+        });
+        let mut adj = vec![(0u32, 0 as Weight, 0 as EdgeId); offsets[n]];
+        let mut runs = Vec::new();
         let mut rest = adj.as_mut_slice();
-        for v in 0..self.n {
-            let (run, tail) = rest.split_at_mut(offsets[v + 1] - offsets[v]);
-            runs.push(run);
+        for (lo, hi) in ranges(&offsets) {
+            let (run, tail) = rest.split_at_mut(offsets[hi] - offsets[lo]);
+            runs.push(((lo, hi), run));
             rest = tail;
         }
-        runs.into_par_iter().for_each(|run| run.sort_unstable());
+        runs.into_par_iter()
+            .for_each(|(range, run)| fill_adjacency(&edges, &offsets, range, run));
         Graph {
-            n: self.n,
+            n,
             edges,
             offsets,
             adj,
             fp: std::sync::OnceLock::new(),
+        }
+    }
+}
+
+/// The canonical edges whose smaller endpoint is in `lo..hi`, in `(u, v)`
+/// order with the lightest copy of each pair: the raw edges of those
+/// vertices are scattered into their buckets (offsets `by_u`), and each
+/// bucket is sorted by `(v, w)`. Equal keys are identical edges, so the
+/// unstable sort is deterministic.
+fn canonical_edges(raw: &[Edge], by_u: &[usize], (lo, hi): (usize, usize)) -> EdgeList {
+    let base = by_u[lo];
+    let mut bucket = vec![Edge { u: 0, v: 0, w: 0 }; by_u[hi] - base];
+    let mut next: Vec<usize> = by_u[lo..hi].iter().map(|&s| s - base).collect();
+    for e in raw {
+        let u = e.u as usize;
+        if (lo..hi).contains(&u) {
+            bucket[next[u - lo]] = *e;
+            next[u - lo] += 1;
+        }
+    }
+    for u in lo..hi {
+        bucket[by_u[u] - base..by_u[u + 1] - base].sort_unstable_by_key(|e| (e.v, e.w));
+    }
+    bucket.dedup_by_key(|e| (e.u, e.v));
+    bucket
+}
+
+/// Fills `adj`, the adjacency runs of the vertices `lo..hi` (it starts at
+/// `offsets[lo]`), from the canonical edges in id order. An edge with
+/// `u >= hi` has no endpoint in the range, so the scan stops there.
+fn fill_adjacency(
+    edges: &[Edge],
+    offsets: &[usize],
+    (lo, hi): (usize, usize),
+    adj: &mut [(u32, Weight, EdgeId)],
+) {
+    let base = offsets[lo];
+    let mut next: Vec<usize> = offsets[lo..hi].iter().map(|&s| s - base).collect();
+    let end = edges.partition_point(|e| (e.u as usize) < hi);
+    for (id, e) in edges[..end].iter().enumerate() {
+        for (x, y) in [(e.u, e.v), (e.v, e.u)] {
+            let x = x as usize;
+            if (lo..hi).contains(&x) {
+                adj[next[x - lo]] = (y, e.w, id as EdgeId);
+                next[x - lo] += 1;
+            }
         }
     }
 }

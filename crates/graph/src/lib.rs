@@ -15,6 +15,8 @@
 //!   multi-source variants, APSP) used both inside Appendix B's algorithm
 //!   and for verification.
 //! * [`components`] — connectivity utilities.
+//! * [`scatter`] — the counting-scatter helpers behind the builder and
+//!   the spanner engine's grow steps.
 //! * [`verify`] — *spanner verification*: exact per-edge stretch of a
 //!   candidate spanner, sampled pairwise stretch, and size accounting. All
 //!   empirical claims in `EXPERIMENTS.md` are computed here.
@@ -28,6 +30,7 @@ pub mod edge;
 pub mod generators;
 pub mod graph;
 pub mod io;
+pub mod scatter;
 pub mod shortest_paths;
 pub mod verify;
 

@@ -1,8 +1,10 @@
 //! Determinism-under-parallelism properties: every parallelized MPC
 //! primitive must produce **bit-identical output and identical round
 //! accounting** whether the rayon shim splits work across 1 thread or 8,
-//! and the sequential engine, which decides one super-node range per
-//! pool thread, must build the same spanner at 1, 2 and 4 threads.
+//! the sequential engine, which decides one super-node range per pool
+//! thread, must build the same spanner at 1, 2 and 4 threads, and the
+//! CSR builder, which scatters one vertex range per pool thread, must
+//! build the graph a sorting reference builds at 1, 2 and 4 threads.
 //! This pins the shim's order-preserving-collect contract at the level
 //! the simulator actually depends on (the CI matrix re-runs the whole
 //! suite under `RAYON_NUM_THREADS={1,4}` for the same reason).
@@ -11,8 +13,11 @@ use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
+use mpc_spanners::core::coins::splitmix64;
 use mpc_spanners::core::TradeoffParams;
+use mpc_spanners::graph::edge::{Edge, EdgeId, Weight};
 use mpc_spanners::graph::generators::{hub_ring, Family, WeightModel};
+use mpc_spanners::graph::GraphBuilder;
 use mpc_spanners::mpc::comm::{route, route_with};
 use mpc_spanners::mpc::primitives::{aggregate_by_key, forward_fill, sort_by_key};
 use mpc_spanners::mpc::{Dist, Metrics, MpcConfig, MpcSystem};
@@ -274,6 +279,106 @@ proptest! {
                 "hubs={} ties={} k={} t={} seed={}: the {}-thread build differs",
                 hubs, ties, k, t, seed, threads
             );
+        }
+    }
+}
+
+/// Each vertex's `(neighbour, weight, edge id)` run.
+type AdjacencyRuns = Vec<Vec<(u32, Weight, EdgeId)>>;
+
+/// The builder's contract, computed the slow way: a stable sort by
+/// `(u, v, w)`, the first copy of each pair, and each vertex's
+/// adjacency run sorted.
+fn reference_graph(n: usize, raw: &[(u32, u32, Weight)]) -> (Vec<Edge>, AdjacencyRuns) {
+    let mut edges: Vec<Edge> = raw
+        .iter()
+        .filter(|&&(a, b, _)| a != b)
+        .map(|&(a, b, w)| Edge::new(a, b, w))
+        .collect();
+    edges.sort_by_key(|e| (e.u, e.v, e.w));
+    edges.dedup_by_key(|e| (e.u, e.v));
+    let mut adj = vec![Vec::new(); n];
+    for (id, e) in edges.iter().enumerate() {
+        adj[e.u as usize].push((e.v, e.w, id as EdgeId));
+        adj[e.v as usize].push((e.u, e.w, id as EdgeId));
+    }
+    for run in &mut adj {
+        run.sort_unstable();
+    }
+    (edges, adj)
+}
+
+/// A multigraph edge list on `n` vertices drawn from `seed`, with
+/// self-loops, both orientations of a pair, repeated pairs at other
+/// weights and vertices no edge touches; with `hub`, one vertex is an
+/// endpoint of most edges.
+fn multigraph_edges(n: usize, hub: bool, seed: u64) -> Vec<(u32, u32, Weight)> {
+    if n == 0 {
+        return Vec::new();
+    }
+    let mut state = seed;
+    let mut next = |bound: u64| {
+        state = splitmix64(state);
+        state % bound
+    };
+    // Only the first `used` vertices get edges; the rest stay isolated.
+    let used = 1 + next(n as u64);
+    let hub_vertex = next(used) as u32;
+    let mut raw = Vec::new();
+    for _ in 0..next(4 * n as u64 + 16) {
+        let a = next(used) as u32;
+        let b = if hub && next(5) != 0 {
+            hub_vertex
+        } else {
+            next(used) as u32
+        };
+        // Three small weights and the largest, so pairs repeat at equal
+        // and at different weights.
+        let w = match next(8) {
+            0 => Weight::MAX,
+            k => k % 3 + 1,
+        };
+        raw.push((a, b, w));
+        match next(6) {
+            0 => raw.push((b, a, next(4) + 1)),
+            1 => raw.push((a, a, w)),
+            _ => {}
+        }
+    }
+    raw
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn graph_builder_matches_a_sorting_reference_at_any_thread_count(
+        size in 0usize..8,
+        hub in 0u8..2,
+        seed in 0u64..u64::MAX,
+    ) {
+        let n = [0, 1, 2, 3, 17, 64, 300, 2000][size];
+        let hub = hub == 1;
+        let raw = multigraph_edges(n, hub, seed);
+        let (edges, adj) = reference_graph(n, &raw);
+        for threads in [1, 2, 4] {
+            let g = at_threads(threads, || {
+                let mut b = GraphBuilder::new(n);
+                for &(a, c, w) in &raw {
+                    b.add_edge(a, c, w);
+                }
+                b.build()
+            });
+            let replay = format!(
+                "replay: multigraph_edges(n = {n}, hub = {hub}, seed = {seed:#x}) at {threads} threads"
+            );
+            prop_assert_eq!(g.n(), n, "{}", replay);
+            prop_assert_eq!(g.edges(), &edges[..], "edges differ; {}", replay);
+            for (v, expect) in adj.iter().enumerate() {
+                prop_assert_eq!(g.degree(v as u32), expect.len(), "degree of {}; {}", v, replay);
+                let run: Vec<_> = g.neighbors(v as u32).collect();
+                prop_assert_eq!(&run, expect, "neighbours of {}; {}", v, replay);
+            }
         }
     }
 }
