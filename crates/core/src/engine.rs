@@ -46,66 +46,135 @@
 //! cluster's members and connection edges without a per-cluster
 //! container.
 //!
+//! The live edges are kept as one adjacency list per super-node, with
+//! entries `(neighbour super-node, w, id)`. Until the first contraction
+//! the lists are the host graph's CSR runs ([`Graph::adjacency`]),
+//! borrowed in place, so [`Engine::new`] copies no edge. Each
+//! contraction writes the quotient's lists into one buffer. One dead
+//! flag per original edge id marks the entries that left the live set.
+//! Quotient entries keep their original ids, so the flags serve every
+//! epoch. A live edge appears in the lists of both its endpoints, and
+//! the engine keeps the exact live-edge count beside the flags.
+//!
 //! # One pass per super-node range
 //!
-//! A grow step writes one *candidate record* `(neighbour cluster, w, id,
-//! live index)` per live edge and endpoint of an unsampled cluster, and
-//! buckets the records by super-node with a counting scatter: count,
-//! prefix sum, scatter. Each super-node is then decided from its bucket
-//! with two scratch arrays indexed by cluster. One pass fills a stamp
-//! and a group minimum, which give the lightest edge of every
-//! `(super-node, cluster)` group and the nearest sampled cluster; a
-//! second pass marks the killed records. There is no hashing and no
-//! comparison sort. Contraction finds the lightest edge per cluster pair
-//! the same way: it buckets the live edges by their smaller cluster,
-//! stamps the larger one, and sorts only each bucket's surviving pairs,
-//! so the new live edges come out in `(a, b)` order.
+//! A grow step reads each candidate's list in place; a candidate is a
+//! super-node of an unsampled cluster. There is no count pass and no
+//! record scatter. One pass over the list's live entries groups them by
+//! the other endpoint's cluster through a slot array indexed by cluster,
+//! cleared again after each super-node, and keeps the lightest edge of
+//! every `(super-node, cluster)` group. The nearest sampled cluster and
+//! the killed groups follow from the groups, and a last pass over the
+//! entries records the killed edges. There is no hashing and no
+//! comparison sort.
 //!
-//! Both steps run on the rayon pool. The super-nodes are cut into one
-//! contiguous range per pool thread, balanced by record count, and each
-//! range scatters its own bucket and decides with its own scratch. A
-//! range's output depends only on the super-nodes in it, and the outputs
-//! are concatenated in range order, which is ascending super-node order
-//! wherever the cuts fall. So the spanner, the live edges and every
-//! statistic are identical at every thread count. The counting and the
-//! cuts are [`spanner_graph::scatter`]'s `bucket_starts` and `ranges`,
-//! the same helpers the CSR builder uses.
+//! After the decisions are applied, a sweep re-reads the lists of this
+//! iteration's joiners and finds the edges that became intra-cluster
+//! (B6). The decisions recorded the killed edges, which include every
+//! edge of a retired super-node. An edge between two non-candidates
+//! cannot change status, so the dead flags, and the live-edge count, are
+//! exact.
+//!
+//! Contraction gathers each new super-node's members with one counting
+//! pass over the super-nodes. Every new super-node then keeps the
+//! lightest `(w, id)` edge per neighbouring cluster, read from its
+//! members' lists, in its own region of one buffer. The regions are
+//! sized by the members' list lengths. Phase 2 is the grow step's group
+//! pass over every super-node.
+//!
+//! Every pass runs on the rayon pool. The super-nodes are cut into one
+//! contiguous range per pool thread, balanced by list offsets (by
+//! [`spanner_graph::scatter::ranges`]), and each range decides with its
+//! own scratch. A contraction range writes its own `split_at_mut` slice
+//! of the buffer. A range's output depends only on the super-nodes in
+//! it, and outputs are combined in range order. Every decision is a
+//! `(w, id)` minimum, so it does not depend on the order of a list. So
+//! the spanner, the live edges and every statistic are identical at
+//! every thread count.
 
 use std::collections::HashMap;
 
 use rayon::prelude::*;
 use spanner_graph::edge::{EdgeId, Weight};
-use spanner_graph::scatter::{bucket_starts, ranges};
-use spanner_graph::Graph;
+use spanner_graph::scatter::ranges;
+use spanner_graph::{Graph, GraphBuilder};
 
 use crate::coins::cluster_coin;
 use crate::result::SpannerResult;
 
-/// A live edge between two super-nodes.
-#[derive(Debug, Clone, Copy, Default)]
-struct LiveEdge {
-    /// Super-node endpoint (original-vertex id of its centre).
-    a: u32,
-    /// The other super-node endpoint.
-    b: u32,
-    /// Weight (minimum over the original edges it represents).
-    w: Weight,
-    /// Original edge id realising the weight.
-    id: EdgeId,
+/// An entry of a super-node's adjacency list: the other super-node, the
+/// weight and the original edge id (the host CSR's entry).
+type Entry = (u32, Weight, EdgeId);
+
+/// The super-nodes' adjacency lists. See the module docs.
+#[derive(Debug)]
+enum Lists<'g> {
+    /// Until the first contraction: the host graph's CSR runs.
+    Host(&'g Graph),
+    /// After a contraction: `v`'s list is `entries[start[v]..][..len[v]]`.
+    /// `start` holds each region's offset, `n + 1` of them.
+    Quotient {
+        start: Vec<usize>,
+        len: Vec<u32>,
+        entries: Vec<Entry>,
+    },
 }
 
-/// A live edge seen from one endpoint super-node of an unsampled
-/// cluster: the record a grow step buckets under that super-node.
-#[derive(Debug, Clone, Copy, Default)]
-struct Candidate {
-    /// Weight of the edge.
-    w: Weight,
-    /// Cluster of the other endpoint.
-    c: u32,
-    /// Original edge id.
-    id: EdgeId,
-    /// Position of the edge in `live`.
-    live: u32,
+impl Lists<'_> {
+    /// Empty lists for `n` super-nodes.
+    fn empty(n: usize) -> Self {
+        Lists::Quotient {
+            start: vec![0; n + 1],
+            len: vec![0; n],
+            entries: Vec::new(),
+        }
+    }
+
+    /// Super-node `v`'s list, dead entries included.
+    fn get(&self, v: usize) -> &[Entry] {
+        match self {
+            Lists::Host(g) => g.adjacency(v as u32),
+            Lists::Quotient {
+                start,
+                len,
+                entries,
+            } => &entries[start[v]..start[v] + len[v] as usize],
+        }
+    }
+
+    /// The offsets of the lists' regions, `n + 1` of them, which the
+    /// passes cut into balanced ranges.
+    fn offsets(&self) -> &[usize] {
+        match self {
+            Lists::Host(g) => g.offsets(),
+            Lists::Quotient { start, .. } => start,
+        }
+    }
+}
+
+/// One flag per original edge id, 64 to a word.
+#[derive(Debug)]
+struct EdgeFlags(Vec<u64>);
+
+impl EdgeFlags {
+    /// `m` clear flags.
+    fn new(m: usize) -> Self {
+        EdgeFlags(vec![0; m.div_ceil(64)])
+    }
+
+    /// Whether the flag of `id` is set.
+    fn get(&self, id: EdgeId) -> bool {
+        self.0[id as usize / 64] >> (id % 64) & 1 == 1
+    }
+
+    /// Sets the flag of `id`; returns whether it was clear.
+    fn set(&mut self, id: EdgeId) -> bool {
+        let word = &mut self.0[id as usize / 64];
+        let bit = 1 << (id % 64);
+        let was_clear = *word & bit == 0;
+        *word |= bit;
+        was_clear
+    }
 }
 
 /// What a grow step decided for one range of super-nodes.
@@ -115,19 +184,34 @@ struct Decisions {
     spanner: Vec<EdgeId>,
     /// `(super-node, sampled cluster, edge)` per super-node that joins.
     joins: Vec<(u32, u32, EdgeId)>,
-    /// Positions in `live` of the killed edges.
-    killed: Vec<u32>,
-    /// Distinct `(super-node, c)` groups per target cluster `c` (empty
-    /// when the range has no records).
-    groups: Vec<u32>,
+    /// Ids of the killed edges (an edge killed from both ends twice).
+    killed: Vec<EdgeId>,
+}
+
+/// A grow step decided against the engine's current state but not yet
+/// applied: [`Engine::trial`] makes one and [`Engine::commit`] applies
+/// it. The Congested Clique driver decides several repetitions this way
+/// and commits the one it chooses.
+#[derive(Debug)]
+pub(crate) struct Trial {
+    stats: IterStats,
+    /// `sampled[c]`: cluster `c` was sampled.
+    sampled: Vec<bool>,
+    /// One part per super-node range, in range order.
+    parts: Vec<Decisions>,
+    /// `(iterations_run, epochs_run)` when the trial was decided.
+    at: (u32, u32),
+}
+
+impl Trial {
+    /// The statistics [`Engine::commit`] returns for this step.
+    pub(crate) fn stats(&self) -> IterStats {
+        self.stats
+    }
 }
 
 /// The shared state machine. See the module docs.
-///
-/// `Clone` produces an independent scratch copy of the whole state — the
-/// Congested Clique driver uses this to evaluate the Section 8 parallel
-/// repetitions before committing to one.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Engine<'g> {
     g: &'g Graph,
     seed: u64,
@@ -138,8 +222,13 @@ pub struct Engine<'g> {
     sn_tree: Vec<Vec<EdgeId>>,
     /// Number of original vertices in each active super-node.
     sn_size: Vec<u32>,
-    /// Live inter-super-node edges.
-    live: Vec<LiveEdge>,
+    /// Each super-node's adjacency list; an entry is a live edge unless
+    /// its id is flagged in `dead`.
+    lists: Lists<'g>,
+    /// The flag of original edge `id` is set once it left the live set.
+    dead: EdgeFlags,
+    /// Number of live edges.
+    live: usize,
     /// Cluster id (centre super-node) of each active super-node.
     cluster_of: Vec<u32>,
     /// Centres of the current epoch's clusters, ascending.
@@ -166,24 +255,15 @@ impl<'g> Engine<'g> {
     /// singleton cluster; all edges are live.
     pub fn new(g: &'g Graph, seed: u64) -> Self {
         let n = g.n();
-        let live = g
-            .edges()
-            .iter()
-            .enumerate()
-            .map(|(id, e)| LiveEdge {
-                a: e.u,
-                b: e.v,
-                w: e.w,
-                id: id as EdgeId,
-            })
-            .collect();
         Engine {
             g,
             seed,
             active: vec![true; n],
             sn_tree: vec![Vec::new(); n],
             sn_size: vec![1; n],
-            live,
+            lists: Lists::Host(g),
+            dead: EdgeFlags::new(g.m()),
+            live: g.m(),
             cluster_of: (0..n as u32).collect(),
             centres: (0..n as u32).collect(),
             join_edge: vec![0; n],
@@ -203,7 +283,7 @@ impl<'g> Engine<'g> {
 
     /// Number of live edges.
     pub fn live_edge_count(&self) -> usize {
-        self.live.len()
+        self.live
     }
 
     /// Number of clusters in the current within-epoch clustering.
@@ -211,74 +291,89 @@ impl<'g> Engine<'g> {
         self.centres.len()
     }
 
-    /// Replaces the shared-randomness seed (used by the Congested Clique
-    /// driver, which re-draws coins per parallel repetition).
-    pub fn set_seed(&mut self, seed: u64) {
-        self.seed = seed;
-    }
-
     /// One Baswana–Sen-style grow iteration (the paper's Step B) with
     /// cluster sampling probability `p`. `epoch` and `iter` number the
     /// step for the shared-randomness coins (1-based). Returns the
     /// iteration statistics the Section 8 run-selection needs.
     pub fn run_iteration(&mut self, p: f64, epoch: u32, iter: u32) -> IterStats {
-        let n = self.active.len();
-        let clusters_before = self.centres.len();
-        let spanner_before = self.spanner.len();
+        let trial = self.trial(self.seed, p, epoch, iter);
+        self.commit(trial)
+    }
 
-        // (B1) Sample the clusters.
+    /// Decides the grow iteration [`Engine::run_iteration`] would run,
+    /// with the coins of `seed` in place of the engine's own, without
+    /// changing the engine: (B1) sample the clusters, then decide every
+    /// candidate super-node against this iteration-start snapshot (the
+    /// model is synchronous). [`Trial::stats`] holds the statistics.
+    pub(crate) fn trial(&self, seed: u64, p: f64, epoch: u32, iter: u32) -> Trial {
+        let n = self.active.len();
         let mut sampled = vec![false; n];
         for &c in &self.centres {
-            sampled[c as usize] = cluster_coin(self.seed, epoch, iter, c, p);
+            sampled[c as usize] = cluster_coin(seed, epoch, iter, c, p);
         }
 
-        // (B2) Bucket offsets of the candidate records by super-node: one
-        // record per live edge and endpoint of an unsampled cluster.
-        let cluster_of = &self.cluster_of;
-        let start = bucket_starts(&self.live, n, |e, count| {
-            let ca = cluster_of[e.a as usize];
-            let cb = cluster_of[e.b as usize];
-            debug_assert_ne!(ca, cb, "live edges are inter-cluster (Lemma 5.6)");
-            if !sampled[ca as usize] {
-                count[e.a as usize + 1] += 1;
-            }
-            if !sampled[cb as usize] {
-                count[e.b as usize + 1] += 1;
-            }
-        });
-
-        // (B3)/(B4) Bucket and decide, one super-node range per pool
-        // thread, against the iteration-start snapshot (the model is
-        // synchronous); the decisions are applied afterwards.
+        // (B2)–(B4) Decide, one super-node range per pool thread.
         let step = GrowStep {
-            live: &self.live,
-            cluster_of,
+            lists: &self.lists,
+            dead: &self.dead,
+            active: &self.active,
+            cluster_of: &self.cluster_of,
             sampled: &sampled,
-            start: &start,
         };
-        let parts: Vec<Decisions> = ranges(&start)
+        let decided: Vec<(Decisions, Vec<u32>)> = ranges(self.lists.offsets())
             .into_par_iter()
             .map(|range| step.decide(range))
             .collect();
 
-        let mut killed = vec![false; self.live.len()];
         // Candidate load per *target* cluster (the fan-in a Congested
         // Clique centre would absorb this iteration).
         let mut groups = vec![0; n];
-        for part in parts {
-            self.spanner.extend(part.spanner);
-            for i in part.killed {
-                killed[i as usize] = true;
-            }
-            for (total, count) in groups.iter_mut().zip(part.groups) {
+        let mut parts = Vec::with_capacity(decided.len());
+        for (part, counts) in decided {
+            for (total, count) in groups.iter_mut().zip(counts) {
                 *total += count;
             }
-            for (v, c, id) in part.joins {
+            parts.push(part);
+        }
+        let stats = IterStats {
+            clusters_before: self.centres.len(),
+            sampled_clusters: self
+                .centres
+                .iter()
+                .filter(|&&c| sampled[c as usize])
+                .count(),
+            edges_added: parts.iter().map(|part| part.spanner.len()).sum(),
+            max_candidates_per_cluster: groups.into_iter().max().unwrap_or(0) as usize,
+        };
+        Trial {
+            stats,
+            sampled,
+            parts,
+            at: (self.iterations_run, self.epochs_run),
+        }
+    }
+
+    /// Applies a [`Trial`] decided on this engine in its current state
+    /// and returns its statistics.
+    pub(crate) fn commit(&mut self, trial: Trial) -> IterStats {
+        let Trial {
+            stats,
+            sampled,
+            parts,
+            at,
+        } = trial;
+        debug_assert_eq!(
+            at,
+            (self.iterations_run, self.epochs_run),
+            "a trial must be committed to the state it was decided on"
+        );
+        for part in &parts {
+            self.spanner.extend_from_slice(&part.spanner);
+            for &(v, c, id) in &part.joins {
                 self.cluster_of[v as usize] = c;
                 self.join_edge[v as usize] = id;
             }
         }
-        let max_candidates_per_cluster = groups.into_iter().max().unwrap_or(0) as usize;
 
         // (B5) New clustering: sampled clusters keep their members and
         // absorb the joiners (relabelled above); unsampled clusters
@@ -291,27 +386,34 @@ impl<'g> Engine<'g> {
         }
         self.centres.retain(|&c| sampled[c as usize]);
 
-        // One sweep drops the killed edge groups E(v, c), the edges of
-        // retired super-nodes (all killed already; belt and braces) and
-        // (B6) the now intra-cluster edges.
-        let (active, cluster_of) = (&self.active, &self.cluster_of);
-        let mut i = 0;
-        self.live.retain(|e| {
-            let keep = !killed[i]
-                && active[e.a as usize]
-                && active[e.b as usize]
-                && cluster_of[e.a as usize] != cluster_of[e.b as usize];
-            i += 1;
-            keep
-        });
+        // (B6) The edges between two joiners that now share a cluster,
+        // each read from its smaller end (a joiner's edges into the
+        // cluster it joined were killed by its own decision), then one
+        // flag per edge that died this iteration.
+        let (lists, dead, cluster_of) = (&self.lists, &self.dead, &self.cluster_of);
+        let merged: Vec<Vec<EdgeId>> = parts
+            .par_iter()
+            .map(|part| {
+                let mut out = Vec::new();
+                for &(v, c, _) in &part.joins {
+                    for &(u, _, id) in lists.get(v as usize) {
+                        if u > v && cluster_of[u as usize] == c && !dead.get(id) {
+                            out.push(id);
+                        }
+                    }
+                }
+                out
+            })
+            .collect();
+        let died = parts.iter().map(|part| &part.killed).chain(&merged);
+        for &id in died.flatten() {
+            if self.dead.set(id) {
+                self.live -= 1;
+            }
+        }
 
         self.iterations_run += 1;
-        IterStats {
-            clusters_before,
-            sampled_clusters: self.centres.len(),
-            edges_added: self.spanner.len() - spanner_before,
-            max_candidates_per_cluster,
-        }
+        stats
     }
 
     /// Contraction (the paper's Step C): the current clusters become the
@@ -321,6 +423,57 @@ impl<'g> Engine<'g> {
     /// within-epoch clustering to singletons.
     pub fn contract(&mut self) {
         let n = self.active.len();
+        // Each new super-node's members, gathered by one counting pass,
+        // and its region of the new buffer, sized by the members' lists.
+        let mut first = vec![0; n + 1];
+        let mut start = vec![0; n + 1];
+        for v in (0..n).filter(|&v| self.active[v]) {
+            let c = self.cluster_of[v] as usize;
+            first[c + 1] += 1;
+            start[c + 1] += self.lists.get(v).len();
+        }
+        for c in 0..n {
+            first[c + 1] += first[c];
+            start[c + 1] += start[c];
+        }
+        let mut members = vec![0; first[n]];
+        let mut next = first.clone();
+        for v in (0..n).filter(|&v| self.active[v]) {
+            let c = self.cluster_of[v] as usize;
+            members[next[c]] = v as u32;
+            next[c] += 1;
+        }
+
+        // One contiguous range of new super-nodes per pool thread, each
+        // writing its own slice of the buffer and of the list lengths.
+        let mut entries = vec![(0, 0, 0); start[n]];
+        let mut len = vec![0; n];
+        let mut jobs = Vec::new();
+        let (mut rest, mut rest_len) = (entries.as_mut_slice(), len.as_mut_slice());
+        for (lo, hi) in ranges(&start) {
+            let (run, tail) = rest.split_at_mut(start[hi] - start[lo]);
+            let (lens, tail_len) = rest_len.split_at_mut(hi - lo);
+            jobs.push(((lo, hi), run, lens));
+            (rest, rest_len) = (tail, tail_len);
+        }
+        let step = ContractStep {
+            lists: &self.lists,
+            dead: &self.dead,
+            cluster_of: &self.cluster_of,
+            first: &first,
+            members: &members,
+            start: &start,
+        };
+        jobs.into_par_iter()
+            .for_each(|(range, run, lens)| step.lightest_per_neighbour(range, run, lens));
+        // Every surviving pair is in the lists of both its super-nodes.
+        self.live = len.iter().map(|&l| l as usize).sum::<usize>() / 2;
+        self.lists = Lists::Quotient {
+            start,
+            len,
+            entries,
+        };
+
         // Compose the new super-node trees (Definition 5.2): every member
         // moves its internal tree and its connection edge into its
         // centre's. Only the centres survive as super-nodes, each now a
@@ -334,30 +487,6 @@ impl<'g> Engine<'g> {
                 self.sn_size[c] += self.sn_size[v];
                 self.active[v] = false;
             }
-        }
-
-        // Quotient edges: bucket the live edges by their smaller cluster,
-        // keep the lightest per larger cluster.
-        let cluster_of = &self.cluster_of;
-        let start = bucket_starts(&self.live, n, |e, count| {
-            let ca = cluster_of[e.a as usize];
-            let cb = cluster_of[e.b as usize];
-            debug_assert_ne!(ca, cb);
-            count[ca.min(cb) as usize + 1] += 1;
-        });
-        let step = ContractStep {
-            live: &self.live,
-            cluster_of,
-            start: &start,
-        };
-        let mut parts = ranges(&start)
-            .into_par_iter()
-            .map(|range| step.lightest_per_pair(range))
-            .collect::<Vec<_>>()
-            .into_iter();
-        self.live = parts.next().unwrap_or_default();
-        for part in parts {
-            self.live.extend(part);
         }
 
         self.epochs_run += 1;
@@ -418,63 +547,60 @@ impl<'g> Engine<'g> {
     /// un-contracted clustering it is exactly the classic Baswana–Sen
     /// second phase.
     pub fn phase2(&mut self) {
-        let mut cand: Vec<(u32, u32, Weight, EdgeId)> = Vec::new();
-        for e in &self.live {
-            let ca = self.cluster_of[e.a as usize];
-            let cb = self.cluster_of[e.b as usize];
-            cand.push((e.a, cb, e.w, e.id));
-            cand.push((e.b, ca, e.w, e.id));
+        let (lists, dead, active, cluster_of) =
+            (&self.lists, &self.dead, &self.active, &self.cluster_of);
+        let parts: Vec<Vec<EdgeId>> = ranges(lists.offsets())
+            .into_par_iter()
+            .map(|(lo, hi)| {
+                let mut scratch = Groups::new(cluster_of.len());
+                let mut out = Vec::new();
+                for v in (lo..hi).filter(|&v| active[v]) {
+                    scratch.read(v, lists, dead, cluster_of);
+                    out.extend(scratch.groups.iter().map(|&(_, _, id)| id));
+                }
+                out
+            })
+            .collect();
+        for part in parts {
+            self.spanner.extend(part);
         }
-        cand.sort_unstable_by_key(|&(v, c, w, id)| (v, c, w, id));
-        cand.dedup_by_key(|&mut (v, c, _, _)| (v, c));
-        for (_, _, _, id) in cand {
-            self.spanner.push(id);
-        }
-        self.live.clear();
+        self.discard_live_edges();
     }
 
     /// The quotient graph over the current super-nodes, with the
     /// original edge id realised by each quotient edge and the centre id
     /// of each quotient vertex. Used by Section 3's second phase, which
     /// runs Baswana–Sen *as a black box* on the contracted graph.
+    ///
+    /// Each live pair is read once, from its smaller super-node, and the
+    /// pairs are sorted by `(qa, qb, w, id)`: the lightest edge of a pair
+    /// comes first, and the kept pairs are in the builder's canonical
+    /// edge order, so quotient edge `i` is the `i`-th kept pair.
     pub fn quotient_graph(&self) -> QuotientGraph {
-        let centres: Vec<u32> = (0..self.active.len() as u32)
-            .filter(|&v| self.active[v as usize])
-            .collect();
-        let index: HashMap<u32, u32> = centres
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| (c, i as u32))
-            .collect();
-        let mut builder = spanner_graph::GraphBuilder::new(centres.len());
-        let mut origin: HashMap<(u32, u32), EdgeId> = HashMap::new();
-        for e in &self.live {
-            let qa = index[&e.a];
-            let qb = index[&e.b];
-            builder.add_edge(qa, qb, e.w);
-            let key = (qa.min(qb), qa.max(qb));
-            // `live` holds one (minimum) edge per pair after contraction;
-            // keep the lightest if several survive mid-epoch.
-            match origin.entry(key) {
-                std::collections::hash_map::Entry::Vacant(slot) => {
-                    slot.insert(e.id);
-                }
-                std::collections::hash_map::Entry::Occupied(mut slot) => {
-                    let cur = self.g.edge(*slot.get());
-                    if (e.w, e.id) < (cur.w, *slot.get()) {
-                        slot.insert(e.id);
-                    }
+        let n = self.active.len();
+        let centres: Vec<u32> = (0..n as u32).filter(|&v| self.active[v as usize]).collect();
+        let mut index = vec![0; n];
+        for (i, &c) in centres.iter().enumerate() {
+            index[c as usize] = i as u32;
+        }
+        // `index` is increasing, so `v < u` gives `qa < qb`.
+        let mut pairs: Vec<(u32, u32, Weight, EdgeId)> = Vec::new();
+        for &v in &centres {
+            for &(u, w, id) in self.lists.get(v as usize) {
+                if v < u && !self.dead.get(id) {
+                    pairs.push((index[v as usize], index[u as usize], w, id));
                 }
             }
         }
-        let graph = builder.build();
-        let mut edge_origin = Vec::with_capacity(graph.m());
-        for qe in graph.edges() {
-            edge_origin.push(origin[&(qe.u, qe.v)]);
+        pairs.sort_unstable();
+        pairs.dedup_by_key(|&mut (qa, qb, _, _)| (qa, qb));
+        let mut builder = GraphBuilder::new(centres.len());
+        for &(qa, qb, w, _) in &pairs {
+            builder.add_edge(qa, qb, w);
         }
         QuotientGraph {
-            graph,
-            edge_origin,
+            graph: builder.build(),
+            edge_origin: pairs.into_iter().map(|(_, _, _, id)| id).collect(),
             centres,
         }
     }
@@ -504,156 +630,181 @@ impl<'g> Engine<'g> {
     /// Drops all live edges without adding anything (Section 3 hands the
     /// remaining graph to the black box instead of Phase 2).
     pub fn discard_live_edges(&mut self) {
-        self.live.clear();
+        self.lists = Lists::empty(self.active.len());
+        self.live = 0;
+    }
+}
+
+/// No group yet: a clear [`Groups`] slot.
+const NO_GROUP: u32 = u32::MAX;
+
+/// Scratch that groups one super-node's live edges by the cluster of the
+/// other endpoint.
+struct Groups {
+    /// The live edges of the super-node read last, as `(group, id)`.
+    records: Vec<(u32, EdgeId)>,
+    /// The groups E(v, c) of the super-node `v` read last, in order of
+    /// first appearance, as `(c, w, id)` of the group's lightest edge.
+    groups: Vec<(u32, Weight, EdgeId)>,
+    /// `slot[c]`: the group of cluster `c` while a super-node is read,
+    /// [`NO_GROUP`] otherwise.
+    slot: Vec<u32>,
+}
+
+impl Groups {
+    /// Scratch for `n` clusters.
+    fn new(n: usize) -> Self {
+        Groups {
+            records: Vec::new(),
+            groups: Vec::new(),
+            slot: vec![NO_GROUP; n],
+        }
+    }
+
+    /// Reads the live edges of super-node `v` into `records` and groups
+    /// them by the cluster of the other endpoint.
+    fn read(&mut self, v: usize, lists: &Lists<'_>, dead: &EdgeFlags, cluster_of: &[u32]) {
+        self.records.clear();
+        self.groups.clear();
+        for &(u, w, id) in lists.get(v) {
+            if dead.get(id) {
+                continue;
+            }
+            let c = cluster_of[u as usize];
+            debug_assert_ne!(c, cluster_of[v], "live edges are inter-cluster (Lemma 5.6)");
+            let slot = &mut self.slot[c as usize];
+            if *slot == NO_GROUP {
+                *slot = self.groups.len() as u32;
+                self.groups.push((c, w, id));
+            } else {
+                let lightest = &mut self.groups[*slot as usize];
+                if (w, id) < (lightest.1, lightest.2) {
+                    *lightest = (c, w, id);
+                }
+            }
+            self.records.push((*slot, id));
+        }
+        for &(c, _, _) in &self.groups {
+            self.slot[c as usize] = NO_GROUP;
+        }
     }
 }
 
 /// The iteration-start snapshot one grow step decides against.
 struct GrowStep<'a> {
-    live: &'a [LiveEdge],
+    lists: &'a Lists<'a>,
+    dead: &'a EdgeFlags,
+    active: &'a [bool],
     cluster_of: &'a [u32],
     /// `sampled[c]`: cluster `c` was sampled this iteration.
     sampled: &'a [bool],
-    /// Bucket offsets of the candidate records, by super-node.
-    start: &'a [usize],
 }
 
 impl GrowStep<'_> {
-    /// Scatters the candidate records of the super-nodes `lo..hi` into
-    /// their buckets, then decides each of those super-nodes.
-    fn decide(&self, (lo, hi): (usize, usize)) -> Decisions {
-        let base = self.start[lo];
-        if self.start[hi] == base {
-            return Decisions::default();
-        }
-        let mut bucket = vec![Candidate::default(); self.start[hi] - base];
-        let mut next: Vec<usize> = self.start[lo..hi].iter().map(|&s| s - base).collect();
-        for (i, e) in self.live.iter().enumerate() {
-            for (v, u) in [(e.a, e.b), (e.b, e.a)] {
-                let v = v as usize;
-                if (lo..hi).contains(&v) && !self.sampled[self.cluster_of[v] as usize] {
-                    bucket[next[v - lo]] = Candidate {
-                        w: e.w,
-                        c: self.cluster_of[u as usize],
-                        id: e.id,
-                        live: i as u32,
-                    };
-                    next[v - lo] += 1;
-                }
-            }
-        }
-
-        // Scratch indexed by cluster: `stamp[c] == v + 1` marks `c` as
-        // seen in the bucket of `v`, and `lightest[c]` is then the
-        // `(w, id)`-minimum of the group E(v, c).
+    /// Decides the candidates among the super-nodes `lo..hi`, and counts
+    /// their distinct `(super-node, c)` groups per target cluster `c`.
+    fn decide(&self, (lo, hi): (usize, usize)) -> (Decisions, Vec<u32>) {
         let n = self.cluster_of.len();
-        let mut stamp = vec![0u32; n];
-        let mut lightest: Vec<(Weight, EdgeId)> = vec![(0, 0); n];
-        let mut out = Decisions {
-            groups: vec![0; n],
-            ..Decisions::default()
-        };
+        let mut counts = vec![0; n];
+        let mut scratch = Groups::new(n);
+        let mut killed = Vec::new();
+        let mut out = Decisions::default();
         for v in lo..hi {
-            let records = &bucket[self.start[v] - base..self.start[v + 1] - base];
-            let tag = v as u32 + 1;
+            if !self.active[v] || self.sampled[self.cluster_of[v] as usize] {
+                continue;
+            }
+            scratch.read(v, self.lists, self.dead, self.cluster_of);
             // Nearest sampled neighbouring cluster `(w*, id*, c*)`, if any.
             let mut nearest: Option<(Weight, EdgeId, u32)> = None;
-            for r in records {
-                let c = r.c as usize;
-                if stamp[c] != tag {
-                    stamp[c] = tag;
-                    lightest[c] = (r.w, r.id);
-                    out.groups[c] += 1;
-                } else if (r.w, r.id) < lightest[c] {
-                    lightest[c] = (r.w, r.id);
-                }
-                if self.sampled[c] && nearest.is_none_or(|(w, id, _)| (r.w, r.id) < (w, id)) {
-                    nearest = Some((r.w, r.id, r.c));
+            for &(c, w, id) in &scratch.groups {
+                counts[c as usize] += 1;
+                if self.sampled[c as usize]
+                    && nearest.is_none_or(|(nw, nid, _)| (w, id) < (nw, nid))
+                {
+                    nearest = Some((w, id, c));
                 }
             }
             if let Some((_, id, c)) = nearest {
                 out.joins.push((v as u32, c, id));
             }
-            for r in records {
-                let (w, id) = lightest[r.c as usize];
-                let killed = match nearest {
+            killed.clear();
+            for &(c, w, id) in &scratch.groups {
+                let kill = match nearest {
                     // Join c* via its lightest edge, plus one edge to
                     // every strictly closer neighbouring cluster.
-                    Some((w_star, _, c_star)) => r.c == c_star || w < w_star,
+                    Some((w_star, _, c_star)) => c == c_star || w < w_star,
                     // No sampled neighbour: one edge per neighbouring
                     // cluster, then the super-node retires.
                     None => true,
                 };
-                if killed {
-                    out.killed.push(r.live);
-                    if r.id == id {
-                        out.spanner.push(id);
-                    }
+                if kill {
+                    out.spanner.push(id);
+                }
+                killed.push(kill);
+            }
+            for &(group, id) in &scratch.records {
+                if killed[group as usize] {
+                    out.killed.push(id);
                 }
             }
         }
-        out
+        (out, counts)
     }
 }
 
-/// The state one contraction reads to find its quotient edges.
+/// The state one contraction reads to write the quotient's lists.
 struct ContractStep<'a> {
-    live: &'a [LiveEdge],
+    lists: &'a Lists<'a>,
+    dead: &'a EdgeFlags,
     cluster_of: &'a [u32],
-    /// Bucket offsets of the live edges, by smaller cluster.
+    /// `members[first[c]..first[c + 1]]` are the super-nodes of cluster `c`.
+    first: &'a [usize],
+    members: &'a [u32],
+    /// The new list of `c` is written from `start[c]` on.
     start: &'a [usize],
 }
 
 impl ContractStep<'_> {
-    /// The lightest live edge between each cluster pair `(a, b)`, `a < b`,
-    /// with `a` in `lo..hi`, in `(a, b)` order.
-    fn lightest_per_pair(&self, (lo, hi): (usize, usize)) -> Vec<LiveEdge> {
+    /// Writes the lists of the new super-nodes `lo..hi` into `run` (their
+    /// regions, from `start[lo]`) and their lengths into `lens`: the
+    /// lightest live edge to each neighbouring cluster.
+    fn lightest_per_neighbour(
+        &self,
+        (lo, hi): (usize, usize),
+        run: &mut [Entry],
+        lens: &mut [u32],
+    ) {
         let base = self.start[lo];
-        if self.start[hi] == base {
-            return Vec::new();
-        }
-        let mut bucket = vec![LiveEdge::default(); self.start[hi] - base];
-        let mut next: Vec<usize> = self.start[lo..hi].iter().map(|&s| s - base).collect();
-        for e in self.live {
-            let ca = self.cluster_of[e.a as usize];
-            let cb = self.cluster_of[e.b as usize];
-            let (a, b) = (ca.min(cb), ca.max(cb));
-            if (lo..hi).contains(&(a as usize)) {
-                bucket[next[a as usize - lo]] = LiveEdge {
-                    a,
-                    b,
-                    w: e.w,
-                    id: e.id,
-                };
-                next[a as usize - lo] += 1;
-            }
-        }
-
-        // `stamp[b] == a + 1` marks `b` as seen in the bucket of `a`, and
-        // `slot[b]` is then the position of the pair's edge in `out`.
-        let n = self.cluster_of.len();
-        let mut stamp = vec![0u32; n];
-        let mut slot = vec![0usize; n];
-        let mut out: Vec<LiveEdge> = Vec::new();
-        for a in lo..hi {
-            let first = out.len();
-            let tag = a as u32 + 1;
-            for e in &bucket[self.start[a] - base..self.start[a + 1] - base] {
-                let b = e.b as usize;
-                if stamp[b] != tag {
-                    stamp[b] = tag;
-                    slot[b] = out.len();
-                    out.push(*e);
-                } else {
-                    let kept = &mut out[slot[b]];
-                    if (e.w, e.id) < (kept.w, kept.id) {
-                        *kept = *e;
+        // `slot[b]`: the entry of `c`'s new list that holds the lightest
+        // edge to `b` while `c` is written, [`NO_GROUP`] otherwise.
+        let mut slot = vec![NO_GROUP; self.cluster_of.len()];
+        for c in lo..hi {
+            let list = &mut run[self.start[c] - base..self.start[c + 1] - base];
+            let mut k = 0;
+            for &v in &self.members[self.first[c]..self.first[c + 1]] {
+                for &(u, w, id) in self.lists.get(v as usize) {
+                    if self.dead.get(id) {
+                        continue;
+                    }
+                    let b = self.cluster_of[u as usize];
+                    let slot = &mut slot[b as usize];
+                    if *slot == NO_GROUP {
+                        *slot = k;
+                        list[k as usize] = (b, w, id);
+                        k += 1;
+                    } else {
+                        let kept = &mut list[*slot as usize];
+                        if (w, id) < (kept.1, kept.2) {
+                            *kept = (b, w, id);
+                        }
                     }
                 }
             }
-            out[first..].sort_unstable_by_key(|e| e.b);
+            for &(b, _, _) in &list[..k as usize] {
+                slot[b as usize] = NO_GROUP;
+            }
+            lens[c - lo] = k;
         }
-        out
     }
 }
 
@@ -667,8 +818,9 @@ pub struct IterStats {
     pub sampled_clusters: usize,
     /// Edges this iteration added to the spanner (expected `O(|C|/p)`).
     pub edges_added: usize,
-    /// Largest number of candidate records any single cluster would have
-    /// to absorb (the Congested Clique centre fan-in this iteration).
+    /// Largest number of `(super-node, cluster)` candidate groups that
+    /// target any single cluster: what that cluster's centre would absorb
+    /// (the Congested Clique centre fan-in this iteration).
     pub max_candidates_per_cluster: usize,
 }
 
@@ -699,16 +851,29 @@ mod tests {
         assert_eq!(e.live_edge_count(), 6);
     }
 
+    /// `(super-node, neighbour)` per live list entry.
+    fn live_entries(e: &Engine) -> Vec<(u32, u32)> {
+        (0..e.active.len())
+            .filter(|&v| e.active[v])
+            .flat_map(|v| e.lists.get(v).iter().map(move |&entry| (v as u32, entry)))
+            .filter(|&(_, (_, _, id))| !e.dead.get(id))
+            .map(|(v, (u, _, _))| (v, u))
+            .collect()
+    }
+
     #[test]
     fn iteration_preserves_inter_cluster_invariant() {
         let g = generators::connected_erdos_renyi(80, 0.08, WeightModel::Uniform(1, 8), 3);
         let mut e = Engine::new(&g, 5);
         e.run_iteration(0.4, 1, 1);
-        // Every live edge has endpoints in distinct clusters (Lemma 5.6).
-        for le in &e.live {
-            assert!(e.active[le.a as usize] && e.active[le.b as usize]);
-            assert_ne!(e.cluster_of[le.a as usize], e.cluster_of[le.b as usize]);
+        // Every live edge has endpoints in distinct clusters (Lemma 5.6),
+        // is in the lists of both, and is counted once.
+        let entries = live_entries(&e);
+        for &(v, u) in &entries {
+            assert!(e.active[u as usize]);
+            assert_ne!(e.cluster_of[v as usize], e.cluster_of[u as usize]);
         }
+        assert_eq!(entries.len(), 2 * e.live_edge_count());
     }
 
     #[test]
@@ -745,7 +910,8 @@ mod tests {
         assert_eq!(e.supernode_count(), clusters);
         assert_eq!(e.epochs_run, 1);
         // After contraction, live edges are min-per-pair: no duplicates.
-        let mut pairs: Vec<(u32, u32)> = e.live.iter().map(|le| (le.a, le.b)).collect();
+        let mut pairs = live_entries(&e);
+        assert_eq!(pairs.len(), 2 * e.live_edge_count());
         pairs.sort_unstable();
         let len = pairs.len();
         pairs.dedup();

@@ -17,7 +17,7 @@
 //! whose build adds [`CcNetwork::disseminate_to_all`] of the spanner.
 
 use crate::coins::splitmix64;
-use crate::engine::Engine;
+use crate::engine::{Engine, Trial};
 use crate::params::TradeoffParams;
 use crate::result::SpannerResult;
 use spanner_graph::Graph;
@@ -190,26 +190,28 @@ pub(crate) fn run_cc(g: &Graph, params: TradeoffParams, seed: u64, repetitions: 
 
             // (c) Trial runs: every node can simulate each run locally
             // (it knows all labels and all coins); the collectors only
-            // tally sizes. We reproduce the tallies by running each
-            // repetition on a scratch copy of the state.
+            // tally sizes. We reproduce the tallies by deciding each
+            // repetition against the unchanged state.
             let clusters = engine.cluster_count();
             let expected_sampled = (clusters as f64) * p;
-            let mut best: Option<(usize, usize, usize)> = None; // (edges, run, cands)
-            let mut fallback: Option<(usize, usize, usize)> = None;
+            // ((edges, run, cands), trial) of the cheapest run within the
+            // sampled-cluster bound, and of the cheapest run otherwise;
+            // the fallback is used only when no run is within the bound.
+            let mut best: Option<((usize, usize, usize), Trial)> = None;
+            let mut fallback: Option<((usize, usize, usize), Trial)> = None;
             for r in 0..repetitions {
-                let mut trial = engine.clone();
-                trial.set_seed(run_seed(seed, r));
-                let stats = trial.run_iteration(p, epoch, iter);
+                let trial = engine.trial(run_seed(seed, r), p, epoch, iter);
+                let stats = trial.stats();
                 let within = (stats.sampled_clusters as f64) <= (2.0 * expected_sampled + 2.0);
                 let cand = (stats.edges_added, r, stats.max_candidates_per_cluster);
-                if within && best.is_none_or(|b| cand < b) {
-                    best = Some(cand);
-                }
-                if fallback.is_none_or(|b| cand < b) {
-                    fallback = Some(cand);
+                if within && best.as_ref().is_none_or(|(b, _)| cand < *b) {
+                    best = Some((cand, trial));
+                } else if fallback.as_ref().is_none_or(|(b, _)| cand < *b) {
+                    fallback = Some((cand, trial));
                 }
             }
-            let (_, chosen, max_fanin) = best.or(fallback).expect("at least one repetition ran");
+            let ((_, chosen, max_fanin), trial) =
+                best.or(fallback).expect("at least one repetition ran");
             chosen_runs.push(chosen);
 
             // (d) Tallies to the R collectors and the collectors'
@@ -227,8 +229,7 @@ pub(crate) fn run_cc(g: &Graph, params: TradeoffParams, seed: u64, repetitions: 
             net.charge_rounds(1, n as u64);
 
             // --- Commit the chosen run on the real state. ---
-            engine.set_seed(run_seed(seed, chosen));
-            engine.run_iteration(p, epoch, iter);
+            engine.commit(trial);
         }
         // Step C: contraction — a relabel (local) plus one Lenzen round
         // for the minimum-per-super-node-pair reduction.

@@ -75,10 +75,25 @@ impl Graph {
     /// Iterator over `(neighbour, weight, edge id)` for vertex `v`.
     #[inline]
     pub fn neighbors(&self, v: u32) -> impl Iterator<Item = (u32, Weight, EdgeId)> + '_ {
+        self.adjacency(v).iter().copied()
+    }
+
+    /// The adjacency run of `v` in the CSR, borrowed in place: its
+    /// `(neighbour, weight, edge id)` entries in neighbour order, one
+    /// per incident edge (what [`Graph::neighbors`] iterates).
+    #[inline]
+    pub fn adjacency(&self, v: u32) -> &[(u32, Weight, EdgeId)] {
         let v = v as usize;
-        self.adj[self.offsets[v]..self.offsets[v + 1]]
-            .iter()
-            .copied()
+        &self.adj[self.offsets[v]..self.offsets[v + 1]]
+    }
+
+    /// The CSR offsets, length `n + 1`: the adjacency run of `v` starts
+    /// `offsets()[v]` entries into the CSR and ends at `offsets()[v + 1]`,
+    /// so the offsets are the degrees' prefix sums (the form
+    /// [`crate::scatter::ranges`] cuts into balanced vertex ranges).
+    #[inline]
+    pub fn offsets(&self) -> &[usize] {
+        &self.offsets
     }
 
     /// Degree of `v`.
@@ -322,6 +337,21 @@ mod tests {
             assert!(e.has_endpoint(0) && e.has_endpoint(u));
             assert_eq!(e.w, w);
         }
+    }
+
+    #[test]
+    fn adjacency_runs_are_the_neighbour_lists() {
+        let g = triangle();
+        assert_eq!(g.offsets(), &[0, 2, 4, 6]);
+        for v in 0..3 {
+            let run = g.adjacency(v);
+            assert_eq!(
+                run.len(),
+                g.offsets()[v as usize + 1] - g.offsets()[v as usize]
+            );
+            assert!(run.iter().copied().eq(g.neighbors(v)));
+        }
+        assert_eq!(g.adjacency(0), &[(1, 1, 0), (2, 3, 1)]);
     }
 
     #[test]

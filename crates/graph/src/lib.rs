@@ -15,8 +15,8 @@
 //!   multi-source variants, APSP) used both inside Appendix B's algorithm
 //!   and for verification.
 //! * [`components`] — connectivity utilities.
-//! * [`scatter`] — the counting-scatter helpers behind the builder and
-//!   the spanner engine's grow steps.
+//! * [`scatter`] — the counting-scatter helpers behind the builder; the
+//!   spanner engine cuts its super-node ranges with [`scatter::ranges`].
 //! * [`verify`] — *spanner verification*: exact per-edge stretch of a
 //!   candidate spanner, sampled pairwise stretch, and size accounting. All
 //!   empirical claims in `EXPERIMENTS.md` are computed here.

@@ -1,6 +1,10 @@
-//! Counting-scatter helpers shared by the CSR builder
-//! ([`crate::GraphBuilder`]) and the spanner engine's grow steps and
-//! contractions.
+//! Counting-scatter helpers behind the CSR builder
+//! ([`crate::GraphBuilder`]).
+//!
+//! The spanner engine scatters nothing: it reads its live edges in
+//! place from per-super-node adjacency lists. It uses only [`ranges`],
+//! to cut those lists, by their offsets, into balanced super-node
+//! ranges.
 //!
 //! A counting scatter groups records by a dense integer key in
 //! `O(records + keys)`: count the records per key, take prefix sums,
