@@ -80,7 +80,8 @@
 //! lightest `(w, id)` edge per neighbouring cluster, read from its
 //! members' lists, in its own region of one buffer. The regions are
 //! sized by the members' list lengths. Phase 2 is the grow step's group
-//! pass over every super-node.
+//! pass over every super-node. With no live edge left, a grow step only
+//! samples and retires, and Phase 2 does nothing.
 //!
 //! Every pass runs on the rayon pool. The super-nodes are cut into one
 //! contiguous range per pool thread, balanced by list offsets (by
@@ -312,7 +313,9 @@ impl<'g> Engine<'g> {
             sampled[c as usize] = cluster_coin(seed, epoch, iter, c, p);
         }
 
-        // (B2)–(B4) Decide, one super-node range per pool thread.
+        // (B2)–(B4) Decide, one super-node range per pool thread. With no
+        // live edge left there is nothing to decide: every candidate
+        // retires without a join or an edge.
         let step = GrowStep {
             lists: &self.lists,
             dead: &self.dead,
@@ -320,10 +323,14 @@ impl<'g> Engine<'g> {
             cluster_of: &self.cluster_of,
             sampled: &sampled,
         };
-        let decided: Vec<(Decisions, Vec<u32>)> = ranges(self.lists.offsets())
-            .into_par_iter()
-            .map(|range| step.decide(range))
-            .collect();
+        let decided: Vec<(Decisions, Vec<u32>)> = if self.live == 0 {
+            Vec::new()
+        } else {
+            ranges(self.lists.offsets())
+                .into_par_iter()
+                .map(|range| step.decide(range))
+                .collect()
+        };
 
         // Candidate load per *target* cluster (the fan-in a Congested
         // Clique centre would absorb this iteration).
@@ -545,8 +552,12 @@ impl<'g> Engine<'g> {
     /// Called after the last epoch (when clusters are singletons this
     /// adds the one surviving edge per super-node pair); called on an
     /// un-contracted clustering it is exactly the classic Baswana–Sen
-    /// second phase.
+    /// second phase. With no live edge left it returns at once: every
+    /// list entry is dead already, and every reader skips dead entries.
     pub fn phase2(&mut self) {
+        if self.live == 0 {
+            return;
+        }
         let (lists, dead, active, cluster_of) =
             (&self.lists, &self.dead, &self.active, &self.cluster_of);
         let parts: Vec<Vec<EdgeId>> = ranges(lists.offsets())
@@ -888,6 +899,25 @@ mod tests {
         assert_eq!(e.cluster_count(), 0);
         let r = e.finish("test", 1.0);
         assert_eq!(r.size(), g.m());
+    }
+
+    #[test]
+    fn steps_without_live_edges_only_sample_and_retire() {
+        let g = Graph::from_edges(40, Vec::new());
+        let mut e = Engine::new(&g, 3);
+        let s = e.run_iteration(0.5, 1, 1);
+        assert_eq!(
+            (
+                s.clusters_before,
+                s.edges_added,
+                s.max_candidates_per_cluster
+            ),
+            (40, 0, 0)
+        );
+        assert_eq!(e.supernode_count(), s.sampled_clusters);
+        assert_eq!(e.cluster_count(), s.sampled_clusters);
+        e.phase2();
+        assert_eq!(e.finish("test", 1.0).size(), 0);
     }
 
     #[test]

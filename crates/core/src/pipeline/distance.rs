@@ -49,13 +49,15 @@
 //! jobs agreeing on (graph, version, algorithm, backend, seed, engine)
 //! are served one `Arc`'d oracle from the service's artifact store.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 use std::time::{Duration, Instant};
 
 use rayon::prelude::*;
 
 use mpc_runtime::{comm, Dist, MpcSystem};
 use spanner_graph::edge::{Distance, EdgeId, INFINITY};
+use spanner_graph::scatter::ranges;
 use spanner_graph::shortest_paths::dijkstra;
 use spanner_graph::Graph;
 
@@ -76,7 +78,7 @@ use super::{Algorithm, Backend, CancelToken, ExecutionStats, PipelineError, Plan
 /// Builds check their guard *during* the work — the sequential spanner
 /// construction between grow iterations and before Phase 2, the
 /// distance stage before and after the spanner construction, between
-/// Thorup–Zwick levels and between cluster-search chunks
+/// Thorup–Zwick levels and every 256 cluster searches
 /// ([`DistanceSketches::preprocess_guarded`]) — so a cancelled or
 /// deadline-blown build stops within one chunk of work instead of
 /// running to completion.
@@ -211,16 +213,6 @@ impl QueryEngine {
 // Thorup–Zwick distance sketches (the query substrate of §1.2 / [DN19])
 // ---------------------------------------------------------------------
 
-/// A per-vertex Thorup–Zwick sketch.
-#[derive(Debug, Clone)]
-pub struct VertexSketch {
-    /// `pivots[i] = (pᵢ(v), d(v, pᵢ(v)))` — the nearest level-`i`
-    /// landmark (level 0 is `v` itself at distance 0).
-    pub pivots: Vec<(u32, Distance)>,
-    /// The bunch: landmark → exact distance (on the preprocessed graph).
-    pub bunch: HashMap<u32, Distance>,
-}
-
 /// Distance sketches for every vertex, supporting constant-time-ish
 /// approximate queries.
 ///
@@ -239,12 +231,32 @@ pub struct VertexSketch {
 /// Built on a `σ`-stretch spanner, the end-to-end guarantee is
 /// `σ·(2λ−1)`; the preprocessing touches only `O(n^{1+1/k}·polylog)`
 /// edges.
-#[derive(Debug, Clone)]
+///
+/// **Layout.** Flat arrays, with no per-vertex allocation and no
+/// hashing:
+/// * the pivots, one `n·λ` array: [`Self::pivot`]`(v, i)` is entry
+///   `v·λ + i`;
+/// * the bunches in CSR form: `n + 1` offsets, then the landmark ids
+///   (`u32`) and their distances in two parallel arrays. Each vertex's
+///   run is sorted by landmark id ([`Self::bunch`]), so a query finds a
+///   landmark by binary search over 4-byte ids.
+///
+/// [`HeapSize`] counts these arrays exactly.
+#[derive(Debug, Clone, PartialEq)]
 pub struct DistanceSketches {
     /// Number of levels `λ`.
     pub levels: u32,
-    /// Per-vertex sketches.
-    pub sketches: Vec<VertexSketch>,
+    /// `pivots[v·λ + i] = (pᵢ(v), d(v, pᵢ(v)))`; level 0 is `v` itself
+    /// at distance 0.
+    pivots: Vec<(u32, Distance)>,
+    /// `v`'s bunch is entries `bunch_start[v]..bunch_start[v + 1]` of
+    /// the two arrays below.
+    bunch_start: Vec<usize>,
+    /// Bunch landmarks, ascending within each vertex's run.
+    bunch_ids: Vec<u32>,
+    /// `bunch_dists[j]` is the exact distance (on the preprocessed
+    /// graph) to `bunch_ids[j]`.
+    bunch_dists: Vec<Distance>,
     /// The multiplicative guarantee of the sketch itself (`2λ−1`),
     /// *relative to the preprocessed graph*.
     pub sketch_stretch: f64,
@@ -252,6 +264,9 @@ pub struct DistanceSketches {
     /// graph (1.0 when preprocessing ran on the graph itself).
     pub substrate_stretch: f64,
 }
+
+/// Cluster searches between two guard checks in each range.
+const SEARCHES_PER_CHECK: usize = 256;
 
 impl DistanceSketches {
     /// Builds `λ`-level sketches by preprocessing `g` directly.
@@ -274,6 +289,16 @@ impl DistanceSketches {
     /// distance row, which is what keeps preprocessing usable beyond
     /// toy `n` (and keeps fragmented graphs cheap: a promoted
     /// per-component landmark only ever floods its own component).
+    ///
+    /// The cluster searches run in one contiguous landmark range per
+    /// pool thread (balanced by degree, [`spanner_graph::scatter::ranges`]).
+    /// A range reuses one `n`-sized distance array and one heap for all
+    /// its searches, and after each search resets only the entries the
+    /// search touched, so a search costs its own entries and their
+    /// edges, not `n`. The bunches are then one counting transpose of
+    /// the clusters, taken in landmark order, which leaves every bunch
+    /// sorted by landmark without a sort. The output does not depend on
+    /// the thread count.
     pub fn preprocess_with_substrate(
         g: &Graph,
         levels: u32,
@@ -293,10 +318,10 @@ impl DistanceSketches {
     /// [`Self::preprocess_with_substrate`] under a [`BuildGuard`]:
     /// the guard is checked **between Thorup–Zwick levels** (each
     /// level's multi-source Dijkstra re-checks before starting) and
-    /// **between cluster-search chunks**, so a fired token or an
-    /// expired deadline stops the preprocessing within one chunk of
-    /// work. On the success path the output is bit-identical to the
-    /// unguarded entry point.
+    /// **every 256 cluster searches** in each landmark range, so a
+    /// fired token or an expired deadline stops the preprocessing
+    /// within 256 searches per pool thread. On the success path the
+    /// output is bit-identical to the unguarded entry point.
     ///
     /// # Panics
     /// Panics if `levels == 0`.
@@ -370,14 +395,11 @@ impl DistanceSketches {
             })
             .collect();
         guard.check()?;
-        let pivots: Vec<Vec<(u32, Distance)>> = (0..n)
-            .map(|v| {
-                let mut row = Vec::with_capacity(lam);
-                row.push((v as u32, 0));
-                row.extend(per_level.iter().map(|lvl| lvl[v]));
-                row
-            })
-            .collect();
+        let mut pivots = Vec::with_capacity(n * lam);
+        for v in 0..n {
+            pivots.push((v as u32, 0));
+            pivots.extend(per_level.iter().map(|lvl| lvl[v]));
+        }
 
         // Bunches via Thorup–Zwick cluster searches, one per vertex:
         // for w ∈ A_i \ A_{i+1} (i.e. i = level_of[w], since those sets
@@ -390,7 +412,7 @@ impl DistanceSketches {
         let limits: Vec<Vec<Distance>> = (0..lam)
             .map(|i| {
                 if i + 1 < lam {
-                    pivots.iter().map(|row| row[i + 1].1).collect()
+                    (0..n).map(|v| pivots[v * lam + i + 1].1).collect()
                 } else {
                     // Top level: no next pivot cuts the bunch off; the
                     // search floods w's whole component.
@@ -398,37 +420,53 @@ impl DistanceSketches {
                 }
             })
             .collect();
-        // Chunked so the guard gets a say between chunks; each chunk's
-        // order-preserving parallel collect keeps the concatenation
-        // identical to the single-pass version.
-        const CLUSTER_CHUNK: usize = 256;
-        let mut clusters: Vec<Vec<(u32, Distance)>> = Vec::with_capacity(n);
-        for chunk_start in (0..n).step_by(CLUSTER_CHUNK) {
-            guard.check()?;
-            let chunk_end = (chunk_start + CLUSTER_CHUNK).min(n);
-            clusters.extend(
-                (chunk_start as u32..chunk_end as u32)
-                    .into_par_iter()
-                    .map(|w| cluster_search(g, w, &limits[level_of[w as usize] as usize]))
-                    .collect::<Vec<_>>(),
-            );
-        }
-        let mut bunches: Vec<HashMap<u32, Distance>> = vec![HashMap::new(); n];
-        for (w, cluster) in clusters.into_iter().enumerate() {
-            for (v, d) in cluster {
-                bunches[v as usize].insert(w as u32, d);
-            }
-        }
-
-        let sketches: Vec<VertexSketch> = pivots
-            .into_iter()
-            .zip(bunches)
-            .map(|(pivots, bunch)| VertexSketch { pivots, bunch })
+        // One landmark range per pool thread, each with its own scratch.
+        // A range checks the guard every SEARCHES_PER_CHECK searches and
+        // stops once interrupted; the check after the collect surfaces
+        // the typed error. Ranges are concatenated in order, so the
+        // entries come out in landmark order at any thread count.
+        let clusters: Vec<Vec<(u32, u32, Distance)>> = ranges(g.offsets())
+            .into_par_iter()
+            .map(|(lo, hi)| {
+                let mut search = ClusterSearch::new(n);
+                let mut out = Vec::new();
+                for w in lo..hi {
+                    if (w - lo) % SEARCHES_PER_CHECK == 0 && guard.check().is_err() {
+                        break;
+                    }
+                    search.run(g, w as u32, &limits[level_of[w] as usize], &mut out);
+                }
+                out
+            })
             .collect();
+        guard.check()?;
+
+        // w ∈ B(v) ⇔ v ∈ C(w): a counting transpose of the clusters.
+        // Placing the entries in landmark order leaves each bunch sorted
+        // by landmark.
+        let mut bunch_start = vec![0; n + 1];
+        for &(_, v, _) in clusters.iter().flatten() {
+            bunch_start[v as usize + 1] += 1;
+        }
+        for v in 0..n {
+            bunch_start[v + 1] += bunch_start[v];
+        }
+        let mut next = bunch_start.clone();
+        let mut bunch_ids = vec![0; bunch_start[n]];
+        let mut bunch_dists = vec![0; bunch_start[n]];
+        for &(w, v, d) in clusters.iter().flatten() {
+            let slot = &mut next[v as usize];
+            bunch_ids[*slot] = w;
+            bunch_dists[*slot] = d;
+            *slot += 1;
+        }
 
         Ok(DistanceSketches {
             levels,
-            sketches,
+            pivots,
+            bunch_start,
+            bunch_ids,
+            bunch_dists,
             sketch_stretch: (2 * levels - 1) as f64,
             substrate_stretch,
         })
@@ -437,6 +475,29 @@ impl DistanceSketches {
     /// The combined end-to-end guarantee relative to the original graph.
     pub fn stretch_bound(&self) -> f64 {
         self.sketch_stretch * self.substrate_stretch
+    }
+
+    /// `(pᵢ(v), d(v, pᵢ(v)))`: `v`'s nearest level-`i` landmark and its
+    /// distance (level 0 is `v` itself at distance 0). A vertex whose
+    /// component holds no level-`i` landmark reads
+    /// `(u32::MAX, INFINITY)`.
+    ///
+    /// # Panics
+    /// Panics if `v` is not a vertex or `i ≥ λ`.
+    pub fn pivot(&self, v: u32, i: usize) -> (u32, Distance) {
+        assert!(i < self.levels as usize, "level {i} ≥ λ = {}", self.levels);
+        self.pivots[v as usize * self.levels as usize + i]
+    }
+
+    /// `v`'s bunch: its landmarks in ascending id order and, at the same
+    /// positions, their exact distances from `v` on the preprocessed
+    /// graph.
+    ///
+    /// # Panics
+    /// Panics if `v` is not a vertex.
+    pub fn bunch(&self, v: u32) -> (&[u32], &[Distance]) {
+        let run = self.bunch_start[v as usize]..self.bunch_start[v as usize + 1];
+        (&self.bunch_ids[run.clone()], &self.bunch_dists[run])
     }
 
     /// Approximate distance query — the Thorup–Zwick level walk.
@@ -451,8 +512,9 @@ impl DistanceSketches {
         let mut w = a; // current pivot, starts as u itself (level 0)
         let mut d_aw: Distance = 0;
         for i in 0..self.levels as usize {
-            if let Some(&d_bw) = self.sketches[b as usize].bunch.get(&w) {
-                return d_aw.saturating_add(d_bw);
+            let (ids, dists) = self.bunch(b);
+            if let Ok(j) = ids.binary_search(&w) {
+                return d_aw.saturating_add(dists[j]);
             }
             let next = i + 1;
             if next >= self.levels as usize {
@@ -460,7 +522,7 @@ impl DistanceSketches {
             }
             // Swap roles and climb a level.
             std::mem::swap(&mut a, &mut b);
-            let (p, d) = self.sketches[a as usize].pivots[next];
+            let (p, d) = self.pivot(a, next);
             if p == u32::MAX || d == INFINITY {
                 break;
             }
@@ -473,10 +535,7 @@ impl DistanceSketches {
     /// Total sketch entries (the memory the sketches occupy) — the
     /// quantity \[DN19]'s spanner preprocessing keeps near-linear.
     pub fn total_entries(&self) -> usize {
-        self.sketches
-            .iter()
-            .map(|s| s.bunch.len() + s.pivots.len())
-            .sum()
+        self.bunch_ids.len() + self.pivots.len()
     }
 }
 
@@ -487,9 +546,6 @@ impl DistanceSketches {
 /// lexicographic keys because adding an edge weight to both sides
 /// preserves the order.
 fn nearest_landmark(g: &Graph, sources: &[u32]) -> Vec<(u32, Distance)> {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
     let mut best: Vec<(u32, Distance)> = vec![(u32::MAX, INFINITY); g.n()];
     let mut heap: BinaryHeap<Reverse<(Distance, u32, u32)>> = BinaryHeap::new();
     for &a in sources {
@@ -511,37 +567,60 @@ fn nearest_landmark(g: &Graph, sources: &[u32]) -> Vec<(u32, Distance)> {
     best
 }
 
-/// Pruned Dijkstra from `w` that settles `v` only while
-/// `d(w,v) < limit[v]`: exactly Thorup–Zwick's cluster `C(w)`. Returns
-/// `(v, d(w,v))` pairs in settle order; distances are exact because
-/// clusters are closed under shortest-path predecessors.
-fn cluster_search(g: &Graph, w: u32, limit: &[Distance]) -> Vec<(u32, Distance)> {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
+/// The reused scratch of one range's cluster searches.
+struct ClusterSearch {
+    /// Tentative distances from the current root; [`INFINITY`] between
+    /// searches.
+    dist: Vec<Distance>,
+    /// The vertices the current search set in `dist`.
+    touched: Vec<u32>,
+    /// The frontier, popped in `(distance, vertex)` order; empty between
+    /// searches.
+    heap: BinaryHeap<Reverse<(Distance, u32)>>,
+}
 
-    let mut out = Vec::new();
-    if limit[w as usize] == 0 {
-        return out;
-    }
-    let mut dist: HashMap<u32, Distance> = HashMap::new();
-    let mut heap: BinaryHeap<Reverse<(Distance, u32)>> = BinaryHeap::new();
-    dist.insert(w, 0);
-    heap.push(Reverse((0, w)));
-    while let Some(Reverse((d, v))) = heap.pop() {
-        match dist.get(&v) {
-            Some(&best) if d > best => continue,
-            _ => {}
+impl ClusterSearch {
+    fn new(n: usize) -> Self {
+        ClusterSearch {
+            dist: vec![INFINITY; n],
+            touched: Vec::new(),
+            heap: BinaryHeap::new(),
         }
-        out.push((v, d));
-        for (u, wt, _id) in g.neighbors(v) {
-            let nd = d.saturating_add(wt);
-            if nd < limit[u as usize] && dist.get(&u).is_none_or(|&cur| nd < cur) {
-                dist.insert(u, nd);
-                heap.push(Reverse((nd, u)));
+    }
+
+    /// Pruned Dijkstra from `w` that settles `v` only while
+    /// `d(w,v) < limit[v]`: exactly Thorup–Zwick's cluster `C(w)`.
+    /// Appends `(w, v, d(w,v))` to `out` in settle order; distances are
+    /// exact because clusters are closed under shortest-path
+    /// predecessors.
+    fn run(&mut self, g: &Graph, w: u32, limit: &[Distance], out: &mut Vec<(u32, u32, Distance)>) {
+        if limit[w as usize] == 0 {
+            return;
+        }
+        self.dist[w as usize] = 0;
+        self.touched.push(w);
+        self.heap.push(Reverse((0, w)));
+        while let Some(Reverse((d, v))) = self.heap.pop() {
+            if d > self.dist[v as usize] {
+                continue;
+            }
+            out.push((w, v, d));
+            for &(u, wt, _id) in g.adjacency(v) {
+                let nd = d.saturating_add(wt);
+                let cur = &mut self.dist[u as usize];
+                if nd < limit[u as usize] && nd < *cur {
+                    if *cur == INFINITY {
+                        self.touched.push(u);
+                    }
+                    *cur = nd;
+                    self.heap.push(Reverse((nd, u)));
+                }
             }
         }
+        for v in self.touched.drain(..) {
+            self.dist[v as usize] = INFINITY;
+        }
     }
-    out
 }
 
 // ---------------------------------------------------------------------
@@ -597,8 +676,8 @@ impl<'g> DistanceRequest<'g> {
     /// Per-request build deadline, measured from the start of
     /// [`Self::build`]. It is checked inside the spanner construction
     /// (see [`SpannerRequest::deadline`]), after it, between
-    /// Thorup–Zwick levels and cluster-search chunks, and once more when
-    /// the oracle is complete.
+    /// Thorup–Zwick levels and every 256 cluster searches, and once more
+    /// when the oracle is complete.
     pub fn deadline(mut self, deadline: Duration) -> Self {
         self.spanner = self.spanner.deadline(deadline);
         self
@@ -880,18 +959,12 @@ impl DistanceOracle {
     }
 }
 
-impl HeapSize for VertexSketch {
-    fn heap_size(&self) -> usize {
-        // HashMap entries cost roughly twice their payload (buckets +
-        // control bytes); an estimate is all the store needs.
-        self.pivots.len() * std::mem::size_of::<(u32, Distance)>()
-            + 2 * self.bunch.len() * std::mem::size_of::<(u32, Distance)>()
-    }
-}
-
 impl HeapSize for DistanceSketches {
     fn heap_size(&self) -> usize {
-        self.sketches.iter().map(HeapSize::heap_size).sum()
+        self.pivots.len() * std::mem::size_of::<(u32, Distance)>()
+            + self.bunch_start.len() * std::mem::size_of::<usize>()
+            + self.bunch_ids.len() * std::mem::size_of::<u32>()
+            + self.bunch_dists.len() * std::mem::size_of::<Distance>()
     }
 }
 
@@ -966,39 +1039,29 @@ mod tests {
         let sk = DistanceSketches::preprocess(&g, lam, 13);
         let all = spanner_graph::shortest_paths::apsp(&g);
         for (v, row) in all.iter().enumerate() {
+            let (ids, dists) = sk.bunch(v as u32);
+            assert!(
+                ids.windows(2).all(|pair| pair[0] < pair[1]),
+                "bunch of {v} is not sorted by landmark"
+            );
             for (w, &d) in row.iter().enumerate() {
-                if d == INFINITY {
-                    assert!(!sk.sketches[v].bunch.contains_key(&(w as u32)));
-                    continue;
-                }
-                // Recover w's level from the sketch's own pivot tables:
-                // a vertex is in A_i iff it is its own... levels aren't
-                // stored, so recompute membership via the bunch rule
-                // against every candidate level's next pivot.
-                let mut expected = false;
-                for i in 0..lam as usize {
-                    let is_level_i = level_of_vertex(&sk, w as u32) == i as u32;
-                    if !is_level_i {
-                        continue;
-                    }
-                    let nxt = if i + 1 < lam as usize {
-                        sk.sketches[v].pivots[i + 1].1
-                    } else {
-                        INFINITY
-                    };
-                    expected = d < nxt;
-                }
+                let found = ids.binary_search(&(w as u32)).ok();
+                // w's level is the deepest i with p_i(w) = w; its bunch
+                // rule is cut off by v's next pivot.
+                let i = level_of_vertex(&sk, w as u32) as usize;
+                let nxt = if i + 1 < lam as usize {
+                    sk.pivot(v as u32, i + 1).1
+                } else {
+                    INFINITY
+                };
+                let expected = d != INFINITY && d < nxt;
                 assert_eq!(
-                    sk.sketches[v].bunch.contains_key(&(w as u32)),
+                    found.is_some(),
                     expected,
                     "bunch membership mismatch for (v={v}, w={w})"
                 );
-                if expected {
-                    assert_eq!(
-                        sk.sketches[v].bunch[&(w as u32)],
-                        d,
-                        "inexact bunch distance"
-                    );
+                if let Some(j) = found {
+                    assert_eq!(dists[j], d, "inexact bunch distance");
                 }
             }
         }
@@ -1007,11 +1070,24 @@ mod tests {
     /// Recovers a vertex's landmark level from its own pivot row: `w`'s
     /// level is the deepest `i` with `p_i(w) = w`.
     fn level_of_vertex(sk: &DistanceSketches, w: u32) -> u32 {
-        let row = &sk.sketches[w as usize].pivots;
-        (0..row.len())
+        (0..sk.levels as usize)
             .rev()
-            .find(|&i| row[i] == (w, 0))
+            .find(|&i| sk.pivot(w, i) == (w, 0))
             .expect("level 0 pivot is always v itself") as u32
+    }
+
+    #[test]
+    fn heap_size_counts_the_flat_arrays() {
+        let g = graph();
+        let sk = DistanceSketches::preprocess(&g, 2, 7);
+        let n = g.n();
+        let bunch_entries = sk.total_entries() - 2 * n;
+        assert_eq!(
+            sk.heap_size(),
+            2 * n * std::mem::size_of::<(u32, Distance)>()
+                + (n + 1) * std::mem::size_of::<usize>()
+                + bunch_entries * (std::mem::size_of::<u32>() + std::mem::size_of::<Distance>())
+        );
     }
 
     #[test]

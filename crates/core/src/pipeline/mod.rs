@@ -95,7 +95,7 @@ pub mod shard;
 pub use clique::CcNetwork;
 pub use distance::{
     BuildGuard, DistanceBuildStats, DistanceOracle, DistancePlan, DistanceRequest,
-    DistanceSketches, QueryEngine, VertexSketch,
+    DistanceSketches, QueryEngine,
 };
 pub use pram_cost::{log_star, PramTracker};
 pub use queue::{

@@ -385,11 +385,7 @@ fn guarded_preprocessing_observes_tokens_and_deadlines_mid_machinery() {
     // entry point.
     let guarded =
         DistanceSketches::preprocess_guarded(&g, 2, 5, 1.0, &BuildGuard::new("sketches")).unwrap();
-    let plain = DistanceSketches::preprocess(&g, 2, 5);
-    for v in 0..g.n() {
-        assert_eq!(guarded.sketches[v].pivots, plain.sketches[v].pivots);
-        assert_eq!(guarded.sketches[v].bunch, plain.sketches[v].bunch);
-    }
+    assert_eq!(guarded, DistanceSketches::preprocess(&g, 2, 5));
 }
 
 #[test]
@@ -399,9 +395,11 @@ fn cancelled_mid_batch_build_stops_early() {
     let engine = QueryEngine::Sketches { levels: 3 };
 
     // Escalate the workload until one full build takes long enough that
-    // a mid-build cancellation is unambiguous on this machine.
+    // a mid-build cancellation is unambiguous on this machine. The top
+    // rungs are for release builds, where n = 4800 builds in well under
+    // the 200 ms floor.
     let mut workload: Option<(Graph, Duration)> = None;
-    for n in [600usize, 1200, 2400, 4800] {
+    for n in [600usize, 1200, 2400, 4800, 9600, 19200, 38400] {
         let g = Family::ErdosRenyi { n, avg_deg: 6.0 }.generate(WeightModel::Uniform(1, 8), 0xCA);
         let started = Instant::now();
         DistanceRequest::new(&g, algorithm)
