@@ -57,7 +57,7 @@ use rayon::prelude::*;
 
 use mpc_runtime::{comm, Dist, MpcSystem};
 use spanner_graph::edge::{Distance, EdgeId, INFINITY};
-use spanner_graph::scatter::ranges;
+use spanner_graph::scatter::{bucket_starts, ranges};
 use spanner_graph::shortest_paths::dijkstra;
 use spanner_graph::Graph;
 
@@ -444,13 +444,11 @@ impl DistanceSketches {
         // w ∈ B(v) ⇔ v ∈ C(w): a counting transpose of the clusters.
         // Placing the entries in landmark order leaves each bunch sorted
         // by landmark.
-        let mut bunch_start = vec![0; n + 1];
-        for &(_, v, _) in clusters.iter().flatten() {
-            bunch_start[v as usize + 1] += 1;
-        }
-        for v in 0..n {
-            bunch_start[v + 1] += bunch_start[v];
-        }
+        let bunch_start = bucket_starts(&clusters, n, |part, count| {
+            for &(_, v, _) in part {
+                count[v as usize + 1] += 1;
+            }
+        });
         let mut next = bunch_start.clone();
         let mut bunch_ids = vec![0; bunch_start[n]];
         let mut bunch_dists = vec![0; bunch_start[n]];

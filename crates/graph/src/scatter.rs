@@ -4,7 +4,9 @@
 //! The spanner engine scatters nothing: it reads its live edges in
 //! place from per-super-node adjacency lists. It uses only [`ranges`],
 //! to cut those lists, by their offsets, into balanced super-node
-//! ranges.
+//! ranges. The distance sketches use [`ranges`] to cut their cluster
+//! searches into landmark ranges and [`bucket_starts`] to size the
+//! bunches they transpose the clusters into.
 //!
 //! A counting scatter groups records by a dense integer key in
 //! `O(records + keys)`: count the records per key, take prefix sums,
