@@ -244,8 +244,8 @@ impl QueryEngine {
 /// [`HeapSize`] counts these arrays exactly.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DistanceSketches {
-    /// Number of levels `λ`.
-    pub levels: u32,
+    /// Number of levels `λ`, the stride of `pivots`.
+    levels: u32,
     /// `pivots[v·λ + i] = (pᵢ(v), d(v, pᵢ(v)))`; level 0 is `v` itself
     /// at distance 0.
     pivots: Vec<(u32, Distance)>,
@@ -473,6 +473,11 @@ impl DistanceSketches {
     /// The combined end-to-end guarantee relative to the original graph.
     pub fn stretch_bound(&self) -> f64 {
         self.sketch_stretch * self.substrate_stretch
+    }
+
+    /// Number of levels `λ`.
+    pub fn levels(&self) -> u32 {
+        self.levels
     }
 
     /// `(pᵢ(v), d(v, pᵢ(v)))`: `v`'s nearest level-`i` landmark and its
@@ -1068,7 +1073,7 @@ mod tests {
     /// Recovers a vertex's landmark level from its own pivot row: `w`'s
     /// level is the deepest `i` with `p_i(w) = w`.
     fn level_of_vertex(sk: &DistanceSketches, w: u32) -> u32 {
-        (0..sk.levels as usize)
+        (0..sk.levels() as usize)
             .rev()
             .find(|&i| sk.pivot(w, i) == (w, 0))
             .expect("level 0 pivot is always v itself") as u32
