@@ -24,9 +24,7 @@
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use spanner_core::pipeline::{
-    Algorithm, GraphHandle, JobQueue, JobSpec, QueueConfig, ShardedService,
-};
+use spanner_core::pipeline::{Algorithm, GraphHandle, JobQueue, JobSpec, ShardedService};
 use spanner_core::TradeoffParams;
 use spanner_graph::generators::{Family, WeightModel};
 use spanner_graph::Graph;
@@ -76,13 +74,7 @@ fn bench_sharded_throughput(c: &mut Criterion) {
             })
         });
 
-        let queue = JobQueue::start(
-            Arc::clone(&tier),
-            QueueConfig {
-                workers: 2,
-                batch_escape_every: 4,
-            },
-        );
+        let queue = JobQueue::start(Arc::clone(&tier), 2);
         group.bench_function(format!("queued/{shards}_shard"), |b| {
             b.iter(|| {
                 let ids: Vec<_> = handles

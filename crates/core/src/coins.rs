@@ -11,14 +11,8 @@
 //! same seed and tie-breaking rules they must output the same spanner,
 //! which the integration tests check.
 
-/// SplitMix64 mixer.
-#[inline]
-pub fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
+/// The SplitMix64 mixer, shared with the MPC runtime's key routing.
+pub use mpc_runtime::primitives::splitmix64;
 
 /// The coin for cluster `cluster` at `(epoch, iteration)`: `true` with
 /// probability `p` (deterministically, from the shared seed).

@@ -47,6 +47,7 @@ use spanner_graph::Graph;
 
 use crate::coins::cluster_coin;
 use crate::params::TradeoffParams;
+use crate::pipeline::MpcStats;
 use crate::result::SpannerResult;
 
 /// A live edge between super-nodes `a` and `b`, with their cluster labels.
@@ -147,27 +148,15 @@ impl EdgeCopy {
     }
 }
 
-/// Raw outcome of a distributed run — the spanner plus the *measured*
-/// model metrics — before the pipeline wraps it into
-/// [`crate::pipeline::MpcStats`].
-#[derive(Debug, Clone)]
-pub(crate) struct MpcSpannerRun {
-    /// The spanner and schedule statistics.
-    pub result: SpannerResult,
-    /// Measured rounds / traffic / peak memory.
-    pub metrics: mpc_runtime::Metrics,
-    /// The deployment used.
-    pub config: MpcConfig,
-}
-
 /// Runs the Section 5 algorithm on the MPC simulator under an explicit
-/// deployment (the pipeline's `Backend::Mpc` driver).
+/// deployment (the pipeline's `Backend::Mpc` driver): the spanner, and
+/// the *measured* rounds, traffic and peak memory of the deployment.
 pub(crate) fn run_mpc(
     g: &Graph,
     params: TradeoffParams,
     config: MpcConfig,
     seed: u64,
-) -> mpc_runtime::Result<MpcSpannerRun> {
+) -> mpc_runtime::Result<(SpannerResult, MpcStats)> {
     let sys = MpcSystem::new(config);
     let algorithm = format!(
         "mpc-general(k={},t={},S={}w,P={})",
@@ -175,11 +164,11 @@ pub(crate) fn run_mpc(
     );
 
     if params.k == 1 || g.m() == 0 {
-        return Ok(MpcSpannerRun {
-            result: SpannerResult::whole_graph(g, algorithm),
+        let stats = MpcStats {
             metrics: sys.metrics().clone(),
             config,
-        });
+        };
+        return Ok((SpannerResult::whole_graph(g, algorithm), stats));
     }
 
     let n = g.n();
@@ -238,11 +227,7 @@ pub(crate) fn run_mpc(
         decomposition: None,
     };
     result.canonicalise();
-    Ok(MpcSpannerRun {
-        result,
-        metrics,
-        config,
-    })
+    Ok((result, MpcStats { metrics, config }))
 }
 
 struct Driver {

@@ -22,6 +22,8 @@ use crate::params::TradeoffParams;
 use crate::result::SpannerResult;
 use spanner_graph::Graph;
 
+use super::CcStats;
+
 /// The accounting context for one Congested Clique execution.
 #[derive(Debug, Clone)]
 pub struct CcNetwork {
@@ -116,17 +118,6 @@ impl CcNetwork {
     }
 }
 
-/// Raw outcome of the Theorem 8.1 driver, before the pipeline wraps it
-/// into [`crate::pipeline::ExecutionStats`].
-#[derive(Debug, Clone)]
-pub(crate) struct CcRun {
-    pub result: SpannerResult,
-    pub rounds: u64,
-    pub total_words: u64,
-    pub repetitions: usize,
-    pub chosen_runs: Vec<usize>,
-}
-
 /// Seed for repetition `r` of a base seed (run 0 = the base seed, so a
 /// single-repetition execution matches the sequential reference).
 pub(crate) fn run_seed(base: u64, r: usize) -> u64 {
@@ -159,20 +150,25 @@ pub(crate) fn run_seed(base: u64, r: usize) -> u64 {
 ///
 /// Run 0 always uses the caller's seed unchanged, so `repetitions = 1`
 /// reproduces the sequential reference **bit-for-bit**.
-pub(crate) fn run_cc(g: &Graph, params: TradeoffParams, seed: u64, repetitions: usize) -> CcRun {
+pub(crate) fn run_cc(
+    g: &Graph,
+    params: TradeoffParams,
+    seed: u64,
+    repetitions: usize,
+) -> (SpannerResult, CcStats) {
     debug_assert!((1..=64).contains(&repetitions), "validated by plan()");
     let n = g.n();
     let mut net = CcNetwork::new(n.max(2));
     let algorithm = format!("cc-spanner(k={},t={},R={repetitions})", params.k, params.t);
 
     if params.k == 1 || g.m() == 0 {
-        return CcRun {
-            result: SpannerResult::whole_graph(g, algorithm),
+        let stats = CcStats {
             rounds: 0,
             total_words: 0,
             repetitions,
             chosen_runs: vec![],
         };
+        return (SpannerResult::whole_graph(g, algorithm), stats);
     }
 
     let mut engine = Engine::new(g, seed);
@@ -242,13 +238,13 @@ pub(crate) fn run_cc(g: &Graph, params: TradeoffParams, seed: u64, repetitions: 
     let mut result = engine.finish(algorithm, params.stretch_bound());
     result.epochs = l;
 
-    CcRun {
-        result,
+    let stats = CcStats {
         rounds: net.rounds(),
         total_words: net.total_words(),
         repetitions,
         chosen_runs,
-    }
+    };
+    (result, stats)
 }
 
 #[cfg(test)]

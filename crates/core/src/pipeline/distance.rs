@@ -691,11 +691,6 @@ impl<'g> DistanceRequest<'g> {
         &self.spanner
     }
 
-    /// The requested query engine.
-    pub fn query_engine(&self) -> QueryEngine {
-        self.engine
-    }
-
     /// Validates the request and predicts the composed guarantee and
     /// model cost without executing anything.
     pub fn plan(&self) -> Result<DistancePlan, PipelineError> {

@@ -98,11 +98,10 @@ pub use distance::{
     DistanceSketches, QueryEngine,
 };
 pub use pram_cost::{log_star, PramTracker};
-pub use queue::{
-    ClientId, JobId, JobOutput, JobQueue, JobSpec, JobStatus, Priority, QueueConfig, QueueStats,
-};
+pub use queue::{ClientId, JobId, JobQueue, JobStatus, Priority, QueueStats};
 pub use service::{
-    GraphHandle, HeapSize, LruStore, OracleJob, ServiceStats, SpannerJob, SpannerService,
+    GraphHandle, HeapSize, JobOutput, JobSpec, LruStore, OracleJob, ServiceStats, SpannerJob,
+    SpannerService,
 };
 pub use shard::ShardedService;
 
@@ -982,7 +981,8 @@ impl<'g> SpannerRequest<'g> {
 
     /// The execution path (plan → execute → deadline → verification)
     /// under an explicit [`BuildGuard`], shared by [`Self::run`] and by
-    /// [`SpannerJob`]s, which add the registry and the store around it.
+    /// the service's spanner jobs, which add the registry and the store
+    /// around it.
     /// The guard is checked between engine grow iterations and before
     /// Phase 2 on the sequential backend, so a fired token or expired
     /// deadline stops a spanner construction mid-build instead of
@@ -1038,64 +1038,31 @@ impl<'g> SpannerRequest<'g> {
         // iteration loop; the model simulators run whole-schedule and
         // check at the boundary.
         guard.check()?;
-        match self.backend {
-            Backend::Sequential => Ok((
+        let schedule = || plan.schedule.expect("plan() rejects non-engine algorithms");
+        let (result, stats) = match self.backend {
+            Backend::Sequential => (
                 self.run_sequential(plan, guard)?,
                 ExecutionStats::Sequential,
-            )),
+            ),
             Backend::Mpc { deployment } => {
-                let params = plan.schedule.expect("plan() rejects non-engine algorithms");
-                let config = deployment.config(g);
-                let run = crate::mpc_driver::run_mpc(g, params, config, seed)?;
-                let result = self.finish_engine_result(run.result, plan);
-                Ok((
-                    result,
-                    ExecutionStats::Mpc(MpcStats {
-                        metrics: run.metrics,
-                        config: run.config,
-                    }),
-                ))
+                let (result, stats) =
+                    crate::mpc_driver::run_mpc(g, schedule(), deployment.config(g), seed)?;
+                (result, ExecutionStats::Mpc(stats))
             }
             Backend::CongestedClique { repetitions } => {
-                let params = plan.schedule.expect("plan() rejects non-engine algorithms");
-                let run = clique::run_cc(g, params, seed, repetitions);
-                let result = self.finish_engine_result(run.result, plan);
-                Ok((
-                    result,
-                    ExecutionStats::CongestedClique(CcStats {
-                        rounds: run.rounds,
-                        total_words: run.total_words,
-                        repetitions: run.repetitions,
-                        chosen_runs: run.chosen_runs,
-                    }),
-                ))
+                let (result, stats) = clique::run_cc(g, schedule(), seed, repetitions);
+                (result, ExecutionStats::CongestedClique(stats))
             }
             Backend::Pram => {
-                let params = plan.schedule.expect("plan() rejects non-engine algorithms");
-                let run = pram_cost::run_pram(g, params, seed);
-                let result = self.finish_engine_result(run.result, plan);
-                Ok((
-                    result,
-                    ExecutionStats::Pram(PramStats {
-                        depth: run.depth,
-                        work: run.work,
-                        log_star_n: run.log_star_n,
-                    }),
-                ))
+                let (result, stats) = pram_cost::run_pram(g, schedule(), seed);
+                (result, ExecutionStats::Pram(stats))
             }
             Backend::Streaming => {
-                let params = plan.schedule.expect("plan() rejects non-engine algorithms");
-                let run = crate::streaming::run_streaming(g, params, seed);
-                let result = self.finish_engine_result(run.result, plan);
-                Ok((
-                    result,
-                    ExecutionStats::Streaming(StreamingStats {
-                        passes: run.passes,
-                        quoted_stretch_exponent: run.quoted_stretch_exponent,
-                    }),
-                ))
+                let (result, stats) = crate::streaming::run_streaming(g, schedule(), seed);
+                (result, ExecutionStats::Streaming(stats))
             }
-        }
+        };
+        Ok((self.finish_engine_result(result, plan), stats))
     }
 
     /// Sequential dispatch. Infallible once `plan()` has validated and
@@ -1119,17 +1086,16 @@ impl<'g> SpannerRequest<'g> {
             | Algorithm::ClusterMerging { .. }
             | Algorithm::Corollary { .. } => {
                 let params = plan.schedule.expect("engine schedule");
-                let r = crate::general::run_general(g, params, seed, self.track_radii, guard)?;
-                Ok(self.finish_engine_result(r, plan))
+                crate::general::run_general(g, params, seed, self.track_radii, guard)
             }
         }
     }
 
     /// Applies algorithm-level label/bound specialisations to an
-    /// engine-produced result (e.g. cluster merging's `k^{log 3}`
-    /// bound and label, the corollary settings' labels), so the
-    /// report's result matches the requested algorithm and the planned
-    /// bound on **every** backend.
+    /// executed result (e.g. cluster merging's `k^{log 3}` bound and
+    /// label, the corollary settings' labels), so the report's result
+    /// matches the requested algorithm and the planned bound on
+    /// **every** backend. The standalone constructions have none.
     fn finish_engine_result(&self, mut r: SpannerResult, plan: &Plan) -> SpannerResult {
         if let Some(bound) = self.algorithm.stretch_override() {
             r.stretch_bound = bound;

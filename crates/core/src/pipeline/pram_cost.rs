@@ -13,6 +13,8 @@ use crate::params::TradeoffParams;
 use crate::result::SpannerResult;
 use spanner_graph::Graph;
 
+use super::PramStats;
+
 /// Iterated logarithm: the number of times `log₂` must be applied to `n`
 /// before the value drops to ≤ 1.
 pub fn log_star(n: usize) -> u32 {
@@ -82,16 +84,6 @@ impl PramTracker {
     }
 }
 
-/// Raw outcome of the PRAM driver, before the pipeline wraps it into
-/// [`crate::pipeline::ExecutionStats`].
-#[derive(Debug, Clone)]
-pub(crate) struct PramRun {
-    pub result: SpannerResult,
-    pub depth: u64,
-    pub work: u64,
-    pub log_star_n: u32,
-}
-
 /// The general trade-off spanner on the CRCW PRAM, with measured
 /// work/depth (the cost model of Section 6's closing paragraphs):
 ///
@@ -106,18 +98,18 @@ pub(crate) struct PramRun {
 ///
 /// State evolution reuses the engine (identical coins and tie-breaks ⇒
 /// the spanner equals the sequential reference bit-for-bit).
-pub(crate) fn run_pram(g: &Graph, params: TradeoffParams, seed: u64) -> PramRun {
+pub(crate) fn run_pram(g: &Graph, params: TradeoffParams, seed: u64) -> (SpannerResult, PramStats) {
     let n = g.n();
     let mut tracker = PramTracker::new(n.max(2));
     let algorithm = format!("pram-general(k={},t={})", params.k, params.t);
 
     if params.k == 1 || g.m() == 0 {
-        return PramRun {
-            result: SpannerResult::whole_graph(g, algorithm),
+        let stats = PramStats {
             depth: 0,
             work: 0,
             log_star_n: log_star(n.max(2)),
         };
+        return (SpannerResult::whole_graph(g, algorithm), stats);
     }
 
     let mut engine = Engine::new(g, seed);
@@ -148,12 +140,12 @@ pub(crate) fn run_pram(g: &Graph, params: TradeoffParams, seed: u64) -> PramRun 
     engine.phase2();
 
     let result = engine.finish(algorithm, params.stretch_bound());
-    PramRun {
-        result,
+    let stats = PramStats {
         depth: tracker.depth(),
         work: tracker.work(),
         log_star_n: log_star(n.max(2)),
-    }
+    };
+    (result, stats)
 }
 
 #[cfg(test)]

@@ -12,22 +12,22 @@
 //!   [`JobQueue::wait_timeout`] observe the job's [`JobStatus`];
 //! * two **priority lanes** ([`Priority::Interactive`] /
 //!   [`Priority::Batch`]): interactive jobs are dispatched first, with
-//!   a bounded escape valve (every
-//!   [`QueueConfig::batch_escape_every`]-th dispatch serves the batch
-//!   lane) so neither lane can starve the other;
+//!   a bounded escape valve (every fourth dispatch serves the batch
+//!   lane while both hold work) so neither lane can starve the other;
 //! * **per-client fairness** inside each lane: jobs are queued per
 //!   [`ClientId`] and dispatched round-robin across clients, so one
 //!   client's burst of 1000 jobs cannot delay another client's single
 //!   job by more than one rotation;
-//! * a fixed pool of **worker threads** drains the queue into
-//!   shard-local [`SpannerService`] jobs — worker count bounds
-//!   execution concurrency;
+//! * a fixed pool of **worker threads** serves each job on the shard
+//!   owning its graph, through the same build-or-hit path as the
+//!   blocking builders — worker count bounds execution concurrency;
 //! * **cancel/deadline before execution**: every job carries its own
-//!   [`CancelToken`]; a job whose token fires or whose deadline
-//!   expires while still queued resolves ([`PipelineError::Cancelled`]
-//!   / [`PipelineError::DeadlineExceeded`]) *without executing* — the
-//!   check happens at dispatch, and a token fired mid-build aborts at
-//!   the engine's [`BuildGuard`](super::BuildGuard) checkpoints;
+//!   [`CancelToken`] and gets its [`BuildGuard`] at submission, so its
+//!   deadline covers queue wait and execution. A job whose token fires
+//!   or whose deadline expires while still queued resolves
+//!   ([`PipelineError::Cancelled`] / [`PipelineError::DeadlineExceeded`])
+//!   *without executing* — the guard is checked at dispatch — and one
+//!   that runs out mid-build aborts at the guard's checkpoints;
 //! * every wait is **condvar-driven** (submission wakes a worker,
 //!   resolution wakes the waiters) — no polling loops anywhere on this
 //!   path.
@@ -45,15 +45,14 @@
 //! reports [`JobStatus::Released`] and `wait` fails with
 //! [`PipelineError::ResultReleased`]. A job that is never waited keeps
 //! its result until the queue is dropped. The [`JobSpec`] (and with it
-//! the [`GraphHandle`]) moves to the worker at dispatch; the entry keeps
-//! only the job's [`CancelToken`] and its resolution order, so
-//! [`JobQueue::cancel`] and [`JobQueue::resolution_order`] always answer.
+//! the [`GraphHandle`](super::GraphHandle)) moves to the worker at
+//! dispatch; the entry keeps only the job's [`CancelToken`] and its
+//! resolution order, so [`JobQueue::cancel`] and
+//! [`JobQueue::resolution_order`] always answer.
 //!
-//! Answers are identical to the blocking path: workers execute through
-//! the same [`ShardedService`] jobs, so artifacts land in (and are
+//! Answers are identical to the blocking path: workers serve through
+//! the same [`ShardedService`] path, so artifacts land in (and are
 //! served from) the same budgeted stores, bit-identical at equal seeds.
-//!
-//! [`SpannerService`]: super::SpannerService
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -64,9 +63,10 @@ use std::time::{Duration, Instant};
 
 use crate::sync::{MutexGuard, TrackedCondvar, TrackedMutex};
 
-use super::distance::{DistanceOracle, QueryEngine};
+use super::distance::{BuildGuard, DistanceOracle};
+use super::service::{JobOutput, JobSpec};
 use super::shard::ShardedService;
-use super::{Algorithm, Backend, CancelToken, GraphHandle, PipelineError, RunReport, Verification};
+use super::{CancelToken, PipelineError, RunReport};
 
 // ---------------------------------------------------------------------
 // Vocabulary
@@ -80,7 +80,8 @@ use super::{Algorithm, Backend, CancelToken, GraphHandle, PipelineError, RunRepo
 pub struct ClientId(pub u64);
 
 /// The two dispatch lanes. Interactive wins ties; the batch lane is
-/// guaranteed progress via [`QueueConfig::batch_escape_every`].
+/// guaranteed progress: while both lanes hold work, every fourth
+/// dispatch serves it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Priority {
     /// Latency-sensitive traffic — dispatched ahead of batch work.
@@ -110,33 +111,7 @@ impl fmt::Display for JobId {
     }
 }
 
-/// What a completed job produced — the same `Arc`'d artifacts the
-/// blocking submitters return.
-#[derive(Debug, Clone)]
-pub enum JobOutput {
-    /// From a [`JobSpec::spanner`] job.
-    Spanner(Arc<RunReport>),
-    /// From a [`JobSpec::oracle`] job.
-    Oracle(Arc<DistanceOracle>),
-}
-
 impl JobOutput {
-    /// The spanner report, if this is a spanner job's output.
-    pub fn spanner(&self) -> Option<&Arc<RunReport>> {
-        match self {
-            JobOutput::Spanner(report) => Some(report),
-            JobOutput::Oracle(_) => None,
-        }
-    }
-
-    /// The oracle, if this is an oracle job's output.
-    pub fn oracle(&self) -> Option<&Arc<DistanceOracle>> {
-        match self {
-            JobOutput::Oracle(oracle) => Some(oracle),
-            JobOutput::Spanner(_) => None,
-        }
-    }
-
     fn downgrade(&self) -> WeakOutput {
         match self {
             JobOutput::Spanner(report) => WeakOutput::Spanner(Arc::downgrade(report)),
@@ -190,145 +165,14 @@ impl JobStatus {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum JobKind {
-    Spanner,
-    Oracle,
-}
-
-/// An owned job description — everything a [`SpannerJob`] /
-/// [`OracleJob`] builder carries, plus the queueing attributes
-/// ([`Priority`], [`ClientId`]). Owned (the [`GraphHandle`] is `Arc`'d)
-/// so it can cross into the worker threads.
-///
-/// [`SpannerJob`]: super::SpannerJob
-/// [`OracleJob`]: super::OracleJob
-#[derive(Debug, Clone)]
-pub struct JobSpec {
-    kind: JobKind,
-    handle: GraphHandle,
-    algorithm: Algorithm,
-    backend: Backend,
-    seed: u64,
-    verification: Verification,
-    engine: QueryEngine,
-    deadline: Option<Duration>,
-    cancel: CancelToken,
-    priority: Priority,
-    client: ClientId,
-}
-
-impl JobSpec {
-    fn new(kind: JobKind, handle: &GraphHandle, algorithm: Algorithm) -> Self {
-        JobSpec {
-            kind,
-            handle: handle.clone(),
-            algorithm,
-            backend: Backend::Sequential,
-            seed: 0,
-            verification: Verification::Skip,
-            engine: QueryEngine::Dijkstra,
-            deadline: None,
-            cancel: CancelToken::new(),
-            priority: Priority::default(),
-            client: ClientId::default(),
-        }
-    }
-
-    /// A spanner-construction job (resolves to
-    /// [`JobOutput::Spanner`]).
-    pub fn spanner(handle: &GraphHandle, algorithm: Algorithm) -> Self {
-        JobSpec::new(JobKind::Spanner, handle, algorithm)
-    }
-
-    /// A distance-oracle job (resolves to [`JobOutput::Oracle`]).
-    pub fn oracle(handle: &GraphHandle, algorithm: Algorithm) -> Self {
-        JobSpec::new(JobKind::Oracle, handle, algorithm)
-    }
-
-    /// Chooses the execution backend.
-    pub fn on(mut self, backend: Backend) -> Self {
-        self.backend = backend;
-        self
-    }
-
-    /// Sets the shared-randomness seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Inline verification policy (spanner jobs).
-    pub fn verification(mut self, verification: Verification) -> Self {
-        self.verification = verification;
-        self
-    }
-
-    /// Query engine (oracle jobs).
-    pub fn engine(mut self, engine: QueryEngine) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// Deadline covering queue wait *and* execution, measured from
-    /// submission.
-    pub fn deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
-
-    /// Uses `token` instead of the spec's own fresh token — lets one
-    /// token cancel a group of jobs.
-    pub fn cancel(mut self, token: CancelToken) -> Self {
-        self.cancel = token;
-        self
-    }
-
-    /// The job's cancellation token (fresh per spec unless
-    /// [`JobSpec::cancel`] replaced it).
-    pub fn cancel_token(&self) -> CancelToken {
-        self.cancel.clone()
-    }
-
-    /// Dispatch lane.
-    pub fn priority(mut self, priority: Priority) -> Self {
-        self.priority = priority;
-        self
-    }
-
-    /// Submitting client, for fair admission.
-    pub fn client(mut self, client: ClientId) -> Self {
-        self.client = client;
-        self
-    }
-}
-
 // ---------------------------------------------------------------------
 // Configuration and stats
 // ---------------------------------------------------------------------
 
-/// Tuning knobs of a [`JobQueue`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QueueConfig {
-    /// Worker threads draining the queue — the execution concurrency
-    /// bound for queued traffic.
-    pub workers: usize,
-    /// Anti-starvation valve: when both lanes hold work, every
-    /// `batch_escape_every`-th dispatch serves the batch lane instead
-    /// of the interactive one. `0` disables the valve (strict
-    /// priority — batch work then runs only when the interactive lane
-    /// is empty).
-    pub batch_escape_every: usize,
-}
-
-impl Default for QueueConfig {
-    fn default() -> Self {
-        QueueConfig {
-            workers: 2,
-            batch_escape_every: 4,
-        }
-    }
-}
+/// Anti-starvation valve: while both lanes hold work, every
+/// `BATCH_ESCAPE_EVERY`-th dispatch serves the batch lane instead of
+/// the interactive one.
+const BATCH_ESCAPE_EVERY: u64 = 4;
 
 /// A point-in-time snapshot of a queue's counters.
 #[derive(Debug, Clone, Copy, Default)]
@@ -394,29 +238,18 @@ enum Stage {
 
 #[derive(Debug)]
 struct JobEntry {
-    /// The job, until a worker takes it at dispatch.
-    spec: Option<JobSpec>,
+    /// The job and the guard armed at submission, until a worker takes
+    /// them at dispatch.
+    job: Option<(JobSpec, BuildGuard)>,
     /// The spec's token, kept for [`JobQueue::cancel`].
     cancel: CancelToken,
     stage: Stage,
-    submitted: Instant,
     /// 1-based global order in which this job resolved (terminal
     /// transitions only) — lets tests assert scheduling properties.
     resolved_seq: Option<u64>,
 }
 
 impl JobEntry {
-    fn new(spec: JobSpec, stage: Stage) -> JobEntry {
-        JobEntry {
-            cancel: spec.cancel.clone(),
-            spec: matches!(stage, Stage::Queued).then_some(spec),
-            stage,
-            // analyze:allow(determinism-taint): admission timestamp — latency metrics and deadline accounting are wall-clock by the serving contract
-            submitted: Instant::now(),
-            resolved_seq: None,
-        }
-    }
-
     /// The public view of the job's stage.
     fn status(&self) -> JobStatus {
         match &self.stage {
@@ -526,7 +359,7 @@ struct QueueState {
 impl QueueState {
     /// Picks the next job to dispatch, honouring lane priority (with
     /// the batch escape valve) and per-client round-robin.
-    fn take_next(&mut self, config: &QueueConfig) -> Option<JobId> {
+    fn take_next(&mut self) -> Option<JobId> {
         // analyze:allow(panic-path): literal indexes into the fixed `[Lane; 2]`
         let interactive = self.lanes[0].len > 0;
         // analyze:allow(panic-path): literal indexes into the fixed `[Lane; 2]`
@@ -536,8 +369,7 @@ impl QueueState {
             (true, false) => 0,
             (false, true) => 1,
             (true, true) => {
-                let escape = config.batch_escape_every as u64;
-                if escape > 0 && (self.dispatches + 1).is_multiple_of(escape) {
+                if (self.dispatches + 1).is_multiple_of(BATCH_ESCAPE_EVERY) {
                     1
                 } else {
                     0
@@ -555,7 +387,6 @@ impl QueueState {
 #[derive(Debug)]
 struct QueueInner {
     service: Arc<ShardedService>,
-    config: QueueConfig,
     state: TrackedMutex<QueueState>,
     /// Workers park here; submission (and shutdown) notifies.
     work_ready: TrackedCondvar,
@@ -584,18 +415,18 @@ pub struct JobQueue {
 }
 
 impl JobQueue {
-    /// Starts `config.workers` worker threads over `service`.
-    pub fn start(service: Arc<ShardedService>, config: QueueConfig) -> JobQueue {
-        assert!(config.workers >= 1, "a job queue needs at least one worker");
+    /// Starts `workers` worker threads over `service` — the execution
+    /// concurrency bound for queued traffic.
+    pub fn start(service: Arc<ShardedService>, workers: usize) -> JobQueue {
+        assert!(workers >= 1, "a job queue needs at least one worker");
         let inner = Arc::new(QueueInner {
             service,
-            config,
             state: TrackedMutex::new("queue.state", QueueState::default()),
             work_ready: TrackedCondvar::new("queue.work_ready"),
             job_done: TrackedCondvar::new("queue.job_done"),
             next_id: AtomicU64::new(0),
         });
-        let workers = (0..config.workers)
+        let workers = (0..workers)
             .map(|i| {
                 let inner = Arc::clone(&inner);
                 // The queue *is* a sanctioned nursery: long-lived named
@@ -612,21 +443,18 @@ impl JobQueue {
         JobQueue { inner, workers }
     }
 
-    /// [`JobQueue::start`] with the default [`QueueConfig`].
+    /// [`JobQueue::start`] with two workers.
     pub fn with_defaults(service: Arc<ShardedService>) -> JobQueue {
-        JobQueue::start(service, QueueConfig::default())
-    }
-
-    /// The sharded service the workers execute against.
-    pub fn service(&self) -> &Arc<ShardedService> {
-        &self.inner.service
+        JobQueue::start(service, 2)
     }
 
     /// Enqueues a job and returns immediately. The returned id is valid
     /// for [`JobQueue::poll`] / [`wait`](JobQueue::wait) for the
-    /// queue's whole lifetime.
+    /// queue's whole lifetime. The job's deadline runs from this call.
     pub fn submit(&self, spec: JobSpec) -> JobId {
         let id = JobId(self.inner.next_id.fetch_add(1, Ordering::Relaxed) + 1);
+        let guard = spec.guard();
+        let cancel = spec.cancel.clone();
         {
             let mut state = self.lock();
             state.submitted += 1;
@@ -637,8 +465,12 @@ impl JobQueue {
                 state.refused += 1;
                 state.failed += 1;
                 state.resolutions += 1;
-                let mut entry = JobEntry::new(spec, Stage::Failed(PipelineError::Cancelled));
-                entry.resolved_seq = Some(state.resolutions);
+                let entry = JobEntry {
+                    job: None,
+                    cancel,
+                    stage: Stage::Failed(PipelineError::Cancelled),
+                    resolved_seq: Some(state.resolutions),
+                };
                 state.jobs.insert(id, entry);
                 drop(state);
                 self.inner.job_done.notify_all();
@@ -648,7 +480,13 @@ impl JobQueue {
             state.peak_queued = state.peak_queued.max(state.queued_now);
             // analyze:allow(panic-path): `Priority::lane()` returns 0 or 1 into `[Lane; 2]`
             state.lanes[spec.priority.lane()].push(spec.client, id);
-            state.jobs.insert(id, JobEntry::new(spec, Stage::Queued));
+            let entry = JobEntry {
+                job: Some((spec, guard)),
+                cancel,
+                stage: Stage::Queued,
+                resolved_seq: None,
+            };
+            state.jobs.insert(id, entry);
         }
         self.inner.work_ready.notify_one();
         id
@@ -746,11 +584,6 @@ impl JobQueue {
             }
             None => false,
         }
-    }
-
-    /// Jobs currently waiting in a lane.
-    pub fn pending(&self) -> usize {
-        self.lock().queued_now
     }
 
     /// A point-in-time snapshot of the queue's counters.
@@ -859,13 +692,13 @@ fn worker_loop(inner: &QueueInner) {
         // Dequeue (or exit on shutdown). Shutdown wins over backlog:
         // the queue is being dropped, so still-queued jobs are
         // abandoned rather than raced against the join.
-        let (id, spec, submitted) = {
+        let (id, job) = {
             let mut state = inner.state.lock();
             let id = loop {
                 if state.shutdown {
                     return;
                 }
-                if let Some(id) = state.take_next(&inner.config) {
+                if let Some(id) = state.take_next() {
                     break id;
                 }
                 state = inner.work_ready.wait(state);
@@ -874,10 +707,10 @@ fn worker_loop(inner: &QueueInner) {
             // analyze:allow(panic-path): entries outlive dispatch — inserted at submit, removed only after resolution
             let entry = state.jobs.get_mut(&id).expect("dispatched job exists");
             entry.stage = Stage::Running;
-            (id, entry.spec.take(), entry.submitted)
+            (id, entry.job.take())
         };
-        let Some(spec) = spec else {
-            // Unreachable: a queued entry holds its spec, and only this
+        let Some((spec, guard)) = job else {
+            // Unreachable: a queued entry holds its job, and only this
             // dispatch takes it. Degrade rather than panic under the lock.
             debug_assert!(false, "{id} was dispatched without its spec");
             resolve(
@@ -889,41 +722,15 @@ fn worker_loop(inner: &QueueInner) {
             continue;
         };
 
-        // Pre-execution checks: a token fired or a deadline blown while
+        // Pre-execution check: a token fired or a deadline blown while
         // the job sat in its lane resolves it here — it never executes
         // and never touches the shard's counters.
-        if spec.cancel.is_cancelled() {
-            resolve(
-                inner,
-                id,
-                Err(PipelineError::Cancelled),
-                Disposition::SkippedCancel,
-            );
-            continue;
-        }
-        let remaining = match spec.deadline {
-            Some(deadline) => {
-                let waited = submitted.elapsed();
-                if waited >= deadline {
-                    resolve(
-                        inner,
-                        id,
-                        Err(PipelineError::DeadlineExceeded {
-                            algorithm: spec.algorithm.label(),
-                            deadline,
-                            elapsed: waited,
-                        }),
-                        Disposition::SkippedDeadline,
-                    );
-                    continue;
-                }
-                Some(deadline - waited)
-            }
-            None => None,
+        let (result, disposition) = match guard.check() {
+            Ok(()) => (inner.service.execute(&spec, &guard), Disposition::Executed),
+            Err(e @ PipelineError::Cancelled) => (Err(e), Disposition::SkippedCancel),
+            Err(e) => (Err(e), Disposition::SkippedDeadline),
         };
-
-        let result = execute(inner, &spec, remaining);
-        resolve(inner, id, result, Disposition::Executed);
+        resolve(inner, id, result, disposition);
     }
 }
 
@@ -932,41 +739,6 @@ enum Disposition {
     Executed,
     SkippedCancel,
     SkippedDeadline,
-}
-
-fn execute(
-    inner: &QueueInner,
-    spec: &JobSpec,
-    remaining: Option<Duration>,
-) -> Result<JobOutput, PipelineError> {
-    match spec.kind {
-        JobKind::Spanner => {
-            let mut job = inner
-                .service
-                .spanner(&spec.handle, spec.algorithm)
-                .on(spec.backend)
-                .seed(spec.seed)
-                .verification(spec.verification)
-                .cancel(spec.cancel.clone());
-            if let Some(remaining) = remaining {
-                job = job.deadline(remaining);
-            }
-            job.run().map(JobOutput::Spanner)
-        }
-        JobKind::Oracle => {
-            let mut job = inner
-                .service
-                .oracle(&spec.handle, spec.algorithm)
-                .on(spec.backend)
-                .seed(spec.seed)
-                .engine(spec.engine)
-                .cancel(spec.cancel.clone());
-            if let Some(remaining) = remaining {
-                job = job.deadline(remaining);
-            }
-            job.build().map(JobOutput::Oracle)
-        }
-    }
 }
 
 /// The single terminal transition of a job: status, resolution order
@@ -1010,6 +782,7 @@ fn resolve(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::Algorithm;
     use crate::TradeoffParams;
     use spanner_graph::generators::{self, WeightModel};
 
@@ -1029,7 +802,7 @@ mod tests {
     fn submit_poll_wait_roundtrip() {
         let service = sharded();
         let handle = service.register(graph(1));
-        let queue = JobQueue::start(Arc::clone(&service), QueueConfig::default());
+        let queue = JobQueue::with_defaults(Arc::clone(&service));
         let id = queue.submit(JobSpec::spanner(&handle, alg()).seed(7));
         let output = queue.wait(id).expect("job completes");
         let report = output.spanner().expect("spanner job yields a report");
@@ -1061,13 +834,7 @@ mod tests {
     fn wait_timeout_reports_pending_then_resolves() {
         let service = sharded();
         let handle = service.register(graph(2));
-        let queue = JobQueue::start(
-            Arc::clone(&service),
-            QueueConfig {
-                workers: 1,
-                ..QueueConfig::default()
-            },
-        );
+        let queue = JobQueue::start(Arc::clone(&service), 1);
         // Occupy the single worker so the probe job stays queued.
         let blocker = queue.submit(JobSpec::oracle(&handle, alg()).seed(1));
         let probe = queue.submit(JobSpec::spanner(&handle, alg()).seed(2));
@@ -1099,22 +866,18 @@ mod tests {
     #[test]
     fn take_next_prefers_interactive_with_batch_escape() {
         let mut state = QueueState::default();
-        let config = QueueConfig {
-            workers: 1,
-            batch_escape_every: 3,
-        };
         let client = ClientId::default();
         for i in 0..4u64 {
             state.lanes[0].push(client, JobId(100 + i));
             state.lanes[1].push(client, JobId(200 + i));
             state.queued_now += 2;
         }
-        let order: Vec<u64> = std::iter::from_fn(|| state.take_next(&config))
+        let order: Vec<u64> = std::iter::from_fn(|| state.take_next())
             .map(|JobId(raw)| raw)
             .collect();
-        // Dispatches 3 and 6 (every 3rd) serve the batch lane while
-        // both lanes hold work; once interactive drains, batch runs.
-        assert_eq!(order, vec![100, 101, 200, 102, 103, 201, 202, 203]);
+        // Dispatch 4 (every 4th) serves the batch lane while both lanes
+        // hold work; once interactive drains, batch runs.
+        assert_eq!(order, vec![100, 101, 102, 200, 103, 201, 202, 203]);
     }
 
     /// Dropping a queue with a backlog must not leave waiters hanging:
@@ -1132,7 +895,6 @@ mod tests {
         let mut queue = JobQueue {
             inner: Arc::new(QueueInner {
                 service: Arc::clone(&service),
-                config: QueueConfig::default(),
                 state: TrackedMutex::new("queue.state", QueueState::default()),
                 work_ready: TrackedCondvar::new("queue.work_ready"),
                 job_done: TrackedCondvar::new("queue.job_done"),

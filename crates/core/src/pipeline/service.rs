@@ -44,12 +44,16 @@
 //!   fingerprint collision must never alias two different graphs), and
 //!   **versioned**: re-registering a mutated graph under the same
 //!   registry key bumps the version and invalidates every dependent
-//!   artifact, so a stale oracle can never be served;
-//! * [`SpannerService::spanner`] / [`SpannerService::oracle`] — job
-//!   builders that reuse the one-shot vocabulary unchanged
-//!   ([`Algorithm`], [`Backend`], [`Verification`], seeds, deadlines,
-//!   [`CancelToken`]s) and return the same [`RunReport`] /
-//!   [`DistanceOracle`] types, `Arc`'d out of the artifact store;
+//!   artifact, and a key never issues a version twice, not even after
+//!   [`SpannerService::invalidate`], so a stale oracle can never be
+//!   served;
+//! * [`JobSpec`] — the one description of a serving job, in the
+//!   one-shot vocabulary ([`Algorithm`], [`Backend`], [`Verification`],
+//!   [`QueryEngine`], seeds, deadlines, [`CancelToken`]s). The builders
+//!   [`SpannerService::spanner`] / [`SpannerService::oracle`] bind a
+//!   spec to the service and return the same [`RunReport`] /
+//!   [`DistanceOracle`] types, `Arc`'d out of the artifact store; the
+//!   [`JobQueue`](super::JobQueue) schedules specs;
 //! * [`LruStore`] — the one memory-budgeted artifact store: every
 //!   artifact is sized through the [`HeapSize`] trait and the
 //!   least-recently-used entries are evicted once the byte budget
@@ -57,13 +61,16 @@
 //!   exceeded;
 //! * [`ServiceStats`] — hit/miss/eviction/latency counters.
 //!
-//! A job runs on the calling thread, with no admission limit of its
-//! own: the one admission point for serving traffic is the
+//! Every job, blocking or queued, is served by one path: it renders its
+//! artifact key, answers from the store on a hit, and otherwise checks
+//! its [`BuildGuard`], builds and stores the artifact. A blocking job
+//! runs on the calling thread, with no admission limit of its own: the
+//! one admission point for serving traffic is the
 //! [`JobQueue`](super::JobQueue), whose worker count bounds how many
-//! jobs execute at once. A job builds its artifact through the same
-//! code path as the one-shot [`SpannerRequest::run`] /
-//! [`DistanceRequest::build`], so both produce bit-identical artifacts
-//! at equal seeds.
+//! jobs execute at once. A job builds its artifact through
+//! [`SpannerRequest`] / [`DistanceRequest`], like the one-shot
+//! [`SpannerRequest::run`] / [`DistanceRequest::build`], so both produce
+//! bit-identical artifacts at equal seeds.
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -75,6 +82,7 @@ use spanner_graph::edge::{Edge, EdgeId, Weight};
 use spanner_graph::Graph;
 
 use super::distance::{BuildGuard, DistanceOracle, DistanceRequest, QueryEngine};
+use super::queue::{ClientId, Priority};
 use super::{
     Algorithm, Backend, CancelToken, PipelineError, RunReport, SpannerRequest, Verification,
 };
@@ -125,6 +133,15 @@ impl HeapSize for RunReport {
 impl<T: HeapSize> HeapSize for Arc<T> {
     fn heap_size(&self) -> usize {
         T::heap_size(self)
+    }
+}
+
+impl HeapSize for JobOutput {
+    fn heap_size(&self) -> usize {
+        match self {
+            JobOutput::Spanner(report) => report.heap_size(),
+            JobOutput::Oracle(oracle) => oracle.heap_size(),
+        }
     }
 }
 
@@ -416,6 +433,17 @@ struct Counters {
 // Registry
 // ---------------------------------------------------------------------
 
+/// A registry key's slot: its live registration, if any, and the last
+/// version the key issued. The slot outlives
+/// [`SpannerService::invalidate`], so a key never issues a version twice:
+/// a job on an invalidated handle may still store artifacts under the
+/// old version, and new content must never be served them.
+#[derive(Debug, Default)]
+struct KeySlot {
+    live: Option<GraphHandle>,
+    version: u64,
+}
+
 #[derive(Debug)]
 struct RegisteredGraph {
     graph: Arc<Graph>,
@@ -479,12 +507,6 @@ struct ArtifactKey {
     job: String,
 }
 
-#[derive(Debug, Clone)]
-enum Artifact {
-    Spanner(Arc<RunReport>),
-    Oracle(Arc<DistanceOracle>),
-}
-
 // ---------------------------------------------------------------------
 // The service
 // ---------------------------------------------------------------------
@@ -497,8 +519,8 @@ enum Artifact {
 /// threads concurrently.
 #[derive(Debug)]
 pub struct SpannerService {
-    registry: TrackedMutex<HashMap<u64, GraphHandle>>,
-    store: LruStore<ArtifactKey, Artifact>,
+    registry: TrackedMutex<HashMap<u64, KeySlot>>,
+    store: LruStore<ArtifactKey, JobOutput>,
     counters: Counters,
 }
 
@@ -557,7 +579,10 @@ impl SpannerService {
         // inserting — a racing registration for the same key restarts
         // the comparison rather than aliasing a different graph.
         loop {
-            let prior = self.registry.lock().get(&key).cloned();
+            let (prior, last) = match self.registry.lock().get(&key) {
+                Some(slot) => (slot.live.clone(), slot.version),
+                None => (None, 0),
+            };
             if let Some(existing) = &prior {
                 if Arc::ptr_eq(&existing.inner.graph, &graph)
                     || same_content(&existing.inner.graph, &graph)
@@ -565,10 +590,11 @@ impl SpannerService {
                     return existing.clone();
                 }
             }
-            // Same key, different content: a mutated graph (or a
-            // genuine fingerprint collision). Never alias — bump the
-            // version and drop every artifact derived from the old one.
-            let version = prior.as_ref().map_or(1, |e| e.inner.version + 1);
+            // New content under this key: a mutated graph (or a genuine
+            // fingerprint collision), or any graph after `invalidate`.
+            // Never alias — take the next version and drop every
+            // artifact derived from an older one.
+            let version = last + 1;
             let handle = GraphHandle {
                 inner: Arc::new(RegisteredGraph {
                     graph: graph.clone(),
@@ -577,16 +603,17 @@ impl SpannerService {
                 }),
             };
             {
+                // A key's versions never repeat, so an unchanged version
+                // means no registration raced this one.
                 let mut registry = self.registry.lock();
-                let unchanged = match (&prior, registry.get(&key)) {
-                    (None, None) => true,
-                    (Some(p), Some(c)) => Arc::ptr_eq(&p.inner, &c.inner),
-                    _ => false,
-                };
-                if !unchanged {
+                let slot = registry.entry(key).or_default();
+                if slot.version != last {
                     continue;
                 }
-                registry.insert(key, handle.clone());
+                *slot = KeySlot {
+                    live: Some(handle.clone()),
+                    version,
+                };
             }
             if version > 1 {
                 let purged = self
@@ -602,18 +629,23 @@ impl SpannerService {
 
     /// Number of currently registered graphs.
     pub fn registered(&self) -> usize {
-        self.registry.lock().len()
+        self.registry
+            .lock()
+            .values()
+            .filter(|slot| slot.live.is_some())
+            .count()
     }
 
     /// Drops a registration and every artifact derived from it; returns
     /// how many artifacts were invalidated. The handle itself (and any
     /// `Arc`'d artifacts already handed out) stay usable — invalidation
-    /// only empties the *shared* store.
+    /// only empties the *shared* store. The key's next registration gets
+    /// a new version, so it never shares an artifact with this one.
     pub fn invalidate(&self, handle: &GraphHandle) -> usize {
         let mut registry = self.registry.lock();
-        if let Some(current) = registry.get(&handle.inner.key) {
-            if current.inner.version == handle.inner.version {
-                registry.remove(&handle.inner.key);
+        if let Some(slot) = registry.get_mut(&handle.inner.key) {
+            if slot.version == handle.inner.version {
+                slot.live = None;
             }
         }
         drop(registry);
@@ -631,13 +663,7 @@ impl SpannerService {
     pub fn spanner(&self, handle: &GraphHandle, algorithm: Algorithm) -> SpannerJob<'_> {
         SpannerJob {
             service: self,
-            handle: handle.clone(),
-            algorithm,
-            backend: Backend::Sequential,
-            seed: 0,
-            verification: Verification::Skip,
-            deadline: None,
-            cancel: None,
+            spec: JobSpec::spanner(handle, algorithm),
         }
     }
 
@@ -646,13 +672,7 @@ impl SpannerService {
     pub fn oracle(&self, handle: &GraphHandle, algorithm: Algorithm) -> OracleJob<'_> {
         OracleJob {
             service: self,
-            handle: handle.clone(),
-            algorithm,
-            backend: Backend::Sequential,
-            seed: 0,
-            engine: QueryEngine::Dijkstra,
-            deadline: None,
-            cancel: None,
+            spec: JobSpec::oracle(handle, algorithm),
         }
     }
 
@@ -672,109 +692,36 @@ impl SpannerService {
         }
     }
 
-    /// Artifacts currently cached.
-    pub fn store_len(&self) -> usize {
-        self.store.len()
-    }
-
-    /// Bytes the artifact store currently holds.
-    pub fn store_used_bytes(&self) -> usize {
-        self.store.used_bytes()
-    }
-
-    // -- execution ----------------------------------------------------
-
-    fn run_spanner_job(&self, job: &SpannerJob<'_>) -> Result<Arc<RunReport>, PipelineError> {
-        // Debug-render the algorithm, not its `label()`: the label drops
-        // `Corollary`'s `k`, and two jobs differing only in `k` build
-        // different spanners — they must never alias in the store.
-        let key = ArtifactKey {
-            graph: job.handle.inner.key,
-            version: job.handle.inner.version,
-            job: format!(
-                "spanner|{:?}|{:?}|seed={}|verify={:?}",
-                job.algorithm, job.backend, job.seed, job.verification
-            ),
-        };
+    /// Serves one job: renders its artifact key and answers from the
+    /// store on a hit; on a miss, checks `guard`, builds the artifact
+    /// under it and stores it. The blocking builders and the queue
+    /// workers all serve through here. A store hit skips the guard, so a
+    /// fired token or a spent deadline fails only jobs that would
+    /// execute, and only executed jobs count as misses.
+    pub(crate) fn execute(
+        &self,
+        spec: &JobSpec,
+        guard: &BuildGuard,
+    ) -> Result<JobOutput, PipelineError> {
+        let key = spec.key();
         if self.store.budget() > 0 {
-            if let Some(Artifact::Spanner(hit)) = self.store.get(&key) {
+            if let Some(hit) = self.store.get(&key) {
                 self.counters.hits.fetch_add(1, Ordering::Relaxed);
                 return Ok(hit);
             }
         }
-        // analyze:allow(determinism-taint): job-latency telemetry only — never reaches artifacts
-        let started = Instant::now();
-        // The guard rides into the engine loops, so a token fired
-        // mid-build stops the construction between grow iterations.
-        let guard = BuildGuard::armed(job.algorithm, job.deadline, job.cancel.as_ref());
-        // Jobs cancelled or out of time before execution return here
-        // without touching the miss or latency counters — only
-        // executions count.
         guard.check()?;
         self.counters.misses.fetch_add(1, Ordering::Relaxed);
-        let built = SpannerRequest::new(job.handle.graph(), job.algorithm)
-            .on(job.backend)
-            .seed(job.seed)
-            .verification(job.verification)
-            .run_guarded(&guard);
-        self.finish(started, built.is_ok());
-        let report = Arc::new(built?);
-        if self.store.budget() == 0 {
-            return Ok(report);
-        }
-        let size = report.heap_size();
-        match self
-            .store
-            .insert_or_get(key, Artifact::Spanner(report), size)
-        {
-            Artifact::Spanner(winner) => Ok(winner),
-            // analyze:allow(panic-path): spanner/oracle key namespaces are disjoint by construction
-            Artifact::Oracle(_) => unreachable!("spanner keys never map to oracle artifacts"),
-        }
-    }
-
-    fn run_oracle_job(&self, job: &OracleJob<'_>) -> Result<Arc<DistanceOracle>, PipelineError> {
-        let key = ArtifactKey {
-            graph: job.handle.inner.key,
-            version: job.handle.inner.version,
-            job: format!(
-                "oracle|{:?}|{:?}|seed={}|engine={}",
-                job.algorithm,
-                job.backend,
-                job.seed,
-                job.engine.label()
-            ),
-        };
-        if self.store.budget() > 0 {
-            if let Some(Artifact::Oracle(hit)) = self.store.get(&key) {
-                self.counters.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(hit);
-            }
-        }
         // analyze:allow(determinism-taint): job-latency telemetry only — never reaches artifacts
         let started = Instant::now();
-        let guard = BuildGuard::armed(job.algorithm, job.deadline, job.cancel.as_ref());
-        guard.check()?;
-        self.counters.misses.fetch_add(1, Ordering::Relaxed);
-        let built = DistanceRequest::new(job.handle.graph(), job.algorithm)
-            .on(job.backend)
-            .seed(job.seed)
-            .engine(job.engine)
-            .build_guarded(&guard);
+        let built = spec.build(guard);
         self.finish(started, built.is_ok());
-        let oracle = Arc::new(built?);
+        let output = built?;
         if self.store.budget() == 0 {
-            return Ok(oracle);
+            return Ok(output);
         }
-        let size = oracle.heap_size();
-        match self
-            .store
-            .insert_or_get(key, Artifact::Oracle(oracle), size)
-        {
-            Artifact::Oracle(winner) => Ok(winner),
-            // analyze:allow(panic-path): spanner/oracle key namespaces are disjoint by construction
-            Artifact::Spanner(_) => unreachable!("oracle keys never map to spanner artifacts"),
-        }
+        let size = output.heap_size();
+        Ok(self.store.insert_or_get(key, output, size))
     }
 
     fn finish(&self, started: Instant, ok: bool) {
@@ -793,22 +740,62 @@ impl SpannerService {
 // Jobs
 // ---------------------------------------------------------------------
 
-/// A spanner-construction job against a registered graph — the
-/// handle-based counterpart of [`SpannerRequest`], sharing its entire
-/// vocabulary. Built by [`SpannerService::spanner`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum JobKind {
+    Spanner,
+    Oracle,
+}
+
+/// The one description of a serving job: the graph handle, what to
+/// build (algorithm, backend, seed, and the verification policy of a
+/// spanner or the query engine of an oracle), the deadline and
+/// [`CancelToken`], and the [`Priority`] and [`ClientId`] that only a
+/// [`JobQueue`](super::JobQueue) reads. Owned (the [`GraphHandle`] is
+/// `Arc`'d), so it can cross into the queue's worker threads.
+/// [`SpannerJob`] and [`OracleJob`] are a spec bound to a service.
 #[derive(Debug, Clone)]
-pub struct SpannerJob<'s> {
-    service: &'s SpannerService,
-    handle: GraphHandle,
+pub struct JobSpec {
+    kind: JobKind,
+    pub(super) handle: GraphHandle,
     algorithm: Algorithm,
     backend: Backend,
     seed: u64,
     verification: Verification,
+    engine: QueryEngine,
     deadline: Option<Duration>,
-    cancel: Option<CancelToken>,
+    pub(super) cancel: CancelToken,
+    pub(super) priority: Priority,
+    pub(super) client: ClientId,
 }
 
-impl SpannerJob<'_> {
+impl JobSpec {
+    fn new(kind: JobKind, handle: &GraphHandle, algorithm: Algorithm) -> Self {
+        JobSpec {
+            kind,
+            handle: handle.clone(),
+            algorithm,
+            backend: Backend::Sequential,
+            seed: 0,
+            verification: Verification::Skip,
+            engine: QueryEngine::Dijkstra,
+            deadline: None,
+            cancel: CancelToken::new(),
+            priority: Priority::default(),
+            client: ClientId::default(),
+        }
+    }
+
+    /// A spanner-construction job (resolves to
+    /// [`JobOutput::Spanner`]).
+    pub fn spanner(handle: &GraphHandle, algorithm: Algorithm) -> Self {
+        JobSpec::new(JobKind::Spanner, handle, algorithm)
+    }
+
+    /// A distance-oracle job (resolves to [`JobOutput::Oracle`]).
+    pub fn oracle(handle: &GraphHandle, algorithm: Algorithm) -> Self {
+        JobSpec::new(JobKind::Oracle, handle, algorithm)
+    }
+
     /// Chooses the execution backend.
     pub fn on(mut self, backend: Backend) -> Self {
         self.backend = backend;
@@ -821,18 +808,164 @@ impl SpannerJob<'_> {
         self
     }
 
-    /// Sets the inline verification policy (part of the artifact
-    /// identity: jobs differing only in policy do not share artifacts).
+    /// Inline verification policy (spanner jobs; part of a spanner's
+    /// artifact identity).
     pub fn verification(mut self, verification: Verification) -> Self {
         self.verification = verification;
         self
     }
 
-    /// Per-job deadline, measured from the store miss and checked
-    /// cooperatively during the build (between grow iterations on the
-    /// sequential backend) and once more when it finishes.
+    /// Query engine (oracle jobs; part of an oracle's artifact
+    /// identity).
+    pub fn engine(mut self, engine: QueryEngine) -> Self {
+        self.engine = engine;
+        self
+    }
+
+    /// Deadline, checked before execution and cooperatively during the
+    /// build. A queued job measures it from submission, so it covers
+    /// queue wait *and* execution; a blocking job measures it from the
+    /// call.
     pub fn deadline(mut self, deadline: Duration) -> Self {
         self.deadline = Some(deadline);
+        self
+    }
+
+    /// Uses `token` instead of the spec's own fresh token — lets one
+    /// token cancel a group of jobs.
+    pub fn cancel(mut self, token: CancelToken) -> Self {
+        self.cancel = token;
+        self
+    }
+
+    /// Dispatch lane (queued jobs).
+    pub fn priority(mut self, priority: Priority) -> Self {
+        self.priority = priority;
+        self
+    }
+
+    /// Submitting client, for fair admission (queued jobs).
+    pub fn client(mut self, client: ClientId) -> Self {
+        self.client = client;
+        self
+    }
+
+    /// The guard the job runs under: its token, and its deadline
+    /// measured from this call.
+    pub(super) fn guard(&self) -> BuildGuard {
+        BuildGuard::armed(self.algorithm, self.deadline, Some(&self.cancel))
+    }
+
+    /// The artifact identity: the graph's `(key, version)` plus every
+    /// setting that changes what is built. The algorithm is
+    /// Debug-rendered, not its `label()`: the label drops `Corollary`'s
+    /// `k`, and two jobs differing only in `k` build different spanners —
+    /// they must never alias in the store.
+    fn key(&self) -> ArtifactKey {
+        let job = match self.kind {
+            JobKind::Spanner => format!(
+                "spanner|{:?}|{:?}|seed={}|verify={:?}",
+                self.algorithm, self.backend, self.seed, self.verification
+            ),
+            JobKind::Oracle => format!(
+                "oracle|{:?}|{:?}|seed={}|engine={}",
+                self.algorithm,
+                self.backend,
+                self.seed,
+                self.engine.label()
+            ),
+        };
+        ArtifactKey {
+            graph: self.handle.inner.key,
+            version: self.handle.inner.version,
+            job,
+        }
+    }
+
+    /// Builds the artifact under `guard`, which rides into the engine
+    /// loops, so a token fired mid-build stops the construction between
+    /// grow iterations.
+    fn build(&self, guard: &BuildGuard) -> Result<JobOutput, PipelineError> {
+        let graph = self.handle.graph();
+        match self.kind {
+            JobKind::Spanner => SpannerRequest::new(graph, self.algorithm)
+                .on(self.backend)
+                .seed(self.seed)
+                .verification(self.verification)
+                .run_guarded(guard)
+                .map(|report| JobOutput::Spanner(Arc::new(report))),
+            JobKind::Oracle => DistanceRequest::new(graph, self.algorithm)
+                .on(self.backend)
+                .seed(self.seed)
+                .engine(self.engine)
+                .build_guarded(guard)
+                .map(|oracle| JobOutput::Oracle(Arc::new(oracle))),
+        }
+    }
+}
+
+/// What a served job produced — the `Arc`'d artifact the store holds.
+#[derive(Debug, Clone)]
+pub enum JobOutput {
+    /// From a spanner job.
+    Spanner(Arc<RunReport>),
+    /// From an oracle job.
+    Oracle(Arc<DistanceOracle>),
+}
+
+impl JobOutput {
+    /// The spanner report, if this is a spanner job's output.
+    pub fn spanner(&self) -> Option<&Arc<RunReport>> {
+        match self {
+            JobOutput::Spanner(report) => Some(report),
+            JobOutput::Oracle(_) => None,
+        }
+    }
+
+    /// The oracle, if this is an oracle job's output.
+    pub fn oracle(&self) -> Option<&Arc<DistanceOracle>> {
+        match self {
+            JobOutput::Oracle(oracle) => Some(oracle),
+            JobOutput::Spanner(_) => None,
+        }
+    }
+}
+
+/// A spanner-construction job against a registered graph — the
+/// handle-based counterpart of [`SpannerRequest`]: a [`JobSpec`] bound to
+/// a service. Built by [`SpannerService::spanner`].
+#[derive(Debug, Clone)]
+pub struct SpannerJob<'s> {
+    service: &'s SpannerService,
+    spec: JobSpec,
+}
+
+impl SpannerJob<'_> {
+    /// Chooses the execution backend.
+    pub fn on(mut self, backend: Backend) -> Self {
+        self.spec = self.spec.on(backend);
+        self
+    }
+
+    /// Sets the shared-randomness seed.
+    pub fn seed(mut self, seed: u64) -> Self {
+        self.spec = self.spec.seed(seed);
+        self
+    }
+
+    /// Sets the inline verification policy (part of the artifact
+    /// identity: jobs differing only in policy do not share artifacts).
+    pub fn verification(mut self, verification: Verification) -> Self {
+        self.spec = self.spec.verification(verification);
+        self
+    }
+
+    /// Per-job deadline, measured from the call to [`SpannerJob::run`]
+    /// and checked cooperatively during the build (between grow
+    /// iterations on the sequential backend) and once more when it
+    /// finishes.
+    pub fn deadline(mut self, deadline: Duration) -> Self {
+        self.spec = self.spec.deadline(deadline);
         self
     }
 
@@ -840,70 +973,73 @@ impl SpannerJob<'_> {
     /// cooperatively during the build (between grow iterations on the
     /// sequential backend).
     pub fn cancel(mut self, token: CancelToken) -> Self {
-        self.cancel = Some(token);
+        self.spec = self.spec.cancel(token);
         self
     }
 
     /// Serves the job: store hit, or execution whose report enters the
     /// budgeted store.
     pub fn run(&self) -> Result<Arc<RunReport>, PipelineError> {
-        self.service.run_spanner_job(self)
+        match self.service.execute(&self.spec, &self.spec.guard())? {
+            JobOutput::Spanner(report) => Ok(report),
+            // analyze:allow(panic-path): spanner/oracle key namespaces are disjoint by construction
+            JobOutput::Oracle(_) => unreachable!("spanner keys never map to oracle artifacts"),
+        }
     }
 }
 
 /// A distance-oracle job against a registered graph — the handle-based
-/// counterpart of [`DistanceRequest`]. Built by
-/// [`SpannerService::oracle`].
+/// counterpart of [`DistanceRequest`]: a [`JobSpec`] bound to a service.
+/// Built by [`SpannerService::oracle`].
 #[derive(Debug, Clone)]
 pub struct OracleJob<'s> {
     service: &'s SpannerService,
-    handle: GraphHandle,
-    algorithm: Algorithm,
-    backend: Backend,
-    seed: u64,
-    engine: QueryEngine,
-    deadline: Option<Duration>,
-    cancel: Option<CancelToken>,
+    spec: JobSpec,
 }
 
 impl OracleJob<'_> {
     /// Chooses the execution backend for the spanner construction.
     pub fn on(mut self, backend: Backend) -> Self {
-        self.backend = backend;
+        self.spec = self.spec.on(backend);
         self
     }
 
     /// Sets the shared-randomness seed.
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.spec = self.spec.seed(seed);
         self
     }
 
     /// Chooses the query engine.
     pub fn engine(mut self, engine: QueryEngine) -> Self {
-        self.engine = engine;
+        self.spec = self.spec.engine(engine);
         self
     }
 
-    /// Per-job build deadline, measured from the store miss and checked
-    /// cooperatively *during* the build (spanner phases, between sketch
-    /// levels and cluster-search chunks).
+    /// Per-job build deadline, measured from the call to
+    /// [`OracleJob::build`] and checked cooperatively *during* the build
+    /// (spanner phases, between sketch levels and cluster-search
+    /// chunks).
     pub fn deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
+        self.spec = self.spec.deadline(deadline);
         self
     }
 
     /// Attaches a cancellation token, checked cooperatively during the
     /// build (between Thorup–Zwick levels and cluster-search chunks).
     pub fn cancel(mut self, token: CancelToken) -> Self {
-        self.cancel = Some(token);
+        self.spec = self.spec.cancel(token);
         self
     }
 
     /// Serves the job: store hit, or a build whose oracle enters the
     /// budgeted store.
     pub fn build(&self) -> Result<Arc<DistanceOracle>, PipelineError> {
-        self.service.run_oracle_job(self)
+        match self.service.execute(&self.spec, &self.spec.guard())? {
+            JobOutput::Oracle(oracle) => Ok(oracle),
+            // analyze:allow(panic-path): spanner/oracle key namespaces are disjoint by construction
+            JobOutput::Spanner(_) => unreachable!("oracle keys never map to spanner artifacts"),
+        }
     }
 }
 
@@ -1008,10 +1144,10 @@ mod tests {
         let h2 = service.register(graph(5));
         service.spanner(&h1, alg()).run().unwrap();
         service.spanner(&h2, alg()).run().unwrap();
-        assert_eq!(service.store_len(), 2);
+        assert_eq!(service.stats().store_len, 2);
         let purged = service.invalidate(&h1);
         assert_eq!(purged, 1);
-        assert_eq!(service.store_len(), 1);
+        assert_eq!(service.stats().store_len, 1);
         assert_eq!(service.registered(), 1);
         assert_eq!(service.stats().invalidations, 1);
     }
@@ -1040,7 +1176,7 @@ mod tests {
             "k is part of the artifact identity — k=4 must not be served the k=2 spanner"
         );
         assert_eq!(service.stats().hits, 0);
-        assert_eq!(service.store_len(), 2);
+        assert_eq!(service.stats().store_len, 2);
         // Same shape through the oracle path.
         let oa = service
             .oracle(&handle, corollary(2))

@@ -33,7 +33,10 @@
 //! the per-shard view for balance dashboards.
 //!
 //! For a *non-blocking* front end over a sharded service — job ids,
-//! priority lanes, per-client fairness — see [`super::queue`].
+//! priority lanes, per-client fairness — see [`super::queue`]. Its
+//! workers take the same route as the blocking builders: each
+//! [`JobSpec`] is served on the shard owning its graph's key, through
+//! that shard's one build-or-hit path.
 //!
 //! [`per_shard_stats`]: ShardedService::per_shard_stats
 //! [`RunReport`]: super::RunReport
@@ -42,10 +45,12 @@ use std::sync::Arc;
 
 use spanner_graph::Graph;
 
+use super::distance::BuildGuard;
 use super::service::{
-    GraphHandle, OracleJob, ServiceStats, SpannerJob, SpannerService, DEFAULT_STORE_BUDGET,
+    GraphHandle, JobOutput, JobSpec, OracleJob, ServiceStats, SpannerJob, SpannerService,
+    DEFAULT_STORE_BUDGET,
 };
-use super::Algorithm;
+use super::{Algorithm, PipelineError};
 
 /// Virtual nodes per shard on the hash ring. Enough that the largest
 /// shard's share of key space stays within a few percent of the mean,
@@ -180,6 +185,16 @@ impl ShardedService {
         self.owner(handle).oracle(handle, algorithm)
     }
 
+    /// Serves a job on the shard owning its graph's key — the queue
+    /// workers' route to [`SpannerService`]'s build-or-hit path.
+    pub(crate) fn execute(
+        &self,
+        spec: &JobSpec,
+        guard: &BuildGuard,
+    ) -> Result<JobOutput, PipelineError> {
+        self.owner(&spec.handle).execute(spec, guard)
+    }
+
     /// The cross-shard rollup: every per-shard counter summed into one
     /// [`ServiceStats`], so `summary()` aggregates hit/miss/eviction/
     /// latency over the whole tier.
@@ -194,19 +209,6 @@ impl ShardedService {
     /// Per-shard snapshots, indexed like [`ShardedService::shard`].
     pub fn per_shard_stats(&self) -> Vec<ServiceStats> {
         self.shards.iter().map(SpannerService::stats).collect()
-    }
-
-    /// Artifacts cached across all shards.
-    pub fn store_len(&self) -> usize {
-        self.shards.iter().map(SpannerService::store_len).sum()
-    }
-
-    /// Bytes cached across all shards.
-    pub fn store_used_bytes(&self) -> usize {
-        self.shards
-            .iter()
-            .map(SpannerService::store_used_bytes)
-            .sum()
     }
 }
 
@@ -284,7 +286,7 @@ mod tests {
         assert_eq!((on_owner.hits, on_owner.misses), (1, 1));
         let rollup = sharded.stats();
         assert_eq!((rollup.hits, rollup.misses), (1, 1));
-        assert_eq!(sharded.store_len(), 1);
+        assert_eq!(sharded.stats().store_len, 1);
     }
 
     #[test]

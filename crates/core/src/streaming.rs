@@ -20,34 +20,28 @@ use spanner_graph::Graph;
 
 use crate::engine::Engine;
 use crate::params::TradeoffParams;
+use crate::pipeline::StreamingStats;
 use crate::result::SpannerResult;
-
-/// Raw outcome of the streaming driver, before the pipeline wraps it
-/// into [`crate::pipeline::StreamingStats`].
-#[derive(Debug, Clone)]
-pub(crate) struct StreamingRun {
-    /// The spanner (identical to the sequential reference's).
-    pub result: SpannerResult,
-    /// Stream passes consumed (= grow iterations + 1 for Phase 2).
-    pub passes: u32,
-    /// The stretch/pass trade the Section 2.4 table quotes for this `t`.
-    pub quoted_stretch_exponent: f64,
-}
 
 /// The pass-accounting loop: runs the general algorithm as a
 /// multi-pass dynamic-stream algorithm (the pipeline's
-/// `Backend::Streaming` driver).
-pub(crate) fn run_streaming(g: &Graph, params: TradeoffParams, seed: u64) -> StreamingRun {
+/// `Backend::Streaming` driver). The spanner is identical to the
+/// sequential reference's; the stats count the stream passes (grow
+/// iterations + 1 for Phase 2) and quote the Section 2.4 stretch/pass
+/// trade for this `t`.
+pub(crate) fn run_streaming(
+    g: &Graph,
+    params: TradeoffParams,
+    seed: u64,
+) -> (SpannerResult, StreamingStats) {
     let n = g.n();
     if params.k == 1 || g.m() == 0 {
-        return StreamingRun {
-            result: SpannerResult::whole_graph(
-                g,
-                format!("streaming(k={},t={})", params.k, params.t),
-            ),
+        let stats = StreamingStats {
             passes: 0,
             quoted_stretch_exponent: 1.0,
         };
+        let algorithm = format!("streaming(k={},t={})", params.k, params.t);
+        return (SpannerResult::whole_graph(g, algorithm), stats);
     }
     let mut engine = Engine::new(g, seed);
     let mut passes = 0u32;
@@ -66,11 +60,11 @@ pub(crate) fn run_streaming(g: &Graph, params: TradeoffParams, seed: u64) -> Str
         params.stretch_bound(),
     );
     result.epochs = params.epochs();
-    StreamingRun {
-        result,
+    let stats = StreamingStats {
         passes,
         quoted_stretch_exponent: params.stretch_exponent(),
-    }
+    };
+    (result, stats)
 }
 
 #[cfg(test)]

@@ -74,12 +74,13 @@ fn main() {
     for &id in &ids {
         queue.wait(id).expect("warm-up builds succeed");
     }
+    let warmed = service.stats();
     println!(
         "warmed {} oracles in {:.2?} ({} artifacts, {:.1} MiB in store)",
         ids.len(),
         t0.elapsed(),
-        service.store_len(),
-        service.store_used_bytes() as f64 / (1 << 20) as f64,
+        warmed.store_len,
+        warmed.store_used_bytes as f64 / (1 << 20) as f64,
     );
 
     // -- 3. serve concurrent traffic ----------------------------------

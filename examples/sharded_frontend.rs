@@ -31,9 +31,7 @@ use mpc_spanners::core::TradeoffParams;
 use mpc_spanners::graph::edge::Edge;
 use mpc_spanners::graph::generators::{connected_erdos_renyi, WeightModel};
 use mpc_spanners::graph::Graph;
-use mpc_spanners::pipeline::{
-    Algorithm, ClientId, JobQueue, JobSpec, Priority, QueueConfig, ShardedService,
-};
+use mpc_spanners::pipeline::{Algorithm, ClientId, JobQueue, JobSpec, Priority, ShardedService};
 
 fn alg() -> Algorithm {
     Algorithm::General(TradeoffParams::new(4, 2))
@@ -64,13 +62,7 @@ fn main() {
     assert_eq!(tier.registered(), handles.len());
 
     // -- 2. mixed-priority traffic through the job queue --------------
-    let queue = Arc::new(JobQueue::start(
-        Arc::clone(&tier),
-        QueueConfig {
-            workers: 2,
-            batch_escape_every: 4,
-        },
-    ));
+    let queue = Arc::new(JobQueue::start(Arc::clone(&tier), 2));
     let t0 = Instant::now();
     let clients = 4u64;
     let jobs_per_client = 8u64;

@@ -30,8 +30,10 @@
 //! [`pipeline::SpannerService::oracle`]) that are answered from its one
 //! memory-budgeted LRU artifact store, with cancellation
 //! ([`pipeline::CancelToken`]) and [`pipeline::ServiceStats`] counters.
-//! Jobs run the same guarded build as the one-shot request types, so
-//! both flows produce bit-identical artifacts at equal seeds.
+//! A [`pipeline::JobSpec`] is the one description of such a job, and
+//! blocking and queued jobs are served by one build-or-hit path. Jobs
+//! run the same guarded build as the one-shot request types, so both
+//! flows produce bit-identical artifacts at equal seeds.
 //!
 //! **Scaling the tier out?** [`pipeline::ShardedService`] puts N inner
 //! services behind a consistent-hash ring (per-shard budgets and
@@ -40,7 +42,8 @@
 //! admission point: submit a [`pipeline::JobSpec`] for a
 //! [`pipeline::JobId`] immediately, with a fixed worker pool, priority
 //! lanes, per-client fair admission, condvar-driven waits and
-//! pre-execution cancel/deadline resolution. Warm-up is "submit N at
+//! pre-execution cancel/deadline resolution (a queued job's deadline
+//! runs from submission). Warm-up is "submit N at
 //! [`pipeline::Priority::Batch`], wait N". The shard count is
 //! unobservable in answers — every tier shape returns bit-identical
 //! artifacts.

@@ -26,7 +26,7 @@ use mpc_spanners::core::TradeoffParams;
 use mpc_spanners::graph::generators::{connected_erdos_renyi, WeightModel};
 use mpc_spanners::pipeline::{
     Algorithm, Backend, ClientId, GraphHandle, JobOutput, JobQueue, JobSpec, Priority, QueryEngine,
-    QueueConfig, ShardedService, Verification,
+    ShardedService, SpannerRequest, SpannerService, Verification,
 };
 
 /// How a row reaches the tier.
@@ -245,13 +245,7 @@ fn same_artifact(a: &JobOutput, b: &JobOutput) -> bool {
 #[test]
 fn jobs_hit_exactly_the_artifacts_their_identity_names() {
     let (tier, handles) = tier();
-    let queue = JobQueue::start(
-        Arc::clone(&tier),
-        QueueConfig {
-            workers: 1,
-            ..QueueConfig::default()
-        },
-    );
+    let queue = JobQueue::start(Arc::clone(&tier), 1);
     let mut outputs: Vec<JobOutput> = Vec::new();
     for (row, (job, expect)) in table().into_iter().enumerate() {
         let before = tier.stats();
@@ -284,4 +278,35 @@ fn jobs_hit_exactly_the_artifacts_their_identity_names() {
     assert_eq!(stats.store_len, misses, "one stored entry per miss");
     assert_eq!(stats.evictions, 0);
     queue.drain();
+}
+
+/// After `invalidate`, the old handle stays usable, and a job on it puts
+/// its artifact back into the store. New content registered under the
+/// same key must get a version of its own, so that it is never served
+/// that artifact.
+#[test]
+fn a_key_never_reissues_a_version_after_invalidate() {
+    macro_rules! scenario {
+        ($service:expr) => {{
+            let service = $service;
+            let old = connected_erdos_renyi(60, 0.1, WeightModel::Uniform(1, 8), 21);
+            let new = connected_erdos_renyi(60, 0.1, WeightModel::Uniform(1, 8), 22);
+            let direct = SpannerRequest::new(&new, alg()).seed(1).run().unwrap();
+            let h1 = service.register_keyed(7, old);
+            service.invalidate(&h1);
+            assert_eq!(service.registered(), 0);
+            let stale = service.spanner(&h1, alg()).seed(1).run().unwrap();
+            let h2 = service.register_keyed(7, new);
+            assert_eq!(service.registered(), 1);
+            assert_ne!(h2.version(), h1.version(), "a key never reissues a version");
+            let fresh = service.spanner(&h2, alg()).seed(1).run().unwrap();
+            assert!(
+                !Arc::ptr_eq(&stale, &fresh),
+                "the new graph was served the invalidated graph's spanner"
+            );
+            assert_eq!(fresh.result.edges, direct.result.edges);
+        }};
+    }
+    scenario!(SpannerService::new());
+    scenario!(ShardedService::new(2));
 }

@@ -146,7 +146,11 @@ fn repeated_batch_entries_share_one_oracle_build() {
     // per key.
     let oracles: Vec<_> = jobs.par_iter().map(|job| job.build()).collect();
     assert_eq!(oracles.len(), 5);
-    assert_eq!(service.store_len(), 3, "one stored oracle per distinct key");
+    assert_eq!(
+        service.stats().store_len,
+        3,
+        "one stored oracle per distinct key"
+    );
     let first = oracles[0].as_ref().expect("build ok");
     for dup in [2usize, 4] {
         assert!(

@@ -89,14 +89,13 @@ fn sharded_and_queue_reexports_resolve_and_serve() {
     use std::sync::Arc;
 
     use mpc_spanners::pipeline::{
-        Algorithm, ClientId, JobQueue, JobSpec, Priority, QueueConfig, ShardedService,
+        Algorithm, ClientId, JobQueue, JobSpec, Priority, ShardedService,
     };
 
     let g = connected_erdos_renyi(60, 0.1, WeightModel::Uniform(1, 8), 5);
     let tier: Arc<spanner_core::pipeline::shard::ShardedService> = Arc::new(ShardedService::new(2));
     let handle = tier.register(g);
-    let queue: spanner_core::pipeline::queue::JobQueue =
-        JobQueue::start(Arc::clone(&tier), QueueConfig::default());
+    let queue: spanner_core::pipeline::queue::JobQueue = JobQueue::with_defaults(Arc::clone(&tier));
     let id = queue.submit(
         JobSpec::spanner(&handle, Algorithm::General(TradeoffParams::new(4, 2)))
             .seed(3)

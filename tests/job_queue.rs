@@ -7,8 +7,7 @@
 //!    of `1..=N`.
 //! 2. **Bounded overtake** — interactive jobs are never starved behind
 //!    a batch backlog, and the batch lane still makes progress (every
-//!    `batch_escape_every`-th dispatch) while interactive work is
-//!    pending.
+//!    fourth dispatch) while interactive work is pending.
 //! 3. **Per-client fairness** — within a lane, dispatch rotates across
 //!    clients: no client's completed count lags the maximum by more
 //!    than one rotation while all clients still have queued work.
@@ -36,7 +35,7 @@ use mpc_spanners::graph::generators::{connected_erdos_renyi, Family, WeightModel
 use mpc_spanners::graph::Graph;
 use mpc_spanners::pipeline::{
     Algorithm, ClientId, GraphHandle, JobQueue, JobSpec, JobStatus, PipelineError, Priority,
-    QueryEngine, QueueConfig, ShardedService,
+    QueryEngine, ShardedService,
 };
 
 fn alg() -> Algorithm {
@@ -106,13 +105,7 @@ fn occupy_worker(
 #[test]
 fn every_job_resolves_exactly_once_under_eight_clients() {
     let (tier, handle) = warmed_tier(0..3);
-    let queue = Arc::new(JobQueue::start(
-        Arc::clone(&tier),
-        QueueConfig {
-            workers: 2,
-            batch_escape_every: 4,
-        },
-    ));
+    let queue = Arc::new(JobQueue::start(Arc::clone(&tier), 2));
 
     const CLIENTS: u64 = 8;
     const PER_CLIENT: u64 = 6;
@@ -187,13 +180,7 @@ fn every_job_resolves_exactly_once_under_eight_clients() {
 #[test]
 fn interactive_is_never_starved_and_batch_still_progresses() {
     let (tier, handle) = warmed_tier(0..1);
-    let queue = JobQueue::start(
-        Arc::clone(&tier),
-        QueueConfig {
-            workers: 1,
-            batch_escape_every: 4,
-        },
-    );
+    let queue = JobQueue::start(Arc::clone(&tier), 1);
     let (blocker_graph, full) = escalating_blocker(Duration::from_millis(200));
     let timing_reliable = full >= Duration::from_millis(200);
     let blocker = occupy_worker(&queue, &tier, blocker_graph);
@@ -259,13 +246,7 @@ fn interactive_is_never_starved_and_batch_still_progresses() {
 #[test]
 fn dispatch_rotates_fairly_across_clients() {
     let (tier, handle) = warmed_tier(0..1);
-    let queue = JobQueue::start(
-        Arc::clone(&tier),
-        QueueConfig {
-            workers: 1,
-            batch_escape_every: 4,
-        },
-    );
+    let queue = JobQueue::start(Arc::clone(&tier), 1);
     let (blocker_graph, full) = escalating_blocker(Duration::from_millis(200));
     let timing_reliable = full >= Duration::from_millis(200);
     let blocker = occupy_worker(&queue, &tier, blocker_graph);
@@ -334,13 +315,7 @@ fn dispatch_rotates_fairly_across_clients() {
 fn queued_jobs_cancelled_or_expired_never_execute() {
     let (tier, handle) = warmed_tier(0..1);
     let misses_before = tier.stats().misses;
-    let queue = JobQueue::start(
-        Arc::clone(&tier),
-        QueueConfig {
-            workers: 1,
-            batch_escape_every: 4,
-        },
-    );
+    let queue = JobQueue::start(Arc::clone(&tier), 1);
 
     // Deterministic halves: a pre-fired token and an already-expired
     // deadline must resolve at dispatch, whatever the scheduling.
@@ -416,13 +391,7 @@ fn queued_jobs_cancelled_or_expired_never_execute() {
 #[test]
 fn drain_resolves_every_job_before_drop() {
     let (tier, handle) = warmed_tier(0..6);
-    let queue = JobQueue::start(
-        Arc::clone(&tier),
-        QueueConfig {
-            workers: 2,
-            batch_escape_every: 4,
-        },
-    );
+    let queue = JobQueue::start(Arc::clone(&tier), 2);
     let ids: Vec<_> = (0..12u64)
         .map(|i| {
             let lane = if i % 2 == 0 {
@@ -469,13 +438,7 @@ fn drain_resolves_every_job_before_drop() {
 fn draining_queue_refuses_new_submissions() {
     let (tier, handle) = warmed_tier(0..1);
     let (blocker_graph, full) = escalating_blocker(Duration::from_millis(200));
-    let queue = Arc::new(JobQueue::start(
-        Arc::clone(&tier),
-        QueueConfig {
-            workers: 1,
-            batch_escape_every: 4,
-        },
-    ));
+    let queue = Arc::new(JobQueue::start(Arc::clone(&tier), 1));
     let _blocker = occupy_worker(&queue, &tier, blocker_graph);
 
     let drainer = {

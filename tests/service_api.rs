@@ -35,7 +35,7 @@ use mpc_spanners::graph::Graph;
 use mpc_spanners::pipeline::{
     Algorithm, Backend, BuildGuard, CancelToken, ClientId, DistanceOracle, DistanceRequest,
     DistanceSketches, HeapSize, JobId, JobQueue, JobSpec, MpcDeployment, PipelineError, Priority,
-    QueryEngine, QueueConfig, ShardedService, SpannerRequest, SpannerService,
+    QueryEngine, ShardedService, SpannerRequest, SpannerService,
 };
 
 fn params() -> TradeoffParams {
@@ -200,7 +200,7 @@ fn concurrent_submissions_against_one_service_are_deterministic_per_request() {
     // (first insert wins), so misses is at least 6 but hits dominate.
     assert!(stats.misses >= 6);
     assert!(stats.hits > stats.misses, "warm traffic must mostly hit");
-    assert_eq!(service.store_len(), 6);
+    assert_eq!(service.stats().store_len, 6);
 }
 
 #[test]
@@ -222,9 +222,9 @@ fn over_budget_store_evicts_lru_and_reserves_recomputed_answers() {
     let handle = service.register(g);
 
     let a1 = service.oracle(&handle, alg()).seed(1).build().unwrap();
-    assert_eq!(service.store_len(), 1);
+    assert_eq!(service.stats().store_len, 1);
     let _b = service.oracle(&handle, alg()).seed(2).build().unwrap();
-    assert_eq!(service.store_len(), 1, "budget holds one oracle");
+    assert_eq!(service.stats().store_len, 1, "budget holds one oracle");
     assert!(service.stats().evictions >= 1, "inserting B must evict A");
 
     // A was evicted: re-serving it recomputes — a different allocation
@@ -238,7 +238,7 @@ fn over_budget_store_evicts_lru_and_reserves_recomputed_answers() {
     let stats = service.stats();
     assert_eq!(stats.hits, 0);
     assert_eq!(stats.misses, 3);
-    assert!(service.store_used_bytes() <= budget);
+    assert!(service.stats().store_used_bytes <= budget);
 }
 
 #[test]
@@ -303,13 +303,7 @@ fn prebuild_warms_the_store_for_admission_controlled_traffic() {
     // one admission point — with one worker.
     let tier = Arc::new(ShardedService::new(1));
     let handle = tier.register(g);
-    let queue = JobQueue::start(
-        Arc::clone(&tier),
-        QueueConfig {
-            workers: 1,
-            ..QueueConfig::default()
-        },
-    );
+    let queue = JobQueue::start(Arc::clone(&tier), 1);
     // Warm-up: submit N at batch priority, wait N.
     let warmup = [
         JobSpec::oracle(&handle, alg()).seed(1),
@@ -325,7 +319,7 @@ fn prebuild_warms_the_store_for_admission_controlled_traffic() {
     for id in ids {
         queue.wait(id).expect("warm-up build");
     }
-    assert_eq!(tier.store_len(), 3);
+    assert_eq!(tier.stats().store_len, 3);
 
     let misses_after_warmup = tier.stats().misses;
     let (queue, handle) = (&queue, &handle);
@@ -455,7 +449,11 @@ fn cancelled_mid_batch_build_stops_early() {
             "job {i}: expected Cancelled, got {result:?}"
         );
     }
-    assert_eq!(service.store_len(), 0, "cancelled builds store nothing");
+    assert_eq!(
+        service.stats().store_len,
+        0,
+        "cancelled builds store nothing"
+    );
     if timing_reliable {
         // Had any in-flight build run to completion it alone would have
         // taken ≥ `full`; stopping between levels/chunks must come in

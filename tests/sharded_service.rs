@@ -134,7 +134,7 @@ proptest! {
             prop_assert_eq!(rollup.failed, bare_stats.failed);
             prop_assert_eq!(rollup.store_len, bare_stats.store_len);
             prop_assert_eq!(rollup.store_used_bytes, bare_stats.store_used_bytes);
-            prop_assert_eq!(tier.store_len(), bare.store_len());
+            prop_assert_eq!(tier.stats().store_len, bare.stats().store_len);
             prop_assert_eq!(tier.registered(), bare.registered());
 
             // ... and the rollup is exactly the per-shard sum.
@@ -180,7 +180,7 @@ fn reregistration_purges_the_owning_shard_across_the_tier() {
     );
     let o1 = tier.oracle(&h1, alg()).seed(4).build().unwrap();
     assert_eq!(o1.query(0, n - 1), 23, "unit-weight path end to end");
-    assert_eq!(tier.shard(owner).store_len(), 1);
+    assert_eq!(tier.shard(owner).stats().store_len, 1);
 
     // Re-register mutated content under the SAME key: routing by key
     // sends it to the shard already holding version 1, whose version
@@ -253,10 +253,10 @@ fn per_shard_budgets_scale_store_capacity() {
     run_all(&sharded);
 
     assert!(
-        sharded.store_len() >= single.store_len(),
+        sharded.stats().store_len >= single.stats().store_len,
         "per-shard budgets must never cache less: {} < {}",
-        sharded.store_len(),
-        single.store_len()
+        sharded.stats().store_len,
+        single.stats().store_len
     );
     assert!(
         sharded.stats().evictions <= single.stats().evictions,
@@ -290,7 +290,7 @@ fn prebuild_warms_every_owning_shard() {
     for id in warmup {
         queue.wait(id).expect("warm-up build");
     }
-    assert_eq!(tier.store_len(), 4);
+    assert_eq!(tier.stats().store_len, 4);
 
     let misses_after_warmup = tier.stats().misses;
     for h in &handles {
