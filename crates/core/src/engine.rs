@@ -25,9 +25,11 @@
 //!
 //! All the algorithms are schedules over this engine:
 //!
-//! * Baswana–Sen = one epoch of `k` iterations at `p = n^{-1/k}`,
+//! * Baswana–Sen = `k − 1` iterations at `p = n^{-1/k}`, then Phase 2
+//!   without a contraction,
 //! * Section 4 = `log k` epochs of 1 iteration at `p_i = n^{-2^{i-1}/k}`,
-//! * Section 3 = 2 epochs of `√k` iterations,
+//! * Section 3 = `√k` iterations and a contraction, then Baswana–Sen on
+//!   the quotient graph,
 //! * Section 5 = `l` epochs of `t` iterations at `p_i = n^{-(t+1)^{i-1}/k}`.
 //!
 //! Sampling coins come from [`crate::coins`] so that independent

@@ -11,6 +11,9 @@
 //! * expected size `O(n^{1+1/k}·(t + log k))` (Lemma 5.14),
 //! * `t·l` iterations, i.e. `O((1/γ)·t·log k/log(t+1))` MPC rounds
 //!   (Theorem 1.1).
+//!
+//! The `O(k)`-round baseline that Theorem 1.1 improves, Baswana–Sen
+//! \[BS07], runs here too ([`crate::pipeline::Algorithm::BaswanaSen`]).
 
 use spanner_graph::Graph;
 
@@ -64,6 +67,44 @@ pub(crate) fn run_general(
     Ok(engine.finish(algorithm, params.stretch_bound()))
 }
 
+/// The classic Baswana–Sen `(2k−1)`-spanner \[BS07], the pipeline's
+/// sequential `Algorithm::BaswanaSen` driver: `k − 1` grow iterations
+/// at `p = n^{-1/k}` in one epoch, then Phase 2 on the un-contracted
+/// clustering. (`General(TradeoffParams::baswana_sen(k))` takes a `k`-th
+/// step and contracts first, so its spanner differs.) The guard is
+/// checked before every grow iteration and before Phase 2.
+pub(crate) fn run_baswana_sen(
+    g: &Graph,
+    k: u32,
+    seed: u64,
+    guard: &BuildGuard,
+) -> Result<SpannerResult, PipelineError> {
+    let algorithm = format!("baswana-sen(k={k})");
+    if k == 1 || g.m() == 0 {
+        return Ok(SpannerResult::whole_graph(g, algorithm));
+    }
+    let params = TradeoffParams::baswana_sen(k);
+    let p = params.sampling_probability(g.n(), 1);
+    let mut engine = Engine::new(g, seed);
+    for iter in 1..k {
+        guard.check()?;
+        engine.run_iteration(p, 1, iter);
+    }
+    guard.check()?;
+    engine.phase2();
+    let mut result = engine.finish(algorithm, params.stretch_bound());
+    // The engine counts an epoch at its contraction; this one has none.
+    result.epochs = 1;
+    Ok(result)
+}
+
+/// [`run_baswana_sen`] as the uninterruptible black box that Section 3
+/// runs on its contracted graph and Appendix B simulates inside balls.
+pub(crate) fn baswana_sen(g: &Graph, k: u32, seed: u64) -> SpannerResult {
+    run_baswana_sen(g, k, seed, &BuildGuard::new("baswana-sen"))
+        .expect("an unbounded guard never interrupts")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -71,16 +112,20 @@ mod tests {
     use spanner_graph::generators::{self, Family, WeightModel};
     use spanner_graph::verify::verify_spanner;
 
-    fn general(g: &Graph, params: TradeoffParams, seed: u64) -> SpannerResult {
-        SpannerRequest::new(g, Algorithm::General(params))
+    fn run(g: &Graph, algorithm: Algorithm, seed: u64) -> SpannerResult {
+        SpannerRequest::new(g, algorithm)
             .seed(seed)
             .run()
             .expect("valid request")
             .result
     }
 
-    fn check(g: &Graph, params: TradeoffParams, seed: u64) -> (SpannerResult, f64) {
-        let r = general(g, params, seed);
+    fn general(g: &Graph, params: TradeoffParams, seed: u64) -> SpannerResult {
+        run(g, Algorithm::General(params), seed)
+    }
+
+    fn check(g: &Graph, algorithm: Algorithm, seed: u64) -> (SpannerResult, f64) {
+        let r = run(g, algorithm, seed);
         spanner_graph::verify::assert_valid_edge_ids(g, &r.edges);
         let rep = verify_spanner(g, &r.edges);
         assert!(rep.all_edges_spanned, "{}: unspanned edges", r.algorithm);
@@ -106,7 +151,7 @@ mod tests {
     fn weighted_er_respects_stretch_bound() {
         let g = generators::connected_erdos_renyi(150, 0.06, WeightModel::PowersOfTwo(8), 3);
         for (k, t) in [(2, 1), (4, 2), (8, 3), (16, 4)] {
-            check(&g, TradeoffParams::new(k, t), 42);
+            check(&g, Algorithm::General(TradeoffParams::new(k, t)), 42);
         }
     }
 
@@ -114,7 +159,7 @@ mod tests {
     fn unit_torus_respects_stretch_bound() {
         let g = generators::torus(10, 10, WeightModel::Unit, 0);
         for (k, t) in [(3, 1), (9, 3)] {
-            check(&g, TradeoffParams::new(k, t), 7);
+            check(&g, Algorithm::General(TradeoffParams::new(k, t)), 7);
         }
     }
 
@@ -203,7 +248,74 @@ mod tests {
             },
         ] {
             let g = fam.generate(WeightModel::Uniform(1, 32), 17);
-            check(&g, TradeoffParams::new(8, 3), 23);
+            check(&g, Algorithm::General(TradeoffParams::new(8, 3)), 23);
         }
+    }
+
+    #[test]
+    fn baswana_sen_k1_is_identity() {
+        let g = generators::connected_erdos_renyi(30, 0.2, WeightModel::Unit, 0);
+        assert_eq!(run(&g, Algorithm::BaswanaSen { k: 1 }, 0).size(), g.m());
+    }
+
+    #[test]
+    fn baswana_sen_stretch_bound_holds_on_weighted_graphs() {
+        let g = generators::connected_erdos_renyi(150, 0.08, WeightModel::PowersOfTwo(10), 3);
+        for k in [2, 3, 5, 8] {
+            let (r, _) = check(&g, Algorithm::BaswanaSen { k }, 101);
+            assert_eq!(r.stretch_bound, (2 * k - 1) as f64);
+        }
+    }
+
+    #[test]
+    fn baswana_sen_stretch_bound_holds_on_tori_and_cliques() {
+        let t = generators::torus(9, 9, WeightModel::Uniform(1, 7), 2);
+        check(&t, Algorithm::BaswanaSen { k: 3 }, 5);
+        let c = generators::clique_chain(4, 8, WeightModel::Uniform(1, 7), 2);
+        check(&c, Algorithm::BaswanaSen { k: 4 }, 5);
+    }
+
+    #[test]
+    fn baswana_sen_size_shrinks_with_k_on_dense_graphs() {
+        let g = generators::complete(60, WeightModel::Uniform(1, 100), 4);
+        let size = |k| -> usize {
+            (0..5)
+                .map(|s| check(&g, Algorithm::BaswanaSen { k }, s).0.size())
+                .sum()
+        };
+        let (s2, s6) = (size(2), size(6));
+        assert!(
+            s6 < s2,
+            "larger k must sparsify more on K_n: k=2 → {s2}, k=6 → {s6}"
+        );
+    }
+
+    #[test]
+    fn baswana_sen_unweighted_size_envelope() {
+        // Expected size O(k n^{1+1/k}); allow a generous constant.
+        let g = generators::connected_erdos_renyi(300, 0.15, WeightModel::Unit, 6);
+        let k = 3u32;
+        let sizes: Vec<usize> = (0..5)
+            .map(|s| run(&g, Algorithm::BaswanaSen { k }, s).size())
+            .collect();
+        let avg = sizes.iter().sum::<usize>() as f64 / sizes.len() as f64;
+        let bound = k as f64 * (g.n() as f64).powf(1.0 + 1.0 / k as f64);
+        assert!(avg <= 3.0 * bound, "avg {avg} vs k·n^(1+1/k) = {bound}");
+    }
+
+    #[test]
+    fn baswana_sen_is_deterministic_per_seed() {
+        let g = generators::connected_erdos_renyi(80, 0.1, WeightModel::Uniform(1, 9), 8);
+        let bs = || run(&g, Algorithm::BaswanaSen { k: 4 }, 9).edges;
+        assert_eq!(bs(), bs());
+    }
+
+    #[test]
+    fn baswana_sen_keeps_every_tree_edge() {
+        // A spanner of a tree must contain every edge (removing any
+        // disconnects it).
+        let g = generators::random_tree(60, WeightModel::Uniform(1, 5), 10);
+        let (r, _) = check(&g, Algorithm::BaswanaSen { k: 4 }, 11);
+        assert_eq!(r.size(), g.m());
     }
 }

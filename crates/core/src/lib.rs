@@ -10,7 +10,7 @@
 //!
 //! | module | paper | rounds (iterations) | stretch | size |
 //! |---|---|---|---|---|
-//! | [`baswana_sen`] | \[BS07] baseline | `k` | `2k−1` | `O(k·n^{1+1/k})` |
+//! | [`pipeline::Algorithm::BaswanaSen`] | \[BS07] baseline | `k − 1` | `2k−1` | `O(k·n^{1+1/k})` |
 //! | [`pipeline::Algorithm::ClusterMerging`] | §4 (Thm 4.14) | `⌈log k⌉` | `O(k^{log 3})` | `O(n^{1+1/k}log k)` |
 //! | [`sqrt_k`] | §3 (Thm 3.4) | `O(√k)` | `O(k)` | `O(√k·n^{1+1/k})` |
 //! | [`general`] | §5 (Thm 5.15) | `t·⌈log k/log(t+1)⌉` | `O(k^s)`, `s=log(2t+1)/log(t+1)` | `O(n^{1+1/k}(t+log k))` |
@@ -45,7 +45,6 @@
 //! from the same seed (shared coins in [`coins`], identical
 //! `(weight, id)` tie-breaks), which integration tests verify.
 
-pub mod baswana_sen;
 pub mod coins;
 pub mod engine;
 pub mod general;

@@ -75,27 +75,28 @@ impl TradeoffParams {
         if self.k == 1 {
             return 0;
         }
-        let l = (self.k as f64).ln() / ((self.t + 1) as f64).ln();
+        let l = (self.k as f64).ln() / (self.t as f64 + 1.0).ln();
         (l.ceil() as u32).max(1)
     }
 
     /// Total growth iterations `t · l` — the quantity that multiplies
-    /// `O(1/γ)` to give MPC rounds in Theorem 1.1.
+    /// `O(1/γ)` to give MPC rounds in Theorem 1.1 (saturating at
+    /// `u32::MAX`).
     pub fn iterations(&self) -> u32 {
-        self.t * self.epochs()
+        self.t.saturating_mul(self.epochs())
     }
 
     /// Sampling probability for epoch `i` (1-based):
     /// `p_i = n^{-(t+1)^{i-1}/k}`.
     pub fn sampling_probability(&self, n: usize, epoch: u32) -> f64 {
         assert!(epoch >= 1, "epochs are 1-based");
-        let exponent = ((self.t + 1) as f64).powi(epoch as i32 - 1) / self.k as f64;
+        let exponent = (self.t as f64 + 1.0).powi(epoch as i32 - 1) / self.k as f64;
         (n.max(2) as f64).powf(-exponent)
     }
 
     /// Stretch exponent `s = log(2t+1)/log(t+1)` (Theorem 1.1).
     pub fn stretch_exponent(&self) -> f64 {
-        ((2 * self.t + 1) as f64).ln() / ((self.t + 1) as f64).ln()
+        (2.0 * self.t as f64 + 1.0).ln() / (self.t as f64 + 1.0).ln()
     }
 
     /// The proven stretch guarantee `2·k^s` (Theorem 5.11). For `t = k`
@@ -103,7 +104,7 @@ impl TradeoffParams {
     /// and returned instead.
     pub fn stretch_bound(&self) -> f64 {
         if self.t == self.k {
-            (2 * self.k - 1) as f64
+            2.0 * self.k as f64 - 1.0
         } else {
             2.0 * (self.k as f64).powf(self.stretch_exponent())
         }
@@ -119,14 +120,14 @@ impl TradeoffParams {
     /// Expected number of surviving clusters after epoch `i`:
     /// `n^{1 − ((t+1)^i − 1)/k}` (Lemma 5.12).
     pub fn expected_clusters(&self, n: usize, epoch: u32) -> f64 {
-        let e = (((self.t + 1) as f64).powi(epoch as i32) - 1.0) / self.k as f64;
+        let e = ((self.t as f64 + 1.0).powi(epoch as i32) - 1.0) / self.k as f64;
         (n as f64).powf((1.0 - e).max(0.0))
     }
 
     /// The radius bound after epoch `i`: `((2t+1)^i − 1)/2`
     /// (Corollary 5.9) — the quantity ablation A1 measures.
     pub fn radius_bound(&self, epoch: u32) -> f64 {
-        (((2 * self.t + 1) as f64).powi(epoch as i32) - 1.0) / 2.0
+        ((2.0 * self.t as f64 + 1.0).powi(epoch as i32) - 1.0) / 2.0
     }
 }
 
@@ -171,6 +172,22 @@ mod tests {
     #[test]
     fn baswana_sen_bound_is_2k_minus_1() {
         assert_eq!(TradeoffParams::baswana_sen(8).stretch_bound(), 15.0);
+    }
+
+    #[test]
+    fn bounds_hold_at_the_largest_k() {
+        // t = k takes the specialised 2k − 1; t = 2³¹ needs two epochs.
+        let bs = TradeoffParams::baswana_sen(u32::MAX);
+        assert_eq!(bs.stretch_bound(), 2.0 * u32::MAX as f64 - 1.0);
+        assert_eq!((bs.epochs(), bs.iterations()), (1, u32::MAX));
+        let p = TradeoffParams::new(u32::MAX, 1 << 31);
+        assert_eq!((p.epochs(), p.iterations()), (2, u32::MAX));
+        for p in [bs, p] {
+            assert!(p.stretch_exponent() > 1.0 && p.stretch_bound().is_finite());
+            assert!(p.sampling_probability(1 << 20, 2) > 0.0);
+            assert!(p.expected_clusters(1 << 20, 1) >= 1.0);
+            assert_eq!(p.radius_bound(1), p.t as f64);
+        }
     }
 
     #[test]

@@ -66,11 +66,11 @@
 //! The engine-schedule algorithms (first three rows) draw shared coins
 //! from [`crate::coins`], so **the same request produces bit-identical
 //! spanner edges on every backend** — the cross-backend agreement tests
-//! pin this. The last three rows are standalone constructions whose
-//! distributed analyses the paper gives separately; requesting them on
-//! an unsupported backend yields
-//! [`PipelineError::UnsupportedBackend`] with a hint naming the
-//! equivalent engine schedule.
+//! pin this. The last three rows run on the sequential engine only: the
+//! distributed drivers close every epoch with a contraction, while
+//! Baswana–Sen, Section 3's and Appendix B's black box, runs Phase 2
+//! without one. Requesting them on another backend yields
+//! [`PipelineError::UnsupportedBackend`] with a hint.
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -122,9 +122,11 @@ pub use mpc_runtime::NetworkModel;
 /// Which spanner construction to run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Algorithm {
-    /// The \[BS07] baseline: `k` iterations, stretch `2k−1`
-    /// (sequential-only; `General(TradeoffParams::baswana_sen(k))` is
-    /// the engine schedule with the same guarantees on every backend).
+    /// The \[BS07] baseline: `k − 1` grow iterations and Phase 2 without
+    /// a contraction, stretch `2k−1` (sequential-only).
+    /// `General(TradeoffParams::baswana_sen(k))` has the same guarantees
+    /// on every backend, but takes a `k`-th step and contracts, so its
+    /// spanner differs.
     BaswanaSen {
         /// Size exponent (spanner size `O(k·n^{1+1/k})`).
         k: u32,
@@ -881,13 +883,11 @@ impl<'g> SpannerRequest<'g> {
                          for the engine schedule with the same guarantees"
                     )
                 })?;
+                // One epoch of k − 1 steps, bound 2k − 1; at k = 1 these
+                // read 0 epochs, 0 steps and stretch 1.
                 let p = TradeoffParams::baswana_sen(k);
-                let (e, i, s) = if k == 1 {
-                    (0, 0, 1.0)
-                } else {
-                    (1, k - 1, (2 * k - 1) as f64)
-                };
-                (Some(p), e, i, s, k as f64 * nf.powf(1.0 + 1.0 / k as f64))
+                let size = k as f64 * nf.powf(1.0 + 1.0 / k as f64);
+                (Some(p), p.epochs(), k - 1, p.stretch_bound(), size)
             }
             Algorithm::SqrtK { k } => {
                 require_sequential(&self.backend, &label, || {
@@ -920,14 +920,8 @@ impl<'g> SpannerRequest<'g> {
                 let (e, i, s) = if k == 1 {
                     (0, 0, 1.0)
                 } else {
-                    let k_h = (2.0 / config.gamma).ceil() as u32 + 1;
-                    let iters = ((4 * k).max(2) as f64).log2().ceil() as u32 + k_h;
-                    let per_super = 8.0 * k as f64 + 1.0;
-                    (
-                        1,
-                        iters,
-                        (2.0 * k_h as f64 - 1.0) * per_super + 8.0 * k as f64,
-                    )
+                    let (_, iterations, stretch) = crate::unweighted_ok::schedule(k, config);
+                    (1, iterations, stretch)
                 };
                 let size = k as f64 * nf.powf(1.0 + 1.0 / k as f64) + 2.0 * k as f64 * nf;
                 (None, e, i, s, size)
@@ -957,7 +951,7 @@ impl<'g> SpannerRequest<'g> {
         };
 
         let streaming_passes = match self.backend {
-            Backend::Streaming => Some(if iterations == 0 { 0 } else { iterations + 1 }),
+            Backend::Streaming => Some(iterations.saturating_add(u32::from(iterations > 0))),
             _ => None,
         };
         Ok(Plan {
@@ -1077,7 +1071,7 @@ impl<'g> SpannerRequest<'g> {
         let g = self.graph;
         let seed = self.seed;
         match self.algorithm {
-            Algorithm::BaswanaSen { k } => crate::baswana_sen::build_guarded(g, k, seed, guard),
+            Algorithm::BaswanaSen { k } => crate::general::run_baswana_sen(g, k, seed, guard),
             Algorithm::SqrtK { k } => Ok(crate::sqrt_k::build(g, k, seed)),
             Algorithm::UnweightedOk { k, config } => {
                 Ok(crate::unweighted_ok::build(g, k, config, seed))
@@ -1095,7 +1089,7 @@ impl<'g> SpannerRequest<'g> {
     /// executed result (e.g. cluster merging's `k^{log 3}` bound and
     /// label, the corollary settings' labels), so the report's result
     /// matches the requested algorithm and the planned bound on
-    /// **every** backend. The standalone constructions have none.
+    /// **every** backend. The sequential-only algorithms have none.
     fn finish_engine_result(&self, mut r: SpannerResult, plan: &Plan) -> SpannerResult {
         if let Some(bound) = self.algorithm.stretch_override() {
             r.stretch_bound = bound;

@@ -10,7 +10,8 @@
 //!    typo for `√k` — with `√n` neither the round bound `O(√k)` nor the
 //!    stretch bound `O(t·t') = O(k)` of Theorem 3.4 would parse), and
 //!    map each super-edge the black box keeps back to the original edge
-//!    realising it.
+//!    realising it. The black box is [`crate::pipeline::Algorithm::BaswanaSen`]
+//!    on a second engine over `Ĝ`.
 //!
 //! Guarantees: stretch `O(k)` (radius `t` clusters × `(2t'−1)`-stretch
 //! super-paths), size `O(√k·n^{1+1/k})`, `O(√k)` rounds. The paper
@@ -47,7 +48,7 @@ pub(crate) fn build(g: &Graph, k: u32, seed: u64) -> SpannerResult {
     // Phase 2: Baswana–Sen black box on the super-graph.
     let q = engine.quotient_graph();
     let phase1_iterations = engine.iterations_run;
-    let bs = crate::baswana_sen::build(&q.graph, t, crate::coins::splitmix64(seed ^ 0x5af3_7a11));
+    let bs = crate::general::baswana_sen(&q.graph, t, crate::coins::splitmix64(seed ^ 0x5af3_7a11));
     engine.add_spanner_edges(bs.edges.iter().map(|&qid| q.edge_origin[qid as usize]));
     engine.discard_live_edges();
 

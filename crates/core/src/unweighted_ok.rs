@@ -13,10 +13,10 @@
 //!    vertex simulates `k` iterations of Baswana–Sen inside its ball for
 //!    itself *and every vertex within `k+1` hops*; the simulation agrees
 //!    with the global run because Baswana–Sen is `k`-hop local. We
-//!    therefore run the global [`crate::baswana_sen`] once (same shared
-//!    coins) and keep each of its edges that has an endpoint within
-//!    `k+1` hops of a sparse vertex — exactly the union the local
-//!    simulations would add. This costs **no extra rounds**.
+//!    therefore run the global [`crate::pipeline::Algorithm::BaswanaSen`]
+//!    once (same shared coins) and keep each of its edges that has an
+//!    endpoint within `k+1` hops of a sparse vertex — exactly the union
+//!    the local simulations would add. This costs **no extra rounds**.
 //! 3. **Dense side.** A hitting set `Z` (each vertex sampled with
 //!    probability `Θ(log n · n^{-γ/4})`) hits every dense ball w.h.p.
 //!    (a dense ball has `Θ(n^{γ/2})` size and hence `Ω(n^{γ/4})`
@@ -44,6 +44,7 @@ use spanner_graph::shortest_paths::capped_bfs_ball;
 use spanner_graph::{Graph, GraphBuilder};
 
 use crate::coins::splitmix64;
+use crate::general::baswana_sen;
 use crate::result::SpannerResult;
 
 /// Tuning knobs of the Appendix B construction.
@@ -191,7 +192,7 @@ pub(crate) fn build(g: &Graph, k: u32, cfg: UnweightedOkConfig, seed: u64) -> Sp
     let sparse = n - dense_assigned;
 
     // ---- 2. Sparse side: shared-randomness Baswana–Sen. ----
-    let bs = crate::baswana_sen::build(g, k, seed);
+    let bs = baswana_sen(g, k, seed);
     // Vertices within k+1 hops of a sparse vertex (multi-source BFS).
     let mut near_sparse = vec![false; n];
     {
@@ -240,7 +241,7 @@ pub(crate) fn build(g: &Graph, k: u32, cfg: UnweightedOkConfig, seed: u64) -> Sp
         }
     }
     let aux_edges = aux.len();
-    let k_h = (2.0 / cfg.gamma).ceil() as u32 + 1;
+    let (k_h, iterations, stretch_bound) = schedule(k, cfg);
     if !aux.is_empty() {
         // Compact Z for the Graph type.
         let z_ids: Vec<u32> = {
@@ -267,23 +268,16 @@ pub(crate) fn build(g: &Graph, k: u32, cfg: UnweightedOkConfig, seed: u64) -> Sp
             .iter()
             .map(|he| aux[&ordered(z_ids[he.u as usize], z_ids[he.v as usize])])
             .collect();
-        let h_spanner = crate::baswana_sen::build(&h, k_h, splitmix64(seed ^ 0x7777));
+        let h_spanner = baswana_sen(&h, k_h, splitmix64(seed ^ 0x7777));
         for &hid in &h_spanner.edges {
             spanner.push(origin[hid as usize]);
         }
     }
 
-    // Stretch accounting: sparse-incident edges stretch ≤ 2k−1; same-z
-    // dense edges ≤ 8k + 1 (two ball paths of ≤ 4k); cross-z edges
-    // traverse an H-path of ≤ 2k_H − 1 super-edges, each costing ≤
-    // 8k + 1 in G, plus the two endpoint ball paths.
-    let per_super = 8.0 * k as f64 + 1.0;
-    let stretch_bound = (2.0 * k_h as f64 - 1.0) * per_super + 8.0 * k as f64;
-
     let mut result = SpannerResult {
         edges: spanner,
         epochs: 1,
-        iterations: ((4 * k).max(2) as f64).log2().ceil() as u32 + k_h,
+        iterations,
         stretch_bound,
         radius_per_epoch: vec![],
         supernodes_per_epoch: vec![],
@@ -298,6 +292,19 @@ pub(crate) fn build(g: &Graph, k: u32, cfg: UnweightedOkConfig, seed: u64) -> Sp
     };
     result.canonicalise();
     result
+}
+
+/// `k_H = ⌈2/γ⌉ + 1`, and the iterations (`⌈log₂ 4k⌉` doubling steps,
+/// then the `H`-spanner's) and stretch bound that `plan()` predicts for
+/// `k ≥ 2`. Stretch: sparse-incident edges ≤ 2k−1; same-z dense edges
+/// ≤ 8k + 1 (two ball paths of ≤ 4k); cross-z edges an H-path of
+/// ≤ 2k_H − 1 super-edges of ≤ 8k + 1 each, plus two ball paths.
+pub(crate) fn schedule(k: u32, cfg: UnweightedOkConfig) -> (u32, u32, f64) {
+    let k_h = ((2.0 / cfg.gamma).ceil() as u32).saturating_add(1);
+    let iterations = ((4.0 * k as f64).log2().ceil() as u32).saturating_add(k_h);
+    let per_super = 8.0 * k as f64 + 1.0;
+    let stretch_bound = (2.0 * k_h as f64 - 1.0) * per_super + 8.0 * k as f64;
+    (k_h, iterations, stretch_bound)
 }
 
 #[inline]

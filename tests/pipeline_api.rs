@@ -161,6 +161,7 @@ fn plan_matches_run_for_custom_sequential_algorithms() {
     let topo = g.unweighted_copy();
     let requests = [
         SpannerRequest::new(&g, Algorithm::BaswanaSen { k: 6 }),
+        SpannerRequest::new(&g, Algorithm::BaswanaSen { k: 1 }),
         SpannerRequest::new(&g, Algorithm::SqrtK { k: 9 }),
         SpannerRequest::new(
             &topo,
@@ -187,6 +188,44 @@ fn plan_matches_run_for_custom_sequential_algorithms() {
         assert_eq!(
             report.result.stretch_bound, plan.stretch_bound,
             "{}: stretch bound diverges from plan",
+            plan.algorithm
+        );
+    }
+}
+
+#[test]
+fn plan_computes_its_bounds_without_overflow_at_the_largest_k() {
+    // 2k − 1 and 4k do not fit a u32 at k = u32::MAX; plan() must still
+    // answer, with the bounds computed in f64.
+    let k = u32::MAX;
+    let kf = k as f64;
+    let topo = generators::connected_erdos_renyi(40, 0.1, WeightModel::Unit, 3);
+    let cases = [
+        (Algorithm::BaswanaSen { k }, k - 1, 2.0 * kf - 1.0),
+        (
+            Algorithm::General(TradeoffParams::baswana_sen(k)),
+            k,
+            2.0 * kf - 1.0,
+        ),
+        // k_H = ⌈2/γ⌉ + 1 = 5 at γ = 0.5: ⌈log₂ 4k⌉ + 5 iterations and
+        // stretch (2k_H − 1)(8k + 1) + 8k.
+        (
+            Algorithm::UnweightedOk {
+                k,
+                config: UnweightedOkConfig::default(),
+            },
+            34 + 5,
+            9.0 * (8.0 * kf + 1.0) + 8.0 * kf,
+        ),
+    ];
+    for (algorithm, iterations, stretch_bound) in cases {
+        let plan = SpannerRequest::new(&topo, algorithm)
+            .plan()
+            .unwrap_or_else(|e| panic!("{}: {e}", algorithm.label()));
+        assert_eq!(
+            (plan.epochs, plan.iterations, plan.stretch_bound),
+            (1, iterations, stretch_bound),
+            "{}",
             plan.algorithm
         );
     }
