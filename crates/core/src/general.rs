@@ -71,8 +71,10 @@ pub(crate) fn run_general(
 /// sequential `Algorithm::BaswanaSen` driver: `k − 1` grow iterations
 /// at `p = n^{-1/k}` in one epoch, then Phase 2 on the un-contracted
 /// clustering. (`General(TradeoffParams::baswana_sen(k))` takes a `k`-th
-/// step and contracts first, so its spanner differs.) The guard is
-/// checked before every grow iteration and before Phase 2.
+/// step and contracts first, so its spanner differs.) Section 3 runs it
+/// as a black box on its contracted graph, and Appendix B on the whole
+/// graph and on its auxiliary graph, each under the job's guard. The
+/// guard is checked before every grow iteration and before Phase 2.
 pub(crate) fn run_baswana_sen(
     g: &Graph,
     k: u32,
@@ -96,13 +98,6 @@ pub(crate) fn run_baswana_sen(
     // The engine counts an epoch at its contraction; this one has none.
     result.epochs = 1;
     Ok(result)
-}
-
-/// [`run_baswana_sen`] as the uninterruptible black box that Section 3
-/// runs on its contracted graph and Appendix B simulates inside balls.
-pub(crate) fn baswana_sen(g: &Graph, k: u32, seed: u64) -> SpannerResult {
-    run_baswana_sen(g, k, seed, &BuildGuard::new("baswana-sen"))
-        .expect("an unbounded guard never interrupts")
 }
 
 #[cfg(test)]

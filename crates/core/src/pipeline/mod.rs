@@ -550,7 +550,8 @@ pub struct Plan {
     pub algorithm: String,
     /// Backend name.
     pub backend: &'static str,
-    /// The resolved engine schedule, for engine algorithms.
+    /// The resolved engine schedule, for engine algorithms; `None` for
+    /// Baswana–Sen, Section 3 and Appendix B, which run their own loops.
     pub schedule: Option<TradeoffParams>,
     /// Scheduled clustering epochs (`l = ⌈log k / log(t+1)⌉`).
     pub epochs: u32,
@@ -884,10 +885,12 @@ impl<'g> SpannerRequest<'g> {
                     )
                 })?;
                 // One epoch of k − 1 steps, bound 2k − 1; at k = 1 these
-                // read 0 epochs, 0 steps and stretch 1.
+                // read 0 epochs, 0 steps and stretch 1. No engine
+                // schedule: `TradeoffParams::baswana_sen(k)` takes a k-th
+                // step and contracts, which is another spanner.
                 let p = TradeoffParams::baswana_sen(k);
                 let size = k as f64 * nf.powf(1.0 + 1.0 / k as f64);
-                (Some(p), p.epochs(), k - 1, p.stretch_bound(), size)
+                (None, p.epochs(), k - 1, p.stretch_bound(), size)
             }
             Algorithm::SqrtK { k } => {
                 require_sequential(&self.backend, &label, || {
@@ -1060,9 +1063,10 @@ impl<'g> SpannerRequest<'g> {
     }
 
     /// Sequential dispatch. Infallible once `plan()` has validated and
-    /// the guard never interrupts; with an armed guard, Baswana–Sen and
-    /// the engine-schedule algorithms check it between grow iterations
-    /// and before their Phase 2.
+    /// the guard never interrupts; with an armed guard, every algorithm
+    /// checks it between grow iterations and before its Phase 2, and
+    /// Section 3's and Appendix B's also between their phases and inside
+    /// their Baswana–Sen black boxes.
     fn run_sequential(
         &self,
         plan: &Plan,
@@ -1072,9 +1076,9 @@ impl<'g> SpannerRequest<'g> {
         let seed = self.seed;
         match self.algorithm {
             Algorithm::BaswanaSen { k } => crate::general::run_baswana_sen(g, k, seed, guard),
-            Algorithm::SqrtK { k } => Ok(crate::sqrt_k::build(g, k, seed)),
+            Algorithm::SqrtK { k } => crate::sqrt_k::build(g, k, seed, guard),
             Algorithm::UnweightedOk { k, config } => {
-                Ok(crate::unweighted_ok::build(g, k, config, seed))
+                crate::unweighted_ok::build(g, k, config, seed, guard)
             }
             Algorithm::General(_)
             | Algorithm::ClusterMerging { .. }

@@ -22,16 +22,24 @@
 use spanner_graph::Graph;
 
 use crate::engine::Engine;
+use crate::pipeline::{BuildGuard, PipelineError};
 use crate::result::SpannerResult;
 
 /// Builds the Section 3 two-phase spanner: stretch `O(k)`, size
 /// `O(√k·n^{1+1/k})`, `O(√k)` grow iterations (the pipeline's
-/// sequential `Algorithm::SqrtK` driver).
-pub(crate) fn build(g: &Graph, k: u32, seed: u64) -> SpannerResult {
+/// sequential `Algorithm::SqrtK` driver). The guard is checked before
+/// every phase-1 grow iteration, between the phases, and inside the
+/// black box, before each of its grow iterations and its Phase 2.
+pub(crate) fn build(
+    g: &Graph,
+    k: u32,
+    seed: u64,
+    guard: &BuildGuard,
+) -> Result<SpannerResult, PipelineError> {
     debug_assert!(k >= 1, "validated by plan()");
     let algorithm = format!("sqrt-k(k={k})");
     if k == 1 || g.m() == 0 {
-        return SpannerResult::whole_graph(g, algorithm);
+        return Ok(SpannerResult::whole_graph(g, algorithm));
     }
 
     let n = g.n();
@@ -41,14 +49,21 @@ pub(crate) fn build(g: &Graph, k: u32, seed: u64) -> SpannerResult {
     // Phase 1: t grow iterations, then contraction.
     let mut engine = Engine::new(g, seed);
     for iter in 1..=t {
+        guard.check()?;
         engine.run_iteration(p, 1, iter);
     }
     engine.contract();
 
     // Phase 2: Baswana–Sen black box on the super-graph.
+    guard.check()?;
     let q = engine.quotient_graph();
     let phase1_iterations = engine.iterations_run;
-    let bs = crate::general::baswana_sen(&q.graph, t, crate::coins::splitmix64(seed ^ 0x5af3_7a11));
+    let bs = crate::general::run_baswana_sen(
+        &q.graph,
+        t,
+        crate::coins::splitmix64(seed ^ 0x5af3_7a11),
+        guard,
+    )?;
     engine.add_spanner_edges(bs.edges.iter().map(|&qid| q.edge_origin[qid as usize]));
     engine.discard_live_edges();
 
@@ -62,7 +77,7 @@ pub(crate) fn build(g: &Graph, k: u32, seed: u64) -> SpannerResult {
     let mut r = engine.finish(algorithm, stretch_bound);
     r.iterations = phase1_iterations + bs.iterations;
     r.epochs = 2;
-    r
+    Ok(r)
 }
 
 #[cfg(test)]

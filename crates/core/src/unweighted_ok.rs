@@ -44,7 +44,8 @@ use spanner_graph::shortest_paths::capped_bfs_ball;
 use spanner_graph::{Graph, GraphBuilder};
 
 use crate::coins::splitmix64;
-use crate::general::baswana_sen;
+use crate::general::run_baswana_sen;
+use crate::pipeline::{BuildGuard, PipelineError};
 use crate::result::SpannerResult;
 
 /// Tuning knobs of the Appendix B construction.
@@ -91,8 +92,16 @@ pub struct UnweightedOkStats {
 /// `Algorithm::UnweightedOk` driver). The input must be unweighted
 /// ([`Graph::unweighted_copy`] otherwise; `plan()` rejects weighted
 /// input with a typed error). The decomposition statistics ride inside
-/// the result ([`SpannerResult::decomposition`]).
-pub(crate) fn build(g: &Graph, k: u32, cfg: UnweightedOkConfig, seed: u64) -> SpannerResult {
+/// the result ([`SpannerResult::decomposition`]). The guard is checked
+/// between the steps below and inside both Baswana–Sen runs, before
+/// each of their grow iterations and their Phase 2.
+pub(crate) fn build(
+    g: &Graph,
+    k: u32,
+    cfg: UnweightedOkConfig,
+    seed: u64,
+    guard: &BuildGuard,
+) -> Result<SpannerResult, PipelineError> {
     debug_assert!(k >= 1 && g.is_unweighted(), "validated by plan()");
     let algorithm = format!("unweighted-ok(k={k},gamma={})", cfg.gamma);
     let n = g.n();
@@ -105,7 +114,7 @@ pub(crate) fn build(g: &Graph, k: u32, cfg: UnweightedOkConfig, seed: u64) -> Sp
             hitting_set: 0,
             aux_edges: 0,
         });
-        return r;
+        return Ok(r);
     }
 
     // ---- 1. Ball growing (graph exponentiation in MPC). ----
@@ -116,6 +125,7 @@ pub(crate) fn build(g: &Graph, k: u32, cfg: UnweightedOkConfig, seed: u64) -> Sp
         .map(|v| capped_bfs_ball(g, v, max_hops, cap))
         .collect();
     let mut is_dense: Vec<bool> = balls.par_iter().map(|b| b.truncated).collect();
+    guard.check()?;
 
     // ---- 3a. Hitting set Z. ----
     let rate =
@@ -190,9 +200,10 @@ pub(crate) fn build(g: &Graph, k: u32, cfg: UnweightedOkConfig, seed: u64) -> Sp
     }
     let dense_assigned = assign.iter().filter(|a| a.is_some()).count();
     let sparse = n - dense_assigned;
+    guard.check()?;
 
     // ---- 2. Sparse side: shared-randomness Baswana–Sen. ----
-    let bs = baswana_sen(g, k, seed);
+    let bs = run_baswana_sen(g, k, seed, guard)?;
     // Vertices within k+1 hops of a sparse vertex (multi-source BFS).
     let mut near_sparse = vec![false; n];
     {
@@ -228,6 +239,7 @@ pub(crate) fn build(g: &Graph, k: u32, cfg: UnweightedOkConfig, seed: u64) -> Sp
     }
 
     // ---- 4. Auxiliary graph H on Z and its spanner. ----
+    guard.check()?;
     let mut aux: HashMap<(u32, u32), EdgeId> = HashMap::new();
     for (id, e) in g.edges().iter().enumerate() {
         if let (Some(z1), Some(z2)) = (assign[e.u as usize], assign[e.v as usize]) {
@@ -268,7 +280,7 @@ pub(crate) fn build(g: &Graph, k: u32, cfg: UnweightedOkConfig, seed: u64) -> Sp
             .iter()
             .map(|he| aux[&ordered(z_ids[he.u as usize], z_ids[he.v as usize])])
             .collect();
-        let h_spanner = baswana_sen(&h, k_h, splitmix64(seed ^ 0x7777));
+        let h_spanner = run_baswana_sen(&h, k_h, splitmix64(seed ^ 0x7777), guard)?;
         for &hid in &h_spanner.edges {
             spanner.push(origin[hid as usize]);
         }
@@ -291,7 +303,7 @@ pub(crate) fn build(g: &Graph, k: u32, cfg: UnweightedOkConfig, seed: u64) -> Sp
         }),
     };
     result.canonicalise();
-    result
+    Ok(result)
 }
 
 /// `k_H = ⌈2/γ⌉ + 1`, and the iterations (`⌈log₂ 4k⌉` doubling steps,

@@ -15,6 +15,8 @@
 //!    malformed request cannot abort its neighbours), and the output is
 //!    independent of thread count.
 
+use std::time::{Duration, Instant};
+
 use proptest::prelude::*;
 use rayon::prelude::*;
 
@@ -153,10 +155,13 @@ proptest! {
 
 #[test]
 fn plan_matches_run_for_custom_sequential_algorithms() {
-    // BaswanaSen / SqrtK / UnweightedOk predict their bounds with
-    // formulas maintained alongside the builders; pin that the two
-    // stay in sync (iterations/epochs are exact for these algorithms —
-    // they have no early-exit path — and the stretch bound always is).
+    // BaswanaSen / SqrtK / UnweightedOk run their own loops, not an
+    // engine schedule, and predict their bounds with formulas kept
+    // alongside the builders; pin that the two stay in sync. `Plan`
+    // documents iterations and epochs as scheduled maxima, and SqrtK's
+    // black box returns early when the contracted graph has no edges;
+    // none of these inputs reaches that, so the counts match exactly.
+    // The stretch bound always does.
     let g = generators::connected_erdos_renyi(150, 0.08, WeightModel::Uniform(1, 16), 31);
     let topo = g.unweighted_copy();
     let requests = [
@@ -174,6 +179,11 @@ fn plan_matches_run_for_custom_sequential_algorithms() {
     for request in requests {
         let request = request.seed(13);
         let plan = request.plan().expect("valid request");
+        assert!(
+            plan.schedule.is_none(),
+            "{}: no engine schedule runs it",
+            plan.algorithm
+        );
         let report = request.run().expect("sequential run");
         assert_eq!(
             report.result.iterations, plan.iterations,
@@ -229,6 +239,34 @@ fn plan_computes_its_bounds_without_overflow_at_the_largest_k() {
             plan.algorithm
         );
     }
+}
+
+#[test]
+fn appendix_b_stops_at_its_deadline_inside_the_auxiliary_baswana_sen() {
+    // At γ = 1e-10, k_H = ⌈2/γ⌉ + 1 saturates at u32::MAX, so the
+    // Baswana–Sen spanner of the auxiliary graph would run ~2³² grow
+    // steps. The job's guard rides into that black box, so the deadline
+    // ends the build.
+    let topo = generators::connected_erdos_renyi(60, 0.1, WeightModel::Unit, 5);
+    let config = UnweightedOkConfig {
+        gamma: 1e-10,
+        ..UnweightedOkConfig::default()
+    };
+    let request = SpannerRequest::new(&topo, Algorithm::UnweightedOk { k: 3, config })
+        .deadline(Duration::from_millis(200));
+    let started = Instant::now();
+    let err = request
+        .run()
+        .expect_err("the build cannot finish in 200 ms");
+    assert!(
+        matches!(err, PipelineError::DeadlineExceeded { .. }),
+        "expected a deadline error, got {err}"
+    );
+    assert!(
+        started.elapsed() < Duration::from_secs(10),
+        "the deadline stopped the build only after {:?}",
+        started.elapsed()
+    );
 }
 
 #[test]
