@@ -51,12 +51,13 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use rayon::prelude::*;
 
 use mpc_runtime::{comm, Dist, MpcSystem};
-use spanner_graph::edge::{Distance, EdgeId, INFINITY};
+use spanner_graph::edge::{Distance, Edge, EdgeId, EdgeList, INFINITY};
 use spanner_graph::scatter::{bucket_starts, ranges};
 use spanner_graph::shortest_paths::dijkstra;
 use spanner_graph::Graph;
@@ -135,6 +136,13 @@ impl BuildGuard {
     /// Time since the guard was created.
     pub fn elapsed(&self) -> Duration {
         self.started.elapsed()
+    }
+
+    /// Time left before the deadline (zero once it has passed), or
+    /// `None` without one.
+    pub(crate) fn remaining(&self) -> Option<Duration> {
+        self.deadline
+            .map(|deadline| deadline.saturating_sub(self.started.elapsed()))
     }
 
     /// Errs with [`PipelineError::Cancelled`] /
@@ -771,15 +779,25 @@ impl<'g> DistanceRequest<'g> {
 
         guard.check()?;
         let spanner = self.spanner.graph().edge_subgraph(&result.edges);
-        let sketches = match self.engine {
-            QueryEngine::Dijkstra => None,
-            QueryEngine::Sketches { levels } => Some(DistanceSketches::preprocess_guarded(
-                &spanner,
-                levels,
-                self.spanner.seed_value(),
-                result.stretch_bound,
-                guard,
-            )?),
+        let substrate = match self.engine {
+            QueryEngine::Dijkstra => Substrate::Dijkstra(spanner),
+            QueryEngine::Sketches { levels } => {
+                let sketches = DistanceSketches::preprocess_guarded(
+                    &spanner,
+                    levels,
+                    self.spanner.seed_value(),
+                    result.stretch_bound,
+                    guard,
+                )?;
+                // Sketch queries never read the CSR: keep the canonical
+                // edge list, from which `spanner()` rebuilds it.
+                Substrate::Sketches {
+                    sketches,
+                    n: spanner.n(),
+                    edges: spanner.edges().to_vec(),
+                    graph: OnceLock::new(),
+                }
+            }
         };
 
         // The deadline covers the whole build — gather and substrate
@@ -788,11 +806,10 @@ impl<'g> DistanceRequest<'g> {
         guard.check()?;
 
         Ok(DistanceOracle {
-            spanner,
+            substrate,
             spanner_edges: result.edges,
             substrate_stretch: result.stretch_bound,
             engine: self.engine,
-            sketches,
             stats: DistanceBuildStats {
                 algorithm: result.algorithm,
                 backend: plan.spanner.backend,
@@ -861,31 +878,46 @@ pub struct DistanceBuildStats {
 /// pairs never answer [`INFINITY`].
 #[derive(Debug, Clone)]
 pub struct DistanceOracle {
-    spanner: Graph,
+    substrate: Substrate,
     spanner_edges: Vec<EdgeId>,
     substrate_stretch: f64,
     engine: QueryEngine,
-    sketches: Option<DistanceSketches>,
     stats: DistanceBuildStats,
+}
+
+/// What an oracle's queries run on.
+#[derive(Debug, Clone)]
+enum Substrate {
+    /// Exact Dijkstra searches on the spanner's CSR.
+    Dijkstra(Graph),
+    /// Thorup–Zwick sketches. No query reads the spanner, so it is kept
+    /// as its canonical edge list; [`DistanceOracle::spanner`] builds
+    /// the CSR from it on the first call.
+    Sketches {
+        sketches: DistanceSketches,
+        n: usize,
+        edges: EdgeList,
+        graph: OnceLock<Graph>,
+    },
 }
 
 impl DistanceOracle {
     /// Approximate distance from `u` to `v` under the composed
     /// guarantee.
     pub fn query(&self, u: u32, v: u32) -> Distance {
-        match &self.sketches {
-            None => dijkstra(&self.spanner, u).dist[v as usize],
-            Some(sk) => sk.query(u, v),
+        match &self.substrate {
+            Substrate::Dijkstra(spanner) => dijkstra(spanner, u).dist[v as usize],
+            Substrate::Sketches { sketches, .. } => sketches.query(u, v),
         }
     }
 
     /// Approximate distances from `source` to every vertex.
     pub fn distances_from(&self, source: u32) -> Vec<Distance> {
-        match &self.sketches {
-            None => dijkstra(&self.spanner, source).dist,
-            Some(sk) => (0..self.spanner.n() as u32)
-                .map(|v| sk.query(source, v))
-                .collect(),
+        match &self.substrate {
+            Substrate::Dijkstra(spanner) => dijkstra(spanner, source).dist,
+            Substrate::Sketches { sketches, n, .. } => {
+                (0..*n as u32).map(|v| sketches.query(source, v)).collect()
+            }
         }
     }
 
@@ -894,15 +926,18 @@ impl DistanceOracle {
     /// calls at every thread count. Dijkstra-engine batches share one
     /// traversal per distinct source.
     pub fn query_batch(&self, queries: &[(u32, u32)]) -> Vec<Distance> {
-        match &self.sketches {
-            Some(sk) => queries.par_iter().map(|&(u, v)| sk.query(u, v)).collect(),
-            None => {
+        match &self.substrate {
+            Substrate::Sketches { sketches, .. } => queries
+                .par_iter()
+                .map(|&(u, v)| sketches.query(u, v))
+                .collect(),
+            Substrate::Dijkstra(spanner) => {
                 let mut sources: Vec<u32> = queries.iter().map(|&(u, _)| u).collect();
                 sources.sort_unstable();
                 sources.dedup();
                 let rows: Vec<Vec<Distance>> = sources
                     .par_iter()
-                    .map(|&s| dijkstra(&self.spanner, s).dist)
+                    .map(|&s| dijkstra(spanner, s).dist)
                     .collect();
                 let row_of: HashMap<u32, usize> =
                     sources.iter().enumerate().map(|(i, &s)| (s, i)).collect();
@@ -932,18 +967,33 @@ impl DistanceOracle {
 
     /// The preprocessed sketches, when [`QueryEngine::Sketches`] serves.
     pub fn sketches(&self) -> Option<&DistanceSketches> {
-        self.sketches.as_ref()
+        match &self.substrate {
+            Substrate::Dijkstra(_) => None,
+            Substrate::Sketches { sketches, .. } => Some(sketches),
+        }
     }
 
     /// Number of spanner edges the oracle stores — the paper's
     /// `O(n log log n)` for the Corollary 1.4 parameters.
     pub fn size(&self) -> usize {
-        self.spanner.m()
+        match &self.substrate {
+            Substrate::Dijkstra(spanner) => spanner.m(),
+            Substrate::Sketches { edges, .. } => edges.len(),
+        }
     }
 
     /// The spanner as a standalone graph (same vertex set as the host).
+    /// A Dijkstra oracle searches this graph and holds it from the
+    /// build on. A sketch oracle's queries never read it, so it holds
+    /// only the spanner's edge list and builds the graph on the first
+    /// call, once.
     pub fn spanner(&self) -> &Graph {
-        &self.spanner
+        match &self.substrate {
+            Substrate::Dijkstra(spanner) => spanner,
+            Substrate::Sketches {
+                n, edges, graph, ..
+            } => graph.get_or_init(|| Graph::from_edges(*n, edges.iter().copied())),
+        }
     }
 
     /// Edge ids of the spanner within the host graph.
@@ -968,9 +1018,21 @@ impl HeapSize for DistanceSketches {
 
 impl HeapSize for DistanceOracle {
     fn heap_size(&self) -> usize {
-        self.spanner.heap_size()
+        let substrate = match &self.substrate {
+            Substrate::Dijkstra(spanner) => spanner.heap_size(),
+            Substrate::Sketches {
+                sketches,
+                edges,
+                graph,
+                ..
+            } => {
+                sketches.heap_size()
+                    + edges.len() * std::mem::size_of::<Edge>()
+                    + graph.get().map_or(0, HeapSize::heap_size)
+            }
+        };
+        substrate
             + self.spanner_edges.len() * std::mem::size_of::<EdgeId>()
-            + self.sketches.as_ref().map_or(0, HeapSize::heap_size)
             + std::mem::size_of::<Self>()
     }
 }

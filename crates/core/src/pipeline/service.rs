@@ -63,15 +63,28 @@
 //!
 //! Every job, blocking or queued, is served by one path: it renders its
 //! artifact key, answers from the store on a hit, and otherwise checks
-//! its [`BuildGuard`], builds and stores the artifact. A blocking job
-//! runs on the calling thread, with no admission limit of its own: the
-//! one admission point for serving traffic is the
+//! its [`BuildGuard`], builds and stores the artifact.
+//!
+//! Builds are **single-flight**: one build per key at a time. The first
+//! job to miss a key registers it as in flight and leads the build;
+//! every job that misses the same key meanwhile follows it, waits, and
+//! is handed the leader's `Arc`, counted as a hit. A follower also
+//! shares the leader's error, except one from the leader's own guard
+//! ([`PipelineError::Cancelled`], [`PipelineError::DeadlineExceeded`]):
+//! then the followers go back to the store, and one of them builds under
+//! its own guard. A follower waits under its own guard too, so its own
+//! token or deadline ends its wait, while the leader's build lands in
+//! the store regardless.
+//!
+//! A blocking job runs on the calling thread, with no admission limit of
+//! its own: the one admission point for serving traffic is the
 //! [`JobQueue`](super::JobQueue), whose worker count bounds how many
 //! jobs execute at once. A job builds its artifact through
 //! [`SpannerRequest`] / [`DistanceRequest`], like the one-shot
 //! [`SpannerRequest::run`] / [`DistanceRequest::build`], so both produce
 //! bit-identical artifacts at equal seeds.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -87,7 +100,7 @@ use super::{
     Algorithm, Backend, CancelToken, PipelineError, RunReport, SpannerRequest, Verification,
 };
 use crate::result::SpannerResult;
-use crate::sync::{MutexGuard, TrackedMutex};
+use crate::sync::{MutexGuard, TrackedCondvar, TrackedMutex};
 
 // ---------------------------------------------------------------------
 // HeapSize
@@ -327,6 +340,191 @@ impl<K: Eq + Hash + Clone, V: Clone> LruStore<K, V> {
 }
 
 // ---------------------------------------------------------------------
+// Single-flight
+// ---------------------------------------------------------------------
+
+/// How long a follower waits between checks of its own guard. A landing
+/// wakes it at once; the slice only bounds how late it notices its own
+/// fired token.
+const FOLLOWER_CHECK: Duration = Duration::from_millis(10);
+
+/// The builds in flight, by key: the single-flight half of
+/// [`SpannerService::execute`]. The first job to miss a key leads its
+/// build; every job that misses the same key while that build runs
+/// follows it and gets the leader's outcome instead of building.
+///
+/// Each flight has its own lock and condvar, so a follower parks
+/// holding only its flight's lock, and the map's lock is held only to
+/// join, lead or land a flight, never with another tracked lock.
+#[derive(Debug)]
+pub(crate) struct Flights<K, V> {
+    in_flight: TrackedMutex<HashMap<K, Arc<Flight<V>>>>,
+}
+
+#[derive(Debug)]
+struct Flight<V> {
+    state: TrackedMutex<FlightState<V>>,
+    /// Notified when the flight lands and when a follower joins.
+    changed: TrackedCondvar,
+}
+
+#[derive(Debug)]
+struct FlightState<V> {
+    landing: Landing<V>,
+    /// Jobs that have joined the flight as followers. The tests wait on
+    /// it (through `changed`) to force their interleavings.
+    followers: usize,
+}
+
+/// A finished build: its artifact, or its error.
+type Outcome<V> = Result<V, PipelineError>;
+
+/// Where a flight stands.
+#[derive(Debug)]
+enum Landing<V> {
+    /// The leader is building.
+    Pending,
+    /// The leader finished: its artifact, or an error its followers
+    /// share.
+    Landed(Outcome<V>),
+    /// The leader's own guard stopped it, or its build unwound: its
+    /// followers go back to the store.
+    Abandoned,
+}
+
+/// A leader's claim on its flight. Dropping it lands `landing`, which
+/// stays [`Landing::Abandoned`] unless the leader sets an outcome, so a
+/// build that unwinds never strands its followers.
+struct Lead<'a, K: Eq + Hash, V> {
+    flights: &'a Flights<K, V>,
+    key: &'a K,
+    flight: Arc<Flight<V>>,
+    landing: Landing<V>,
+}
+
+impl<K: Eq + Hash, V> Drop for Lead<'_, K, V> {
+    fn drop(&mut self) {
+        let landing = std::mem::replace(&mut self.landing, Landing::Abandoned);
+        // Out of the map first: a job arriving after this finds the
+        // artifact in the store, which the build filled before landing.
+        self.flights.in_flight.lock().remove(self.key);
+        self.flight.state.lock().landing = landing;
+        self.flight.changed.notify_all();
+    }
+}
+
+impl<K: Eq + Hash + Clone, V: Clone> Flights<K, V> {
+    pub(crate) fn new() -> Self {
+        Flights {
+            in_flight: TrackedMutex::new("service.in_flight", HashMap::new()),
+        }
+    }
+
+    /// Serves `key`: a `lookup` hit; else the outcome of the build in
+    /// flight for `key`, once it lands; else, after checking `guard`, a
+    /// build of its own through `build`, which every miss on `key`
+    /// arriving meanwhile follows. `build` stores its artifact where
+    /// `lookup` finds it: a job arriving after the flight lands looks
+    /// there. Returns the value and whether this call built it.
+    ///
+    /// A follower waits under its own `guard` and fails with its own
+    /// error once that fires. It shares the leader's artifact or error,
+    /// except the leader's [`PipelineError::Cancelled`] or
+    /// [`PipelineError::DeadlineExceeded`]: those belong to the leader's
+    /// guard, so the follower starts over at `lookup`.
+    pub(crate) fn serve(
+        &self,
+        key: &K,
+        guard: &BuildGuard,
+        lookup: impl Fn() -> Option<V>,
+        build: impl FnOnce() -> Outcome<V>,
+    ) -> Outcome<(V, bool)> {
+        loop {
+            if let Some(hit) = lookup() {
+                return Ok((hit, false));
+            }
+            guard.check()?;
+            let (flight, leads) = self.join(key);
+            if leads {
+                let lead = Lead {
+                    flights: self,
+                    key,
+                    flight,
+                    landing: Landing::Abandoned,
+                };
+                return lead.run(lookup, build);
+            }
+            if let Some(outcome) = Self::follow(&flight, guard)? {
+                return outcome.map(|value| (value, false));
+            }
+        }
+    }
+
+    /// Joins the flight for `key`, or opens one; `true` if this call
+    /// opened it and so leads it.
+    fn join(&self, key: &K) -> (Arc<Flight<V>>, bool) {
+        match self.in_flight.lock().entry(key.clone()) {
+            Entry::Occupied(flight) => (Arc::clone(flight.get()), false),
+            Entry::Vacant(slot) => {
+                let flight = Arc::new(Flight {
+                    state: TrackedMutex::new(
+                        "service.flight",
+                        FlightState {
+                            landing: Landing::Pending,
+                            followers: 0,
+                        },
+                    ),
+                    changed: TrackedCondvar::new("service.flight_changed"),
+                });
+                (Arc::clone(slot.insert(flight)), true)
+            }
+        }
+    }
+
+    /// Follows `flight` under `guard` until it lands: `Some` with the
+    /// leader's outcome, or `None` once the flight is abandoned.
+    fn follow(flight: &Flight<V>, guard: &BuildGuard) -> Outcome<Option<Outcome<V>>> {
+        let mut state = flight.state.lock();
+        state.followers += 1;
+        flight.changed.notify_all();
+        loop {
+            match &state.landing {
+                Landing::Landed(outcome) => return Ok(Some(outcome.clone())),
+                Landing::Abandoned => return Ok(None),
+                Landing::Pending => guard.check()?,
+            }
+            let slice = guard
+                .remaining()
+                .map_or(FOLLOWER_CHECK, |left| left.min(FOLLOWER_CHECK));
+            state = flight.changed.wait_timeout(state, slice).0;
+        }
+    }
+}
+
+impl<K: Eq + Hash, V: Clone> Lead<'_, K, V> {
+    /// The leader's side: a `lookup` hit that landed between the miss
+    /// and the join, else the build. Dropping `self` lands the outcome.
+    fn run(
+        mut self,
+        lookup: impl Fn() -> Option<V>,
+        build: impl FnOnce() -> Outcome<V>,
+    ) -> Outcome<(V, bool)> {
+        if let Some(hit) = lookup() {
+            self.landing = Landing::Landed(Ok(hit.clone()));
+            return Ok((hit, false));
+        }
+        let built = build();
+        self.landing = match &built {
+            Err(PipelineError::Cancelled | PipelineError::DeadlineExceeded { .. }) => {
+                Landing::Abandoned
+            }
+            outcome => Landing::Landed(outcome.clone()),
+        };
+        built.map(|value| (value, true))
+    }
+}
+
+// ---------------------------------------------------------------------
 // Stats
 // ---------------------------------------------------------------------
 
@@ -339,7 +537,8 @@ pub(crate) const DEFAULT_STORE_BUDGET: usize = 256 << 20;
 /// A point-in-time snapshot of a service's counters.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ServiceStats {
-    /// Jobs answered from the artifact store.
+    /// Jobs answered from the artifact store, or by a build already in
+    /// flight for the same artifact (a follower of that build).
     pub hits: u64,
     /// Jobs that missed the store and actually executed. Jobs cancelled
     /// or out of time before execution are *not* misses — they appear
@@ -521,6 +720,7 @@ struct ArtifactKey {
 pub struct SpannerService {
     registry: TrackedMutex<HashMap<u64, KeySlot>>,
     store: LruStore<ArtifactKey, JobOutput>,
+    flights: Flights<ArtifactKey, JobOutput>,
     counters: Counters,
 }
 
@@ -543,6 +743,7 @@ impl SpannerService {
         SpannerService {
             registry: TrackedMutex::new("service.registry", HashMap::new()),
             store: LruStore::new(store_budget_bytes),
+            flights: Flights::new(),
             counters: Counters::default(),
         }
     }
@@ -693,46 +894,74 @@ impl SpannerService {
     }
 
     /// Serves one job: renders its artifact key and answers from the
-    /// store on a hit; on a miss, checks `guard`, builds the artifact
-    /// under it and stores it. The blocking builders and the queue
+    /// store on a hit. On a miss it follows the build already in flight
+    /// for the key, if there is one, and counts as a hit when that build
+    /// lands; otherwise it checks `guard`, builds the artifact under it
+    /// and stores it, and every miss on the key meanwhile follows this
+    /// build ([`Flights::serve`]). The blocking builders and the queue
     /// workers all serve through here. A store hit skips the guard, so a
     /// fired token or a spent deadline fails only jobs that would
-    /// execute, and only executed jobs count as misses.
+    /// execute, and only executed jobs count as misses. With caching
+    /// disabled (a zero budget) every job builds.
     pub(crate) fn execute(
         &self,
         spec: &JobSpec,
         guard: &BuildGuard,
     ) -> Result<JobOutput, PipelineError> {
-        let key = spec.key();
-        if self.store.budget() > 0 {
-            if let Some(hit) = self.store.get(&key) {
-                self.counters.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(hit);
-            }
+        if self.store.budget() == 0 {
+            guard.check()?;
+            return self.build(spec, guard);
         }
-        guard.check()?;
-        self.counters.misses.fetch_add(1, Ordering::Relaxed);
+        let key = spec.key();
+        self.serve(&key, guard, || self.build_and_store(spec, guard, &key))
+    }
+
+    /// The cached path of [`Self::execute`], with `build` as the
+    /// leader's build: a store hit or a follower counts as a hit.
+    fn serve(
+        &self,
+        key: &ArtifactKey,
+        guard: &BuildGuard,
+        build: impl FnOnce() -> Result<JobOutput, PipelineError>,
+    ) -> Result<JobOutput, PipelineError> {
+        let (output, built) = self
+            .flights
+            .serve(key, guard, || self.store.get(key), build)?;
+        if !built {
+            self.counters.hits.fetch_add(1, Ordering::Relaxed);
+        }
+        Ok(output)
+    }
+
+    /// Builds a job's artifact and stores it; returns what the store
+    /// serves for the key.
+    fn build_and_store(
+        &self,
+        spec: &JobSpec,
+        guard: &BuildGuard,
+        key: &ArtifactKey,
+    ) -> Result<JobOutput, PipelineError> {
+        let output = self.build(spec, guard)?;
+        let size = output.heap_size();
+        Ok(self.store.insert_or_get(key.clone(), output, size))
+    }
+
+    /// Builds a job's artifact: one miss, timed, its outcome counted.
+    fn build(&self, spec: &JobSpec, guard: &BuildGuard) -> Result<JobOutput, PipelineError> {
+        let c = &self.counters;
+        c.misses.fetch_add(1, Ordering::Relaxed);
         // analyze:allow(determinism-taint): job-latency telemetry only — never reaches artifacts
         let started = Instant::now();
         let built = spec.build(guard);
-        self.finish(started, built.is_ok());
-        let output = built?;
-        if self.store.budget() == 0 {
-            return Ok(output);
-        }
-        let size = output.heap_size();
-        Ok(self.store.insert_or_get(key, output, size))
-    }
-
-    fn finish(&self, started: Instant, ok: bool) {
-        let c = &self.counters;
         c.busy_micros
             .fetch_add(started.elapsed().as_micros() as u64, Ordering::Relaxed);
-        if ok {
-            c.completed.fetch_add(1, Ordering::Relaxed);
+        let outcome = if built.is_ok() {
+            &c.completed
         } else {
-            c.failed.fetch_add(1, Ordering::Relaxed);
-        }
+            &c.failed
+        };
+        outcome.fetch_add(1, Ordering::Relaxed);
+        built
     }
 }
 
@@ -1048,6 +1277,7 @@ mod tests {
     use super::*;
     use crate::TradeoffParams;
     use spanner_graph::generators::{self, WeightModel};
+    use std::sync::mpsc;
 
     fn graph(seed: u64) -> Graph {
         generators::connected_erdos_renyi(80, 0.1, WeightModel::Uniform(1, 8), seed)
@@ -1207,6 +1437,278 @@ mod tests {
         // latency and hit-rate numbers stay truthful.
         let stats = service.stats();
         assert_eq!((stats.misses, stats.failed), (0, 0));
+    }
+
+    /// The flight in progress for `key`.
+    fn flight(service: &SpannerService, key: &ArtifactKey) -> Arc<Flight<JobOutput>> {
+        let flight = service.flights.in_flight.lock().get(key).cloned();
+        flight.expect("a build in flight for the key")
+    }
+
+    /// Blocks until `n` jobs follow the build in flight for `key`.
+    fn await_followers(service: &SpannerService, key: &ArtifactKey, n: usize) {
+        let flight = flight(service, key);
+        let mut state = flight.state.lock();
+        while state.followers < n {
+            state = flight.changed.wait(state);
+        }
+    }
+
+    /// Leads the build of `spec` on its own thread through the service's
+    /// single-flight path, but holds the build until `release` fires.
+    /// Returns once the flight is open, with the leader's handle.
+    fn held_leader<'s>(
+        scope: &'s std::thread::Scope<'s, '_>,
+        service: &'s SpannerService,
+        spec: JobSpec,
+        release: mpsc::Receiver<()>,
+    ) -> std::thread::ScopedJoinHandle<'s, Result<JobOutput, PipelineError>> {
+        let (open, opened) = mpsc::channel();
+        let leader = scope.spawn(move || {
+            let guard = spec.guard();
+            let key = spec.key();
+            service.serve(&key, &guard, || {
+                open.send(()).expect("the test waits for the flight");
+                release.recv().expect("the test releases the leader");
+                service.build_and_store(&spec, &guard, &key)
+            })
+        });
+        opened.recv().expect("the leader opens its flight");
+        leader
+    }
+
+    fn sketch_oracle(handle: &GraphHandle) -> JobSpec {
+        JobSpec::oracle(handle, alg())
+            .engine(QueryEngine::Sketches { levels: 2 })
+            .seed(3)
+    }
+
+    #[test]
+    fn a_cancelled_leader_hands_its_followers_one_more_build() {
+        let service = SpannerService::new();
+        let handle = service.register(graph(11));
+        let spec = sketch_oracle(&handle);
+        let key = spec.key();
+        let token = CancelToken::new();
+        let (release, released) = mpsc::channel();
+        std::thread::scope(|scope| {
+            let leader = held_leader(
+                scope,
+                &service,
+                spec.clone().cancel(token.clone()),
+                released,
+            );
+            let followers: Vec<_> = (0..3)
+                .map(|_| scope.spawn(|| service.execute(&spec, &spec.guard())))
+                .collect();
+            await_followers(&service, &key, 3);
+            // The token fires mid-build: the held build stops at its
+            // first checkpoint.
+            token.cancel();
+            release.send(()).expect("the leader waits");
+            let led = leader.join().expect("the leader returns");
+            assert!(matches!(led, Err(PipelineError::Cancelled)), "{led:?}");
+            let oracles: Vec<Arc<DistanceOracle>> = followers
+                .into_iter()
+                .map(|f| {
+                    let output = f.join().expect("a follower returns");
+                    let output = output.expect("followers of a cancelled leader still succeed");
+                    Arc::clone(output.oracle().expect("an oracle job"))
+                })
+                .collect();
+            assert!(oracles.iter().all(|o| Arc::ptr_eq(o, &oracles[0])));
+        });
+        let stats = service.stats();
+        assert_eq!(stats.misses, 2, "the cancelled build and exactly one more");
+        assert_eq!(stats.hits, 2, "the other followers follow the rebuild");
+        assert_eq!((stats.failed, stats.store_len), (1, 1));
+    }
+
+    #[test]
+    fn a_follower_fails_on_its_own_deadline_and_the_leader_still_stores() {
+        let service = SpannerService::new();
+        let handle = service.register(graph(12));
+        let spec = sketch_oracle(&handle);
+        let key = spec.key();
+        let (release, released) = mpsc::channel();
+        std::thread::scope(|scope| {
+            let leader = held_leader(scope, &service, spec.clone(), released);
+            // The leader is held until this follower has given up.
+            let impatient = spec.clone().deadline(Duration::from_millis(100));
+            let err = service
+                .execute(&impatient, &impatient.guard())
+                .expect_err("the held build cannot land before the deadline");
+            assert!(
+                matches!(err, PipelineError::DeadlineExceeded { .. }),
+                "{err}"
+            );
+            assert_eq!(
+                flight(&service, &key).state.lock().followers,
+                1,
+                "the deadline passed while the job followed the build"
+            );
+            release.send(()).expect("the leader waits");
+            let led = leader.join().expect("the leader returns");
+            let led = led.expect("the leader's build is unaffected");
+            let again = service.execute(&spec, &spec.guard()).expect("a store hit");
+            assert!(Arc::ptr_eq(
+                led.oracle().expect("an oracle"),
+                again.oracle().expect("an oracle")
+            ));
+        });
+        let stats = service.stats();
+        assert_eq!((stats.misses, stats.hits, stats.store_len), (1, 1, 1));
+    }
+
+    #[test]
+    fn a_failed_leader_hands_its_error_to_its_followers() {
+        let service = SpannerService::new();
+        let handle = service.register(graph(13));
+        // Appendix B refuses a weighted graph: an error no guard raised.
+        let spec = JobSpec::spanner(
+            &handle,
+            Algorithm::UnweightedOk {
+                k: 3,
+                config: crate::unweighted_ok::UnweightedOkConfig::default(),
+            },
+        );
+        let key = spec.key();
+        let (release, released) = mpsc::channel();
+        std::thread::scope(|scope| {
+            let leader = held_leader(scope, &service, spec.clone(), released);
+            let followers: Vec<_> = (0..3)
+                .map(|_| scope.spawn(|| service.execute(&spec, &spec.guard())))
+                .collect();
+            await_followers(&service, &key, 3);
+            release.send(()).expect("the leader waits");
+            let led = leader.join().expect("the leader returns");
+            assert!(
+                matches!(led, Err(PipelineError::InvalidRequest(_))),
+                "{led:?}"
+            );
+            for follower in followers {
+                let followed = follower.join().expect("a follower returns");
+                assert!(
+                    matches!(followed, Err(PipelineError::InvalidRequest(_))),
+                    "{followed:?}"
+                );
+            }
+        });
+        let stats = service.stats();
+        assert_eq!(
+            (stats.misses, stats.failed, stats.hits),
+            (1, 1, 0),
+            "one failed build, no further builds"
+        );
+    }
+
+    /// The handshake under the deterministic explorer: three jobs miss
+    /// one key, and whichever leads decides the schedule's story. Job 0's
+    /// build stops on its own guard, job 1's fails, job 2's succeeds. A
+    /// failing schedule prints its seed; `interleave::run_one(seed, ..)`
+    /// replays it.
+    #[cfg(feature = "lock-audit")]
+    #[test]
+    fn explored_single_flight_handshake() {
+        use crate::sync::interleave::{self, Explorer};
+        use std::sync::atomic::AtomicUsize;
+
+        const SCHEDULES: usize = 300;
+        const BASE_SEED: u64 = 0x51_F117;
+        eprintln!(
+            "single-flight model check: seeds {BASE_SEED}..{}; replay one with \
+             interleave::run_one(seed, ..)",
+            BASE_SEED + SCHEDULES as u64
+        );
+        let led_by = [0, 1, 2].map(|_| AtomicUsize::new(0));
+        let summary = Explorer::new(SCHEDULES)
+            .base_seed(BASE_SEED)
+            .explore(|sim| {
+                let flights = Arc::new(Flights::<u8, u64>::new());
+                let store = Arc::new(TrackedMutex::new("model.store", None::<u64>));
+                let building = Arc::new(AtomicU64::new(0));
+                let results = Arc::new(TrackedMutex::new("model.results", Vec::new()));
+                for job in 0..3u64 {
+                    let (flights, store, building, results) = (
+                        Arc::clone(&flights),
+                        Arc::clone(&store),
+                        Arc::clone(&building),
+                        Arc::clone(&results),
+                    );
+                    sim.spawn(move || {
+                        let guard = BuildGuard::new("model");
+                        let served = flights.serve(
+                            &0,
+                            &guard,
+                            || *store.lock(),
+                            || {
+                                let before = building.fetch_add(1, Ordering::SeqCst);
+                                assert_eq!(before, 0, "two builds of one key at once");
+                                interleave::yield_point();
+                                building.fetch_sub(1, Ordering::SeqCst);
+                                match job {
+                                    0 => Err(PipelineError::Cancelled),
+                                    1 => Err(PipelineError::InvalidRequest("refused".into())),
+                                    _ => {
+                                        *store.lock() = Some(7);
+                                        Ok(7)
+                                    }
+                                }
+                            },
+                        );
+                        results.lock().push((job, served));
+                    });
+                }
+                sim.join_all();
+                let results = std::mem::take(&mut *results.lock());
+                assert_eq!(results.len(), 3, "every job returns");
+                let mut built = 0;
+                for (job, served) in &results {
+                    match served {
+                        Ok((value, leader)) => {
+                            assert_eq!(*value, 7);
+                            if *leader {
+                                assert_eq!(*job, 2, "only job 2 builds successfully");
+                                built += 1;
+                            }
+                        }
+                        Err(PipelineError::Cancelled) => {
+                            assert_eq!(*job, 0, "a guard error stays with its leader")
+                        }
+                        Err(PipelineError::InvalidRequest(_)) => {}
+                        Err(e) => panic!("job {job}: unexpected {e}"),
+                    }
+                }
+                assert!(built <= 1, "at most one successful build");
+                let refused = results
+                    .iter()
+                    .any(|(_, r)| matches!(r, Err(PipelineError::InvalidRequest(_))));
+                let job1_refused = results
+                    .iter()
+                    .any(|(j, r)| *j == 1 && matches!(r, Err(PipelineError::InvalidRequest(_))));
+                assert!(!refused || job1_refused, "only job 1's build refuses");
+                for (job, served) in &results {
+                    let leader = match served {
+                        Ok((_, leader)) => *leader,
+                        Err(PipelineError::Cancelled) => true,
+                        Err(_) => *job == 1,
+                    };
+                    if leader {
+                        led_by[*job as usize].fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+            });
+        assert_eq!(summary.schedules, SCHEDULES);
+        assert!(
+            summary.distinct_traces > 1,
+            "the explorer varied the schedule"
+        );
+        for (job, count) in led_by.iter().enumerate() {
+            assert!(
+                count.load(Ordering::Relaxed) > 0,
+                "job {job} never led a build in {SCHEDULES} schedules"
+            );
+        }
     }
 
     #[test]

@@ -15,15 +15,17 @@
 //! 3. serve query batches from several client threads — all traffic
 //!    hits the store;
 //! 4. re-register a mutated road network (a closed bridge): the version
-//!    bump invalidates its artifacts, and the next job transparently
-//!    rebuilds against the new topology;
+//!    bump invalidates its artifacts, and the next jobs transparently
+//!    rebuild against the new topology. All six clients ask for the new
+//!    oracle at once, and they share one build: the first to miss
+//!    builds, the rest follow that build and get its `Arc`;
 //! 5. print the `ServiceStats` counters a dashboard would scrape.
 //!
 //! ```sh
 //! cargo run --release --example service_frontend
 //! ```
 
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
 use mpc_spanners::graph::edge::Edge;
@@ -151,12 +153,36 @@ fn main() {
         new_road.version(),
         service.stats().invalidations,
     );
-    let rebuilt = service
-        .oracle(&new_road, apsp_algorithm())
-        .seed(7)
-        .build()
-        .expect("rebuild against new topology");
-    assert!(rebuilt.stretch_bound() >= 1.0);
+    let misses_before = service.stats().misses;
+    let start = Barrier::new(clients);
+    let new_road_ref = &new_road;
+    let rebuilt: Vec<_> = std::thread::scope(|scope| {
+        let rebuilds: Vec<_> = (0..clients)
+            .map(|_| {
+                let start = &start;
+                scope.spawn(move || {
+                    start.wait();
+                    service_ref
+                        .oracle(new_road_ref, apsp_algorithm())
+                        .seed(7)
+                        .build()
+                        .expect("rebuild against new topology")
+                })
+            })
+            .collect();
+        rebuilds
+            .into_iter()
+            .map(|r| r.join().expect("client thread"))
+            .collect()
+    });
+    assert_eq!(
+        service.stats().misses,
+        misses_before + 1,
+        "{clients} concurrent requests share one rebuild"
+    );
+    assert!(rebuilt.iter().all(|o| Arc::ptr_eq(o, &rebuilt[0])));
+    assert!(rebuilt[0].stretch_bound() >= 1.0);
+    println!("{clients} clients rebuilt the road oracle concurrently with one build");
 
     // -- 5. the dashboard line ----------------------------------------
     println!("service stats: {}", service.stats().summary());

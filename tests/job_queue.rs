@@ -14,6 +14,9 @@
 //! 4. **Cancel/deadline without execution** — a token fired (or a
 //!    deadline expired) while a job is still queued resolves it at
 //!    dispatch without ever reaching a shard.
+//! 5. **One build per key** — jobs that miss one key at once, on
+//!    different workers, share one build: one miss, the rest hits, one
+//!    `Arc`.
 //!
 //! 7. **Hand-off, not retention** — the first `wait` takes a completed
 //!    output off the queue, which then holds it only weakly: once the
@@ -27,15 +30,15 @@
 //! the correctness ones) if the machine is too fast.
 
 use std::collections::BTreeSet;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use mpc_spanners::core::TradeoffParams;
 use mpc_spanners::graph::generators::{connected_erdos_renyi, Family, WeightModel};
 use mpc_spanners::graph::Graph;
 use mpc_spanners::pipeline::{
-    Algorithm, ClientId, GraphHandle, JobQueue, JobSpec, JobStatus, PipelineError, Priority,
-    QueryEngine, ShardedService,
+    Algorithm, ClientId, DistanceOracle, GraphHandle, JobQueue, JobSpec, JobStatus, PipelineError,
+    Priority, QueryEngine, ShardedService,
 };
 
 fn alg() -> Algorithm {
@@ -175,6 +178,48 @@ fn every_job_resolves_exactly_once_under_eight_clients() {
     let tier_stats = tier.stats();
     assert_eq!(tier_stats.hits + tier_stats.misses, 3 + total);
     assert_eq!(tier_stats.misses, 3, "queued traffic was all store hits");
+}
+
+#[test]
+fn queued_misses_on_one_key_share_one_build() {
+    const CLIENTS: usize = 4;
+    let tier = Arc::new(ShardedService::new(2));
+    let handle = tier.register(connected_erdos_renyi(
+        2000,
+        0.004,
+        WeightModel::Uniform(1, 8),
+        23,
+    ));
+    // A worker per client, so every job runs at once.
+    let queue = JobQueue::start(Arc::clone(&tier), CLIENTS);
+    let start = Barrier::new(CLIENTS);
+    let oracles: Vec<Arc<DistanceOracle>> = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..CLIENTS as u64)
+            .map(|c| {
+                let (queue, handle, start) = (&queue, &handle, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    let id = queue.submit(
+                        JobSpec::oracle(handle, alg())
+                            .engine(QueryEngine::Sketches { levels: 2 })
+                            .seed(6)
+                            .client(ClientId(c)),
+                    );
+                    let output = queue.wait(id).expect("oracle job");
+                    Arc::clone(output.oracle().expect("an oracle job"))
+                })
+            })
+            .collect();
+        clients
+            .into_iter()
+            .map(|c| c.join().expect("client thread"))
+            .collect()
+    });
+    queue.drain();
+    let stats = tier.stats();
+    assert_eq!(stats.misses, 1, "one build for the key");
+    assert_eq!(stats.hits, CLIENTS as u64 - 1, "the rest follow it or hit");
+    assert!(oracles.iter().all(|o| Arc::ptr_eq(o, &oracles[0])));
 }
 
 #[test]

@@ -25,8 +25,10 @@
 //!    well under one full build, not only at oracle-stage boundaries.
 //!    A one-shot request's deadline fires at the same checkpoints.
 
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
+
+use rayon::prelude::*;
 
 use mpc_spanners::core::TradeoffParams;
 use mpc_spanners::graph::edge::{Distance, Edge, EdgeId};
@@ -196,11 +198,72 @@ fn concurrent_submissions_against_one_service_are_deterministic_per_request() {
 
     let stats = service.stats();
     assert_eq!(stats.hits + stats.misses, 8 * 6 * 2, "every job accounted");
-    // 3 spanner keys + 3 oracle keys; concurrent first builds may race
-    // (first insert wins), so misses is at least 6 but hits dominate.
-    assert!(stats.misses >= 6);
-    assert!(stats.hits > stats.misses, "warm traffic must mostly hit");
+    // 3 spanner keys + 3 oracle keys, each built once: a concurrent
+    // first miss follows the build in flight.
+    assert_eq!(stats.misses, 6);
     assert_eq!(service.stats().store_len, 6);
+}
+
+#[test]
+fn concurrent_misses_on_one_key_share_one_build() {
+    const CLIENTS: usize = 6;
+    let g = connected_erdos_renyi(2000, 0.004, WeightModel::Uniform(1, 16), 21);
+    let service = SpannerService::new();
+    let handle = service.register(g);
+    let start = Barrier::new(CLIENTS);
+    let oracles: Vec<Arc<DistanceOracle>> = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|_| {
+                scope.spawn(|| {
+                    start.wait();
+                    service
+                        .oracle(&handle, alg())
+                        .engine(QueryEngine::Sketches { levels: 2 })
+                        .seed(4)
+                        .build()
+                        .expect("oracle job")
+                })
+            })
+            .collect();
+        clients
+            .into_iter()
+            .map(|c| c.join().expect("client thread"))
+            .collect()
+    });
+    let stats = service.stats();
+    assert_eq!(stats.misses, 1, "one build for the key");
+    assert_eq!(stats.hits, CLIENTS as u64 - 1, "the rest follow it or hit");
+    assert!(oracles.iter().all(|o| Arc::ptr_eq(o, &oracles[0])));
+}
+
+#[test]
+fn a_pool_batch_of_identical_oracle_jobs_builds_once() {
+    // Followers block pool threads here. The leader's build fans out on
+    // the same 2-thread pool and runs its own batch itself, so it keeps
+    // moving while the other pool thread waits for it.
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(2)
+        .build()
+        .expect("pool");
+    let g = connected_erdos_renyi(2000, 0.004, WeightModel::Uniform(1, 16), 22);
+    let service = SpannerService::new();
+    let handle = service.register(g);
+    let oracles: Vec<Arc<DistanceOracle>> = pool.install(|| {
+        (0..8u32)
+            .into_par_iter()
+            .map(|_| {
+                service
+                    .oracle(&handle, alg())
+                    .engine(QueryEngine::Sketches { levels: 2 })
+                    .seed(5)
+                    .build()
+                    .expect("oracle job")
+            })
+            .collect()
+    });
+    let stats = service.stats();
+    assert_eq!((stats.misses, stats.hits), (1, 7));
+    assert!(oracles.iter().all(|o| Arc::ptr_eq(o, &oracles[0])));
 }
 
 #[test]
