@@ -58,9 +58,6 @@ pub(crate) fn run_general(
             engine.run_iteration(p, epoch, iter);
         }
         engine.contract();
-        if engine.live_edge_count() == 0 && engine.supernode_count() <= 1 {
-            break;
-        }
     }
     guard.check()?;
     engine.phase2();

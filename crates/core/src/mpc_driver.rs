@@ -47,7 +47,7 @@ use spanner_graph::Graph;
 
 use crate::coins::cluster_coin;
 use crate::params::TradeoffParams;
-use crate::pipeline::MpcStats;
+use crate::pipeline::{BuildGuard, MpcStats, PipelineError};
 use crate::result::SpannerResult;
 
 /// A live edge between super-nodes `a` and `b`, with their cluster labels.
@@ -156,7 +156,8 @@ pub(crate) fn run_mpc(
     params: TradeoffParams,
     config: MpcConfig,
     seed: u64,
-) -> mpc_runtime::Result<(SpannerResult, MpcStats)> {
+    guard: &BuildGuard,
+) -> Result<(SpannerResult, MpcStats), PipelineError> {
     let sys = MpcSystem::new(config);
     let algorithm = format!(
         "mpc-general(k={},t={},S={}w,P={})",
@@ -207,11 +208,13 @@ pub(crate) fn run_mpc(
     for epoch in 1..=l {
         let p = params.sampling_probability(n, epoch);
         for iter in 1..=params.t {
+            guard.check()?;
             driver.run_iteration(p, epoch, iter)?;
             iterations += 1;
         }
         driver.contract()?;
     }
+    guard.check()?;
     driver.phase2()?;
 
     let edge_ids = driver.finish()?;

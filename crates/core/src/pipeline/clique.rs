@@ -22,7 +22,7 @@ use crate::params::TradeoffParams;
 use crate::result::SpannerResult;
 use spanner_graph::Graph;
 
-use super::CcStats;
+use super::{BuildGuard, CcStats, PipelineError};
 
 /// The accounting context for one Congested Clique execution.
 #[derive(Debug, Clone)]
@@ -155,7 +155,8 @@ pub(crate) fn run_cc(
     params: TradeoffParams,
     seed: u64,
     repetitions: usize,
-) -> (SpannerResult, CcStats) {
+    guard: &BuildGuard,
+) -> Result<(SpannerResult, CcStats), PipelineError> {
     debug_assert!((1..=64).contains(&repetitions), "validated by plan()");
     let n = g.n();
     let mut net = CcNetwork::new(n.max(2));
@@ -168,7 +169,7 @@ pub(crate) fn run_cc(
             repetitions,
             chosen_runs: vec![],
         };
-        return (SpannerResult::whole_graph(g, algorithm), stats);
+        return Ok((SpannerResult::whole_graph(g, algorithm), stats));
     }
 
     let mut engine = Engine::new(g, seed);
@@ -178,6 +179,7 @@ pub(crate) fn run_cc(
     for epoch in 1..=l {
         let p = params.sampling_probability(n, epoch);
         for iter in 1..=params.t {
+            guard.check()?;
             // --- Communication, charged per the Section 8 schedule. ---
             // (a) Every node broadcasts its (super-node, cluster) labels.
             net.broadcast_from_all(2);
@@ -234,9 +236,9 @@ pub(crate) fn run_cc(
         net.lenzen_route(&sends, &recvs);
         engine.contract();
     }
+    guard.check()?;
     engine.phase2();
-    let mut result = engine.finish(algorithm, params.stretch_bound());
-    result.epochs = l;
+    let result = engine.finish(algorithm, params.stretch_bound());
 
     let stats = CcStats {
         rounds: net.rounds(),
@@ -244,7 +246,7 @@ pub(crate) fn run_cc(
         repetitions,
         chosen_runs,
     };
-    (result, stats)
+    Ok((result, stats))
 }
 
 #[cfg(test)]

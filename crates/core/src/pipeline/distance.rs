@@ -63,7 +63,7 @@ use spanner_graph::shortest_paths::dijkstra;
 use spanner_graph::Graph;
 
 use super::clique::CcNetwork;
-use super::service::HeapSize;
+use super::service::{graph_heap_size, HeapSize};
 use super::{Algorithm, Backend, CancelToken, ExecutionStats, PipelineError, Plan, SpannerRequest};
 
 // ---------------------------------------------------------------------
@@ -76,8 +76,9 @@ use super::{Algorithm, Backend, CancelToken, ExecutionStats, PipelineError, Plan
 /// turns a fired token or an expired deadline into the matching typed
 /// [`PipelineError`].
 ///
-/// Builds check their guard *during* the work — the sequential spanner
-/// construction between grow iterations and before Phase 2, the
+/// Builds check their guard *during* the work — the spanner
+/// construction, on every backend, before each grow iteration and
+/// before Phase 2, the
 /// distance stage before and after the spanner construction, between
 /// Thorup–Zwick levels and every 256 cluster searches
 /// ([`DistanceSketches::preprocess_guarded`]) — so a cancelled or
@@ -282,12 +283,14 @@ impl DistanceSketches {
     /// # Panics
     /// Panics if `levels == 0`.
     pub fn preprocess(g: &Graph, levels: u32, seed: u64) -> Self {
-        Self::preprocess_with_substrate(g, levels, seed, 1.0)
+        Self::preprocess_guarded(g, levels, seed, 1.0, &BuildGuard::new("sketches"))
+            .expect("an unbounded guard never interrupts")
     }
 
     /// Builds sketches on a substrate graph (e.g. a spanner of the real
     /// graph) whose stretch relative to the original is
-    /// `substrate_stretch`; queries then carry the combined guarantee.
+    /// `substrate_stretch`, under a [`BuildGuard`]; queries then carry
+    /// the combined guarantee.
     ///
     /// Cost profile (the textbook Thorup–Zwick preprocessing): one
     /// multi-source Dijkstra per level for the pivots (`O(λ·n)` memory
@@ -307,29 +310,13 @@ impl DistanceSketches {
     /// the clusters, taken in landmark order, which leaves every bunch
     /// sorted by landmark without a sort. The output does not depend on
     /// the thread count.
-    pub fn preprocess_with_substrate(
-        g: &Graph,
-        levels: u32,
-        seed: u64,
-        substrate_stretch: f64,
-    ) -> Self {
-        Self::preprocess_guarded(
-            g,
-            levels,
-            seed,
-            substrate_stretch,
-            &BuildGuard::new("sketches"),
-        )
-        .expect("an unbounded guard never interrupts")
-    }
-
-    /// [`Self::preprocess_with_substrate`] under a [`BuildGuard`]:
-    /// the guard is checked **between Thorup–Zwick levels** (each
+    ///
+    /// The guard is checked **between Thorup–Zwick levels** (each
     /// level's multi-source Dijkstra re-checks before starting) and
     /// **every 256 cluster searches** in each landmark range, so a
     /// fired token or an expired deadline stops the preprocessing
     /// within 256 searches per pool thread. On the success path the
-    /// output is bit-identical to the unguarded entry point.
+    /// output does not depend on the guard.
     ///
     /// # Panics
     /// Panics if `levels == 0`.
@@ -1017,18 +1004,19 @@ impl HeapSize for DistanceSketches {
 }
 
 impl HeapSize for DistanceOracle {
+    /// A sketch oracle is charged for its spanner's graph whether or not
+    /// [`DistanceOracle::spanner`] has built it yet: the store records
+    /// an artifact's size once, at insertion, so the charge must not
+    /// grow afterwards.
     fn heap_size(&self) -> usize {
         let substrate = match &self.substrate {
             Substrate::Dijkstra(spanner) => spanner.heap_size(),
             Substrate::Sketches {
-                sketches,
-                edges,
-                graph,
-                ..
+                sketches, n, edges, ..
             } => {
                 sketches.heap_size()
                     + edges.len() * std::mem::size_of::<Edge>()
-                    + graph.get().map_or(0, HeapSize::heap_size)
+                    + graph_heap_size(*n, edges.len())
             }
         };
         substrate

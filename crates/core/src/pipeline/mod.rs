@@ -540,10 +540,12 @@ impl CancelToken {
 /// `Plan` next to the measured [`RunReport`] for predicted-vs-measured
 /// tables.
 ///
-/// `epochs`/`iterations` are the scheduled maxima; a run may finish
-/// early when the live edge set is exhausted (sparse graphs, large
-/// `k`), so the measured counts satisfy `measured ≤ planned`, with
-/// equality whenever the schedule runs to completion.
+/// `epochs`/`iterations` are the scheduled counts. An engine schedule
+/// runs every scheduled step on every backend, so the measured counts
+/// equal them, except on a graph with no edges, where the run returns
+/// the graph itself after no step. `SqrtK`'s inner Baswana–Sen
+/// returns early when the contracted graph has no edges, so there the
+/// measured counts can fall short of the plan.
 #[derive(Debug, Clone)]
 pub struct Plan {
     /// Algorithm label.
@@ -685,17 +687,6 @@ impl ExecutionStats {
         }
     }
 
-    /// What [`ExecutionStats::model_rounds`] counts on this backend.
-    pub fn cost_unit(&self) -> &'static str {
-        match self {
-            ExecutionStats::Sequential => "-",
-            ExecutionStats::Mpc(_) => "rounds",
-            ExecutionStats::CongestedClique(_) => "rounds",
-            ExecutionStats::Pram(_) => "depth",
-            ExecutionStats::Streaming(_) => "passes",
-        }
-    }
-
     /// Total words communicated, where the model measures traffic.
     pub fn communication_words(&self) -> Option<u64> {
         match self {
@@ -833,10 +824,9 @@ impl<'g> SpannerRequest<'g> {
     /// Per-request deadline, measured from the start of
     /// [`SpannerRequest::run`]: once it passes, `run` returns
     /// [`PipelineError::DeadlineExceeded`] instead of a report. The
-    /// check is cooperative: the sequential backend checks it between
-    /// grow iterations and before Phase 2, the model backends before and
-    /// after their whole-schedule simulation, and every backend once
-    /// more when execution finishes.
+    /// check is cooperative: every backend checks it before each grow
+    /// iteration and before Phase 2, and once more when execution
+    /// finishes.
     pub fn deadline(mut self, deadline: Duration) -> Self {
         self.deadline = Some(deadline);
         self
@@ -980,10 +970,9 @@ impl<'g> SpannerRequest<'g> {
     /// under an explicit [`BuildGuard`], shared by [`Self::run`] and by
     /// the service's spanner jobs, which add the registry and the store
     /// around it.
-    /// The guard is checked between engine grow iterations and before
-    /// Phase 2 on the sequential backend, so a fired token or expired
-    /// deadline stops a spanner construction mid-build instead of
-    /// after it.
+    /// Every backend checks the guard before each grow iteration and
+    /// before Phase 2, so a fired token or expired deadline stops a
+    /// spanner construction mid-build instead of after it.
     pub(crate) fn run_guarded(&self, guard: &BuildGuard) -> Result<RunReport, PipelineError> {
         let plan = self.plan()?;
         // analyze:allow(determinism-taint): build-latency telemetry only — never in artifacts
@@ -1031,9 +1020,9 @@ impl<'g> SpannerRequest<'g> {
     ) -> Result<(SpannerResult, ExecutionStats), PipelineError> {
         let g = self.graph;
         let seed = self.seed;
-        // Only the sequential driver threads the guard through its
-        // iteration loop; the model simulators run whole-schedule and
-        // check at the boundary.
+        // Every driver checks the guard before each grow step and before
+        // Phase 2; this check also covers the drivers' k = 1 and
+        // edgeless shortcuts.
         guard.check()?;
         let schedule = || plan.schedule.expect("plan() rejects non-engine algorithms");
         let (result, stats) = match self.backend {
@@ -1043,19 +1032,19 @@ impl<'g> SpannerRequest<'g> {
             ),
             Backend::Mpc { deployment } => {
                 let (result, stats) =
-                    crate::mpc_driver::run_mpc(g, schedule(), deployment.config(g), seed)?;
+                    crate::mpc_driver::run_mpc(g, schedule(), deployment.config(g), seed, guard)?;
                 (result, ExecutionStats::Mpc(stats))
             }
             Backend::CongestedClique { repetitions } => {
-                let (result, stats) = clique::run_cc(g, schedule(), seed, repetitions);
+                let (result, stats) = clique::run_cc(g, schedule(), seed, repetitions, guard)?;
                 (result, ExecutionStats::CongestedClique(stats))
             }
             Backend::Pram => {
-                let (result, stats) = pram_cost::run_pram(g, schedule(), seed);
+                let (result, stats) = pram_cost::run_pram(g, schedule(), seed, guard)?;
                 (result, ExecutionStats::Pram(stats))
             }
             Backend::Streaming => {
-                let (result, stats) = crate::streaming::run_streaming(g, schedule(), seed);
+                let (result, stats) = crate::streaming::run_streaming(g, schedule(), seed, guard)?;
                 (result, ExecutionStats::Streaming(stats))
             }
         };

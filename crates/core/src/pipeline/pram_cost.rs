@@ -13,7 +13,7 @@ use crate::params::TradeoffParams;
 use crate::result::SpannerResult;
 use spanner_graph::Graph;
 
-use super::PramStats;
+use super::{BuildGuard, PipelineError, PramStats};
 
 /// Iterated logarithm: the number of times `log₂` must be applied to `n`
 /// before the value drops to ≤ 1.
@@ -98,7 +98,12 @@ impl PramTracker {
 ///
 /// State evolution reuses the engine (identical coins and tie-breaks ⇒
 /// the spanner equals the sequential reference bit-for-bit).
-pub(crate) fn run_pram(g: &Graph, params: TradeoffParams, seed: u64) -> (SpannerResult, PramStats) {
+pub(crate) fn run_pram(
+    g: &Graph,
+    params: TradeoffParams,
+    seed: u64,
+    guard: &BuildGuard,
+) -> Result<(SpannerResult, PramStats), PipelineError> {
     let n = g.n();
     let mut tracker = PramTracker::new(n.max(2));
     let algorithm = format!("pram-general(k={},t={})", params.k, params.t);
@@ -109,7 +114,7 @@ pub(crate) fn run_pram(g: &Graph, params: TradeoffParams, seed: u64) -> (Spanner
             work: 0,
             log_star_n: log_star(n.max(2)),
         };
-        return (SpannerResult::whole_graph(g, algorithm), stats);
+        return Ok((SpannerResult::whole_graph(g, algorithm), stats));
     }
 
     let mut engine = Engine::new(g, seed);
@@ -117,6 +122,7 @@ pub(crate) fn run_pram(g: &Graph, params: TradeoffParams, seed: u64) -> (Spanner
     for epoch in 1..=l {
         let p = params.sampling_probability(n, epoch);
         for iter in 1..=params.t {
+            guard.check()?;
             let live = engine.live_edge_count() as u64;
             let clusters = engine.cluster_count() as u64;
             // Hashing: coin lookups per cluster.
@@ -136,6 +142,7 @@ pub(crate) fn run_pram(g: &Graph, params: TradeoffParams, seed: u64) -> (Spanner
         engine.contract();
     }
     // Phase 2: one more semisort over the residual edges.
+    guard.check()?;
     tracker.primitive(engine.live_edge_count() as u64);
     engine.phase2();
 
@@ -145,7 +152,7 @@ pub(crate) fn run_pram(g: &Graph, params: TradeoffParams, seed: u64) -> (Spanner
         work: tracker.work(),
         log_star_n: log_star(n.max(2)),
     };
-    (result, stats)
+    Ok((result, stats))
 }
 
 #[cfg(test)]

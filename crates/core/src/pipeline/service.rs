@@ -118,13 +118,18 @@ pub trait HeapSize {
     fn heap_size(&self) -> usize;
 }
 
+/// The heap size of a [`Graph`] with `n` vertices and `m` edges: the
+/// canonical edge list, two CSR adjacency entries per edge and the
+/// offset array.
+pub(crate) fn graph_heap_size(n: usize, m: usize) -> usize {
+    m * std::mem::size_of::<Edge>()
+        + 2 * m * std::mem::size_of::<(u32, Weight, EdgeId)>()
+        + (n + 1) * std::mem::size_of::<usize>()
+}
+
 impl HeapSize for Graph {
     fn heap_size(&self) -> usize {
-        // Canonical edge list + two CSR adjacency entries per edge +
-        // the offset array.
-        self.m() * std::mem::size_of::<Edge>()
-            + 2 * self.m() * std::mem::size_of::<(u32, Weight, EdgeId)>()
-            + (self.n() + 1) * std::mem::size_of::<usize>()
+        graph_heap_size(self.n(), self.m())
     }
 }
 
@@ -1052,7 +1057,8 @@ impl JobSpec {
     }
 
     /// Deadline, checked before execution and cooperatively during the
-    /// build. A queued job measures it from submission, so it covers
+    /// build (on every backend, before each grow iteration and before
+    /// Phase 2). A queued job measures it from submission, so it covers
     /// queue wait *and* execution; a blocking job measures it from the
     /// call.
     pub fn deadline(mut self, deadline: Duration) -> Self {
@@ -1061,7 +1067,8 @@ impl JobSpec {
     }
 
     /// Uses `token` instead of the spec's own fresh token — lets one
-    /// token cancel a group of jobs.
+    /// token cancel a group of jobs. It is checked at the same points as
+    /// the deadline.
     pub fn cancel(mut self, token: CancelToken) -> Self {
         self.cancel = token;
         self
@@ -1190,17 +1197,17 @@ impl SpannerJob<'_> {
     }
 
     /// Per-job deadline, measured from the call to [`SpannerJob::run`]
-    /// and checked cooperatively during the build (between grow
-    /// iterations on the sequential backend) and once more when it
-    /// finishes.
+    /// and checked cooperatively during the build (on every backend,
+    /// before each grow iteration and before Phase 2) and once more
+    /// when it finishes.
     pub fn deadline(mut self, deadline: Duration) -> Self {
         self.spec = self.spec.deadline(deadline);
         self
     }
 
     /// Attaches a cancellation token, checked before execution and
-    /// cooperatively during the build (between grow iterations on the
-    /// sequential backend).
+    /// cooperatively during the build (on every backend, before each
+    /// grow iteration and before Phase 2).
     pub fn cancel(mut self, token: CancelToken) -> Self {
         self.spec = self.spec.cancel(token);
         self

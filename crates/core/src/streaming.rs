@@ -20,7 +20,7 @@ use spanner_graph::Graph;
 
 use crate::engine::Engine;
 use crate::params::TradeoffParams;
-use crate::pipeline::StreamingStats;
+use crate::pipeline::{BuildGuard, PipelineError, StreamingStats};
 use crate::result::SpannerResult;
 
 /// The pass-accounting loop: runs the general algorithm as a
@@ -33,7 +33,8 @@ pub(crate) fn run_streaming(
     g: &Graph,
     params: TradeoffParams,
     seed: u64,
-) -> (SpannerResult, StreamingStats) {
+    guard: &BuildGuard,
+) -> Result<(SpannerResult, StreamingStats), PipelineError> {
     let n = g.n();
     if params.k == 1 || g.m() == 0 {
         let stats = StreamingStats {
@@ -41,30 +42,31 @@ pub(crate) fn run_streaming(
             quoted_stretch_exponent: 1.0,
         };
         let algorithm = format!("streaming(k={},t={})", params.k, params.t);
-        return (SpannerResult::whole_graph(g, algorithm), stats);
+        return Ok((SpannerResult::whole_graph(g, algorithm), stats));
     }
     let mut engine = Engine::new(g, seed);
     let mut passes = 0u32;
     for epoch in 1..=params.epochs() {
         let p = params.sampling_probability(n, epoch);
         for iter in 1..=params.t {
+            guard.check()?;
             engine.run_iteration(p, epoch, iter);
             passes += 1; // one pass over the stream per grow iteration
         }
         engine.contract(); // folded into the last pass's sketches
     }
+    guard.check()?;
     engine.phase2();
     passes += 1; // final pass emits the residual minima
-    let mut result = engine.finish(
+    let result = engine.finish(
         format!("streaming(k={},t={})", params.k, params.t),
         params.stretch_bound(),
     );
-    result.epochs = params.epochs();
     let stats = StreamingStats {
         passes,
         quoted_stretch_exponent: params.stretch_exponent(),
     };
-    (result, stats)
+    Ok((result, stats))
 }
 
 #[cfg(test)]

@@ -84,13 +84,6 @@ fn add_gnp_edges(b: &mut GraphBuilder, n: usize, p: f64, weights: WeightModel, s
     }
 }
 
-/// Erdős–Rényi with an expected number of edges `m` (i.e. `p = m / C(n,2)`).
-pub fn erdos_renyi_m(n: usize, m: usize, weights: WeightModel, seed: u64) -> Graph {
-    let pairs = n as f64 * (n as f64 - 1.0) / 2.0;
-    let p = (m as f64 / pairs).min(1.0);
-    erdos_renyi(n, p, weights, seed)
-}
-
 /// Connected Erdős–Rényi: `G(n, p)` plus a random Hamiltonian-path backbone
 /// so every instance is connected (the backbone edges use the same weight
 /// model). Both edge sets go into one builder, so the graph is built

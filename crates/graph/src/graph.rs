@@ -208,11 +208,6 @@ impl GraphBuilder {
         self
     }
 
-    /// Number of raw (pre-dedup) edges added so far.
-    pub fn raw_len(&self) -> usize {
-        self.raw.len()
-    }
-
     /// Finalises into a [`Graph`].
     ///
     /// First the canonical edge list: the raw edges are bucketed by

@@ -110,11 +110,6 @@ pub fn apsp(g: &Graph) -> Vec<Vec<Distance>> {
     multi_source_distances(g, &sources)
 }
 
-/// Distance of the single pair `(s, t)`; convenience wrapper.
-pub fn pair_distance(g: &Graph, s: u32, t: u32) -> Distance {
-    dijkstra(g, s).dist[t as usize]
-}
-
 /// Truncated Dijkstra used by Appendix B's ball growing: explores outwards
 /// from `source` until either `max_hops` hops are exhausted or the ball
 /// contains more than `max_size` vertices+edges; returns the visited

@@ -199,62 +199,6 @@ pub fn reduce_tree<T: Record>(
         .expect("reduction of >=1 summaries is non-empty"))
 }
 
-/// Tree broadcast (the paper's **Broadcast** subroutine): replicates a
-/// small payload from `src` to every machine along an f-ary tree.
-/// Rounds charged: tree depth. Returns one copy per machine (they are all
-/// identical; the vector form keeps the "every machine now knows it"
-/// reading explicit).
-pub fn broadcast_all<T: Record>(
-    sys: &mut MpcSystem,
-    payload: Vec<T>,
-    op: &'static str,
-) -> Result<Vec<Vec<T>>> {
-    let p = sys.machines();
-    let cap = sys.cfg().capacity();
-    let payload_words = payload.len() * T::WORDS;
-    if payload_words > cap {
-        return Err(MpcError::MemoryExceeded {
-            machine: 0,
-            words: payload_words,
-            capacity: cap,
-            op,
-        });
-    }
-    if p <= 1 || payload.is_empty() {
-        return Ok(vec![payload; p]);
-    }
-    // Pipelined chunked tree broadcast: each chunk is at most half the
-    // per-round budget so the tree fan-out stays ≥ 2, and chunks stream
-    // down the tree back-to-back (depth + chunks − 1 rounds).
-    let recs_per_chunk = ((cap / 2) / T::WORDS.max(1)).max(1);
-    let chunks = payload.len().div_ceil(recs_per_chunk);
-    let chunk_words = recs_per_chunk.min(payload.len()) * T::WORDS;
-    let f = (cap / chunk_words.max(1)).max(2);
-    let mut depth = 0usize;
-    let mut cover = 1usize;
-    while cover < p {
-        cover = cover.saturating_mul(f);
-        depth += 1;
-    }
-    let rounds = depth + chunks - 1;
-    let total_traffic = ((p - 1) * payload_words) as u64;
-    let per_round_total = total_traffic / rounds as u64;
-    for r in 0..rounds {
-        let leftover = if r == 0 {
-            total_traffic % rounds as u64
-        } else {
-            0
-        };
-        sys.charge_round(
-            op,
-            (0, (f * chunk_words).min(cap)),
-            (0, chunk_words),
-            per_round_total + leftover,
-        )?;
-    }
-    Ok(vec![payload; p])
-}
-
 /// Exclusive prefix scan over one summary per machine (up-sweep +
 /// down-sweep on the f-ary tree). `out[i]` is the combination of the
 /// summaries of machines `0..i` (identity for machine 0).
@@ -407,23 +351,6 @@ mod tests {
         let got = reduce_tree(&mut s, vals, "min", |a, b| *a.min(b)).unwrap();
         assert_eq!(got, expected);
         assert_eq!(s.rounds(), 3);
-    }
-
-    #[test]
-    fn broadcast_reaches_everyone_in_log_rounds() {
-        let mut s = sys(4, 16, 1);
-        let copies = broadcast_all(&mut s, vec![42u64], "b").unwrap();
-        assert_eq!(copies.len(), 16);
-        assert!(copies.iter().all(|c| c == &vec![42u64]));
-        // fanout = capacity/1 = 4 → coverage 1,4,16 → 2 rounds.
-        assert_eq!(s.rounds(), 2);
-    }
-
-    #[test]
-    fn broadcast_rejects_oversized_payload() {
-        let mut s = sys(2, 4, 1);
-        let err = broadcast_all(&mut s, vec![0u64; 10], "b").unwrap_err();
-        assert!(matches!(err, MpcError::MemoryExceeded { .. }));
     }
 
     #[test]

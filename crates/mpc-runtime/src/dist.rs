@@ -152,14 +152,6 @@ impl<T: Record> Dist<T> {
         Ok(Dist { shards })
     }
 
-    /// Machine-local in-place sort of each shard (0 rounds; a building
-    /// block of the distributed sample sort).
-    pub fn local_sort_by_key<K: Ord>(&mut self, key: impl Fn(&T) -> K + Send + Sync) {
-        self.shards
-            .par_iter_mut()
-            .for_each(|s| s.sort_by_key(|x| key(x)));
-    }
-
     /// Machine-local union: shard-wise concatenation (0 rounds — both
     /// collections already live on the same machines). Validates storage.
     pub fn union(&self, sys: &mut MpcSystem, other: &Dist<T>) -> Result<Dist<T>> {
@@ -246,16 +238,6 @@ mod tests {
         let b = Dist::distribute(&mut s, vec![3u64, 4]).unwrap();
         let u = a.union(&mut s, &b).unwrap();
         assert_eq!(u.len(), 4);
-    }
-
-    #[test]
-    fn local_sort_sorts_within_shards() {
-        let mut s = sys(8, 2);
-        let mut d = Dist::distribute(&mut s, vec![5u64, 3, 9, 1]).unwrap();
-        d.local_sort_by_key(|&x| x);
-        for shard in d.shards() {
-            assert!(shard.windows(2).all(|w| w[0] <= w[1]));
-        }
     }
 
     #[test]

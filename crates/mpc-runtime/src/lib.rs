@@ -22,17 +22,17 @@
 //! * [`Dist`] is a distributed collection: a vector of machine-local
 //!   shards of fixed-width [`Record`]s.
 //! * [`comm`] implements the raw communication layer: all-to-all
-//!   [`comm::route`], `n^γ`-ary aggregation trees (`comm::gather_tree`,
-//!   [`comm::broadcast_all`], [`comm::machine_scan`]) — the exact
-//!   subroutines of the paper's Section 6 ("Sort", "Find Minimum",
-//!   "Broadcast" via implicit aggregation trees of branching factor
-//!   `n^γ`).
+//!   [`comm::route`], `n^γ`-ary aggregation trees
+//!   ([`comm::reduce_tree`], [`comm::machine_scan`]) — the exact
+//!   subroutines of the paper's Section 6 ("Sort", "Find Minimum" via
+//!   implicit aggregation trees of branching factor `n^γ`) — and
+//!   [`comm::gather_to_machine`] (the Section 7 "collect the spanner on
+//!   one machine" step).
 //! * [`primitives`] builds the Section 6 toolbox on top: sample
 //!   [`primitives::sort_by_key`] (Goodrich et al.), the one-round hash
 //!   semisort [`primitives::group_by_key`] with aggregation / find-min on
-//!   top, segmented broadcast of group labels
-//!   (`sorted_fill`), counting, and gather-to-one-machine (the Section 7
-//!   "collect the spanner on one machine" step).
+//!   top ([`primitives::aggregate_by_key`]), and segmented broadcast of
+//!   group labels ([`primitives::forward_fill`]).
 //!
 //! Machine-local work within one superstep runs in parallel with rayon
 //! (machines are independent by definition), but all observable results

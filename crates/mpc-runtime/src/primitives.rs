@@ -14,12 +14,10 @@
 //!   pass visits every run;
 //! * [`aggregate_by_key`] — semisort + fold (the paper's **Find
 //!   Minimum** over `M(v)` when used with `min`).
-//! * [`count_records`], [`broadcast_value`], [`global_max`] — small
-//!   conveniences on the aggregation trees.
 
 use rayon::prelude::*;
 
-use crate::comm::{broadcast_all, machine_scan, reduce_tree, route, route_with};
+use crate::comm::{machine_scan, route, route_with};
 use crate::dist::Dist;
 use crate::record::Record;
 use crate::system::MpcSystem;
@@ -364,40 +362,6 @@ pub fn aggregate_by_key<T: Record, V: Record>(
     Ok(folded)
 }
 
-/// Global record count via the aggregation tree.
-pub fn count_records<T: Record>(sys: &mut MpcSystem, d: &Dist<T>, op: &'static str) -> Result<u64> {
-    let per: Vec<u64> = d.per_machine(|s| s.len() as u64);
-    reduce_tree(sys, per, op, |a, b| a + b)
-}
-
-/// Global maximum of a per-record statistic via the aggregation tree
-/// (`0` for the empty collection).
-pub fn global_max<T: Record>(
-    sys: &mut MpcSystem,
-    d: &Dist<T>,
-    op: &'static str,
-    stat: impl Fn(&T) -> u64 + Send + Sync,
-) -> Result<u64> {
-    let per: Vec<u64> = d.per_machine(|s| s.iter().map(&stat).max().unwrap_or(0));
-    reduce_tree(sys, per, op, |a, b| *a.max(b))
-}
-
-/// Broadcasts one small value from the coordinator to all machines
-/// (returns it; charges the tree rounds).
-pub fn broadcast_value<T: Record>(sys: &mut MpcSystem, v: T, op: &'static str) -> Result<T> {
-    let copies = broadcast_all(sys, vec![v], op)?;
-    copies
-        .into_iter()
-        .next()
-        .and_then(|mut c| c.pop())
-        .ok_or(crate::MpcError::ShapeMismatch {
-            what: "broadcast copies (one per machine)",
-            expected: 1,
-            got: 0,
-            op,
-        })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -580,22 +544,6 @@ mod tests {
             ),
             "{err}"
         );
-    }
-
-    #[test]
-    fn count_and_max() {
-        let mut s = sys(16, 4, 2);
-        let d = Dist::distribute(&mut s, (0u64..37).collect()).unwrap();
-        assert_eq!(count_records(&mut s, &d, "count").unwrap(), 37);
-        assert_eq!(global_max(&mut s, &d, "max", |&x| x).unwrap(), 36);
-    }
-
-    #[test]
-    fn broadcast_value_roundtrip() {
-        let mut s = sys(16, 8, 2);
-        let v = broadcast_value(&mut s, (42u64, 7u64), "b").unwrap();
-        assert_eq!(v, (42, 7));
-        assert!(s.rounds() >= 1);
     }
 
     #[test]

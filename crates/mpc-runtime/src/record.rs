@@ -63,11 +63,6 @@ impl<T: Record> Record for Option<T> {
     const WORDS: usize = 1 + T::WORDS;
 }
 
-/// Total word count of a slice of records.
-pub fn words_of<T: Record>(items: &[T]) -> usize {
-    items.len() * T::WORDS
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -79,11 +74,5 @@ mod tests {
         assert_eq!(<(u64, u64, u64, u64, u64, u64)>::WORDS, 6);
         assert_eq!(<[u64; 4]>::WORDS, 4);
         assert_eq!(<Option<(u64, u64)>>::WORDS, 3);
-    }
-
-    #[test]
-    fn words_of_slice() {
-        let xs: Vec<(u64, u64)> = vec![(1, 2), (3, 4), (5, 6)];
-        assert_eq!(words_of(&xs), 6);
     }
 }

@@ -77,7 +77,7 @@
 //!
 //! let plan = request.plan().unwrap(); // predicted bounds, before running
 //! let report = request.run().unwrap(); // runs + verifies inline
-//! assert!(report.result.iterations <= plan.iterations);
+//! assert_eq!(report.result.iterations, plan.iterations);
 //! assert!(report.verification.unwrap().ok());
 //!
 //! // The same request, unmodified, on the MPC simulator: identical

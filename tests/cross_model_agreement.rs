@@ -1,28 +1,33 @@
-//! Cross-model differential tests: the same algorithm executed by four
-//! independent drivers — the sequential reference, the distributed MPC
-//! driver, the PRAM layer, and the Congested Clique simulation (with
-//! repetition disabled) — must produce **identical spanners** from the
-//! same seed, because all of them draw coins from `spanner_core::coins`
-//! and break ties by `(weight, edge id)`.
+//! Cross-model differential tests: the same algorithm executed by every
+//! driver — the sequential reference, the distributed MPC driver, the
+//! PRAM layer, the Congested Clique simulation (with repetition
+//! disabled) and the streaming pass counter — must produce **identical
+//! spanners and schedules** from the same seed, because all of them draw
+//! coins from `spanner_core::coins`, break ties by `(weight, edge id)`
+//! and run every scheduled grow step.
 //!
 //! This is the strongest correctness check in the repository: a
 //! divergence in any driver's join/kill/contract logic shows up as an
 //! edge-set mismatch.
 
-use mpc_spanners::core::TradeoffParams;
+use mpc_spanners::core::{SpannerResult, TradeoffParams};
 use mpc_spanners::graph::generators::{caterpillar, hub_ring, Family, WeightModel};
 use mpc_spanners::graph::Graph;
 use mpc_spanners::pipeline::{Algorithm, Backend, SpannerRequest};
 
-/// Spanner edges of one engine-schedule run on `backend`.
-fn edges(g: &Graph, algorithm: Algorithm, backend: Backend, seed: u64) -> Vec<u32> {
+/// The result of one engine-schedule run on `backend`.
+fn run(g: &Graph, algorithm: Algorithm, backend: Backend, seed: u64) -> SpannerResult {
     SpannerRequest::new(g, algorithm)
         .on(backend)
         .seed(seed)
         .run()
         .unwrap_or_else(|e| panic!("{} driver failed: {e}", backend.name()))
         .result
-        .edges
+}
+
+/// Spanner edges of one engine-schedule run on `backend`.
+fn edges(g: &Graph, algorithm: Algorithm, backend: Backend, seed: u64) -> Vec<u32> {
+    run(g, algorithm, backend, seed).edges
 }
 
 fn families() -> Vec<(String, mpc_spanners::graph::Graph)> {
@@ -48,17 +53,30 @@ fn families() -> Vec<(String, mpc_spanners::graph::Graph)> {
 
 #[test]
 fn all_four_drivers_agree() {
+    // The four model drivers against the sequential reference: the same
+    // edges, epochs, grow steps and super-node counts. At (64, 6) most
+    // of these graphs run out of edges before the last epoch, and the
+    // schedule still runs to its end on every backend.
+    let backends = [
+        Backend::mpc_gamma(0.5),
+        Backend::Pram,
+        Backend::congested_clique(),
+        Backend::Streaming,
+    ];
+    let shape = |r: SpannerResult| (r.edges, r.epochs, r.iterations, r.supernodes_per_epoch);
     for (name, g) in families() {
-        for (k, t) in [(4u32, 2u32), (8, 3)] {
+        for (k, t) in [(4u32, 2u32), (8, 3), (64, 6)] {
             let general = Algorithm::General(TradeoffParams::new(k, t));
             for seed in [1u64, 99] {
-                let seq = edges(&g, general, Backend::Sequential, seed);
-                let mpc = edges(&g, general, Backend::mpc_gamma(0.5), seed);
-                let pram = edges(&g, general, Backend::Pram, seed);
-                let cc = edges(&g, general, Backend::congested_clique(), seed);
-                assert_eq!(seq, mpc, "{name} k={k} t={t}: MPC diverged");
-                assert_eq!(seq, pram, "{name} k={k} t={t}: PRAM diverged");
-                assert_eq!(seq, cc, "{name} k={k} t={t}: CC diverged");
+                let seq = shape(run(&g, general, Backend::Sequential, seed));
+                for backend in backends {
+                    assert_eq!(
+                        shape(run(&g, general, backend, seed)),
+                        seq,
+                        "{name} k={k} t={t} seed={seed}: {} diverged",
+                        backend.name()
+                    );
+                }
             }
         }
     }

@@ -6,10 +6,9 @@
 //!    identical spanner edges at a fixed seed (shared coins, identical
 //!    tie-breaks).
 //! 2. **plan() predicts run()** — the predicted epochs/iterations are
-//!    exact whenever the schedule runs to completion, and sound upper
-//!    bounds otherwise (property-tested over all four Corollary 1.2
-//!    settings); the predicted stretch bound always equals the measured
-//!    result's bound.
+//!    exact on every input with edges (property-tested over all four
+//!    Corollary 1.2 settings), and the predicted stretch bound always
+//!    equals the measured result's bound.
 //! 3. **Fan-outs fail per-request** — requests fanned out with
 //!    `par_iter().map(SpannerRequest::run)` fail individually (one
 //!    malformed request cannot abort its neighbours), and the output is
@@ -119,10 +118,10 @@ fn verification_policy_is_honoured_on_every_backend() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// plan() vs run() over all four Corollary 1.2 settings: the
-    /// measured schedule never exceeds the prediction, iterations stay
-    /// consistent with epochs (`t` per executed epoch), and the stretch
-    /// bound is predicted exactly.
+    /// plan() vs run() over all four Corollary 1.2 settings: every
+    /// input has edges, so the engine runs every scheduled step and the
+    /// measured schedule equals the prediction, as does the stretch
+    /// bound.
     #[test]
     fn plan_matches_run_for_all_corollary_settings(
         n in 40usize..160,
@@ -138,16 +137,8 @@ proptest! {
             let params = plan.schedule.expect("corollary resolves to a schedule");
             prop_assert_eq!(plan.epochs, params.epochs());
             prop_assert_eq!(plan.iterations, params.iterations());
-            prop_assert!(report.result.epochs <= plan.epochs);
-            prop_assert!(report.result.iterations <= plan.iterations);
-            // The engine runs t iterations per executed epoch.
-            prop_assert_eq!(report.result.iterations, report.result.epochs * params.t);
-            // Early exit only happens when the live edge set is exhausted,
-            // in which case the schedule is allowed to stop short; when it
-            // completes, the prediction is exact.
-            if report.result.epochs == plan.epochs {
-                prop_assert_eq!(report.result.iterations, plan.iterations);
-            }
+            prop_assert_eq!(report.result.epochs, plan.epochs);
+            prop_assert_eq!(report.result.iterations, plan.iterations);
             prop_assert_eq!(report.result.stretch_bound, plan.stretch_bound);
         }
     }
@@ -157,11 +148,10 @@ proptest! {
 fn plan_matches_run_for_custom_sequential_algorithms() {
     // BaswanaSen / SqrtK / UnweightedOk run their own loops, not an
     // engine schedule, and predict their bounds with formulas kept
-    // alongside the builders; pin that the two stay in sync. `Plan`
-    // documents iterations and epochs as scheduled maxima, and SqrtK's
-    // black box returns early when the contracted graph has no edges;
-    // none of these inputs reaches that, so the counts match exactly.
-    // The stretch bound always does.
+    // alongside the builders; pin that the two stay in sync. SqrtK's
+    // black box returns early when the contracted graph has no edges
+    // (`Plan` documents it); none of these inputs reaches that, so the
+    // counts match exactly. The stretch bound always does.
     let g = generators::connected_erdos_renyi(150, 0.08, WeightModel::Uniform(1, 16), 31);
     let topo = g.unweighted_copy();
     let requests = [
@@ -267,6 +257,34 @@ fn appendix_b_stops_at_its_deadline_inside_the_auxiliary_baswana_sen() {
         "the deadline stopped the build only after {:?}",
         started.elapsed()
     );
+}
+
+#[test]
+fn every_backend_stops_at_its_deadline_between_grow_steps() {
+    // One epoch of u32::MAX grow steps: no backend can finish it, so
+    // each must stop at the deadline, checked before every grow step.
+    let g = generators::connected_erdos_renyi(60, 0.1, WeightModel::Uniform(1, 8), 5);
+    let algorithm = Algorithm::General(TradeoffParams::baswana_sen(u32::MAX));
+    for backend in all_backends() {
+        let request = SpannerRequest::new(&g, algorithm)
+            .on(backend)
+            .deadline(Duration::from_millis(200));
+        let started = Instant::now();
+        let err = request
+            .run()
+            .expect_err("the build cannot finish in 200 ms");
+        assert!(
+            matches!(err, PipelineError::DeadlineExceeded { .. }),
+            "{}: expected a deadline error, got {err}",
+            backend.name()
+        );
+        assert!(
+            started.elapsed() < Duration::from_secs(10),
+            "{}: the deadline stopped the build only after {:?}",
+            backend.name(),
+            started.elapsed()
+        );
+    }
 }
 
 #[test]

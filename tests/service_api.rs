@@ -305,6 +305,30 @@ fn over_budget_store_evicts_lru_and_reserves_recomputed_answers() {
 }
 
 #[test]
+fn the_store_charge_covers_a_sketch_oracles_lazily_built_spanner() {
+    // A sketch oracle builds its spanner's graph on the first
+    // `spanner()` call. The store records an oracle's size once, at
+    // insertion, so that size must already count the graph.
+    let g = connected_erdos_renyi(400, 0.03, WeightModel::Uniform(1, 16), 23);
+    let service = SpannerService::new();
+    let handle = service.register(g);
+    let oracle = service
+        .oracle(&handle, alg())
+        .engine(QueryEngine::Sketches { levels: 2 })
+        .seed(6)
+        .build()
+        .expect("oracle job");
+    let charged = oracle.heap_size();
+    assert!(oracle.spanner().m() > 0);
+    assert!(service.stats().store_used_bytes >= oracle.heap_size());
+    assert_eq!(
+        oracle.heap_size(),
+        charged,
+        "building the graph moves no charge"
+    );
+}
+
+#[test]
 fn reregistering_mutated_content_under_an_equal_key_never_serves_stale_oracles() {
     // A path graph and a mutated copy: identical shape, one bridge edge
     // re-weighted, so true distances across the bridge differ.
