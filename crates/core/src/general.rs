@@ -1,5 +1,5 @@
 //! Section 5: the general round/stretch trade-off algorithm
-//! (Theorem 5.15 / Theorem 1.1).
+//! (Theorem 5.15 / Theorem 1.1), and the one loop every backend runs.
 //!
 //! For parameters `(k, t)` the algorithm runs `l = ⌈log k / log(t+1)⌉`
 //! epochs; epoch `i` performs `t` Baswana–Sen-style grow iterations with
@@ -14,87 +14,132 @@
 //!
 //! The `O(k)`-round baseline that Theorem 1.1 improves, Baswana–Sen
 //! \[BS07], runs here too ([`crate::pipeline::Algorithm::BaswanaSen`]).
+//!
+//! Both are schedules, and a schedule is data: a lazy list of grow,
+//! contract and Phase 2 steps. One crate-private loop walks a schedule
+//! on any backend — the sequential engine, the MPC driver, the
+//! Congested Clique's trial-and-commit state or the PRAM cost counter —
+//! and checks the build guard before each grow step and before Phase 2.
 
-use spanner_graph::Graph;
+use std::iter;
 
 use crate::engine::Engine;
 use crate::params::TradeoffParams;
-use crate::pipeline::{BuildGuard, PipelineError};
+use crate::pipeline::{BuildGuard, ExecutionStats, PipelineError};
 use crate::result::SpannerResult;
 
-/// The Section 5 engine loop — the pipeline's sequential driver for
-/// every engine-schedule algorithm (`Algorithm::General`,
-/// `ClusterMerging` and `Corollary`).
-///
-/// `k = 1` degenerates to the graph itself (stretch 1), per the
-/// definition of a 1-spanner. `track_radii` measures cluster radii at
-/// every contraction (a BFS per super-node; ablation A1's knob).
-///
-/// The guard is checked before every grow iteration and before
-/// Phase 2, so a fired [`crate::pipeline::CancelToken`] or an expired
-/// deadline aborts the build within one iteration of work instead of
-/// running the whole schedule.
-pub(crate) fn run_general(
-    g: &Graph,
-    params: TradeoffParams,
-    seed: u64,
-    track_radii: bool,
-    guard: &BuildGuard,
-) -> Result<SpannerResult, PipelineError> {
-    let algorithm = format!("general(k={},t={})", params.k, params.t);
-    if params.k == 1 || g.m() == 0 {
-        return Ok(SpannerResult::whole_graph(g, algorithm));
-    }
-
-    let n = g.n();
-    let mut engine = Engine::new(g, seed);
-    engine.track_radii = track_radii;
-
-    let l = params.epochs();
-    for epoch in 1..=l {
-        let p = params.sampling_probability(n, epoch);
-        for iter in 1..=params.t {
-            guard.check()?;
-            engine.run_iteration(p, epoch, iter);
-        }
-        engine.contract();
-    }
-    guard.check()?;
-    engine.phase2();
-    Ok(engine.finish(algorithm, params.stretch_bound()))
+/// One step of a schedule.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Step {
+    /// A grow iteration (Step B) at sampling probability `p`; `epoch`
+    /// and `iter` (1-based) number it for the shared coins.
+    Grow { p: f64, epoch: u32, iter: u32 },
+    /// A contraction (Step C): the clusters become the super-nodes.
+    Contract,
+    /// Phase 2: the lightest edge per super-node and neighbouring
+    /// cluster.
+    Phase2,
 }
 
-/// The classic Baswana–Sen `(2k−1)`-spanner \[BS07], the pipeline's
-/// sequential `Algorithm::BaswanaSen` driver: `k − 1` grow iterations
-/// at `p = n^{-1/k}` in one epoch, then Phase 2 on the un-contracted
-/// clustering. (`General(TradeoffParams::baswana_sen(k))` takes a `k`-th
-/// step and contracts first, so its spanner differs.) Section 3 runs it
-/// as a black box on its contracted graph, and Appendix B on the whole
-/// graph and on its auxiliary graph, each under the job's guard. The
-/// guard is checked before every grow iteration and before Phase 2.
-pub(crate) fn run_baswana_sen(
-    g: &Graph,
-    k: u32,
-    seed: u64,
+/// The engine schedule of `params` on `n` vertices: `l` epochs of `t`
+/// grow steps at `p_i` and a contraction, then Phase 2.
+pub(crate) fn engine_steps(params: TradeoffParams, n: usize) -> impl Iterator<Item = Step> {
+    (1..=params.epochs())
+        .flat_map(move |epoch| {
+            let p = params.sampling_probability(n, epoch);
+            (1..=params.t)
+                .map(move |iter| Step::Grow { p, epoch, iter })
+                .chain(iter::once(Step::Contract))
+        })
+        .chain(iter::once(Step::Phase2))
+}
+
+/// The classic Baswana–Sen `(2k−1)`-spanner \[BS07] on `n` vertices:
+/// `k − 1` grow steps at `p = n^{-1/k}` in one epoch, then Phase 2 on
+/// the un-contracted clustering. (`General(TradeoffParams::baswana_sen(k))`
+/// takes a `k`-th step and contracts first, so its spanner differs.)
+/// Section 3 runs it as a black box on its contracted graph, and
+/// Appendix B on the whole graph and on its auxiliary graph.
+pub(crate) fn baswana_sen_steps(k: u32, n: usize) -> impl Iterator<Item = Step> {
+    let p = TradeoffParams::baswana_sen(k).sampling_probability(n, 1);
+    (1..k)
+        .map(move |iter| Step::Grow { p, epoch: 1, iter })
+        .chain(iter::once(Step::Phase2))
+}
+
+/// What a backend does at each step of a schedule.
+pub(crate) trait Executor: Sized {
+    /// One grow iteration.
+    fn grow(&mut self, p: f64, epoch: u32, iter: u32) -> Result<(), PipelineError>;
+    /// One contraction.
+    fn contract(&mut self) -> Result<(), PipelineError>;
+    /// Phase 2, after a contraction or on an un-contracted clustering.
+    fn phase2(&mut self) -> Result<(), PipelineError>;
+    /// The spanner and the model cost, after the last step. The pipeline
+    /// stamps the label and the stretch bound on the result.
+    fn finish(self) -> Result<(SpannerResult, ExecutionStats), PipelineError>;
+
+    /// Walks `steps`, then finishes, with the walk's counts on the result.
+    fn run(
+        mut self,
+        steps: impl IntoIterator<Item = Step>,
+        guard: &BuildGuard,
+    ) -> Result<(SpannerResult, ExecutionStats), PipelineError> {
+        let (epochs, iterations) = walk(steps, &mut self, guard)?;
+        let (mut result, stats) = self.finish()?;
+        (result.epochs, result.iterations) = (epochs, iterations);
+        Ok((result, stats))
+    }
+}
+
+/// The one loop over a schedule; returns the epoch of the last grow step
+/// and the number of grow steps. The guard is checked before every grow
+/// step and before Phase 2, so a fired [`crate::pipeline::CancelToken`]
+/// or an expired deadline stops the build within one step of work
+/// instead of running the whole schedule.
+pub(crate) fn walk(
+    steps: impl IntoIterator<Item = Step>,
+    executor: &mut impl Executor,
     guard: &BuildGuard,
-) -> Result<SpannerResult, PipelineError> {
-    let algorithm = format!("baswana-sen(k={k})");
-    if k == 1 || g.m() == 0 {
-        return Ok(SpannerResult::whole_graph(g, algorithm));
+) -> Result<(u32, u32), PipelineError> {
+    let (mut epochs, mut iterations) = (0, 0);
+    for step in steps {
+        match step {
+            Step::Grow { p, epoch, iter } => {
+                guard.check()?;
+                executor.grow(p, epoch, iter)?;
+                (epochs, iterations) = (epoch, iterations + 1);
+            }
+            Step::Contract => executor.contract()?,
+            Step::Phase2 => {
+                guard.check()?;
+                executor.phase2()?;
+            }
+        }
     }
-    let params = TradeoffParams::baswana_sen(k);
-    let p = params.sampling_probability(g.n(), 1);
-    let mut engine = Engine::new(g, seed);
-    for iter in 1..k {
-        guard.check()?;
-        engine.run_iteration(p, 1, iter);
+    Ok((epochs, iterations))
+}
+
+/// The sequential reference, and the streaming backend's engine.
+impl Executor for Engine<'_> {
+    fn grow(&mut self, p: f64, epoch: u32, iter: u32) -> Result<(), PipelineError> {
+        self.run_iteration(p, epoch, iter);
+        Ok(())
     }
-    guard.check()?;
-    engine.phase2();
-    let mut result = engine.finish(algorithm, params.stretch_bound());
-    // The engine counts an epoch at its contraction; this one has none.
-    result.epochs = 1;
-    Ok(result)
+
+    fn contract(&mut self) -> Result<(), PipelineError> {
+        Engine::contract(self);
+        Ok(())
+    }
+
+    fn phase2(&mut self) -> Result<(), PipelineError> {
+        Engine::phase2(self);
+        Ok(())
+    }
+
+    fn finish(self) -> Result<(SpannerResult, ExecutionStats), PipelineError> {
+        Ok((Engine::finish(self, "", 0.0), ExecutionStats::Sequential))
+    }
 }
 
 #[cfg(test)]
@@ -103,6 +148,7 @@ mod tests {
     use crate::pipeline::{Algorithm, SpannerRequest};
     use spanner_graph::generators::{self, Family, WeightModel};
     use spanner_graph::verify::verify_spanner;
+    use spanner_graph::Graph;
 
     fn run(g: &Graph, algorithm: Algorithm, seed: u64) -> SpannerResult {
         SpannerRequest::new(g, algorithm)
@@ -160,8 +206,8 @@ mod tests {
         let g = generators::connected_erdos_renyi(120, 0.08, WeightModel::Unit, 5);
         let params = TradeoffParams::new(16, 1);
         let r = general(&g, params, 9);
-        assert!(r.epochs <= params.epochs());
-        assert!(r.iterations <= params.iterations());
+        assert_eq!(r.epochs, params.epochs());
+        assert_eq!(r.iterations, params.iterations());
     }
 
     #[test]

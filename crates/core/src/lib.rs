@@ -37,8 +37,10 @@
 //!
 //! Every construction exists as a *sequential reference* (it executes
 //! the exact per-iteration rules and is what the stretch/size
-//! experiments run); the engine-schedule algorithms additionally run on
-//! a fully *distributed driver* ([`mpc_driver`]) that executes through
+//! experiments run). The engine-schedule algorithms and Baswana–Sen are
+//! schedules, lists of grow, contract and Phase 2 steps, and one loop
+//! ([`general`]) walks them on every backend: additionally on a fully
+//! *distributed driver* ([`mpc_driver`]) that executes through
 //! [`mpc_runtime`]'s primitives with measured rounds and enforced
 //! memory, on the Congested Clique, on the PRAM work/depth model, and
 //! as a multi-pass stream — all five produce **identical spanners**

@@ -1,6 +1,6 @@
-//! The general trade-off algorithm executed **distributedly** through the
-//! [`mpc_runtime`] simulator — rounds measured, memory enforced
-//! (Theorem 1.1 / Section 6).
+//! The general trade-off algorithm, and the Baswana–Sen baseline,
+//! executed **distributedly** through the [`mpc_runtime`] simulator —
+//! rounds measured, memory enforced (Theorem 1.1 / Section 6).
 //!
 //! Data layout (all collections sharded over the machines):
 //!
@@ -46,8 +46,8 @@ use spanner_graph::edge::EdgeId;
 use spanner_graph::Graph;
 
 use crate::coins::cluster_coin;
-use crate::params::TradeoffParams;
-use crate::pipeline::{BuildGuard, MpcStats, PipelineError};
+use crate::general::Executor;
+use crate::pipeline::{ExecutionStats, MpcStats, PipelineError};
 use crate::result::SpannerResult;
 
 /// A live edge between super-nodes `a` and `b`, with their cluster labels.
@@ -148,92 +148,10 @@ impl EdgeCopy {
     }
 }
 
-/// Runs the Section 5 algorithm on the MPC simulator under an explicit
-/// deployment (the pipeline's `Backend::Mpc` driver): the spanner, and
-/// the *measured* rounds, traffic and peak memory of the deployment.
-pub(crate) fn run_mpc(
-    g: &Graph,
-    params: TradeoffParams,
-    config: MpcConfig,
-    seed: u64,
-    guard: &BuildGuard,
-) -> Result<(SpannerResult, MpcStats), PipelineError> {
-    let sys = MpcSystem::new(config);
-    let algorithm = format!(
-        "mpc-general(k={},t={},S={}w,P={})",
-        params.k, params.t, config.machine_words, config.num_machines
-    );
-
-    if params.k == 1 || g.m() == 0 {
-        let stats = MpcStats {
-            metrics: sys.metrics().clone(),
-            config,
-        };
-        return Ok((SpannerResult::whole_graph(g, algorithm), stats));
-    }
-
-    let n = g.n();
-    // Every vertex starts as its own super-node and cluster.
-    let edges: Vec<LiveEdge> = g
-        .edges()
-        .iter()
-        .enumerate()
-        .map(|(id, e)| {
-            let (a, b) = (e.u as u64, e.v as u64);
-            LiveEdge {
-                a,
-                b,
-                w: e.w,
-                id: id as u64,
-                cl_a: a,
-                cl_b: b,
-            }
-        })
-        .collect();
-    let labels: Vec<LabelRec> = (0..n as u64).map(|v| (v, v)).collect();
-
-    let mut driver = Driver {
-        sys,
-        seed,
-        edges: Dist::empty(&MpcSystem::new(config)),
-        labels: Dist::empty(&MpcSystem::new(config)),
-        spanner: Dist::empty(&MpcSystem::new(config)),
-        supernodes_per_epoch: Vec::new(),
-    };
-    driver.edges = Dist::distribute(&mut driver.sys, edges)?;
-    driver.labels = Dist::distribute(&mut driver.sys, labels)?;
-
-    let l = params.epochs();
-    let mut iterations = 0u32;
-    for epoch in 1..=l {
-        let p = params.sampling_probability(n, epoch);
-        for iter in 1..=params.t {
-            guard.check()?;
-            driver.run_iteration(p, epoch, iter)?;
-            iterations += 1;
-        }
-        driver.contract()?;
-    }
-    guard.check()?;
-    driver.phase2()?;
-
-    let edge_ids = driver.finish()?;
-    let metrics = driver.sys.metrics().clone();
-    let mut result = SpannerResult {
-        edges: edge_ids,
-        epochs: l,
-        iterations,
-        stretch_bound: params.stretch_bound(),
-        radius_per_epoch: vec![],
-        supernodes_per_epoch: driver.supernodes_per_epoch,
-        algorithm,
-        decomposition: None,
-    };
-    result.canonicalise();
-    Ok((result, MpcStats { metrics, config }))
-}
-
-struct Driver {
+/// A schedule on the MPC simulator under an explicit deployment (the
+/// pipeline's `Backend::Mpc` executor): the spanner, and the *measured*
+/// rounds, traffic and peak memory of the deployment.
+pub(crate) struct Driver {
     sys: MpcSystem,
     seed: u64,
     edges: Dist<LiveEdge>,
@@ -243,8 +161,108 @@ struct Driver {
 }
 
 impl Driver {
+    /// Distributes `g` over the deployment, every vertex its own
+    /// super-node and cluster; fails if the input does not fit.
+    pub(crate) fn new(g: &Graph, config: MpcConfig, seed: u64) -> mpc_runtime::Result<Self> {
+        let mut sys = MpcSystem::new(config);
+        let edges: Vec<LiveEdge> = g
+            .edges()
+            .iter()
+            .enumerate()
+            .map(|(id, e)| {
+                let (a, b) = (e.u as u64, e.v as u64);
+                LiveEdge {
+                    a,
+                    b,
+                    w: e.w,
+                    id: id as u64,
+                    cl_a: a,
+                    cl_b: b,
+                }
+            })
+            .collect();
+        let labels: Vec<LabelRec> = (0..g.n() as u64).map(|v| (v, v)).collect();
+        let edges = Dist::distribute(&mut sys, edges)?;
+        let labels = Dist::distribute(&mut sys, labels)?;
+        Ok(Driver {
+            spanner: Dist::empty(&sys),
+            sys,
+            seed,
+            edges,
+            labels,
+            supernodes_per_epoch: Vec::new(),
+        })
+    }
+
+    /// Attaches the current labels to both endpoints of every edge and
+    /// drops intra-cluster and dangling edges (a retired endpoint has no
+    /// label): one sort of the edges' halves together with the labels,
+    /// one segmented broadcast of each label over its super-node's halves
+    /// (whose run may span machines), and one semisort that reassembles
+    /// every edge from its two halves, leaving the edges hash-placed by id.
+    fn relabel(
+        &mut self,
+        edges: Dist<LiveEdge>,
+        op: &'static str,
+    ) -> mpc_runtime::Result<Dist<LiveEdge>> {
+        let halves = edges.flat_map(&mut self.sys, |e| {
+            [(e.a, 2 * e.id), (e.b, 2 * e.id + 1)].map(|(endpoint, slot)| Half {
+                endpoint,
+                tag: HALF,
+                slot,
+                w: e.w,
+                cl: NONE,
+            })
+        })?;
+        let labels = self.labels.map(&mut self.sys, |&(v, cl)| Half {
+            endpoint: v,
+            tag: LABEL,
+            slot: 0,
+            w: 0,
+            cl,
+        })?;
+        let stream = labels.union(&mut self.sys, &halves)?;
+        let mut sorted = sort_by_key(&mut self.sys, stream, op, |h| (h.endpoint, h.tag))?;
+        forward_fill(
+            &mut self.sys,
+            &mut sorted,
+            op,
+            |h| (h.tag == LABEL).then_some((h.endpoint, h.cl)),
+            |h, &(v, cl)| {
+                if h.endpoint == v {
+                    h.cl = cl;
+                }
+            },
+        )?;
+        let halves = sorted.filter(|h| h.tag == HALF);
+        let (_, edges) = group_by_key(
+            &mut self.sys,
+            halves,
+            op,
+            |h| h.slot / 2,
+            |run, out| {
+                if let [x, y] = run {
+                    let (a, b) = if x.slot % 2 == 0 { (x, y) } else { (y, x) };
+                    if a.cl != NONE && b.cl != NONE && a.cl != b.cl {
+                        out.push(LiveEdge {
+                            a: a.endpoint,
+                            b: b.endpoint,
+                            w: a.w,
+                            id: a.slot / 2,
+                            cl_a: a.cl,
+                            cl_b: b.cl,
+                        });
+                    }
+                }
+            },
+        )?;
+        Ok(edges)
+    }
+}
+
+impl Executor for Driver {
     /// One grow iteration (Step B) at probability `p`.
-    fn run_iteration(&mut self, p: f64, epoch: u32, iter: u32) -> mpc_runtime::Result<()> {
+    fn grow(&mut self, p: f64, epoch: u32, iter: u32) -> Result<(), PipelineError> {
         let seed = self.seed;
         let sampled = move |cluster: u64| cluster_coin(seed, epoch, iter, cluster as u32, p);
 
@@ -359,76 +377,11 @@ impl Driver {
         Ok(())
     }
 
-    /// Attaches the current labels to both endpoints of every edge and
-    /// drops intra-cluster and dangling edges (a retired endpoint has no
-    /// label): one sort of the edges' halves together with the labels,
-    /// one segmented broadcast of each label over its super-node's halves
-    /// (whose run may span machines), and one semisort that reassembles
-    /// every edge from its two halves, leaving the edges hash-placed by id.
-    fn relabel(
-        &mut self,
-        edges: Dist<LiveEdge>,
-        op: &'static str,
-    ) -> mpc_runtime::Result<Dist<LiveEdge>> {
-        let halves = edges.flat_map(&mut self.sys, |e| {
-            [(e.a, 2 * e.id), (e.b, 2 * e.id + 1)].map(|(endpoint, slot)| Half {
-                endpoint,
-                tag: HALF,
-                slot,
-                w: e.w,
-                cl: NONE,
-            })
-        })?;
-        let labels = self.labels.map(&mut self.sys, |&(v, cl)| Half {
-            endpoint: v,
-            tag: LABEL,
-            slot: 0,
-            w: 0,
-            cl,
-        })?;
-        let stream = labels.union(&mut self.sys, &halves)?;
-        let mut sorted = sort_by_key(&mut self.sys, stream, op, |h| (h.endpoint, h.tag))?;
-        forward_fill(
-            &mut self.sys,
-            &mut sorted,
-            op,
-            |h| (h.tag == LABEL).then_some((h.endpoint, h.cl)),
-            |h, &(v, cl)| {
-                if h.endpoint == v {
-                    h.cl = cl;
-                }
-            },
-        )?;
-        let halves = sorted.filter(|h| h.tag == HALF);
-        let (_, edges) = group_by_key(
-            &mut self.sys,
-            halves,
-            op,
-            |h| h.slot / 2,
-            |run, out| {
-                if let [x, y] = run {
-                    let (a, b) = if x.slot % 2 == 0 { (x, y) } else { (y, x) };
-                    if a.cl != NONE && b.cl != NONE && a.cl != b.cl {
-                        out.push(LiveEdge {
-                            a: a.endpoint,
-                            b: b.endpoint,
-                            w: a.w,
-                            id: a.slot / 2,
-                            cl_a: a.cl,
-                            cl_b: b.cl,
-                        });
-                    }
-                }
-            },
-        )?;
-        Ok(edges)
-    }
-
     /// Step C: contraction. Clusters become super-nodes, keeping the
     /// lightest edge between each pair; labels reset to singletons over
     /// the surviving cluster ids. The last relabel attached this epoch's
     /// final labels, so no join is needed.
-    fn contract(&mut self) -> mpc_runtime::Result<()> {
+    fn contract(&mut self) -> Result<(), PipelineError> {
         let edges = std::mem::replace(&mut self.edges, Dist::empty(&self.sys));
         let lightest = aggregate_by_key(
             &mut self.sys,
@@ -462,9 +415,11 @@ impl Driver {
     }
 
     /// Phase 2: minimum edge per (super-node, neighbouring cluster) over
-    /// what is left. After the last contraction every label is the
-    /// identity, so the copies carry the neighbouring clusters.
-    fn phase2(&mut self) -> mpc_runtime::Result<()> {
+    /// what is left. Every live edge carries its endpoints' current
+    /// cluster labels: the identity after a contraction, the last
+    /// relabel's on an un-contracted clustering (Baswana–Sen's Phase 2),
+    /// so the copies carry the neighbouring clusters either way.
+    fn phase2(&mut self) -> Result<(), PipelineError> {
         let edges = std::mem::replace(&mut self.edges, Dist::empty(&self.sys));
         let copies = edges.flat_map(&mut self.sys, |e| e.copies(|_| true))?;
         let minimum = aggregate_by_key(
@@ -482,22 +437,36 @@ impl Driver {
 
     /// Deduplicates the spanner in-model, then extracts it (the final
     /// read-off is out-of-model, as reading any output is).
-    fn finish(&mut self) -> mpc_runtime::Result<Vec<EdgeId>> {
-        let spanner = std::mem::replace(&mut self.spanner, Dist::empty(&self.sys));
+    fn finish(mut self) -> Result<(SpannerResult, ExecutionStats), PipelineError> {
         let dedup = aggregate_by_key(
             &mut self.sys,
-            spanner,
+            self.spanner,
             "finish.dedup",
             |&id: &u64| id,
             |_| 1u64,
             |a, b| a + b,
         )?;
         let ids = dedup.map(&mut self.sys, |&(id, _)| id)?;
-        Ok(ids
-            .collect_out_of_model()
-            .into_iter()
-            .map(|id| id as EdgeId)
-            .collect())
+        let mut result = SpannerResult {
+            edges: ids
+                .collect_out_of_model()
+                .into_iter()
+                .map(|id| id as EdgeId)
+                .collect(),
+            epochs: 0,
+            iterations: 0,
+            stretch_bound: 0.0,
+            radius_per_epoch: vec![],
+            supernodes_per_epoch: self.supernodes_per_epoch,
+            algorithm: String::new(),
+            decomposition: None,
+        };
+        result.canonicalise();
+        let stats = MpcStats {
+            metrics: self.sys.metrics().clone(),
+            config: *self.sys.cfg(),
+        };
+        Ok((result, ExecutionStats::Mpc(stats)))
     }
 }
 
@@ -511,6 +480,7 @@ fn pair_key(a: u64, b: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::params::TradeoffParams;
     use crate::pipeline::{Algorithm, Backend, MpcStats, RunReport, SpannerRequest};
     use spanner_graph::generators::{self, WeightModel};
     use spanner_graph::verify::verify_spanner;

@@ -1,5 +1,5 @@
 //! The Congested Clique round/bandwidth model and the Theorem 8.1
-//! execution loop (the pipeline's `Backend::CongestedClique` driver).
+//! executor of a schedule (the pipeline's `Backend::CongestedClique`).
 //!
 //! `n` nodes; per round, every ordered pair of nodes may exchange one
 //! message of `O(log n)` bits — we count in *words* (one word =
@@ -18,11 +18,11 @@
 
 use crate::coins::splitmix64;
 use crate::engine::{Engine, Trial};
-use crate::params::TradeoffParams;
+use crate::general::Executor;
 use crate::result::SpannerResult;
 use spanner_graph::Graph;
 
-use super::{BuildGuard, CcStats, PipelineError};
+use super::{CcStats, ExecutionStats, PipelineError};
 
 /// The accounting context for one Congested Clique execution.
 #[derive(Debug, Clone)]
@@ -128,11 +128,12 @@ pub(crate) fn run_seed(base: u64, r: usize) -> u64 {
     }
 }
 
-/// Theorem 8.1: the general trade-off algorithm in the Congested
-/// Clique, with the parallel-repetition trick for a w.h.p. size bound.
+/// Theorem 8.1: a schedule in the Congested Clique, with the
+/// parallel-repetition trick for a w.h.p. size bound (the pipeline's
+/// `Backend::CongestedClique` executor).
 ///
 /// Cluster-state evolution reuses the engine semantics (the exact Step
-/// B/C rules of [`crate::engine`]); this driver adds what Section 8 is
+/// B/C rules of [`crate::engine`]); this executor adds what Section 8 is
 /// actually about:
 ///
 /// * the **communication schedule** and its round cost in the clique
@@ -150,108 +151,113 @@ pub(crate) fn run_seed(base: u64, r: usize) -> u64 {
 ///
 /// Run 0 always uses the caller's seed unchanged, so `repetitions = 1`
 /// reproduces the sequential reference **bit-for-bit**.
-pub(crate) fn run_cc(
-    g: &Graph,
-    params: TradeoffParams,
+pub(crate) struct CcRun<'g> {
+    engine: Engine<'g>,
+    net: CcNetwork,
     seed: u64,
     repetitions: usize,
-    guard: &BuildGuard,
-) -> Result<(SpannerResult, CcStats), PipelineError> {
-    debug_assert!((1..=64).contains(&repetitions), "validated by plan()");
-    let n = g.n();
-    let mut net = CcNetwork::new(n.max(2));
-    let algorithm = format!("cc-spanner(k={},t={},R={repetitions})", params.k, params.t);
+    /// Which run index each iteration committed to.
+    chosen_runs: Vec<usize>,
+}
 
-    if params.k == 1 || g.m() == 0 {
-        let stats = CcStats {
-            rounds: 0,
-            total_words: 0,
+impl<'g> CcRun<'g> {
+    /// A fresh engine on `g` and a clique of `max(n, 2)` nodes.
+    pub(crate) fn new(g: &'g Graph, seed: u64, repetitions: usize) -> Self {
+        debug_assert!((1..=64).contains(&repetitions), "validated by plan()");
+        CcRun {
+            engine: Engine::new(g, seed),
+            net: CcNetwork::new(g.n().max(2)),
+            seed,
             repetitions,
-            chosen_runs: vec![],
-        };
-        return Ok((SpannerResult::whole_graph(g, algorithm), stats));
-    }
-
-    let mut engine = Engine::new(g, seed);
-    let mut chosen_runs = Vec::new();
-    let l = params.epochs();
-
-    for epoch in 1..=l {
-        let p = params.sampling_probability(n, epoch);
-        for iter in 1..=params.t {
-            guard.check()?;
-            // --- Communication, charged per the Section 8 schedule. ---
-            // (a) Every node broadcasts its (super-node, cluster) labels.
-            net.broadcast_from_all(2);
-            // (b) Cluster centres broadcast R packed coins (one word).
-            net.broadcast_from_all(1);
-
-            // (c) Trial runs: every node can simulate each run locally
-            // (it knows all labels and all coins); the collectors only
-            // tally sizes. We reproduce the tallies by deciding each
-            // repetition against the unchanged state.
-            let clusters = engine.cluster_count();
-            let expected_sampled = (clusters as f64) * p;
-            // ((edges, run, cands), trial) of the cheapest run within the
-            // sampled-cluster bound, and of the cheapest run otherwise;
-            // the fallback is used only when no run is within the bound.
-            let mut best: Option<((usize, usize, usize), Trial)> = None;
-            let mut fallback: Option<((usize, usize, usize), Trial)> = None;
-            for r in 0..repetitions {
-                let trial = engine.trial(run_seed(seed, r), p, epoch, iter);
-                let stats = trial.stats();
-                let within = (stats.sampled_clusters as f64) <= (2.0 * expected_sampled + 2.0);
-                let cand = (stats.edges_added, r, stats.max_candidates_per_cluster);
-                if within && best.as_ref().is_none_or(|(b, _)| cand < *b) {
-                    best = Some((cand, trial));
-                } else if fallback.as_ref().is_none_or(|(b, _)| cand < *b) {
-                    fallback = Some((cand, trial));
-                }
-            }
-            let ((_, chosen, max_fanin), trial) =
-                best.or(fallback).expect("at least one repetition ran");
-            chosen_runs.push(chosen);
-
-            // (d) Tallies to the R collectors and the collectors'
-            // verdict back: two fixed rounds.
-            net.charge_rounds(2, (2 * n * repetitions) as u64);
-
-            // (e) Candidate aggregation at cluster centres (members send
-            // their per-neighbour-cluster minima) and membership update
-            // (centres inform joiners): Lenzen routing at the measured
-            // fan-in, plus one round back.
-            let sends = vec![4usize; n.max(2)];
-            let mut recvs = vec![0usize; n.max(2)];
-            recvs[0] = 4 * max_fanin; // the busiest centre
-            net.lenzen_route(&sends, &recvs);
-            net.charge_rounds(1, n as u64);
-
-            // --- Commit the chosen run on the real state. ---
-            engine.commit(trial);
+            chosen_runs: Vec::new(),
         }
-        // Step C: contraction — a relabel (local) plus one Lenzen round
-        // for the minimum-per-super-node-pair reduction.
-        let sends = vec![4usize; n.max(2)];
-        let recvs = vec![4usize; n.max(2)];
-        net.lenzen_route(&sends, &recvs);
-        engine.contract();
     }
-    guard.check()?;
-    engine.phase2();
-    let result = engine.finish(algorithm, params.stretch_bound());
+}
 
-    let stats = CcStats {
-        rounds: net.rounds(),
-        total_words: net.total_words(),
-        repetitions,
-        chosen_runs,
-    };
-    Ok((result, stats))
+impl Executor for CcRun<'_> {
+    fn grow(&mut self, p: f64, epoch: u32, iter: u32) -> Result<(), PipelineError> {
+        let n = self.net.n;
+        let net = &mut self.net;
+        // --- Communication, charged per the Section 8 schedule. ---
+        // (a) Every node broadcasts its (super-node, cluster) labels.
+        net.broadcast_from_all(2);
+        // (b) Cluster centres broadcast R packed coins (one word).
+        net.broadcast_from_all(1);
+
+        // (c) Trial runs: every node can simulate each run locally (it
+        // knows all labels and all coins); the collectors only tally
+        // sizes. We reproduce the tallies by deciding each repetition
+        // against the unchanged state.
+        let expected_sampled = (self.engine.cluster_count() as f64) * p;
+        // ((edges, run, cands), trial) of the cheapest run within the
+        // sampled-cluster bound, and of the cheapest run otherwise; the
+        // fallback is used only when no run is within the bound.
+        let mut best: Option<((usize, usize, usize), Trial)> = None;
+        let mut fallback: Option<((usize, usize, usize), Trial)> = None;
+        for r in 0..self.repetitions {
+            let trial = self.engine.trial(run_seed(self.seed, r), p, epoch, iter);
+            let stats = trial.stats();
+            let within = (stats.sampled_clusters as f64) <= (2.0 * expected_sampled + 2.0);
+            let cand = (stats.edges_added, r, stats.max_candidates_per_cluster);
+            if within && best.as_ref().is_none_or(|(b, _)| cand < *b) {
+                best = Some((cand, trial));
+            } else if fallback.as_ref().is_none_or(|(b, _)| cand < *b) {
+                fallback = Some((cand, trial));
+            }
+        }
+        let ((_, chosen, max_fanin), trial) =
+            best.or(fallback).expect("at least one repetition ran");
+        self.chosen_runs.push(chosen);
+
+        // (d) Tallies to the R collectors and the collectors' verdict
+        // back: two fixed rounds.
+        net.charge_rounds(2, (2 * n * self.repetitions) as u64);
+
+        // (e) Candidate aggregation at cluster centres (members send
+        // their per-neighbour-cluster minima) and membership update
+        // (centres inform joiners): Lenzen routing at the measured
+        // fan-in, plus one round back.
+        let sends = vec![4usize; n];
+        let mut recvs = vec![0usize; n];
+        recvs[0] = 4 * max_fanin; // the busiest centre
+        net.lenzen_route(&sends, &recvs);
+        net.charge_rounds(1, n as u64);
+
+        // --- Commit the chosen run on the real state. ---
+        self.engine.commit(trial);
+        Ok(())
+    }
+
+    fn contract(&mut self) -> Result<(), PipelineError> {
+        // Step C: a relabel (local) plus one Lenzen round for the
+        // minimum-per-super-node-pair reduction.
+        let loads = vec![4usize; self.net.n];
+        self.net.lenzen_route(&loads, &loads);
+        self.engine.contract();
+        Ok(())
+    }
+
+    fn phase2(&mut self) -> Result<(), PipelineError> {
+        self.engine.phase2();
+        Ok(())
+    }
+
+    fn finish(self) -> Result<(SpannerResult, ExecutionStats), PipelineError> {
+        let stats = CcStats {
+            rounds: self.net.rounds(),
+            total_words: self.net.total_words(),
+            repetitions: self.repetitions,
+            chosen_runs: self.chosen_runs,
+        };
+        let (result, _) = Executor::finish(self.engine)?;
+        Ok((result, ExecutionStats::CongestedClique(stats)))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::params::TradeoffParams;
     use crate::pipeline::{Algorithm, Backend, CcStats, SpannerRequest};
     use spanner_graph::generators::{self, WeightModel};
     use spanner_graph::verify::verify_spanner;

@@ -59,18 +59,20 @@
 //! | [`Algorithm::General`] | ✓ | ✓ | ✓ | ✓ | ✓ |
 //! | [`Algorithm::ClusterMerging`] | ✓ | ✓ | ✓ | ✓ | ✓ |
 //! | [`Algorithm::Corollary`] | ✓ | ✓ | ✓ | ✓ | ✓ |
-//! | [`Algorithm::BaswanaSen`] | ✓ | — | — | — | — |
+//! | [`Algorithm::BaswanaSen`] | ✓ | ✓ | ✓ | ✓ | ✓ |
 //! | [`Algorithm::SqrtK`] | ✓ | — | — | — | — |
 //! | [`Algorithm::UnweightedOk`] | ✓ | — | — | — | — |
 //!
-//! The engine-schedule algorithms (first three rows) draw shared coins
-//! from [`crate::coins`], so **the same request produces bit-identical
-//! spanner edges on every backend** — the cross-backend agreement tests
-//! pin this. The last three rows run on the sequential engine only: the
-//! distributed drivers close every epoch with a contraction, while
-//! Baswana–Sen, Section 3's and Appendix B's black box, runs Phase 2
-//! without one. Requesting them on another backend yields
-//! [`PipelineError::UnsupportedBackend`] with a hint.
+//! The first four rows are schedules: lists of grow, contract and
+//! Phase 2 steps that one loop walks on every backend (Baswana–Sen's
+//! has no contraction). They draw shared coins from [`crate::coins`],
+//! so **the same request produces bit-identical spanner edges on every
+//! backend** — the cross-backend agreement tests pin this. The last two
+//! rows run on the sequential engine only: Section 3 renumbers its
+//! contracted graph for its black box, which the distributed drivers do
+//! not model, and Appendix B has no distributed driver. Requesting them
+//! on another backend yields [`PipelineError::UnsupportedBackend`] with
+//! a hint.
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -81,6 +83,8 @@ use mpc_runtime::{Metrics, MpcConfig, MpcError};
 use spanner_graph::verify::verify_spanner;
 use spanner_graph::Graph;
 
+use crate::engine::Engine;
+use crate::general::{self, Executor as _, Step};
 use crate::params::TradeoffParams;
 use crate::result::SpannerResult;
 use crate::unweighted_ok::UnweightedOkConfig;
@@ -123,10 +127,9 @@ pub use mpc_runtime::NetworkModel;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Algorithm {
     /// The \[BS07] baseline: `k − 1` grow iterations and Phase 2 without
-    /// a contraction, stretch `2k−1` (sequential-only).
-    /// `General(TradeoffParams::baswana_sen(k))` has the same guarantees
-    /// on every backend, but takes a `k`-th step and contracts, so its
-    /// spanner differs.
+    /// a contraction, stretch `2k−1`.
+    /// `General(TradeoffParams::baswana_sen(k))` has the same guarantees,
+    /// but takes a `k`-th step and contracts, so its spanner differs.
     BaswanaSen {
         /// Size exponent (spanner size `O(k·n^{1+1/k})`).
         k: u32,
@@ -204,15 +207,6 @@ impl Algorithm {
                 .map(Some)
                 .map_err(|e| PipelineError::InvalidRequest(e.to_string())),
             _ => Ok(None),
-        }
-    }
-
-    /// The stretch bound the construction will stamp on its result
-    /// (specialised bounds where the theorems give tighter ones).
-    fn stretch_override(&self) -> Option<f64> {
-        match *self {
-            Algorithm::ClusterMerging { k } => Some((k as f64).powf(3f64.log2())),
-            _ => None,
         }
     }
 
@@ -354,6 +348,33 @@ impl Backend {
             Backend::CongestedClique { .. } => "congested-clique",
             Backend::Pram => "pram",
             Backend::Streaming => "streaming",
+        }
+    }
+
+    /// The cost of a run that built no backend state: the `k = 1` and
+    /// edgeless shortcut, which returns the whole graph.
+    fn idle_stats(&self, g: &Graph) -> ExecutionStats {
+        match *self {
+            Backend::Sequential => ExecutionStats::Sequential,
+            Backend::Mpc { deployment } => ExecutionStats::Mpc(MpcStats {
+                metrics: Metrics::default(),
+                config: deployment.config(g),
+            }),
+            Backend::CongestedClique { repetitions } => ExecutionStats::CongestedClique(CcStats {
+                rounds: 0,
+                total_words: 0,
+                repetitions,
+                chosen_runs: vec![],
+            }),
+            Backend::Pram => ExecutionStats::Pram(PramStats {
+                depth: 0,
+                work: 0,
+                log_star_n: log_star(g.n().max(2)),
+            }),
+            Backend::Streaming => ExecutionStats::Streaming(StreamingStats {
+                passes: 0,
+                quoted_stretch_exponent: 1.0,
+            }),
         }
     }
 
@@ -540,12 +561,12 @@ impl CancelToken {
 /// `Plan` next to the measured [`RunReport`] for predicted-vs-measured
 /// tables.
 ///
-/// `epochs`/`iterations` are the scheduled counts. An engine schedule
-/// runs every scheduled step on every backend, so the measured counts
-/// equal them, except on a graph with no edges, where the run returns
-/// the graph itself after no step. `SqrtK`'s inner Baswana–Sen
-/// returns early when the contracted graph has no edges, so there the
-/// measured counts can fall short of the plan.
+/// `epochs`/`iterations` are the scheduled counts. Every backend walks
+/// every scheduled step, so the measured counts equal them, except on a
+/// graph with no edges, where the run returns the graph itself after no
+/// step. `SqrtK`'s inner Baswana–Sen returns early when the contracted
+/// graph has no edges, so there the measured counts can fall short of
+/// the plan.
 #[derive(Debug, Clone)]
 pub struct Plan {
     /// Algorithm label.
@@ -553,7 +574,8 @@ pub struct Plan {
     /// Backend name.
     pub backend: &'static str,
     /// The resolved engine schedule, for engine algorithms; `None` for
-    /// Baswana–Sen, Section 3 and Appendix B, which run their own loops.
+    /// Baswana–Sen, whose `k − 1` grow steps never contract, and for
+    /// Section 3 and Appendix B, which build around Baswana–Sen.
     pub schedule: Option<TradeoffParams>,
     /// Scheduled clustering epochs (`l = ⌈log k / log(t+1)⌉`).
     pub epochs: u32,
@@ -868,12 +890,6 @@ impl<'g> SpannerRequest<'g> {
 
         let (schedule, epochs, iterations, stretch_bound, size_bound) = match self.algorithm {
             Algorithm::BaswanaSen { k } => {
-                require_sequential(&self.backend, &label, || {
-                    format!(
-                        "request Algorithm::General(TradeoffParams::baswana_sen({k})) \
-                         for the engine schedule with the same guarantees"
-                    )
-                })?;
                 // One epoch of k − 1 steps, bound 2k − 1; at k = 1 these
                 // read 0 epochs, 0 steps and stretch 1. No engine
                 // schedule: `TradeoffParams::baswana_sen(k)` takes a k-th
@@ -890,6 +906,12 @@ impl<'g> SpannerRequest<'g> {
                     )
                 })?;
                 let t = (k as f64).sqrt().ceil() as u32;
+                // Stretch: clusters of radius ≤ t (in hops,
+                // weighted-stretch property) connected by (2t−1)-stretch
+                // super-paths; the Theorem 3.4 accounting gives
+                // O(t·t') = O(k) with constant 4t·t' + 2t' + 1 ≤ 8k for
+                // t = t' = ⌈√k⌉ (each super-edge on the path detours
+                // through two cluster trees).
                 let (e, i, s) = if k == 1 {
                     (0, 0, 1.0)
                 } else {
@@ -926,12 +948,11 @@ impl<'g> SpannerRequest<'g> {
                     .algorithm
                     .schedule(n)?
                     .expect("engine algorithms resolve to a schedule");
-                let stretch = if p.k == 1 {
-                    1.0
-                } else {
-                    self.algorithm
-                        .stretch_override()
-                        .unwrap_or_else(|| p.stretch_bound())
+                // Cluster merging carries Theorem 4.10's tighter bound.
+                let stretch = match self.algorithm {
+                    _ if p.k == 1 => 1.0,
+                    Algorithm::ClusterMerging { k } => (k as f64).powf(3f64.log2()),
+                    _ => p.stretch_bound(),
                 };
                 (
                     Some(p),
@@ -1013,91 +1034,92 @@ impl<'g> SpannerRequest<'g> {
         })
     }
 
+    /// Runs the request on its backend and stamps the result with the
+    /// plan's label (a Corollary setting adds its `[k,t]`) and stretch
+    /// bound.
     fn execute(
         &self,
         plan: &Plan,
         guard: &BuildGuard,
     ) -> Result<(SpannerResult, ExecutionStats), PipelineError> {
-        let g = self.graph;
-        let seed = self.seed;
-        // Every driver checks the guard before each grow step and before
-        // Phase 2; this check also covers the drivers' k = 1 and
-        // edgeless shortcuts.
+        // Every walk checks the guard before each grow step and before
+        // Phase 2; this check also covers the k = 1 and edgeless
+        // shortcuts.
         guard.check()?;
-        let schedule = || plan.schedule.expect("plan() rejects non-engine algorithms");
-        let (result, stats) = match self.backend {
-            Backend::Sequential => (
-                self.run_sequential(plan, guard)?,
+        let (g, seed) = (self.graph, self.seed);
+        let (mut result, stats) = match self.algorithm {
+            Algorithm::SqrtK { k } => (
+                crate::sqrt_k::build(g, k, seed, guard)?,
                 ExecutionStats::Sequential,
             ),
-            Backend::Mpc { deployment } => {
-                let (result, stats) =
-                    crate::mpc_driver::run_mpc(g, schedule(), deployment.config(g), seed, guard)?;
-                (result, ExecutionStats::Mpc(stats))
-            }
-            Backend::CongestedClique { repetitions } => {
-                let (result, stats) = clique::run_cc(g, schedule(), seed, repetitions, guard)?;
-                (result, ExecutionStats::CongestedClique(stats))
-            }
-            Backend::Pram => {
-                let (result, stats) = pram_cost::run_pram(g, schedule(), seed, guard)?;
-                (result, ExecutionStats::Pram(stats))
-            }
-            Backend::Streaming => {
-                let (result, stats) = crate::streaming::run_streaming(g, schedule(), seed, guard)?;
-                (result, ExecutionStats::Streaming(stats))
-            }
+            Algorithm::UnweightedOk { k, config } => (
+                crate::unweighted_ok::build(g, k, config, seed, guard)?,
+                ExecutionStats::Sequential,
+            ),
+            _ => self.walk_schedule(plan, guard)?,
         };
-        Ok((self.finish_engine_result(result, plan), stats))
+        result.algorithm = match (self.algorithm, plan.schedule) {
+            (Algorithm::Corollary { .. }, Some(p)) => {
+                format!("{} [k={},t={}]", plan.algorithm, p.k, p.t)
+            }
+            _ => plan.algorithm.clone(),
+        };
+        result.stretch_bound = plan.stretch_bound;
+        Ok((result, stats))
     }
 
-    /// Sequential dispatch. Infallible once `plan()` has validated and
-    /// the guard never interrupts; with an armed guard, every algorithm
-    /// checks it between grow iterations and before its Phase 2, and
-    /// Section 3's and Appendix B's also between their phases and inside
-    /// their Baswana–Sen black boxes.
-    fn run_sequential(
+    /// Walks an engine or Baswana–Sen schedule on the request's backend,
+    /// and reports the walk's epochs and grow steps. `k = 1` keeps every
+    /// edge (a 1-spanner), and so does a graph without edges; both
+    /// return before any backend state is built.
+    fn walk_schedule(
         &self,
         plan: &Plan,
         guard: &BuildGuard,
-    ) -> Result<SpannerResult, PipelineError> {
-        let g = self.graph;
-        let seed = self.seed;
-        match self.algorithm {
-            Algorithm::BaswanaSen { k } => crate::general::run_baswana_sen(g, k, seed, guard),
-            Algorithm::SqrtK { k } => crate::sqrt_k::build(g, k, seed, guard),
-            Algorithm::UnweightedOk { k, config } => {
-                crate::unweighted_ok::build(g, k, config, seed, guard)
+    ) -> Result<(SpannerResult, ExecutionStats), PipelineError> {
+        let (g, seed) = (self.graph, self.seed);
+        let (params, steps): (_, Box<dyn Iterator<Item = Step>>) = match self.algorithm {
+            Algorithm::BaswanaSen { k } => (
+                TradeoffParams::baswana_sen(k),
+                Box::new(general::baswana_sen_steps(k, g.n())),
+            ),
+            _ => {
+                let params = plan
+                    .schedule
+                    .expect("engine algorithms resolve to a schedule");
+                (params, Box::new(general::engine_steps(params, g.n())))
             }
-            Algorithm::General(_)
-            | Algorithm::ClusterMerging { .. }
-            | Algorithm::Corollary { .. } => {
-                let params = plan.schedule.expect("engine schedule");
-                crate::general::run_general(g, params, seed, self.track_radii, guard)
+        };
+        if params.k == 1 || g.m() == 0 {
+            return Ok((
+                SpannerResult::whole_graph(g, ""),
+                self.backend.idle_stats(g),
+            ));
+        }
+        match self.backend {
+            Backend::Sequential => {
+                let mut engine = Engine::new(g, seed);
+                engine.track_radii = self.track_radii;
+                engine.run(steps, guard)
+            }
+            Backend::Mpc { deployment } => {
+                crate::mpc_driver::Driver::new(g, deployment.config(g), seed)?.run(steps, guard)
+            }
+            Backend::CongestedClique { repetitions } => {
+                clique::CcRun::new(g, seed, repetitions).run(steps, guard)
+            }
+            Backend::Pram => pram_cost::PramRun::new(g, seed).run(steps, guard),
+            Backend::Streaming => {
+                let (result, _) = Engine::new(g, seed).run(steps, guard)?;
+                // One pass per grow step, into which each contraction
+                // folds, and one for Phase 2.
+                let stats = StreamingStats {
+                    passes: result.iterations + 1,
+                    quoted_stretch_exponent: params.stretch_exponent(),
+                };
+                Ok((result, ExecutionStats::Streaming(stats)))
             }
         }
-    }
-
-    /// Applies algorithm-level label/bound specialisations to an
-    /// executed result (e.g. cluster merging's `k^{log 3}` bound and
-    /// label, the corollary settings' labels), so the report's result
-    /// matches the requested algorithm and the planned bound on
-    /// **every** backend. The sequential-only algorithms have none.
-    fn finish_engine_result(&self, mut r: SpannerResult, plan: &Plan) -> SpannerResult {
-        if let Some(bound) = self.algorithm.stretch_override() {
-            r.stretch_bound = bound;
-        }
-        match self.algorithm {
-            Algorithm::ClusterMerging { k } => {
-                r.algorithm = format!("cluster-merging(k={k})");
-            }
-            Algorithm::Corollary { setting, .. } => {
-                let params = plan.schedule.expect("engine schedule");
-                r.algorithm = format!("{} [k={},t={}]", setting.label(), params.k, params.t);
-            }
-            _ => {}
-        }
-        r
     }
 }
 
@@ -1147,8 +1169,8 @@ mod tests {
             .verification(Verification::Report)
             .run()
             .unwrap();
-        assert!(report.result.epochs <= report.plan.epochs);
-        assert!(report.result.iterations <= report.plan.iterations);
+        assert_eq!(report.result.epochs, report.plan.epochs);
+        assert_eq!(report.result.iterations, report.plan.iterations);
         assert_eq!(report.result.stretch_bound, report.plan.stretch_bound);
         assert!(report.verification.unwrap().ok());
     }
@@ -1234,7 +1256,7 @@ mod tests {
             .run()
             .unwrap()
             .result;
-        assert!(r.epochs <= 4, "log2(16) = 4 epochs, got {}", r.epochs);
+        assert_eq!(r.epochs, 4, "log2(16) = 4 epochs");
         assert_eq!(r.iterations, r.epochs, "t = 1: one iteration per epoch");
     }
 

@@ -1,5 +1,5 @@
 //! Work/depth accounting for the CRCW PRAM model and the PRAM
-//! execution loop (the pipeline's `Backend::Pram` driver).
+//! executor of a schedule (the pipeline's `Backend::Pram`).
 //!
 //! The paper's PRAM extension (end of Section 6): on a CRCW PRAM, each
 //! grow iteration costs `O(log* n)` depth — the hashing / semisorting /
@@ -9,11 +9,11 @@
 //! reports `depth ≈ iterations × Θ(log* n)`.
 
 use crate::engine::Engine;
-use crate::params::TradeoffParams;
+use crate::general::Executor;
 use crate::result::SpannerResult;
 use spanner_graph::Graph;
 
-use super::{BuildGuard, PipelineError, PramStats};
+use super::{ExecutionStats, PipelineError, PramStats};
 
 /// Iterated logarithm: the number of times `log₂` must be applied to `n`
 /// before the value drops to ≤ 1.
@@ -84,8 +84,9 @@ impl PramTracker {
     }
 }
 
-/// The general trade-off spanner on the CRCW PRAM, with measured
-/// work/depth (the cost model of Section 6's closing paragraphs):
+/// A schedule on the CRCW PRAM, with measured work/depth (the
+/// pipeline's `Backend::Pram` executor; the cost model of Section 6's
+/// closing paragraphs):
 ///
 /// * per grow iteration: one hashing pass (cluster sampling lookup
 ///   tables), one semisort (grouping edges by (super-node, neighbouring
@@ -94,70 +95,71 @@ impl PramTracker {
 ///   leader-pointer merges;
 /// * per contraction: one semisort (minimum edge per super-node pair)
 ///   and an `O(1)`-depth pointer relabel;
+/// * Phase 2: one more semisort over the residual edges;
 /// * work: proportional to the live edges touched.
 ///
 /// State evolution reuses the engine (identical coins and tie-breaks ⇒
 /// the spanner equals the sequential reference bit-for-bit).
-pub(crate) fn run_pram(
-    g: &Graph,
-    params: TradeoffParams,
-    seed: u64,
-    guard: &BuildGuard,
-) -> Result<(SpannerResult, PramStats), PipelineError> {
-    let n = g.n();
-    let mut tracker = PramTracker::new(n.max(2));
-    let algorithm = format!("pram-general(k={},t={})", params.k, params.t);
+pub(crate) struct PramRun<'g> {
+    engine: Engine<'g>,
+    tracker: PramTracker,
+}
 
-    if params.k == 1 || g.m() == 0 {
-        let stats = PramStats {
-            depth: 0,
-            work: 0,
-            log_star_n: log_star(n.max(2)),
-        };
-        return Ok((SpannerResult::whole_graph(g, algorithm), stats));
-    }
-
-    let mut engine = Engine::new(g, seed);
-    let l = params.epochs();
-    for epoch in 1..=l {
-        let p = params.sampling_probability(n, epoch);
-        for iter in 1..=params.t {
-            guard.check()?;
-            let live = engine.live_edge_count() as u64;
-            let clusters = engine.cluster_count() as u64;
-            // Hashing: coin lookups per cluster.
-            tracker.primitive(clusters);
-            // Semisort: group candidate edges by (super-node, cluster).
-            tracker.primitive(2 * live);
-            // Generalised find-min: nearest sampled cluster per node.
-            tracker.primitive(live);
-            // Leader-pointer merge of joiners (union-find style, O(1)).
-            tracker.step(clusters);
-            engine.run_iteration(p, epoch, iter);
+impl<'g> PramRun<'g> {
+    /// A fresh engine on `g` and a zeroed tracker.
+    pub(crate) fn new(g: &'g Graph, seed: u64) -> Self {
+        PramRun {
+            engine: Engine::new(g, seed),
+            tracker: PramTracker::new(g.n().max(2)),
         }
-        // Contraction: semisort for min-per-pair, pointer relabel.
-        let live = engine.live_edge_count() as u64;
-        tracker.primitive(live);
-        tracker.step(engine.supernode_count() as u64);
-        engine.contract();
     }
-    // Phase 2: one more semisort over the residual edges.
-    guard.check()?;
-    tracker.primitive(engine.live_edge_count() as u64);
-    engine.phase2();
+}
 
-    let result = engine.finish(algorithm, params.stretch_bound());
-    let stats = PramStats {
-        depth: tracker.depth(),
-        work: tracker.work(),
-        log_star_n: log_star(n.max(2)),
-    };
-    Ok((result, stats))
+impl Executor for PramRun<'_> {
+    fn grow(&mut self, p: f64, epoch: u32, iter: u32) -> Result<(), PipelineError> {
+        let live = self.engine.live_edge_count() as u64;
+        let clusters = self.engine.cluster_count() as u64;
+        // Hashing: coin lookups per cluster.
+        self.tracker.primitive(clusters);
+        // Semisort: group candidate edges by (super-node, cluster).
+        self.tracker.primitive(2 * live);
+        // Generalised find-min: nearest sampled cluster per node.
+        self.tracker.primitive(live);
+        // Leader-pointer merge of joiners (union-find style, O(1)).
+        self.tracker.step(clusters);
+        self.engine.run_iteration(p, epoch, iter);
+        Ok(())
+    }
+
+    fn contract(&mut self) -> Result<(), PipelineError> {
+        // Semisort for min-per-pair, pointer relabel.
+        self.tracker.primitive(self.engine.live_edge_count() as u64);
+        self.tracker.step(self.engine.supernode_count() as u64);
+        self.engine.contract();
+        Ok(())
+    }
+
+    fn phase2(&mut self) -> Result<(), PipelineError> {
+        self.tracker.primitive(self.engine.live_edge_count() as u64);
+        self.engine.phase2();
+        Ok(())
+    }
+
+    fn finish(self) -> Result<(SpannerResult, ExecutionStats), PipelineError> {
+        let stats = PramStats {
+            depth: self.tracker.depth(),
+            work: self.tracker.work(),
+            log_star_n: log_star(self.tracker.n),
+        };
+        let (result, _) = Executor::finish(self.engine)?;
+        Ok((result, ExecutionStats::Pram(stats)))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::params::TradeoffParams;
     use crate::pipeline::{Algorithm, Backend, PramStats, SpannerRequest};
     use spanner_graph::generators::{self, WeightModel};
 

@@ -22,14 +22,17 @@
 use spanner_graph::Graph;
 
 use crate::engine::Engine;
-use crate::pipeline::{BuildGuard, PipelineError};
+use crate::general::{engine_steps, walk};
+use crate::params::TradeoffParams;
+use crate::pipeline::{Algorithm, BuildGuard, PipelineError, SpannerRequest};
 use crate::result::SpannerResult;
 
 /// Builds the Section 3 two-phase spanner: stretch `O(k)`, size
 /// `O(√k·n^{1+1/k})`, `O(√k)` grow iterations (the pipeline's
-/// sequential `Algorithm::SqrtK` driver). The guard is checked before
-/// every phase-1 grow iteration, between the phases, and inside the
-/// black box, before each of its grow iterations and its Phase 2.
+/// sequential `Algorithm::SqrtK` driver; the pipeline stamps the label
+/// and the stretch bound). The guard is checked before every phase-1
+/// grow iteration, between the phases, and inside the black box, before
+/// each of its grow iterations and its Phase 2.
 pub(crate) fn build(
     g: &Graph,
     k: u32,
@@ -37,44 +40,28 @@ pub(crate) fn build(
     guard: &BuildGuard,
 ) -> Result<SpannerResult, PipelineError> {
     debug_assert!(k >= 1, "validated by plan()");
-    let algorithm = format!("sqrt-k(k={k})");
     if k == 1 || g.m() == 0 {
-        return Ok(SpannerResult::whole_graph(g, algorithm));
+        return Ok(SpannerResult::whole_graph(g, ""));
     }
 
-    let n = g.n();
-    let t = (k as f64).sqrt().ceil() as u32;
-    let p = (n.max(2) as f64).powf(-1.0 / k as f64);
-
-    // Phase 1: t grow iterations, then contraction.
+    // Phase 1: the first epoch of the t = ⌈√k⌉ schedule, t grow
+    // iterations at n^{-1/k} and a contraction.
+    let params = TradeoffParams::sqrt_k(k);
     let mut engine = Engine::new(g, seed);
-    for iter in 1..=t {
-        guard.check()?;
-        engine.run_iteration(p, 1, iter);
-    }
-    engine.contract();
+    let phase1 = engine_steps(params, g.n()).take(params.t as usize + 1);
+    let (_, phase1_iterations) = walk(phase1, &mut engine, guard)?;
 
     // Phase 2: Baswana–Sen black box on the super-graph.
     guard.check()?;
     let q = engine.quotient_graph();
-    let phase1_iterations = engine.iterations_run;
-    let bs = crate::general::run_baswana_sen(
-        &q.graph,
-        t,
-        crate::coins::splitmix64(seed ^ 0x5af3_7a11),
-        guard,
-    )?;
+    let bs = SpannerRequest::new(&q.graph, Algorithm::BaswanaSen { k: params.t })
+        .seed(crate::coins::splitmix64(seed ^ 0x5af3_7a11))
+        .run_guarded(guard)?
+        .result;
     engine.add_spanner_edges(bs.edges.iter().map(|&qid| q.edge_origin[qid as usize]));
     engine.discard_live_edges();
 
-    // Stretch: clusters of radius ≤ t (in hops, weighted-stretch
-    // property) connected by (2t−1)-stretch super-paths; the Theorem 3.4
-    // accounting gives O(t·t') = O(k) with constant 4t·t' + 2t' + 1 ≤ 8k
-    // for t = t' = ⌈√k⌉ (each super-edge on the path detours through two
-    // cluster trees).
-    let tt = t as f64;
-    let stretch_bound = (2.0 * tt + 1.0) * (2.0 * tt - 1.0) + 2.0 * tt;
-    let mut r = engine.finish(algorithm, stretch_bound);
+    let mut r = engine.finish("", 0.0);
     r.iterations = phase1_iterations + bs.iterations;
     r.epochs = 2;
     Ok(r)

@@ -9,71 +9,21 @@
 //! `k^{log 3}` in the same `log k` passes, *and* handles weights; the
 //! general schedule reaches `k^{1+o(1)}` in `O(log²k/log log k)` passes.
 //!
-//! This module runs the engine under a pass-accounting wrapper: each
-//! grow iteration touches every stream edge once (one pass), and each
-//! contraction's min-per-pair reduction folds into the same pass (it is
-//! computable from the sketches the pass maintains). The output spanner
-//! is identical to the sequential reference — the accounting is the
-//! only new thing, matching how §2.4 equates passes with rounds.
-
-use spanner_graph::Graph;
-
-use crate::engine::Engine;
-use crate::params::TradeoffParams;
-use crate::pipeline::{BuildGuard, PipelineError, StreamingStats};
-use crate::result::SpannerResult;
-
-/// The pass-accounting loop: runs the general algorithm as a
-/// multi-pass dynamic-stream algorithm (the pipeline's
-/// `Backend::Streaming` driver). The spanner is identical to the
-/// sequential reference's; the stats count the stream passes (grow
-/// iterations + 1 for Phase 2) and quote the Section 2.4 stretch/pass
-/// trade for this `t`.
-pub(crate) fn run_streaming(
-    g: &Graph,
-    params: TradeoffParams,
-    seed: u64,
-    guard: &BuildGuard,
-) -> Result<(SpannerResult, StreamingStats), PipelineError> {
-    let n = g.n();
-    if params.k == 1 || g.m() == 0 {
-        let stats = StreamingStats {
-            passes: 0,
-            quoted_stretch_exponent: 1.0,
-        };
-        let algorithm = format!("streaming(k={},t={})", params.k, params.t);
-        return Ok((SpannerResult::whole_graph(g, algorithm), stats));
-    }
-    let mut engine = Engine::new(g, seed);
-    let mut passes = 0u32;
-    for epoch in 1..=params.epochs() {
-        let p = params.sampling_probability(n, epoch);
-        for iter in 1..=params.t {
-            guard.check()?;
-            engine.run_iteration(p, epoch, iter);
-            passes += 1; // one pass over the stream per grow iteration
-        }
-        engine.contract(); // folded into the last pass's sketches
-    }
-    guard.check()?;
-    engine.phase2();
-    passes += 1; // final pass emits the residual minima
-    let result = engine.finish(
-        format!("streaming(k={},t={})", params.k, params.t),
-        params.stretch_bound(),
-    );
-    let stats = StreamingStats {
-        passes,
-        quoted_stretch_exponent: params.stretch_exponent(),
-    };
-    Ok((result, stats))
-}
+//! The pipeline's `Backend::Streaming` walks a schedule on the plain
+//! engine and counts passes: each grow step touches every stream edge
+//! once (one pass), each contraction's min-per-pair reduction folds
+//! into the same pass (it is computable from the sketches the pass
+//! maintains), and Phase 2 takes one more. So a run takes its grow
+//! steps + 1 passes, Baswana–Sen's `k − 1` steps included. The output
+//! spanner is identical to the sequential reference — the accounting is
+//! the only new thing, matching how §2.4 equates passes with rounds.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::params::TradeoffParams;
     use crate::pipeline::{Algorithm, Backend, SpannerRequest};
     use spanner_graph::generators::{self, WeightModel};
+    use spanner_graph::Graph;
 
     fn stream(g: &Graph, params: TradeoffParams, seed: u64) -> crate::pipeline::RunReport {
         SpannerRequest::new(g, Algorithm::General(params))

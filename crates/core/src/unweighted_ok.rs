@@ -44,8 +44,7 @@ use spanner_graph::shortest_paths::capped_bfs_ball;
 use spanner_graph::{Graph, GraphBuilder};
 
 use crate::coins::splitmix64;
-use crate::general::run_baswana_sen;
-use crate::pipeline::{BuildGuard, PipelineError};
+use crate::pipeline::{Algorithm, BuildGuard, PipelineError, SpannerRequest};
 use crate::result::SpannerResult;
 
 /// Tuning knobs of the Appendix B construction.
@@ -89,7 +88,8 @@ pub struct UnweightedOkStats {
 }
 
 /// Builds the Theorem 1.3 spanner (the pipeline's sequential
-/// `Algorithm::UnweightedOk` driver). The input must be unweighted
+/// `Algorithm::UnweightedOk` driver; the pipeline stamps the label and
+/// the stretch bound). The input must be unweighted
 /// ([`Graph::unweighted_copy`] otherwise; `plan()` rejects weighted
 /// input with a typed error). The decomposition statistics ride inside
 /// the result ([`SpannerResult::decomposition`]). The guard is checked
@@ -103,10 +103,9 @@ pub(crate) fn build(
     guard: &BuildGuard,
 ) -> Result<SpannerResult, PipelineError> {
     debug_assert!(k >= 1 && g.is_unweighted(), "validated by plan()");
-    let algorithm = format!("unweighted-ok(k={k},gamma={})", cfg.gamma);
     let n = g.n();
     if k == 1 || g.m() == 0 {
-        let mut r = SpannerResult::whole_graph(g, algorithm);
+        let mut r = SpannerResult::whole_graph(g, "");
         r.decomposition = Some(UnweightedOkStats {
             sparse: n,
             dense_assigned: 0,
@@ -203,7 +202,10 @@ pub(crate) fn build(
     guard.check()?;
 
     // ---- 2. Sparse side: shared-randomness Baswana–Sen. ----
-    let bs = run_baswana_sen(g, k, seed, guard)?;
+    let bs = SpannerRequest::new(g, Algorithm::BaswanaSen { k })
+        .seed(seed)
+        .run_guarded(guard)?
+        .result;
     // Vertices within k+1 hops of a sparse vertex (multi-source BFS).
     let mut near_sparse = vec![false; n];
     {
@@ -253,7 +255,7 @@ pub(crate) fn build(
         }
     }
     let aux_edges = aux.len();
-    let (k_h, iterations, stretch_bound) = schedule(k, cfg);
+    let (k_h, iterations, _) = schedule(k, cfg);
     if !aux.is_empty() {
         // Compact Z for the Graph type.
         let z_ids: Vec<u32> = {
@@ -280,7 +282,10 @@ pub(crate) fn build(
             .iter()
             .map(|he| aux[&ordered(z_ids[he.u as usize], z_ids[he.v as usize])])
             .collect();
-        let h_spanner = run_baswana_sen(&h, k_h, splitmix64(seed ^ 0x7777), guard)?;
+        let h_spanner = SpannerRequest::new(&h, Algorithm::BaswanaSen { k: k_h })
+            .seed(splitmix64(seed ^ 0x7777))
+            .run_guarded(guard)?
+            .result;
         for &hid in &h_spanner.edges {
             spanner.push(origin[hid as usize]);
         }
@@ -290,10 +295,10 @@ pub(crate) fn build(
         edges: spanner,
         epochs: 1,
         iterations,
-        stretch_bound,
+        stretch_bound: 0.0,
         radius_per_epoch: vec![],
         supernodes_per_epoch: vec![],
-        algorithm,
+        algorithm: String::new(),
         decomposition: Some(UnweightedOkStats {
             sparse,
             dense_assigned,

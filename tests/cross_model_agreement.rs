@@ -4,7 +4,7 @@
 //! disabled) and the streaming pass counter — must produce **identical
 //! spanners and schedules** from the same seed, because all of them draw
 //! coins from `spanner_core::coins`, break ties by `(weight, edge id)`
-//! and run every scheduled grow step.
+//! and walk every scheduled step.
 //!
 //! This is the strongest correctness check in the repository: a
 //! divergence in any driver's join/kill/contract logic shows up as an
@@ -56,24 +56,29 @@ fn all_four_drivers_agree() {
     // The four model drivers against the sequential reference: the same
     // edges, epochs, grow steps and super-node counts. At (64, 6) most
     // of these graphs run out of edges before the last epoch, and the
-    // schedule still runs to its end on every backend.
+    // schedule still runs to its end on every backend. Baswana–Sen's
+    // schedule never contracts, so its Phase 2 runs on the last grow
+    // step's clusters.
     let backends = [
         Backend::mpc_gamma(0.5),
         Backend::Pram,
         Backend::congested_clique(),
         Backend::Streaming,
     ];
+    let general =
+        [(4u32, 2u32), (8, 3), (64, 6)].map(|(k, t)| Algorithm::General(TradeoffParams::new(k, t)));
+    let baswana_sen = [2u32, 3, 5, 8].map(|k| Algorithm::BaswanaSen { k });
     let shape = |r: SpannerResult| (r.edges, r.epochs, r.iterations, r.supernodes_per_epoch);
     for (name, g) in families() {
-        for (k, t) in [(4u32, 2u32), (8, 3), (64, 6)] {
-            let general = Algorithm::General(TradeoffParams::new(k, t));
+        for algorithm in general.into_iter().chain(baswana_sen) {
             for seed in [1u64, 99] {
-                let seq = shape(run(&g, general, Backend::Sequential, seed));
+                let seq = shape(run(&g, algorithm, Backend::Sequential, seed));
                 for backend in backends {
                     assert_eq!(
-                        shape(run(&g, general, backend, seed)),
+                        shape(run(&g, algorithm, backend, seed)),
                         seq,
-                        "{name} k={k} t={t} seed={seed}: {} diverged",
+                        "{name} {} seed={seed}: {} diverged",
+                        algorithm.label(),
                         backend.name()
                     );
                 }

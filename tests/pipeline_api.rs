@@ -1,10 +1,10 @@
 //! The unified pipeline's contract:
 //!
 //! 1. **One request, every backend** — a single `SpannerRequest` with an
-//!    engine-schedule algorithm runs unmodified on Sequential, Mpc,
-//!    CongestedClique, Pram and Streaming, and all five produce
-//!    identical spanner edges at a fixed seed (shared coins, identical
-//!    tie-breaks).
+//!    engine-schedule or Baswana–Sen algorithm runs unmodified on
+//!    Sequential, Mpc, CongestedClique, Pram and Streaming, and all five
+//!    produce identical spanner edges at a fixed seed (shared coins,
+//!    identical tie-breaks).
 //! 2. **plan() predicts run()** — the predicted epochs/iterations are
 //!    exact on every input with edges (property-tested over all four
 //!    Corollary 1.2 settings), and the predicted stretch bound always
@@ -22,6 +22,7 @@ use rayon::prelude::*;
 use mpc_spanners::core::unweighted_ok::UnweightedOkConfig;
 use mpc_spanners::core::TradeoffParams;
 use mpc_spanners::graph::generators::{self, Family, WeightModel};
+use mpc_spanners::graph::GraphBuilder;
 use mpc_spanners::pipeline::{
     Algorithm, Backend, CorollarySetting, PipelineError, SpannerRequest, Verification,
 };
@@ -48,8 +49,8 @@ fn one_request_runs_on_every_backend_with_identical_edges() {
             size: 8,
         },
     ];
-    // Every engine-schedule algorithm, not just General: the README
-    // advertises the five-backend agreement for all three.
+    // Every schedule algorithm, not just General: the README
+    // advertises the five-backend agreement for all four.
     let algorithms = [
         Algorithm::General(TradeoffParams::new(8, 3)),
         Algorithm::ClusterMerging { k: 8 },
@@ -57,6 +58,7 @@ fn one_request_runs_on_every_backend_with_identical_edges() {
             setting: CorollarySetting::LogK,
             k: 8,
         },
+        Algorithm::BaswanaSen { k: 4 },
     ];
     for family in families {
         let g = family.generate(WeightModel::Uniform(1, 32), 0xF00D);
@@ -79,11 +81,8 @@ fn one_request_runs_on_every_backend_with_identical_edges() {
                 );
                 assert_eq!(report.plan.backend, backend.name());
                 // The report names the algorithm the user requested on
-                // every backend (General keeps the per-model executor
-                // labels) and always carries the planned bound.
-                if !matches!(algorithm, Algorithm::General(_)) {
-                    assert_eq!(report.result.algorithm, reference.algorithm);
-                }
+                // every backend and always carries the planned bound.
+                assert_eq!(report.result.algorithm, reference.algorithm);
                 assert_eq!(report.result.stretch_bound, report.plan.stretch_bound);
                 // The common stats surface: every model backend reports a
                 // headline cost; the sequential reference reports none.
@@ -112,6 +111,34 @@ fn verification_policy_is_honoured_on_every_backend() {
             "{}",
             backend.name()
         );
+    }
+}
+
+#[test]
+fn an_edgeless_graph_reports_the_planned_bound_on_every_backend() {
+    // The run returns the graph itself after no step, and still carries
+    // the bound its plan promised.
+    let g = GraphBuilder::new(10).build();
+    let algorithms = [
+        Algorithm::General(TradeoffParams::new(4, 2)),
+        Algorithm::BaswanaSen { k: 4 },
+        Algorithm::ClusterMerging { k: 4 },
+    ];
+    for algorithm in algorithms {
+        for backend in all_backends() {
+            let report = SpannerRequest::new(&g, algorithm)
+                .on(backend)
+                .run()
+                .unwrap_or_else(|e| panic!("{} on {}: {e}", algorithm.label(), backend.name()));
+            assert!(report.result.edges.is_empty());
+            assert_eq!(
+                report.result.stretch_bound,
+                report.plan.stretch_bound,
+                "{} on {}",
+                algorithm.label(),
+                backend.name()
+            );
+        }
     }
 }
 
@@ -146,9 +173,9 @@ proptest! {
 
 #[test]
 fn plan_matches_run_for_custom_sequential_algorithms() {
-    // BaswanaSen / SqrtK / UnweightedOk run their own loops, not an
-    // engine schedule, and predict their bounds with formulas kept
-    // alongside the builders; pin that the two stay in sync. SqrtK's
+    // BaswanaSen / SqrtK / UnweightedOk have no engine schedule, and
+    // predict their counts with formulas kept in plan(); pin that they
+    // match what the walk and the builders report. SqrtK's
     // black box returns early when the contracted graph has no edges
     // (`Plan` documents it); none of these inputs reaches that, so the
     // counts match exactly. The stretch bound always does.
@@ -261,11 +288,18 @@ fn appendix_b_stops_at_its_deadline_inside_the_auxiliary_baswana_sen() {
 
 #[test]
 fn every_backend_stops_at_its_deadline_between_grow_steps() {
-    // One epoch of u32::MAX grow steps: no backend can finish it, so
-    // each must stop at the deadline, checked before every grow step.
+    // One epoch of about u32::MAX grow steps: no backend can finish it,
+    // so each must stop at the deadline, checked before every grow step.
+    // Both step lists are lazy, or building them would not end either.
     let g = generators::connected_erdos_renyi(60, 0.1, WeightModel::Uniform(1, 8), 5);
-    let algorithm = Algorithm::General(TradeoffParams::baswana_sen(u32::MAX));
-    for backend in all_backends() {
+    let algorithms = [
+        Algorithm::General(TradeoffParams::baswana_sen(u32::MAX)),
+        Algorithm::BaswanaSen { k: u32::MAX },
+    ];
+    for (algorithm, backend) in algorithms
+        .into_iter()
+        .flat_map(|a| all_backends().map(|b| (a, b)))
+    {
         let request = SpannerRequest::new(&g, algorithm)
             .on(backend)
             .deadline(Duration::from_millis(200));
@@ -275,12 +309,14 @@ fn every_backend_stops_at_its_deadline_between_grow_steps() {
             .expect_err("the build cannot finish in 200 ms");
         assert!(
             matches!(err, PipelineError::DeadlineExceeded { .. }),
-            "{}: expected a deadline error, got {err}",
+            "{} on {}: expected a deadline error, got {err}",
+            algorithm.label(),
             backend.name()
         );
         assert!(
             started.elapsed() < Duration::from_secs(10),
-            "{}: the deadline stopped the build only after {:?}",
+            "{} on {}: the deadline stopped the build only after {:?}",
+            algorithm.label(),
             backend.name(),
             started.elapsed()
         );
@@ -289,8 +325,9 @@ fn every_backend_stops_at_its_deadline_between_grow_steps() {
 
 #[test]
 fn plan_is_exact_when_the_schedule_completes() {
-    // Dense enough that no epoch exhausts the live edges: the measured
-    // schedule equals the plan for every corollary setting.
+    // Every backend walks every scheduled step, so on any graph with
+    // edges the measured schedule equals the plan for every corollary
+    // setting.
     let g = generators::connected_erdos_renyi(300, 0.15, WeightModel::Uniform(1, 64), 9);
     for setting in CorollarySetting::all() {
         let request = SpannerRequest::new(&g, Algorithm::Corollary { setting, k: 9 }).seed(17);
@@ -308,6 +345,7 @@ fn plan_is_exact_when_the_schedule_completes() {
 #[test]
 fn batch_mixes_backends_and_survives_malformed_requests() {
     let g = generators::connected_erdos_renyi(90, 0.1, WeightModel::Uniform(1, 8), 2);
+    let topo = g.unweighted_copy();
     let params = TradeoffParams::new(4, 2);
     let requests = [
         SpannerRequest::new(&g, Algorithm::General(params)).seed(5),
@@ -323,9 +361,15 @@ fn batch_mixes_backends_and_survives_malformed_requests() {
             },
         ),
         // Unsupported combination: typed error, not a panic.
-        SpannerRequest::new(&g, Algorithm::BaswanaSen { k: 4 })
-            .on(Backend::Streaming)
-            .seed(5),
+        SpannerRequest::new(
+            &topo,
+            Algorithm::UnweightedOk {
+                k: 4,
+                config: UnweightedOkConfig::default(),
+            },
+        )
+        .on(Backend::Streaming)
+        .seed(5),
         SpannerRequest::new(&g, Algorithm::General(params))
             .on(Backend::congested_clique())
             .seed(5),
