@@ -41,7 +41,6 @@ pub struct PramTracker {
     pub n: usize,
     depth: u64,
     work: u64,
-    primitive_invocations: u64,
 }
 
 impl PramTracker {
@@ -51,7 +50,6 @@ impl PramTracker {
             n,
             depth: 0,
             work: 0,
-            primitive_invocations: 0,
         }
     }
 
@@ -65,7 +63,6 @@ impl PramTracker {
     pub fn primitive(&mut self, work: u64) {
         self.depth += log_star(self.n).max(1) as u64;
         self.work += work;
-        self.primitive_invocations += 1;
     }
 
     /// Accumulated depth.
@@ -76,11 +73,6 @@ impl PramTracker {
     /// Accumulated work.
     pub fn work(&self) -> u64 {
         self.work
-    }
-
-    /// Number of `log*`-depth primitives invoked.
-    pub fn primitive_invocations(&self) -> u64 {
-        self.primitive_invocations
     }
 }
 
@@ -235,6 +227,5 @@ mod tests {
         t.primitive(1000);
         assert_eq!(t.depth(), 1 + 4);
         assert_eq!(t.work(), 1100);
-        assert_eq!(t.primitive_invocations(), 1);
     }
 }

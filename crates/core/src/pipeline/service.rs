@@ -54,22 +54,27 @@
 //!   spec to the service and return the same [`RunReport`] /
 //!   [`DistanceOracle`] types, `Arc`'d out of the artifact store; the
 //!   [`JobQueue`](super::JobQueue) schedules specs;
-//! * [`LruStore`] — the one memory-budgeted artifact store: every
-//!   artifact is sized through the [`HeapSize`] trait and the
-//!   least-recently-used entries are evicted once the byte budget
+//! * [`LruStore`] — the one cache: a memory-budgeted artifact store
+//!   whose one map holds, per key, the build in flight or the stored
+//!   artifact. Every artifact is sized through the [`HeapSize`] trait
+//!   and the least-recently-used ones are evicted once the byte budget
 //!   ([`SpannerService::with_budget`], the service's only setting) is
 //!   exceeded;
 //! * [`ServiceStats`] — hit/miss/eviction/latency counters.
 //!
-//! Every job, blocking or queued, is served by one path: it renders its
-//! artifact key, answers from the store on a hit, and otherwise checks
-//! its [`BuildGuard`], builds and stores the artifact.
+//! Every job, blocking or queued, renders its artifact key and is served
+//! by one path, [`LruStore::serve`]: a hit answers from the store, and a
+//! miss checks the job's [`BuildGuard`] and builds.
 //!
 //! Builds are **single-flight**: one build per key at a time. The first
-//! job to miss a key registers it as in flight and leads the build;
-//! every job that misses the same key meanwhile follows it, waits, and
-//! is handed the leader's `Arc`, counted as a hit. A follower also
-//! shares the leader's error, except one from the leader's own guard
+//! job to miss a key puts its build in flight into the store's map and
+//! leads it; every job that misses the same key meanwhile finds that
+//! entry, follows it, waits, and is handed the leader's `Arc`, counted
+//! as a hit. When the build lands, the leader swaps its entry for the
+//! artifact under the store's lock (or removes it, if the build failed
+//! or the artifact outgrows the budget), evicts down to budget, and
+//! only then wakes its followers. A follower also shares the leader's
+//! error, except one from the leader's own guard
 //! ([`PipelineError::Cancelled`], [`PipelineError::DeadlineExceeded`]):
 //! then the followers go back to the store, and one of them builds under
 //! its own guard. A follower waits under its own guard too, so its own
@@ -84,7 +89,6 @@
 //! [`SpannerRequest::run`] / [`DistanceRequest::build`], so both produce
 //! bit-identical artifacts at equal seeds.
 
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -167,6 +171,14 @@ impl HeapSize for JobOutput {
 // The budgeted LRU store
 // ---------------------------------------------------------------------
 
+/// What the store holds for a key: the build in flight, or the stored
+/// artifact.
+#[derive(Debug)]
+enum Slot<V> {
+    Building(Arc<Flight<V>>),
+    Stored(StoreEntry<V>),
+}
+
 #[derive(Debug)]
 struct StoreEntry<V> {
     value: V,
@@ -176,9 +188,10 @@ struct StoreEntry<V> {
 
 #[derive(Debug)]
 struct LruInner<K, V> {
-    map: HashMap<K, StoreEntry<V>>,
-    /// Recency index: `last_used` tick → key (ticks are unique), so the
-    /// LRU victim is `pop_first()` instead of a full map scan.
+    map: HashMap<K, Slot<V>>,
+    /// Recency index over the stored artifacts: `last_used` tick → key
+    /// (ticks are unique), so the LRU victim is `pop_first()` instead of
+    /// a full map scan.
     order: std::collections::BTreeMap<u64, K>,
     used: usize,
     tick: u64,
@@ -186,25 +199,31 @@ struct LruInner<K, V> {
 }
 
 impl<K: Eq + Hash + Clone, V> LruInner<K, V> {
-    /// Moves an existing entry to the front of the recency order.
-    fn touch(&mut self, key: &K) -> Option<&StoreEntry<V>> {
+    /// The slot for `key`; a stored artifact moves to the front of the
+    /// recency order.
+    fn touch(&mut self, key: &K) -> Option<&Slot<V>> {
         self.tick += 1;
         let tick = self.tick;
-        let entry = self.map.get_mut(key)?;
-        self.order.remove(&entry.last_used);
-        entry.last_used = tick;
-        self.order.insert(tick, key.clone());
-        Some(entry)
+        let slot = self.map.get_mut(key)?;
+        if let Slot::Stored(entry) = slot {
+            self.order.remove(&entry.last_used);
+            entry.last_used = tick;
+            self.order.insert(tick, key.clone());
+        }
+        Some(slot)
     }
 }
 
-/// A thread-safe, memory-budgeted map with least-recently-used
-/// eviction. Values carry an explicit byte size (usually
-/// [`HeapSize::heap_size`]); once the running total exceeds the budget,
-/// least-recently-touched entries are evicted until it fits. An entry
-/// larger than the whole budget is never admitted in the first place —
-/// the caller still gets its value back, and the warm entries (which
-/// do fit) are left untouched.
+/// A thread-safe, memory-budgeted artifact store with single-flight
+/// builds and least-recently-used eviction. One map holds everything
+/// the store knows about a key: the build in flight, or the stored
+/// artifact with its [`HeapSize`] and recency. [`LruStore::serve`] is
+/// its one way in.
+///
+/// Once the stored total exceeds the budget, least-recently-touched
+/// artifacts are evicted until it fits. An artifact larger than the
+/// whole budget is never stored in the first place — its callers still
+/// get it, and the warm entries (which do fit) are left untouched.
 ///
 /// This is the artifact store behind [`SpannerService`].
 #[derive(Debug)]
@@ -213,9 +232,11 @@ pub struct LruStore<K, V> {
     inner: TrackedMutex<LruInner<K, V>>,
 }
 
-impl<K: Eq + Hash + Clone, V: Clone> LruStore<K, V> {
+impl<K: Eq + Hash + Clone, V: Clone + HeapSize> LruStore<K, V> {
     /// An empty store with the given byte budget (`usize::MAX` for
-    /// "track recency but never evict"; `0` disables caching entirely).
+    /// "track recency but never evict"). At `0` it stores no artifact of
+    /// positive size, while jobs that miss one key at once still share
+    /// one build.
     pub fn new(budget_bytes: usize) -> Self {
         LruStore {
             budget: budget_bytes,
@@ -237,12 +258,12 @@ impl<K: Eq + Hash + Clone, V: Clone> LruStore<K, V> {
         self.budget
     }
 
-    /// Number of cached entries.
+    /// Number of stored artifacts (builds in flight are not counted).
     pub fn len(&self) -> usize {
-        self.lock().map.len()
+        self.lock().order.len()
     }
 
-    /// Whether the store is empty.
+    /// Whether no artifact is stored.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -252,74 +273,125 @@ impl<K: Eq + Hash + Clone, V: Clone> LruStore<K, V> {
         self.lock().used
     }
 
-    /// Entries evicted over the store's lifetime (budget pressure only;
-    /// explicit [`LruStore::purge`] removals are not counted).
+    /// Artifacts evicted or never admitted under budget pressure over
+    /// the store's lifetime (explicit [`LruStore::purge`] removals are
+    /// not counted).
     pub fn evictions(&self) -> u64 {
         self.lock().evictions
     }
 
-    /// Fetches and touches (marks most-recently-used) an entry.
+    /// Fetches and touches (marks most-recently-used) a stored artifact.
     pub fn get(&self, key: &K) -> Option<V> {
-        let mut inner = self.lock();
-        inner.touch(key).map(|e| e.value.clone())
+        match self.lock().touch(key) {
+            Some(Slot::Stored(entry)) => Some(entry.value.clone()),
+            _ => None,
+        }
     }
 
-    /// Inserts `value` under `key` unless the key is already present;
-    /// either way returns the entry the store now serves (first insert
-    /// wins, so concurrent builders of the same key converge on one
-    /// artifact). Evicts LRU entries as needed afterwards.
-    pub fn insert_or_get(&self, key: K, value: V, size: usize) -> V {
-        let mut inner = self.lock();
-        let winner = if let Some(existing) = inner.touch(&key) {
-            existing.value.clone()
-        } else if size > self.budget {
-            // Never cacheable: inserting first and evicting down would
-            // pop every (still-fitting) warm entry before this one —
-            // wiping the store for nothing. Leave the warm entries be.
-            inner.evictions += 1;
-            value
-        } else {
-            inner.tick += 1;
-            let tick = inner.tick;
-            let value2 = value.clone();
-            inner.map.insert(
-                key.clone(),
-                StoreEntry {
-                    value,
-                    size,
-                    last_used: tick,
-                },
-            );
-            inner.order.insert(tick, key);
-            inner.used += size;
-            value2
-        };
-        self.evict_to_budget(&mut inner);
-        winner
+    /// Serves `key`: a stored artifact, touched; else the outcome of the
+    /// build in flight for `key`, once it lands; else, after checking
+    /// `guard`, a build of its own through `build`, which every miss on
+    /// `key` arriving meanwhile follows. Returns the value and whether
+    /// this call built it.
+    ///
+    /// The leader stores its artifact, if it fits the budget, and evicts
+    /// down to budget before it wakes its followers. A follower waits
+    /// under its own `guard` and fails with its own error once that
+    /// fires. It shares the leader's artifact or error, except the
+    /// leader's [`PipelineError::Cancelled`] or
+    /// [`PipelineError::DeadlineExceeded`]: those belong to the leader's
+    /// guard, so the follower starts over.
+    pub fn serve(
+        &self,
+        key: &K,
+        guard: &BuildGuard,
+        build: impl FnOnce() -> Outcome<V>,
+    ) -> Outcome<(V, bool)> {
+        loop {
+            let (flight, leads) = {
+                let mut inner = self.lock();
+                match inner.touch(key) {
+                    Some(Slot::Stored(entry)) => return Ok((entry.value.clone(), false)),
+                    Some(Slot::Building(flight)) => {
+                        guard.check()?;
+                        (Arc::clone(flight), false)
+                    }
+                    None => {
+                        guard.check()?;
+                        let flight = Arc::new(Flight::new());
+                        let slot = Slot::Building(Arc::clone(&flight));
+                        inner.map.insert(key.clone(), slot);
+                        (flight, true)
+                    }
+                }
+            };
+            if leads {
+                let lead = Lead {
+                    store: self,
+                    key,
+                    flight,
+                    landing: Landing::Abandoned,
+                };
+                return lead.run(build);
+            }
+            if let Some(outcome) = flight.follow(guard)? {
+                return outcome.map(|value| (value, false));
+            }
+        }
     }
 
-    /// Removes every entry whose key fails `keep`; returns how many
-    /// were removed. Used for artifact invalidation on graph
-    /// re-registration (not counted as budget evictions).
+    /// Removes every stored artifact whose key fails `keep`; returns how
+    /// many were removed. Used for artifact invalidation on graph
+    /// re-registration (not counted as budget evictions). Builds in
+    /// flight are left to land.
     pub fn purge(&self, mut keep: impl FnMut(&K) -> bool) -> usize {
         let mut inner = self.lock();
-        let before = inner.map.len();
         let mut freed = 0usize;
         let mut dropped_ticks = Vec::new();
         // analyze:allow(determinism-taint): per-key predicate; freed sum and per-tick order removals are order-insensitive
-        inner.map.retain(|k, e| {
-            let keep_it = keep(k);
-            if !keep_it {
+        inner.map.retain(|k, slot| match slot {
+            Slot::Stored(e) if !keep(k) => {
                 freed += e.size;
                 dropped_ticks.push(e.last_used);
+                false
             }
-            keep_it
+            _ => true,
         });
-        for tick in dropped_ticks {
-            inner.order.remove(&tick);
+        for tick in &dropped_ticks {
+            inner.order.remove(tick);
         }
         inner.used -= freed;
-        before - inner.map.len()
+        dropped_ticks.len()
+    }
+
+    /// Replaces the build in flight for `key` with its artifact, when
+    /// there is one and it fits the budget, and evicts down to budget.
+    fn land(&self, key: &K, artifact: Option<V>) {
+        let size = artifact.as_ref().map_or(0, HeapSize::heap_size);
+        let mut inner = self.lock();
+        match artifact {
+            Some(value) if size <= self.budget => {
+                inner.tick += 1;
+                let tick = inner.tick;
+                let entry = StoreEntry {
+                    value,
+                    size,
+                    last_used: tick,
+                };
+                inner.map.insert(key.clone(), Slot::Stored(entry));
+                inner.order.insert(tick, key.clone());
+                inner.used += size;
+                self.evict_to_budget(&mut inner);
+            }
+            artifact => {
+                // No artifact, or one never cacheable: storing it and
+                // evicting down would pop every (still-fitting) warm
+                // entry before this one — wiping the store for nothing.
+                // Leave the warm entries be.
+                inner.map.remove(key);
+                inner.evictions += u64::from(artifact.is_some());
+            }
+        }
     }
 
     fn evict_to_budget(&self, inner: &mut LruInner<K, V>) {
@@ -330,7 +402,7 @@ impl<K: Eq + Hash + Clone, V: Clone> LruStore<K, V> {
             // A stale order entry (index/map drift) is skipped rather
             // than panicking a serving thread that holds the store
             // lock; the loop still terminates because `order` shrinks.
-            let Some(e) = inner.map.remove(&victim) else {
+            let Some(Slot::Stored(e)) = inner.map.remove(&victim) else {
                 debug_assert!(false, "order index and map out of sync");
                 continue;
             };
@@ -353,19 +425,9 @@ impl<K: Eq + Hash + Clone, V: Clone> LruStore<K, V> {
 /// fired token.
 const FOLLOWER_CHECK: Duration = Duration::from_millis(10);
 
-/// The builds in flight, by key: the single-flight half of
-/// [`SpannerService::execute`]. The first job to miss a key leads its
-/// build; every job that misses the same key while that build runs
-/// follows it and gets the leader's outcome instead of building.
-///
-/// Each flight has its own lock and condvar, so a follower parks
-/// holding only its flight's lock, and the map's lock is held only to
-/// join, lead or land a flight, never with another tracked lock.
-#[derive(Debug)]
-pub(crate) struct Flights<K, V> {
-    in_flight: TrackedMutex<HashMap<K, Arc<Flight<V>>>>,
-}
-
+/// A build in flight. Each flight has its own lock and condvar, so a
+/// follower parks holding only its flight's lock, and the store's lock
+/// is never held with another tracked lock.
 #[derive(Debug)]
 struct Flight<V> {
     state: TrackedMutex<FlightState<V>>,
@@ -397,101 +459,26 @@ enum Landing<V> {
     Abandoned,
 }
 
-/// A leader's claim on its flight. Dropping it lands `landing`, which
-/// stays [`Landing::Abandoned`] unless the leader sets an outcome, so a
-/// build that unwinds never strands its followers.
-struct Lead<'a, K: Eq + Hash, V> {
-    flights: &'a Flights<K, V>,
-    key: &'a K,
-    flight: Arc<Flight<V>>,
-    landing: Landing<V>,
-}
-
-impl<K: Eq + Hash, V> Drop for Lead<'_, K, V> {
-    fn drop(&mut self) {
-        let landing = std::mem::replace(&mut self.landing, Landing::Abandoned);
-        // Out of the map first: a job arriving after this finds the
-        // artifact in the store, which the build filled before landing.
-        self.flights.in_flight.lock().remove(self.key);
-        self.flight.state.lock().landing = landing;
-        self.flight.changed.notify_all();
-    }
-}
-
-impl<K: Eq + Hash + Clone, V: Clone> Flights<K, V> {
-    pub(crate) fn new() -> Self {
-        Flights {
-            in_flight: TrackedMutex::new("service.in_flight", HashMap::new()),
+impl<V: Clone> Flight<V> {
+    fn new() -> Self {
+        Flight {
+            state: TrackedMutex::new(
+                "service.flight",
+                FlightState {
+                    landing: Landing::Pending,
+                    followers: 0,
+                },
+            ),
+            changed: TrackedCondvar::new("service.flight_changed"),
         }
     }
 
-    /// Serves `key`: a `lookup` hit; else the outcome of the build in
-    /// flight for `key`, once it lands; else, after checking `guard`, a
-    /// build of its own through `build`, which every miss on `key`
-    /// arriving meanwhile follows. `build` stores its artifact where
-    /// `lookup` finds it: a job arriving after the flight lands looks
-    /// there. Returns the value and whether this call built it.
-    ///
-    /// A follower waits under its own `guard` and fails with its own
-    /// error once that fires. It shares the leader's artifact or error,
-    /// except the leader's [`PipelineError::Cancelled`] or
-    /// [`PipelineError::DeadlineExceeded`]: those belong to the leader's
-    /// guard, so the follower starts over at `lookup`.
-    pub(crate) fn serve(
-        &self,
-        key: &K,
-        guard: &BuildGuard,
-        lookup: impl Fn() -> Option<V>,
-        build: impl FnOnce() -> Outcome<V>,
-    ) -> Outcome<(V, bool)> {
-        loop {
-            if let Some(hit) = lookup() {
-                return Ok((hit, false));
-            }
-            guard.check()?;
-            let (flight, leads) = self.join(key);
-            if leads {
-                let lead = Lead {
-                    flights: self,
-                    key,
-                    flight,
-                    landing: Landing::Abandoned,
-                };
-                return lead.run(lookup, build);
-            }
-            if let Some(outcome) = Self::follow(&flight, guard)? {
-                return outcome.map(|value| (value, false));
-            }
-        }
-    }
-
-    /// Joins the flight for `key`, or opens one; `true` if this call
-    /// opened it and so leads it.
-    fn join(&self, key: &K) -> (Arc<Flight<V>>, bool) {
-        match self.in_flight.lock().entry(key.clone()) {
-            Entry::Occupied(flight) => (Arc::clone(flight.get()), false),
-            Entry::Vacant(slot) => {
-                let flight = Arc::new(Flight {
-                    state: TrackedMutex::new(
-                        "service.flight",
-                        FlightState {
-                            landing: Landing::Pending,
-                            followers: 0,
-                        },
-                    ),
-                    changed: TrackedCondvar::new("service.flight_changed"),
-                });
-                (Arc::clone(slot.insert(flight)), true)
-            }
-        }
-    }
-
-    /// Follows `flight` under `guard` until it lands: `Some` with the
+    /// Follows the flight under `guard` until it lands: `Some` with the
     /// leader's outcome, or `None` once the flight is abandoned.
-    fn follow(flight: &Flight<V>, guard: &BuildGuard) -> Outcome<Option<Outcome<V>>> {
-        let mut state = flight.state.lock();
+    fn follow(&self, guard: &BuildGuard) -> Outcome<Option<Outcome<V>>> {
+        let mut state = self.state.lock();
         state.followers += 1;
-        flight.changed.notify_all();
+        self.changed.notify_all();
         loop {
             match &state.landing {
                 Landing::Landed(outcome) => return Ok(Some(outcome.clone())),
@@ -501,23 +488,24 @@ impl<K: Eq + Hash + Clone, V: Clone> Flights<K, V> {
             let slice = guard
                 .remaining()
                 .map_or(FOLLOWER_CHECK, |left| left.min(FOLLOWER_CHECK));
-            state = flight.changed.wait_timeout(state, slice).0;
+            state = self.changed.wait_timeout(state, slice).0;
         }
     }
 }
 
-impl<K: Eq + Hash, V: Clone> Lead<'_, K, V> {
-    /// The leader's side: a `lookup` hit that landed between the miss
-    /// and the join, else the build. Dropping `self` lands the outcome.
-    fn run(
-        mut self,
-        lookup: impl Fn() -> Option<V>,
-        build: impl FnOnce() -> Outcome<V>,
-    ) -> Outcome<(V, bool)> {
-        if let Some(hit) = lookup() {
-            self.landing = Landing::Landed(Ok(hit.clone()));
-            return Ok((hit, false));
-        }
+/// A leader's claim on its flight. Dropping it lands `landing`, which
+/// stays [`Landing::Abandoned`] unless the leader sets an outcome, so a
+/// build that unwinds never strands its followers.
+struct Lead<'a, K: Eq + Hash + Clone, V: Clone + HeapSize> {
+    store: &'a LruStore<K, V>,
+    key: &'a K,
+    flight: Arc<Flight<V>>,
+    landing: Landing<V>,
+}
+
+impl<K: Eq + Hash + Clone, V: Clone + HeapSize> Lead<'_, K, V> {
+    /// The leader's side: the build. Dropping `self` lands its outcome.
+    fn run(mut self, build: impl FnOnce() -> Outcome<V>) -> Outcome<(V, bool)> {
         let built = build();
         self.landing = match &built {
             Err(PipelineError::Cancelled | PipelineError::DeadlineExceeded { .. }) => {
@@ -526,6 +514,22 @@ impl<K: Eq + Hash, V: Clone> Lead<'_, K, V> {
             outcome => Landing::Landed(outcome.clone()),
         };
         built.map(|value| (value, true))
+    }
+}
+
+impl<K: Eq + Hash + Clone, V: Clone + HeapSize> Drop for Lead<'_, K, V> {
+    fn drop(&mut self) {
+        let landing = std::mem::replace(&mut self.landing, Landing::Abandoned);
+        // The store first: a job arriving after this finds the artifact,
+        // or no entry and leads a build of its own. Only then wake the
+        // followers.
+        let artifact = match &landing {
+            Landing::Landed(Ok(value)) => Some(value.clone()),
+            _ => None,
+        };
+        self.store.land(self.key, artifact);
+        self.flight.state.lock().landing = landing;
+        self.flight.changed.notify_all();
     }
 }
 
@@ -725,7 +729,6 @@ struct ArtifactKey {
 pub struct SpannerService {
     registry: TrackedMutex<HashMap<u64, KeySlot>>,
     store: LruStore<ArtifactKey, JobOutput>,
-    flights: Flights<ArtifactKey, JobOutput>,
     counters: Counters,
 }
 
@@ -742,13 +745,13 @@ impl SpannerService {
     }
 
     /// A service whose artifact store holds at most `store_budget_bytes`
-    /// ([`HeapSize`] accounting). `0` disables caching — every job
-    /// recomputes.
+    /// ([`HeapSize`] accounting). At `0` it stores nothing: every job
+    /// that finds no build in flight for its key builds, while jobs that
+    /// miss one key at once still share one build.
     pub fn with_budget(store_budget_bytes: usize) -> Self {
         SpannerService {
             registry: TrackedMutex::new("service.registry", HashMap::new()),
             store: LruStore::new(store_budget_bytes),
-            flights: Flights::new(),
             counters: Counters::default(),
         }
     }
@@ -898,57 +901,25 @@ impl SpannerService {
         }
     }
 
-    /// Serves one job: renders its artifact key and answers from the
-    /// store on a hit. On a miss it follows the build already in flight
-    /// for the key, if there is one, and counts as a hit when that build
-    /// lands; otherwise it checks `guard`, builds the artifact under it
-    /// and stores it, and every miss on the key meanwhile follows this
-    /// build ([`Flights::serve`]). The blocking builders and the queue
-    /// workers all serve through here. A store hit skips the guard, so a
-    /// fired token or a spent deadline fails only jobs that would
-    /// execute, and only executed jobs count as misses. With caching
-    /// disabled (a zero budget) every job builds.
+    /// Serves one job through [`LruStore::serve`] under its artifact
+    /// key: a store hit, or a follower of the build already in flight
+    /// for the key, counts as a hit; otherwise the job checks `guard`
+    /// and builds the artifact under it. The blocking builders and the
+    /// queue workers all serve through here. A store hit skips the
+    /// guard, so a fired token or a spent deadline fails only jobs that
+    /// would execute, and only executed jobs count as misses.
     pub(crate) fn execute(
         &self,
         spec: &JobSpec,
         guard: &BuildGuard,
     ) -> Result<JobOutput, PipelineError> {
-        if self.store.budget() == 0 {
-            guard.check()?;
-            return self.build(spec, guard);
-        }
-        let key = spec.key();
-        self.serve(&key, guard, || self.build_and_store(spec, guard, &key))
-    }
-
-    /// The cached path of [`Self::execute`], with `build` as the
-    /// leader's build: a store hit or a follower counts as a hit.
-    fn serve(
-        &self,
-        key: &ArtifactKey,
-        guard: &BuildGuard,
-        build: impl FnOnce() -> Result<JobOutput, PipelineError>,
-    ) -> Result<JobOutput, PipelineError> {
         let (output, built) = self
-            .flights
-            .serve(key, guard, || self.store.get(key), build)?;
+            .store
+            .serve(&spec.key(), guard, || self.build(spec, guard))?;
         if !built {
             self.counters.hits.fetch_add(1, Ordering::Relaxed);
         }
         Ok(output)
-    }
-
-    /// Builds a job's artifact and stores it; returns what the store
-    /// serves for the key.
-    fn build_and_store(
-        &self,
-        spec: &JobSpec,
-        guard: &BuildGuard,
-        key: &ArtifactKey,
-    ) -> Result<JobOutput, PipelineError> {
-        let output = self.build(spec, guard)?;
-        let size = output.heap_size();
-        Ok(self.store.insert_or_get(key.clone(), output, size))
     }
 
     /// Builds a job's artifact: one miss, timed, its outcome counted.
@@ -1294,24 +1265,43 @@ mod tests {
         Algorithm::General(TradeoffParams::new(4, 2))
     }
 
+    /// A test artifact: an id and the byte size the store charges.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    struct Blob(u64, usize);
+
+    impl HeapSize for Blob {
+        fn heap_size(&self) -> usize {
+            self.1
+        }
+    }
+
+    /// Serves `key` from `store`, building `blob` on a miss; returns the
+    /// served blob and whether this call built it.
+    fn put(store: &LruStore<&'static str, Blob>, key: &'static str, blob: Blob) -> (Blob, bool) {
+        let guard = BuildGuard::new("test");
+        store
+            .serve(&key, &guard, || Ok(blob))
+            .expect("an unguarded build")
+    }
+
     #[test]
     fn lru_store_evicts_least_recently_used_first() {
-        let store: LruStore<&str, u64> = LruStore::new(100);
-        store.insert_or_get("a", 1, 40);
-        store.insert_or_get("b", 2, 40);
-        assert_eq!(store.get(&"a"), Some(1)); // touch a → b is now LRU
-        store.insert_or_get("c", 3, 40); // over budget → evict b
+        let store = LruStore::new(100);
+        put(&store, "a", Blob(1, 40));
+        put(&store, "b", Blob(2, 40));
+        assert_eq!(store.get(&"a"), Some(Blob(1, 40))); // touch a → b is now LRU
+        put(&store, "c", Blob(3, 40)); // over budget → evict b
         assert_eq!(store.get(&"b"), None, "LRU entry must go first");
-        assert_eq!(store.get(&"a"), Some(1));
-        assert_eq!(store.get(&"c"), Some(3));
+        assert_eq!(store.get(&"a"), Some(Blob(1, 40)));
+        assert_eq!(store.get(&"c"), Some(Blob(3, 40)));
         assert_eq!(store.evictions(), 1);
         assert_eq!(store.used_bytes(), 80);
     }
 
     #[test]
     fn lru_store_never_retains_an_oversized_entry() {
-        let store: LruStore<&str, u64> = LruStore::new(10);
-        store.insert_or_get("big", 1, 50);
+        let store = LruStore::new(10);
+        put(&store, "big", Blob(1, 50));
         assert_eq!(store.len(), 0, "entry larger than the budget is dropped");
         assert_eq!(store.evictions(), 1);
         assert_eq!(store.used_bytes(), 0);
@@ -1319,30 +1309,37 @@ mod tests {
 
     #[test]
     fn oversized_insert_leaves_warm_entries_untouched() {
-        let store: LruStore<&str, u64> = LruStore::new(100);
-        store.insert_or_get("a", 1, 40);
-        store.insert_or_get("b", 2, 40);
-        assert_eq!(store.insert_or_get("huge", 3, 500), 3, "value handed back");
+        let store = LruStore::new(100);
+        put(&store, "a", Blob(1, 40));
+        put(&store, "b", Blob(2, 40));
+        let huge = Blob(3, 500);
+        assert_eq!(put(&store, "huge", huge), (huge, true), "value handed back");
         assert_eq!(store.len(), 2, "warm entries survive an uncacheable insert");
-        assert_eq!(store.get(&"a"), Some(1));
-        assert_eq!(store.get(&"b"), Some(2));
+        assert_eq!(store.get(&"a"), Some(Blob(1, 40)));
+        assert_eq!(store.get(&"b"), Some(Blob(2, 40)));
         assert_eq!(store.get(&"huge"), None);
         assert_eq!(store.evictions(), 1);
     }
 
     #[test]
-    fn lru_store_first_insert_wins() {
-        let store: LruStore<&str, u64> = LruStore::new(usize::MAX);
-        assert_eq!(store.insert_or_get("k", 1, 8), 1);
-        assert_eq!(store.insert_or_get("k", 2, 8), 1, "first insert wins");
+    fn a_stored_artifact_is_served_without_a_build() {
+        let store = LruStore::new(usize::MAX);
+        assert_eq!(put(&store, "k", Blob(1, 8)), (Blob(1, 8), true));
+        assert_eq!(put(&store, "k", Blob(2, 8)), (Blob(1, 8), false), "a hit");
         assert_eq!(store.len(), 1);
     }
 
     #[test]
     fn zero_budget_disables_caching() {
-        let store: LruStore<&str, u64> = LruStore::new(0);
-        store.insert_or_get("k", 1, 8);
+        let store = LruStore::new(0);
+        assert_eq!(put(&store, "k", Blob(1, 8)), (Blob(1, 8), true));
         assert_eq!(store.get(&"k"), None);
+        assert_eq!(
+            put(&store, "k", Blob(2, 8)),
+            (Blob(2, 8), true),
+            "a rebuild"
+        );
+        assert_eq!((store.len(), store.evictions()), (0, 2));
     }
 
     #[test]
@@ -1448,8 +1445,10 @@ mod tests {
 
     /// The flight in progress for `key`.
     fn flight(service: &SpannerService, key: &ArtifactKey) -> Arc<Flight<JobOutput>> {
-        let flight = service.flights.in_flight.lock().get(key).cloned();
-        flight.expect("a build in flight for the key")
+        match service.store.lock().map.get(key) {
+            Some(Slot::Building(flight)) => Arc::clone(flight),
+            _ => panic!("no build in flight for the key"),
+        }
     }
 
     /// Blocks until `n` jobs follow the build in flight for `key`.
@@ -1462,7 +1461,7 @@ mod tests {
     }
 
     /// Leads the build of `spec` on its own thread through the service's
-    /// single-flight path, but holds the build until `release` fires.
+    /// store, but holds the build until `release` fires.
     /// Returns once the flight is open, with the leader's handle.
     fn held_leader<'s>(
         scope: &'s std::thread::Scope<'s, '_>,
@@ -1473,12 +1472,12 @@ mod tests {
         let (open, opened) = mpsc::channel();
         let leader = scope.spawn(move || {
             let guard = spec.guard();
-            let key = spec.key();
-            service.serve(&key, &guard, || {
+            let served = service.store.serve(&spec.key(), &guard, || {
                 open.send(()).expect("the test waits for the flight");
                 release.recv().expect("the test releases the leader");
-                service.build_and_store(&spec, &guard, &key)
-            })
+                service.build(&spec, &guard)
+            });
+            served.map(|(output, _)| output)
         });
         opened.recv().expect("the leader opens its flight");
         leader
@@ -1609,6 +1608,40 @@ mod tests {
         );
     }
 
+    #[test]
+    fn a_zero_budget_stores_nothing_yet_shares_one_build() {
+        let service = SpannerService::with_budget(0);
+        let handle = service.register(graph(14));
+        let spec = sketch_oracle(&handle);
+        let key = spec.key();
+        let (release, released) = mpsc::channel();
+        std::thread::scope(|scope| {
+            let leader = held_leader(scope, &service, spec.clone(), released);
+            let followers: Vec<_> = (0..3)
+                .map(|_| scope.spawn(|| service.execute(&spec, &spec.guard())))
+                .collect();
+            await_followers(&service, &key, 3);
+            release.send(()).expect("the leader waits");
+            let led = leader.join().expect("the leader returns");
+            let led = led.expect("the leader builds");
+            let led = led.oracle().expect("an oracle job");
+            for follower in followers {
+                let followed = follower.join().expect("a follower returns");
+                let followed = followed.expect("followers share the leader's build");
+                assert!(Arc::ptr_eq(led, followed.oracle().expect("an oracle job")));
+            }
+        });
+        let stats = service.stats();
+        assert_eq!((stats.misses, stats.hits), (1, 3), "one build, shared");
+        assert_eq!(
+            (stats.store_len, stats.evictions),
+            (0, 1),
+            "the build outgrows a zero budget"
+        );
+        service.execute(&spec, &spec.guard()).expect("a rebuild");
+        assert_eq!(service.stats().misses, 2, "nothing was stored");
+    }
+
     /// The handshake under the deterministic explorer: three jobs miss
     /// one key, and whichever leads decides the schedule's story. Job 0's
     /// build stops on its own guard, job 1's fails, job 2's succeeds. A
@@ -1631,38 +1664,28 @@ mod tests {
         let summary = Explorer::new(SCHEDULES)
             .base_seed(BASE_SEED)
             .explore(|sim| {
-                let flights = Arc::new(Flights::<u8, u64>::new());
-                let store = Arc::new(TrackedMutex::new("model.store", None::<u64>));
+                let store = Arc::new(LruStore::<u8, Blob>::new(usize::MAX));
                 let building = Arc::new(AtomicU64::new(0));
                 let results = Arc::new(TrackedMutex::new("model.results", Vec::new()));
                 for job in 0..3u64 {
-                    let (flights, store, building, results) = (
-                        Arc::clone(&flights),
+                    let (store, building, results) = (
                         Arc::clone(&store),
                         Arc::clone(&building),
                         Arc::clone(&results),
                     );
                     sim.spawn(move || {
                         let guard = BuildGuard::new("model");
-                        let served = flights.serve(
-                            &0,
-                            &guard,
-                            || *store.lock(),
-                            || {
-                                let before = building.fetch_add(1, Ordering::SeqCst);
-                                assert_eq!(before, 0, "two builds of one key at once");
-                                interleave::yield_point();
-                                building.fetch_sub(1, Ordering::SeqCst);
-                                match job {
-                                    0 => Err(PipelineError::Cancelled),
-                                    1 => Err(PipelineError::InvalidRequest("refused".into())),
-                                    _ => {
-                                        *store.lock() = Some(7);
-                                        Ok(7)
-                                    }
-                                }
-                            },
-                        );
+                        let served = store.serve(&0, &guard, || {
+                            let before = building.fetch_add(1, Ordering::SeqCst);
+                            assert_eq!(before, 0, "two builds of one key at once");
+                            interleave::yield_point();
+                            building.fetch_sub(1, Ordering::SeqCst);
+                            match job {
+                                0 => Err(PipelineError::Cancelled),
+                                1 => Err(PipelineError::InvalidRequest("refused".into())),
+                                _ => Ok(Blob(7, 8)),
+                            }
+                        });
                         results.lock().push((job, served));
                     });
                 }
@@ -1673,7 +1696,7 @@ mod tests {
                 for (job, served) in &results {
                     match served {
                         Ok((value, leader)) => {
-                            assert_eq!(*value, 7);
+                            assert_eq!(*value, Blob(7, 8));
                             if *leader {
                                 assert_eq!(*job, 2, "only job 2 builds successfully");
                                 built += 1;

@@ -89,7 +89,9 @@ impl ShardedService {
 
     /// `shards` inner services, each with a store of
     /// `per_shard_budget_bytes` — the budget applies *per shard*, so
-    /// total store capacity scales with the shard count.
+    /// total store capacity scales with the shard count. At `0` no shard
+    /// stores anything, while jobs that miss one key at once still
+    /// share one build ([`SpannerService::with_budget`]).
     ///
     /// # Panics
     /// If `shards` is zero.

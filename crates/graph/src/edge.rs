@@ -42,26 +42,6 @@ impl Edge {
             Edge { u: b, v: a, w }
         }
     }
-
-    /// The endpoint different from `x`.
-    ///
-    /// # Panics
-    /// Panics if `x` is not an endpoint.
-    #[inline]
-    pub fn other(&self, x: u32) -> u32 {
-        if x == self.u {
-            self.v
-        } else {
-            assert_eq!(x, self.v, "vertex {x} is not an endpoint of {self:?}");
-            self.u
-        }
-    }
-
-    /// Whether `x` is one of the endpoints.
-    #[inline]
-    pub fn has_endpoint(&self, x: u32) -> bool {
-        x == self.u || x == self.v
-    }
 }
 
 /// Identifier of an edge: its index into the owning graph's canonical edge
@@ -71,11 +51,6 @@ pub type EdgeId = u32;
 /// A plain list of canonical edges, the exchange format between the graph
 /// builder, the generators and the distributed runtimes.
 pub type EdgeList = Vec<Edge>;
-
-/// Total weight of an edge list (used by MST-style sanity checks).
-pub fn total_weight(edges: &[Edge]) -> u128 {
-    edges.iter().map(|e| e.w as u128).sum()
-}
 
 #[cfg(test)]
 mod tests {
@@ -93,26 +68,5 @@ mod tests {
     #[should_panic(expected = "self-loops")]
     fn edge_rejects_self_loop() {
         let _ = Edge::new(4, 4, 1);
-    }
-
-    #[test]
-    fn other_endpoint() {
-        let e = Edge::new(1, 2, 5);
-        assert_eq!(e.other(1), 2);
-        assert_eq!(e.other(2), 1);
-        assert!(e.has_endpoint(1) && e.has_endpoint(2) && !e.has_endpoint(3));
-    }
-
-    #[test]
-    #[should_panic]
-    fn other_rejects_non_endpoint() {
-        let e = Edge::new(1, 2, 5);
-        let _ = e.other(9);
-    }
-
-    #[test]
-    fn total_weight_sums() {
-        let edges = vec![Edge::new(0, 1, 2), Edge::new(1, 2, 3)];
-        assert_eq!(total_weight(&edges), 5);
     }
 }

@@ -116,11 +116,6 @@ impl Graph {
         self.edges.iter().all(|e| e.w == 1)
     }
 
-    /// Largest edge weight (`1` for the empty graph, so ratios stay sane).
-    pub fn max_weight(&self) -> Weight {
-        self.edges.iter().map(|e| e.w).max().unwrap_or(1)
-    }
-
     /// The subgraph induced by the given edge ids, on the same vertex set.
     ///
     /// This is how candidate spanners are materialised for verification:
@@ -135,11 +130,6 @@ impl Graph {
     /// such as Appendix B's).
     pub fn unweighted_copy(&self) -> Graph {
         Graph::from_edges(self.n, self.edges.iter().map(|e| Edge::new(e.u, e.v, 1)))
-    }
-
-    /// Sum of all edge weights.
-    pub fn total_weight(&self) -> u128 {
-        crate::edge::total_weight(&self.edges)
     }
 
     /// A structural fingerprint of the graph: a 64-bit hash of `n` and
@@ -329,7 +319,7 @@ mod tests {
         assert_eq!(nbrs.len(), 2);
         for (u, w, id) in nbrs {
             let e = g.edge(id);
-            assert!(e.has_endpoint(0) && e.has_endpoint(u));
+            assert_eq!((e.u, e.v), (0, u));
             assert_eq!(e.w, w);
         }
     }
@@ -390,7 +380,6 @@ mod tests {
         assert_eq!(g.n(), 0);
         assert_eq!(g.m(), 0);
         assert_eq!(g.max_degree(), 0);
-        assert_eq!(g.max_weight(), 1);
     }
 
     #[test]

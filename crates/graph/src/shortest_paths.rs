@@ -10,44 +10,20 @@ use std::collections::BinaryHeap;
 
 use rayon::prelude::*;
 
-use crate::edge::{Distance, EdgeId, INFINITY};
+use crate::edge::{Distance, INFINITY};
 use crate::graph::Graph;
 
-/// Result of a single-source search: distances and parent pointers.
+/// Result of a single-source search: its distances.
 #[derive(Debug, Clone)]
 pub struct SsspTree {
-    /// Source vertex.
-    pub source: u32,
     /// `dist[v]` is the exact distance from the source, or [`INFINITY`].
     pub dist: Vec<Distance>,
-    /// `parent[v]` is `(predecessor, edge id)` on a shortest path, or `None`
-    /// for the source / unreachable vertices.
-    pub parent: Vec<Option<(u32, EdgeId)>>,
-}
-
-impl SsspTree {
-    /// Edge ids of the shortest path from the source to `v` (source-first
-    /// order), or `None` if `v` is unreachable.
-    pub fn path_edges(&self, v: u32) -> Option<Vec<EdgeId>> {
-        if self.dist[v as usize] == INFINITY {
-            return None;
-        }
-        let mut out = Vec::new();
-        let mut cur = v;
-        while let Some((p, id)) = self.parent[cur as usize] {
-            out.push(id);
-            cur = p;
-        }
-        out.reverse();
-        Some(out)
-    }
 }
 
 /// Dijkstra from `source`. Runs in `O(m log n)`.
 pub fn dijkstra(g: &Graph, source: u32) -> SsspTree {
     let n = g.n();
     let mut dist = vec![INFINITY; n];
-    let mut parent = vec![None; n];
     let mut heap: BinaryHeap<Reverse<(Distance, u32)>> = BinaryHeap::new();
     dist[source as usize] = 0;
     heap.push(Reverse((0, source)));
@@ -55,44 +31,33 @@ pub fn dijkstra(g: &Graph, source: u32) -> SsspTree {
         if d > dist[v as usize] {
             continue;
         }
-        for (u, w, id) in g.neighbors(v) {
+        for (u, w, _id) in g.neighbors(v) {
             let nd = d.saturating_add(w);
             if nd < dist[u as usize] {
                 dist[u as usize] = nd;
-                parent[u as usize] = Some((v, id));
                 heap.push(Reverse((nd, u)));
             }
         }
     }
-    SsspTree {
-        source,
-        dist,
-        parent,
-    }
+    SsspTree { dist }
 }
 
 /// BFS from `source`, ignoring weights (hop distances).
 pub fn bfs(g: &Graph, source: u32) -> SsspTree {
     let n = g.n();
     let mut dist = vec![INFINITY; n];
-    let mut parent = vec![None; n];
     let mut queue = std::collections::VecDeque::new();
     dist[source as usize] = 0;
     queue.push_back(source);
     while let Some(v) = queue.pop_front() {
-        for (u, _w, id) in g.neighbors(v) {
+        for (u, _w, _id) in g.neighbors(v) {
             if dist[u as usize] == INFINITY {
                 dist[u as usize] = dist[v as usize] + 1;
-                parent[u as usize] = Some((v, id));
                 queue.push_back(u);
             }
         }
     }
-    SsspTree {
-        source,
-        dist,
-        parent,
-    }
+    SsspTree { dist }
 }
 
 /// Exact distances from every vertex in `sources` (one Dijkstra per source,
@@ -184,27 +149,6 @@ impl CappedBall {
     }
 }
 
-/// Weighted eccentricity-style diameter estimate: max over `samples` random
-/// sources of the max finite distance. Exact diameter for `samples >= n`.
-pub fn approx_diameter(g: &Graph, samples: usize, seed: u64) -> Distance {
-    use rand::prelude::*;
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let n = g.n();
-    if n == 0 {
-        return 0;
-    }
-    let sources: Vec<u32> = if samples >= n {
-        (0..n as u32).collect()
-    } else {
-        (0..samples).map(|_| rng.gen_range(0..n as u32)).collect()
-    };
-    multi_source_distances(g, &sources)
-        .into_iter()
-        .flat_map(|row| row.into_iter().filter(|&d| d != INFINITY))
-        .max()
-        .unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,7 +170,6 @@ mod tests {
         let g = path_graph(&[2, 3, 4]);
         let t = dijkstra(&g, 0);
         assert_eq!(t.dist, vec![0, 2, 5, 9]);
-        assert_eq!(t.path_edges(3).unwrap().len(), 3);
     }
 
     #[test]
@@ -238,8 +181,6 @@ mod tests {
         );
         let t = dijkstra(&g, 0);
         assert_eq!(t.dist[1], 2);
-        let path = t.path_edges(1).unwrap();
-        assert_eq!(path.len(), 2);
     }
 
     #[test]
@@ -254,7 +195,6 @@ mod tests {
         let g = Graph::from_edges(4, vec![Edge::new(0, 1, 1)]);
         let t = dijkstra(&g, 0);
         assert_eq!(t.dist[2], INFINITY);
-        assert!(t.path_edges(2).is_none());
     }
 
     #[test]
@@ -297,11 +237,5 @@ mod tests {
         let b = capped_bfs_ball(&g, 0, 10, 10);
         assert!(b.truncated);
         assert!(b.size <= 11); // may overshoot by the final increment only
-    }
-
-    #[test]
-    fn diameter_of_path() {
-        let g = path_graph(&[1, 1, 1, 1]);
-        assert_eq!(approx_diameter(&g, 100, 7), 4);
     }
 }

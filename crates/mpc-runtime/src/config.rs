@@ -1,16 +1,4 @@
-//! MPC configuration: memory regimes, machine counts, tree fan-outs.
-
-/// Which of the paper's three local-memory regimes a configuration models.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MemoryRegime {
-    /// `S = n^γ` for a constant `γ < 1` — the paper's main setting for
-    /// spanner construction (Theorem 1.1).
-    StronglySublinear,
-    /// `S = Õ(n)` — the setting of the APSP application (Corollary 1.4).
-    NearLinear,
-    /// `S ≥ n^{1+ε}` — only used by tests/comparisons.
-    StronglySuperlinear,
-}
+//! MPC configuration: machine sizes and counts, tree fan-outs.
 
 /// Static description of an MPC deployment.
 ///
@@ -27,13 +15,6 @@ pub struct MpcConfig {
     pub num_machines: usize,
     /// Constant-factor slack on the memory/bandwidth constraints.
     pub slack: usize,
-    /// Memory regime this configuration is meant to model (documentation /
-    /// reporting only; the constraints enforced are `machine_words` ×
-    /// `slack`).
-    pub regime: MemoryRegime,
-    /// The `γ` this configuration was derived from, when applicable
-    /// (reporting only).
-    pub gamma: Option<f64>,
 }
 
 impl MpcConfig {
@@ -57,8 +38,6 @@ impl MpcConfig {
             machine_words: s,
             num_machines: p,
             slack: 8,
-            regime: MemoryRegime::StronglySublinear,
-            gamma: Some(gamma),
         }
     }
 
@@ -72,8 +51,6 @@ impl MpcConfig {
             machine_words: s,
             num_machines: p,
             slack: 8,
-            regime: MemoryRegime::NearLinear,
-            gamma: None,
         }
     }
 
@@ -83,8 +60,6 @@ impl MpcConfig {
             machine_words,
             num_machines,
             slack,
-            regime: MemoryRegime::StronglySublinear,
-            gamma: None,
         }
     }
 
@@ -101,24 +76,6 @@ impl MpcConfig {
     pub fn fanout(&self, rec_words: usize) -> usize {
         (self.machine_words / rec_words.max(1)).max(2)
     }
-
-    /// Depth of an aggregation tree over all machines for records of the
-    /// given width — the `O(1/γ)` factor of Section 6.
-    pub fn tree_depth(&self, rec_words: usize) -> usize {
-        let f = self.fanout(rec_words);
-        let mut depth = 0usize;
-        let mut cover = 1usize;
-        while cover < self.num_machines {
-            cover = cover.saturating_mul(f);
-            depth += 1;
-        }
-        depth.max(1)
-    }
-
-    /// Total memory across the deployment.
-    pub fn total_words(&self) -> usize {
-        self.machine_words * self.num_machines
-    }
 }
 
 #[cfg(test)]
@@ -129,8 +86,7 @@ mod tests {
     fn sublinear_config_covers_input() {
         let cfg = MpcConfig::strongly_sublinear(10_000, 0.5, 200_000);
         assert!(cfg.machine_words >= 100); // n^0.5
-        assert!(cfg.total_words() >= 200_000);
-        assert_eq!(cfg.regime, MemoryRegime::StronglySublinear);
+        assert!(cfg.num_machines * cfg.machine_words >= 200_000);
     }
 
     #[test]
@@ -145,7 +101,6 @@ mod tests {
     fn near_linear_has_big_machines() {
         let cfg = MpcConfig::near_linear(1_000, 50_000);
         assert!(cfg.machine_words >= 1_000);
-        assert_eq!(cfg.regime, MemoryRegime::NearLinear);
     }
 
     #[test]
@@ -155,17 +110,9 @@ mod tests {
     }
 
     #[test]
-    fn tree_depth_shrinks_with_fanout() {
-        let cfg = MpcConfig::explicit(4, 64, 2);
-        // fanout(1) = 4 → depth over 64 machines = 3
-        assert_eq!(cfg.tree_depth(1), 3);
-        let cfg2 = MpcConfig::explicit(64, 64, 2);
-        assert_eq!(cfg2.tree_depth(1), 1);
-    }
-
-    #[test]
     fn fanout_floor_is_two() {
         let cfg = MpcConfig::explicit(4, 8, 2);
+        assert_eq!(cfg.fanout(1), 4);
         assert_eq!(cfg.fanout(100), 2);
     }
 }

@@ -55,7 +55,7 @@ pub mod primitives;
 pub mod record;
 pub mod system;
 
-pub use config::{MemoryRegime, MpcConfig};
+pub use config::MpcConfig;
 pub use dist::Dist;
 pub use error::MpcError;
 pub use metrics::Metrics;

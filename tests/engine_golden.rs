@@ -75,7 +75,8 @@ fn edge_hash(edges: &[EdgeId]) -> u64 {
     hash(edges.iter().map(|&id| id as u64))
 }
 
-/// `run_general`'s loop through the public engine: the hash of the
+/// The schedule `general::engine_steps` yields, walked as
+/// `general::walk` walks it, through the public engine: the hash of the
 /// per-step trace, the step count and the spanner edges.
 fn general_trace(g: &Graph, params: TradeoffParams) -> (u64, usize, Vec<EdgeId>) {
     let mut trace = Vec::new();
@@ -101,9 +102,6 @@ fn general_trace(g: &Graph, params: TradeoffParams) -> (u64, usize, Vec<EdgeId>)
             engine.cluster_count(),
         ]);
         steps += 1;
-        if engine.live_edge_count() == 0 && engine.supernode_count() <= 1 {
-            break;
-        }
     }
     engine.phase2();
     let edges = engine.finish("trace", 0.0).edges;
