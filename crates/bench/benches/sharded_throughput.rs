@@ -7,8 +7,8 @@
 //!
 //! * **blocking/1_shard** and **blocking/4_shards** — the synchronous
 //!   job path through a `ShardedService`: one round over all eight
-//!   graphs. The delta between the two is the routing overhead (ring
-//!   lookup + per-shard locks); on a single-CPU container the 4-shard
+//!   graphs. The delta between the two is the routing overhead (key
+//!   hash + per-shard locks); on a single-CPU container the 4-shard
 //!   tier cannot also show its lock-contention win, so treat parity as
 //!   the expected result there;
 //! * **queued/1_shard** and **queued/4_shards** — the same round

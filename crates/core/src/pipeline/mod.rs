@@ -1091,10 +1091,7 @@ impl<'g> SpannerRequest<'g> {
             }
         };
         if params.k == 1 || g.m() == 0 {
-            return Ok((
-                SpannerResult::whole_graph(g, ""),
-                self.backend.idle_stats(g),
-            ));
+            return Ok((SpannerResult::whole_graph(g), self.backend.idle_stats(g)));
         }
         match self.backend {
             Backend::Sequential => {

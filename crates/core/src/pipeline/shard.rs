@@ -4,8 +4,8 @@
 //! PR 5's [`SpannerService`] is one registry and one LRU store behind a
 //! single lock — a cache, not a serving tier. [`ShardedService`] splits
 //! the registry and the artifact store across independent shards by
-//! **consistent-hashing the registry key** (normally the graph
-//! fingerprint) onto a ring of virtual nodes:
+//! **hashing the registry key** (normally the graph fingerprint): the
+//! owner of `key` is `splitmix64(key ^ KEY_SALT) % N`.
 //!
 //! * every key maps to exactly one shard, deterministically — a
 //!   re-registration under an equal key (`register_keyed`) lands on the
@@ -14,10 +14,9 @@
 //! * each shard has its own lock and its own memory budget
 //!   ([`ShardedService::with_budget`] is per shard), so unrelated
 //!   graphs never contend;
-//! * virtual nodes keep the key distribution balanced and make the
-//!   mapping stable under resharding: growing from N to N+1 shards
-//!   moves only ~1/(N+1) of the keys (the classic consistent-hashing
-//!   property), not a full reshuffle.
+//! * the hash spreads keys evenly over the shards. The shard count is
+//!   fixed at construction and nothing reshards, so there is no
+//!   mapping to keep stable across shard counts.
 //!
 //! Because every artifact is a pure function of
 //! `(graph, version, algorithm, backend, seed, engine)` — the engines
@@ -52,17 +51,12 @@ use super::service::{
 };
 use super::{Algorithm, PipelineError};
 
-/// Virtual nodes per shard on the hash ring. Enough that the largest
-/// shard's share of key space stays within a few percent of the mean,
-/// cheap enough that building a ring is microseconds.
-const VNODES_PER_SHARD: usize = 64;
-
-/// Salt mixed into registry keys before the ring lookup, so the ring
-/// point distribution is independent of the fingerprint function.
+/// Salt mixed into registry keys before hashing, so the shard a key
+/// lands on is independent of the fingerprint function.
 const KEY_SALT: u64 = 0x9e37_79b9_7f4a_7c15;
 
-/// N independent [`SpannerService`] shards behind one consistent-hash
-/// front door. See the [module docs](self) for the design.
+/// N independent [`SpannerService`] shards behind one hash-routed front
+/// door. See the [module docs](self) for the design.
 ///
 /// `Sync` like the inner service: one instance serves registrations and
 /// jobs from any number of threads. All [`SpannerService`] job-builder
@@ -71,10 +65,6 @@ const KEY_SALT: u64 = 0x9e37_79b9_7f4a_7c15;
 #[derive(Debug)]
 pub struct ShardedService {
     shards: Vec<SpannerService>,
-    /// Sorted `(ring point, shard index)` pairs — the consistent-hash
-    /// ring. A key is owned by the first point at or after its hash
-    /// (wrapping).
-    ring: Vec<(u64, u32)>,
 }
 
 impl ShardedService {
@@ -97,23 +87,10 @@ impl ShardedService {
     /// If `shards` is zero.
     pub fn with_budget(shards: usize, per_shard_budget_bytes: usize) -> Self {
         assert!(shards >= 1, "a sharded service needs at least one shard");
-        let mut ring = Vec::with_capacity(shards * VNODES_PER_SHARD);
-        for shard in 0..shards as u64 {
-            for vnode in 0..VNODES_PER_SHARD as u64 {
-                let point = crate::coins::splitmix64((shard << 32) | vnode);
-                ring.push((point, shard as u32));
-            }
-        }
-        ring.sort_unstable();
-        // Two vnodes sharing a point is a 2^-64 event, but keep the
-        // key → shard map total and deterministic anyway: lowest shard
-        // index wins (sort order already groups duplicates).
-        ring.dedup_by_key(|entry| entry.0);
         ShardedService {
             shards: (0..shards)
                 .map(|_| SpannerService::with_budget(per_shard_budget_bytes))
                 .collect(),
-            ring,
         }
     }
 
@@ -122,14 +99,12 @@ impl ShardedService {
         self.shards.len()
     }
 
-    /// The shard index owning a registry key — stable for the lifetime
-    /// of the service (and under resharding, mostly: see module docs).
+    /// The shard index owning a registry key, stable for the lifetime of
+    /// the service: `splitmix64(key ^ KEY_SALT) % shard_count()`.
     pub fn shard_for(&self, key: u64) -> usize {
         let hash = crate::coins::splitmix64(key ^ KEY_SALT);
-        let at = self.ring.partition_point(|&(point, _)| point < hash);
-        // analyze:allow(panic-path): partition_point gives `at <= len`, the wrap maps `len` to 0, and the ring is never empty
-        let (_, shard) = self.ring[if at == self.ring.len() { 0 } else { at }];
-        shard as usize
+        // analyze:allow(panic-path): `with_budget` asserts at least one shard
+        (hash % self.shards.len() as u64) as usize
     }
 
     /// Direct access to one shard's [`SpannerService`] (dashboards,
@@ -229,7 +204,7 @@ mod tests {
     }
 
     #[test]
-    fn ring_covers_every_shard_and_is_roughly_balanced() {
+    fn routing_covers_every_shard_and_is_roughly_balanced() {
         let sharded = ShardedService::new(8);
         let mut per_shard = [0usize; 8];
         for key in 0..8000u64 {
@@ -237,12 +212,12 @@ mod tests {
         }
         for (shard, &count) in per_shard.iter().enumerate() {
             assert!(count > 0, "shard {shard} owns no keys");
-            // 64 vnodes keeps every shard within ~3x of the 1000 mean;
-            // assert a loose envelope so the test pins balance, not the
-            // exact hash values.
+            // The hash keeps every shard near the 1000 mean; assert a
+            // loose envelope so the test pins balance, not the exact
+            // hash values.
             assert!(
                 (250..=4000).contains(&count),
-                "shard {shard} owns {count} of 8000 keys — ring is badly unbalanced"
+                "shard {shard} owns {count} of 8000 keys — routing is badly unbalanced"
             );
         }
     }

@@ -35,8 +35,9 @@ pub struct SpannerResult {
 impl SpannerResult {
     /// The degenerate "spanner = the whole graph" result every
     /// construction returns for `k = 1` (a 1-spanner keeps everything)
-    /// and for edgeless inputs.
-    pub fn whole_graph(g: &Graph, algorithm: impl Into<String>) -> Self {
+    /// and for edgeless inputs. Its label is empty; `SpannerRequest::execute`
+    /// stamps the plan's label on every result.
+    pub fn whole_graph(g: &Graph) -> Self {
         SpannerResult {
             edges: (0..g.m() as EdgeId).collect(),
             epochs: 0,
@@ -44,7 +45,7 @@ impl SpannerResult {
             stretch_bound: 1.0,
             radius_per_epoch: vec![],
             supernodes_per_epoch: vec![],
-            algorithm: algorithm.into(),
+            algorithm: String::new(),
             decomposition: None,
         }
     }
@@ -96,7 +97,7 @@ mod tests {
     #[test]
     fn whole_graph_keeps_every_edge() {
         let g = generators::cycle(7, WeightModel::Unit, 0);
-        let r = SpannerResult::whole_graph(&g, "identity");
+        let r = SpannerResult::whole_graph(&g);
         assert_eq!(r.size(), g.m());
         assert_eq!(r.stretch_bound, 1.0);
         assert_eq!(r.iterations, 0);

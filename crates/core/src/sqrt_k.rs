@@ -41,7 +41,7 @@ pub(crate) fn build(
 ) -> Result<SpannerResult, PipelineError> {
     debug_assert!(k >= 1, "validated by plan()");
     if k == 1 || g.m() == 0 {
-        return Ok(SpannerResult::whole_graph(g, ""));
+        return Ok(SpannerResult::whole_graph(g));
     }
 
     // Phase 1: the first epoch of the t = ⌈√k⌉ schedule, t grow

@@ -105,7 +105,7 @@ pub(crate) fn build(
     debug_assert!(k >= 1 && g.is_unweighted(), "validated by plan()");
     let n = g.n();
     if k == 1 || g.m() == 0 {
-        let mut r = SpannerResult::whole_graph(g, "");
+        let mut r = SpannerResult::whole_graph(g);
         r.decomposition = Some(UnweightedOkStats {
             sparse: n,
             dense_assigned: 0,

@@ -52,11 +52,6 @@ impl UnionFind {
         true
     }
 
-    /// Whether `a` and `b` are in the same set.
-    pub fn connected(&mut self, a: u32, b: u32) -> bool {
-        self.find(a) == self.find(b)
-    }
-
     /// Number of disjoint sets remaining.
     pub fn component_count(&self) -> usize {
         self.components
@@ -141,8 +136,8 @@ mod tests {
         assert!(!uf.union(1, 0));
         assert!(uf.union(2, 3));
         assert_eq!(uf.component_count(), 2);
-        assert!(uf.connected(0, 1));
-        assert!(!uf.connected(0, 2));
+        assert_eq!(uf.find(0), uf.find(1));
+        assert_ne!(uf.find(0), uf.find(2));
     }
 
     #[test]

@@ -42,24 +42,6 @@ pub fn dijkstra(g: &Graph, source: u32) -> SsspTree {
     SsspTree { dist }
 }
 
-/// BFS from `source`, ignoring weights (hop distances).
-pub fn bfs(g: &Graph, source: u32) -> SsspTree {
-    let n = g.n();
-    let mut dist = vec![INFINITY; n];
-    let mut queue = std::collections::VecDeque::new();
-    dist[source as usize] = 0;
-    queue.push_back(source);
-    while let Some(v) = queue.pop_front() {
-        for (u, _w, _id) in g.neighbors(v) {
-            if dist[u as usize] == INFINITY {
-                dist[u as usize] = dist[v as usize] + 1;
-                queue.push_back(u);
-            }
-        }
-    }
-    SsspTree { dist }
-}
-
 /// Exact distances from every vertex in `sources` (one Dijkstra per source,
 /// parallelised with rayon). Row `i` corresponds to `sources[i]`.
 pub fn multi_source_distances(g: &Graph, sources: &[u32]) -> Vec<Vec<Distance>> {
@@ -181,13 +163,6 @@ mod tests {
         );
         let t = dijkstra(&g, 0);
         assert_eq!(t.dist[1], 2);
-    }
-
-    #[test]
-    fn bfs_counts_hops() {
-        let g = path_graph(&[5, 5, 5]);
-        let t = bfs(&g, 0);
-        assert_eq!(t.dist, vec![0, 1, 2, 3]);
     }
 
     #[test]

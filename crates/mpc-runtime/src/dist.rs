@@ -81,21 +81,6 @@ impl<T: Record> Dist<T> {
         self.shards.iter().all(Vec::is_empty)
     }
 
-    /// Total words held.
-    pub fn words(&self) -> usize {
-        self.len() * T::WORDS
-    }
-
-    /// Largest shard size in words (the collection's memory footprint on
-    /// the busiest machine).
-    pub fn max_shard_words(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.len() * T::WORDS)
-            .max()
-            .unwrap_or(0)
-    }
-
     /// **Out-of-model extraction**: concatenates all shards in machine
     /// order. This is how the experimenter reads the final answer off the
     /// cluster once the algorithm has finished; it charges no rounds and

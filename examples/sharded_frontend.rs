@@ -4,12 +4,12 @@
 //! clients.
 //!
 //! This is the scale-out shape of `service_frontend`: instead of one
-//! registry/store behind one lock, graphs are consistent-hashed across
-//! shards, and instead of blocking submitters, clients get a `JobId`
-//! back immediately and collect results later:
+//! registry/store behind one lock, graphs are spread across shards by a
+//! hash of their key, and instead of blocking submitters, clients get a
+//! `JobId` back immediately and collect results later:
 //!
-//! 1. register a fleet of workload graphs — the ring routes each to its
-//!    owning shard;
+//! 1. register a fleet of workload graphs — the key hash routes each to
+//!    its owning shard;
 //! 2. submit a mixed-priority job stream from several client threads
 //!    (`Interactive` point lookups racing a `Priority::Batch` warm-up
 //!    sweep) and wait on the ids — every job resolves exactly once;

@@ -36,7 +36,7 @@
 //! flows produce bit-identical artifacts at equal seeds.
 //!
 //! **Scaling the tier out?** [`pipeline::ShardedService`] puts N inner
-//! services behind a consistent-hash ring (per-shard budgets and
+//! services routed by a hash of the registry key (per-shard budgets and
 //! locks, cross-shard stats rollup, rebalance-on-reregistration), and
 //! [`pipeline::JobQueue`] is its non-blocking front door and the one
 //! admission point: submit a [`pipeline::JobSpec`] for a

@@ -166,7 +166,7 @@ fn table() -> Vec<(Job, Expect)> {
     ]
 }
 
-/// Two graphs registered under keys that the ring puts on one shard, so
+/// Two graphs registered under keys that route to one shard, so
 /// that keeping their artifacts apart is the artifact key's doing.
 fn tier() -> (Arc<ShardedService>, [GraphHandle; 2]) {
     let tier = Arc::new(ShardedService::new(2));
@@ -177,7 +177,7 @@ fn tier() -> (Arc<ShardedService>, [GraphHandle; 2]) {
     let other = (1u64..)
         .map(|i| key.wrapping_add(i))
         .find(|&k| tier.shard_for(k) == shard)
-        .expect("the ring maps some nearby key to the same shard");
+        .expect("some nearby key routes to the same shard");
     let handles = [
         tier.register_keyed(key, first),
         tier.register_keyed(other, second),

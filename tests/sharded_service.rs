@@ -176,7 +176,7 @@ fn reregistration_purges_the_owning_shard_across_the_tier() {
     assert_eq!(
         tier.shard(owner).registered(),
         1,
-        "registration must land on the ring owner"
+        "registration must land on the key's owning shard"
     );
     let o1 = tier.oracle(&h1, alg()).seed(4).build().unwrap();
     assert_eq!(o1.query(0, n - 1), 23, "unit-weight path end to end");
